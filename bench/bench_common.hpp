@@ -11,7 +11,7 @@
 
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 

@@ -11,7 +11,7 @@
 #include "concurrent/concurrent_network.hpp"
 #include "concurrent/harness.hpp"
 #include "core/constructions.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 

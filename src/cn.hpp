@@ -28,13 +28,13 @@
 #include "core/verify.hpp"          // IWYU pragma: export
 
 #include "sim/adversary.hpp"        // IWYU pragma: export
-#include "sim/consistency.hpp"      // IWYU pragma: export
 #include "sim/linearization.hpp"    // IWYU pragma: export
 #include "sim/simulator.hpp"        // IWYU pragma: export
 #include "sim/timed_execution.hpp"  // IWYU pragma: export
 #include "sim/timing.hpp"           // IWYU pragma: export
 #include "sim/workload.hpp"         // IWYU pragma: export
 
+#include "trace/consistency.hpp"    // IWYU pragma: export
 #include "trace/trace.hpp"          // IWYU pragma: export
 
 #include "msg/event_kernel.hpp"     // IWYU pragma: export

@@ -4,7 +4,7 @@
 #include <mutex>
 
 #include "core/constructions.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "trace/serialize.hpp"
 #include "util/bits.hpp"
 

@@ -66,8 +66,7 @@ class TraceSource {
   /// records the collecting run(spec, ctx) would have produced; must NOT
   /// call sink.finish() (run_backend owns stream termination). Native
   /// producers emit live in O(open operations) memory (see
-  /// IssueWindowBuffer / IssueOrderBuffer); the default collects via
-  /// run(spec, ctx), replays
+  /// IssueWindowBuffer); the default collects via run(spec, ctx), replays
   /// the trace with feed_issue_order, and drops the materialized copy.
   virtual RunResult run(const RunSpec& spec, RunContext& ctx,
                         TraceSink& sink) const {

@@ -27,7 +27,7 @@
 #include "concurrent/harness.hpp"
 #include "core/valency.hpp"
 #include "engine/backend.hpp"
-#include "fault/faulted_sim.hpp"
+#include "fault/fault.hpp"
 #include "msg/service.hpp"
 #include "service/client.hpp"
 #include "service/service.hpp"
@@ -58,7 +58,7 @@ struct Resolved {
 };
 
 /// Records the fault overlay's damage tally as metrics.
-void record_sim_fault_metrics(RunResult& out, const fault::SimFaults& f) {
+void record_sim_fault_metrics(RunResult& out, const SimFaults& f) {
   out.metrics["fault_tokens_lost"] = static_cast<double>(f.tokens_lost);
   out.metrics["fault_tokens_not_issued"] =
       static_cast<double>(f.tokens_not_issued);
@@ -68,63 +68,49 @@ void record_sim_fault_metrics(RunResult& out, const fault::SimFaults& f) {
       static_cast<double>(f.processes_crashed);
 }
 
-/// Runs a TimedExecution through the simulator and fills the result,
-/// reusing the worker's arena (compiled tables + trial buffers). When the
-/// spec requests simulated-network faults, the execution is interpreted
-/// by the fault overlay's graph walker instead — the compiled fast path
-/// stays pristine.
-void finish_simulated(RunResult& out, const RunSpec& spec, TimedExecution exec,
-                      SimArena& arena) {
-  if (spec.fault.sim_faults()) {
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
-    fault::FaultedSimResult sim =
-        spec.wave_exec ? fault::simulate_faulted_wave(exec, faults, arena)
-                       : fault::simulate_faulted(exec, faults);
-    if (!sim.ok()) {
-      out.error = "faulted simulation failed: " + sim.error;
-      return;
+/// Interprets `exec` on the spec's execution model (scalar or wave) —
+/// under the spec's drawn fault overlay when it requests simulated-network
+/// faults — collecting the trace into `out` or, when `sink` is non-null,
+/// streaming it there. Returns false with out.error set on an invalid
+/// execution.
+bool interpret(RunResult& out, const RunSpec& spec,
+               const TimedExecution& exec, SimArena& arena, TraceSink* sink) {
+  // `overlay` is empty (pristine) or the one SimFaults argument.
+  const auto run = [&](const auto&... overlay) {
+    if (sink != nullptr) {
+      return spec.wave_exec
+                 ? simulate_wave_stream(exec, overlay..., arena, *sink)
+                 : simulate_stream(exec, overlay..., arena, *sink);
     }
-    out.trace = std::move(sim.trace);
-    out.exec = std::move(exec);
-    record_sim_fault_metrics(out, faults);
-    return;
+    return spec.wave_exec ? simulate_wave(exec, overlay..., arena)
+                          : simulate(exec, overlay..., arena);
+  };
+  const bool faulted = spec.fault.sim_faults();
+  SimFaults faults;
+  if (faulted) {
+    faults = fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
   }
-  SimulationResult sim =
-      spec.wave_exec ? simulate_wave(exec, arena) : simulate(exec, arena);
+  SimulationResult sim = faulted ? run(faults) : run();
   if (!sim.ok()) {
-    out.error = "simulation failed: " + sim.error;
-    return;
+    out.error = (faulted ? "faulted simulation failed: "
+                         : "simulation failed: ") +
+                sim.error;
+    return false;
   }
   out.trace = std::move(sim.trace);
-  out.exec = std::move(exec);
+  if (faulted) record_sim_fault_metrics(out, faults);
+  return true;
 }
 
-/// Streaming twin of finish_simulated: every completed token goes to
-/// `sink` in issue order (the simulators reorder their counter-crossing
-/// emissions internally) and neither the trace nor the execution is kept
-/// on the result.
-void finish_simulated_stream(RunResult& out, const RunSpec& spec,
-                             TimedExecution exec, SimArena& arena,
-                             TraceSink& sink) {
-  if (spec.fault.sim_faults()) {
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(*exec.net, exec, spec.fault, spec.seed);
-    const fault::FaultedSimResult sim =
-        spec.wave_exec
-            ? fault::simulate_faulted_wave_stream(exec, faults, arena, sink)
-            : fault::simulate_faulted_stream(exec, faults, sink);
-    if (!sim.ok()) {
-      out.error = "faulted simulation failed: " + sim.error;
-      return;
-    }
-    record_sim_fault_metrics(out, faults);
-    return;
+/// Runs a freshly built execution through the simulator and fills the
+/// result, reusing the worker's arena (compiled tables + trial buffers).
+/// Streaming runs (`sink` non-null) send every completed token to the sink
+/// in issue order and keep neither the trace nor the execution.
+void finish_simulated(RunResult& out, const RunSpec& spec, TimedExecution exec,
+                      SimArena& arena, TraceSink* sink = nullptr) {
+  if (interpret(out, spec, exec, arena, sink) && sink == nullptr) {
+    out.exec = std::move(exec);
   }
-  const SimulationResult sim = spec.wave_exec
-                                   ? simulate_wave_stream(exec, arena, sink)
-                                   : simulate_stream(exec, arena, sink);
-  if (!sim.ok()) out.error = "simulation failed: " + sim.error;
 }
 
 /// Re-interprets an already-built execution under the spec's fault
@@ -137,25 +123,11 @@ bool apply_sim_faults(RunResult& out, const RunSpec& spec) {
     out.error = "faulted simulation failed: backend produced no execution";
     return false;
   }
-  const fault::SimFaults faults =
-      fault::draw_sim_faults(*out.exec.net, out.exec, spec.fault, spec.seed);
-  fault::FaultedSimResult sim;
-  if (spec.wave_exec) {
-    // These backends (wave / optimizer) build their schedule without a
-    // RunContext, so there is no shared arena to reuse; a local one
-    // compiles the tables once for this re-interpretation.
-    SimArena arena;
-    sim = fault::simulate_faulted_wave(out.exec, faults, arena);
-  } else {
-    sim = fault::simulate_faulted(out.exec, faults);
-  }
-  if (!sim.ok()) {
-    out.error = "faulted simulation failed: " + sim.error;
-    return false;
-  }
-  out.trace = std::move(sim.trace);
+  // These backends build their schedule without a RunContext, so there
+  // is no shared arena to reuse; a local one compiles the tables once.
+  SimArena arena;
+  if (!interpret(out, spec, out.exec, arena, nullptr)) return false;
   out.report = ConsistencyReport{};
-  record_sim_fault_metrics(out, faults);
   return true;
 }
 
@@ -185,8 +157,8 @@ class SimulatorBackend final : public TraceSource {
                 TraceSink& sink) const override {
     Resolved r(spec);
     if (!r.ok()) return std::move(r.result);
-    finish_simulated_stream(r.result, spec, make_exec(spec, *r.net),
-                            ctx.arena, sink);
+    finish_simulated(r.result, spec, make_exec(spec, *r.net), ctx.arena,
+                     &sink);
     return std::move(r.result);
   }
 
@@ -233,8 +205,8 @@ class BurstBackend final : public TraceSource {
                 TraceSink& sink) const override {
     Resolved r(spec);
     if (!r.ok()) return std::move(r.result);
-    finish_simulated_stream(r.result, spec, make_exec(spec, *r.net),
-                            ctx.arena, sink);
+    finish_simulated(r.result, spec, make_exec(spec, *r.net), ctx.arena,
+                     &sink);
     return std::move(r.result);
   }
 
@@ -359,8 +331,7 @@ class HeterogeneousBackend final : public TraceSource {
     if (!r.ok()) return std::move(r.result);
     const Network& net = *r.net;
     HetMetricsSink het(sink, net.fan_in());
-    finish_simulated_stream(r.result, spec, make_exec(spec, net), ctx.arena,
-                            het);
+    finish_simulated(r.result, spec, make_exec(spec, net), ctx.arena, &het);
     if (!r.result.ok()) return std::move(r.result);
     r.result.metrics["hare_ops"] = static_cast<double>(het.hare_ops());
     r.result.metrics["other_ops"] = static_cast<double>(het.other_ops());

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/topology.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/timed_execution.hpp"
 #include "trace/trace.hpp"
 

@@ -148,8 +148,8 @@ struct RunSpec {
   bool keep_trace = true;
   /// When true, the simulated backends (simulator / sim_burst /
   /// sim_heterogeneous, plus the wave and optimizer fault re-runs)
-  /// execute through the level-synchronous wave interpreters
-  /// (simulate_wave / simulate_faulted_wave) instead of the scalar event
+  /// execute through the level-synchronous wave interpreter
+  /// (simulate_wave and its faulted overload) instead of the scalar event
   /// loop. Byte-identical results — trace, errors, streaming emission,
   /// fault metrics — selected per trial; networks the wave path cannot
   /// take fall back to the scalar interpreter internally.

@@ -16,8 +16,8 @@
 //     same faults at any sweeper thread count, so degradation curves
 //     are reproducible from a single base seed.
 //
-// The sim-side interpreter that applies SimFaults to a TimedExecution
-// lives in fault/faulted_sim.hpp.
+// draw_sim_faults() turns a plan into the concrete SimFaults overlay that
+// the simulate* overloads of sim/simulator.hpp interpret.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,14 @@
 #include "trace/sink.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
+
+namespace cn {
+
+class Network;
+struct SimFaults;
+struct TimedExecution;
+
+}  // namespace cn
 
 namespace cn::fault {
 
@@ -154,6 +162,13 @@ class FaultStream {
  private:
   Xoshiro256 rng_;
 };
+
+/// Draws a concrete overlay for `exec` from the plan's fault stream.
+/// Draw order is fixed (balancers ascending, then processes ascending,
+/// then tokens in plan order) so a (plan, run_seed) pair replays
+/// identically at any thread count.
+SimFaults draw_sim_faults(const Network& net, const TimedExecution& exec,
+                          const FaultPlan& plan, std::uint64_t run_seed);
 
 /// Quantitative damage report for a (possibly fault-degraded) trace —
 /// the per-trial ingredients of a graceful-degradation curve.

@@ -1,6 +1,5 @@
 #include "msg/service.hpp"
 
-#include <optional>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -27,15 +26,19 @@ struct RunState {
   /// the O(tokens) trace array above stays empty. A closed-loop client
   /// has at most one token in flight (requires p_msg_duplicate == 0), so
   /// entry bookkeeping shrinks to one slot per process. Counters complete
-  /// in kernel-seq order; the reorder buffer converts that to the issue
-  /// order the sink contract wants (entered_proc doubles as the "this
-  /// process has an open reorder entry" flag, cleared on completion and
-  /// on token loss).
+  /// in kernel-seq order; the reorder window converts that to the issue
+  /// order the sink contract wants. Its monotone-producer contract holds:
+  /// kernel.seq() is the delivered-message count, which grows by one per
+  /// handler, and a handler opens at most one issue slot, so first_seqs
+  /// arrive strictly increasing. (entered_proc doubles as the "this
+  /// process has an open issue slot" flag, cleared on completion and on
+  /// token loss.)
   TraceSink* sink = nullptr;
-  std::optional<IssueOrderBuffer> reorder;
+  IssueWindowBuffer reorder;
   std::vector<bool> entered_proc;
   std::vector<double> t_in_proc;
   std::vector<std::uint64_t> first_seq_proc;
+  std::vector<std::uint64_t> pos_proc;  ///< Issue slot of the open token.
 
   /// Fault layer. The stream is separate from the workload RNG so a
   /// disabled plan leaves every latency draw untouched.
@@ -76,7 +79,7 @@ struct RunState {
       entered_proc[process] = true;
       t_in_proc[process] = kernel.now();
       first_seq_proc[process] = kernel.seq();
-      reorder->open(kernel.seq());
+      pos_proc[process] = reorder.open();
     }
   }
 
@@ -87,10 +90,10 @@ struct RunState {
       ++tokens_lost;  // dropped on the wire: the token vanishes
       if (sink != nullptr && entered_proc[payload.process]) {
         // Lost after entering the network: its client halts, so the open
-        // reorder entry would otherwise hold back every later-issued
+        // issue slot would otherwise hold back every later-issued
         // completion until the final flush.
         entered_proc[payload.process] = false;
-        reorder->drop(first_seq_proc[payload.process]);
+        reorder.drop(pos_proc[payload.process]);
       }
       return;
     }
@@ -159,10 +162,11 @@ MsgRunResult run_message_passing_with(const Network& net,
     st.entered.assign(total_tokens, false);
     st.completed.assign(total_tokens, false);
   } else {
-    st.reorder.emplace(*sink);
+    st.reorder.reset(*sink, /*deferred=*/false);
     st.entered_proc.assign(spec.processes, false);
     st.t_in_proc.assign(spec.processes, 0.0);
     st.first_seq_proc.assign(spec.processes, 0);
+    st.pos_proc.assign(spec.processes, 0);
   }
 
   // Client crash schedule, drawn up front in ascending process order: a
@@ -221,7 +225,7 @@ MsgRunResult run_message_passing_with(const Network& net,
         rec.first_seq = st.first_seq_proc[env.payload.process];
         rec.last_seq = st.kernel.seq();
         st.entered_proc[env.payload.process] = false;
-        st.reorder->close(rec);
+        st.reorder.close(st.pos_proc[env.payload.process], rec);
       }
       Payload reply = env.payload;
       reply.kind = Payload::Kind::kResult;
@@ -269,7 +273,7 @@ MsgRunResult run_message_passing_with(const Network& net,
 
   result.messages = st.kernel.run();
   result.sim_time = st.kernel.now();
-  if (sink != nullptr) st.reorder->flush();
+  if (sink != nullptr) st.reorder.flush();
   if (spec.fault.active()) {
     if (sink == nullptr) {
       // Lost tokens and crashed clients leave holes in the token-indexed

@@ -73,8 +73,8 @@ MsgRunResult run_message_passing(const Network& net, const MsgRunSpec& spec);
 
 /// Streaming variant: emits completed operations to `sink` in ISSUE
 /// order (counter deliveries happen in kernel-seq order and pass through
-/// an IssueOrderBuffer; a token lost after entering the network drops
-/// its open entry at the loss) and leaves MsgRunResult::trace empty;
+/// an IssueWindowBuffer; a token lost after entering the network drops
+/// its issue slot at the loss) and leaves MsgRunResult::trace empty;
 /// bookkeeping is O(processes). Requires p_msg_duplicate == 0 — a
 /// duplicated delivery re-counts a token after emission, which only the
 /// collect path can express — and rejects such specs with an error. Does

@@ -17,7 +17,7 @@
 
 #include "core/topology.hpp"
 #include "core/valency.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/timed_execution.hpp"
 #include "sim/timing.hpp"
 #include "trace/trace.hpp"

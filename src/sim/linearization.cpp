@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 
 namespace cn {
 

@@ -6,7 +6,7 @@
 // some linearization lists values in increasing order (HSW96's
 // adaptation of Herlihy-Wing).
 //
-// sim/consistency.hpp decides linearizability via the token-wise
+// trace/consistency.hpp decides linearizability via the token-wise
 // characterization (no completed-earlier-with-larger-value witness);
 // this module produces and checks the actual orders, and provides a
 // brute-force existence check so tests can verify the two definitions

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/timed_execution.hpp"
 #include "util/rng.hpp"
 

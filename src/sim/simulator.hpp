@@ -12,8 +12,30 @@
 // that want the full step log use simulate_recorded(). Repeated
 // simulations of the same network should share a SimArena: it caches the
 // compiled tables and reuses every per-trial buffer.
+//
+// Fault overlays. The overloads taking a SimFaults interpret the SAME
+// execution under an overlay that edits its step sequence, deliberately
+// breaking the liveness property of Section 2.2:
+//
+//   * lost tokens cross a prefix of their planned hops (toggling the
+//     balancers they pass) and then vanish — their remaining steps leave
+//     the step sequence and their process slot frees at the drop time;
+//   * stuck balancers never advance their round-robin position — every
+//     token leaves through the frozen port;
+//   * a crashed process's later tokens are never issued.
+//
+// There is one interpreter body per execution model (scalar event heap,
+// level-synchronous waves), each a template on a compile-time overlay
+// policy: the pristine instantiation keeps the compiled kernels and
+// contains no overlay check at all; the faulted one steps every token
+// through one shared helper over the compiled routes with explicit
+// per-balancer positions. With an empty overlay the faulted overloads
+// are byte-identical to the pristine ones (the zero-fault identity,
+// guarded by tests/fault_test.cpp and tests/wave_test.cpp).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,9 +48,40 @@
 namespace cn {
 
 class WavePlan;
+struct SimInterpreter;  ///< The interpreter bodies (simulator.cpp).
+
+/// Hop sentinel of SimFaults::lost_before_hop: the token completes its
+/// traversal.
+inline constexpr std::uint32_t kCompletes =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Concrete fault overlay for one timed execution, fully drawn (no
+/// residual randomness): applying it is deterministic. Drawn from a
+/// fault::FaultPlan by fault::draw_sim_faults (fault/fault.hpp).
+struct SimFaults {
+  /// Indexed by token id. kCompletes = traverses normally; h in
+  /// [1, depth] = crosses hops 0..h-1 then vanishes; 0 = never issued
+  /// (a crashed process's later tokens).
+  std::vector<std::uint32_t> lost_before_hop;
+  /// Indexed by balancer: true = toggle wedged at its initial position.
+  std::vector<bool> stuck;
+
+  std::uint64_t tokens_lost = 0;       ///< Entered but vanished.
+  std::uint64_t tokens_not_issued = 0; ///< Suppressed by a crash.
+  std::uint64_t balancers_stuck = 0;
+  std::uint64_t processes_crashed = 0;
+
+  bool empty() const noexcept {
+    return tokens_lost == 0 && tokens_not_issued == 0 &&
+           balancers_stuck == 0;
+  }
+};
 
 struct SimulationResult {
-  Trace trace;            ///< One record per token, in token-plan order.
+  /// One record per completed token, in token-plan order. Under a fault
+  /// overlay, lost and never-issued tokens leave no record — exactly
+  /// what an observer of the live system sees.
+  Trace trace;
   std::string error;      ///< Non-empty if the execution was invalid.
   /// The full step sequence, in execution order; filled only by
   /// simulate_recorded() — the default path skips it.
@@ -59,23 +112,14 @@ class SimArena {
   /// routing tables on first use, recompiling only when `net` changes.
   NetworkState& acquire(const Network& net);
 
-  /// Compiled routing tables plus level structure for `net`, cached like
-  /// acquire(): the shared immutable input of the wave interpreters (the
-  /// faulted one lives in fault/faulted_sim.hpp). Also refreshes the
-  /// internal wave-mode state arena.
-  struct WaveTables {
-    const CompiledNetwork* compiled;
-    const WavePlan* plan;
-  };
-  WaveTables wave_tables(const Network& net);
-
  private:
-  friend SimulationResult simulate_with(const TimedExecution& exec,
-                                        SimArena& arena, bool record_steps,
-                                        TraceSink* sink);
-  friend SimulationResult simulate_wave_with(const TimedExecution& exec,
-                                             SimArena& arena, TraceSink* sink);
+  friend struct SimInterpreter;
   struct Scratch;
+
+  /// acquire() plus the level structure of the compiled tables, cached
+  /// alongside them, and a reset wave-mode state arena.
+  void acquire_wave(const Network& net);
+
   const Network* net_ = nullptr;
   std::shared_ptr<const CompiledNetwork> compiled_;
   std::unique_ptr<NetworkState> state_;
@@ -137,6 +181,24 @@ SimulationResult simulate_wave(const TimedExecution& exec, SimArena& arena);
 /// only ever grows), emitted in per-wave on_records batches. Does not
 /// call sink.finish().
 SimulationResult simulate_wave_stream(const TimedExecution& exec,
+                                      SimArena& arena, TraceSink& sink);
+
+/// The four entry points above under the fault overlay `faults`: same
+/// event order, same record fields and the same streaming protocol. A
+/// lost token's drop happens at the planned time of its first unexecuted
+/// hop, draws no sequence number, and resolves its issue slot so it
+/// holds back no later-issued record. Each wave overload is byte-identical
+/// to its scalar twin, and with an empty overlay every overload is
+/// byte-identical to its pristine counterpart.
+SimulationResult simulate(const TimedExecution& exec, const SimFaults& faults,
+                          SimArena& arena);
+SimulationResult simulate_stream(const TimedExecution& exec,
+                                 const SimFaults& faults, SimArena& arena,
+                                 TraceSink& sink);
+SimulationResult simulate_wave(const TimedExecution& exec,
+                               const SimFaults& faults, SimArena& arena);
+SimulationResult simulate_wave_stream(const TimedExecution& exec,
+                                      const SimFaults& faults,
                                       SimArena& arena, TraceSink& sink);
 
 }  // namespace cn

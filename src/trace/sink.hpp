@@ -5,9 +5,9 @@
 // last_seq, token)) — the order the batch analyzers sweep in, valid for
 // any trace. Completion events are naturally ordered by last_seq instead,
 // so producers reorder: the simulators and the msg kernel hold each
-// completed record in a small buffer until no still-open operation has an
-// earlier first_seq (they track their open-token set exactly, so the
-// buffer is bounded by the open-op concurrency), and thread-based
+// completed record in an IssueWindowBuffer until no still-open operation
+// has an earlier first_seq (they track their open-token set exactly, so
+// the buffer is bounded by the open-op concurrency), and thread-based
 // producers k-way merge per-thread partial traces — already sorted by
 // both keys, since each thread's operations are sequential — by the same
 // key. See trace/streaming.hpp for the consumer side of this contract,
@@ -23,10 +23,8 @@
 // contract, both inside a batch and across batches.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -121,136 +119,36 @@ void feed_completion_order(const Trace& trace, TraceSink& sink);
 /// Lanes are consumed (left empty) so callers can reuse their capacity.
 void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink);
 
-/// Producer-side reorder buffer: event-driven producers complete
+/// Producer-side reorder window: event-driven producers complete
 /// operations in last_seq order, but the sink contract is issue order.
 /// Unlike a downstream consumer, the producer knows its open-operation
 /// set exactly, so it can release a completed record the moment no
 /// still-open operation (and no future issue, whose first_seq exceeds
-/// every seq drawn so far) can precede it. Buffered records are bounded
-/// by the open-op concurrency plus completions inside the oldest open
-/// window — O(processes) for closed-loop workloads.
+/// every seq drawn so far) can precede it.
 ///
-/// Protocol: open(first_seq) when an operation's first_seq is drawn,
-/// then exactly one of close(record) (normal completion) or
-/// drop(first_seq) (the operation vanishes: lost token, crashed
-/// process). flush() at end of stream emits any residue held back by
-/// operations that never resolved. first_seqs must be unique among open
-/// operations.
-///
-/// Emission granularity: records are released in on_records() batches —
-/// one per drain. Scalar producers drain on every close/drop (`deferred
-/// = false`, batches are the natural release runs); wave producers pass
-/// `deferred = true` and call drain() once per wave. Deferring is
-/// release-EQUIVALENT, not just order-preserving: open first_seqs are
-/// drawn from a non-decreasing seq counter, so the minimum open first_seq
-/// only ever grows and a record emittable now is still emittable (ahead
-/// of everything buffered later) at the next drain — the concatenation of
-/// batches is the identical record sequence either way.
-///
-/// The open set and the ready buffer are flat binary heaps with lazy
-/// deletion (erased opens cancel against the open heap at its top), so
-/// the steady state allocates nothing and never touches node-based
-/// containers on the hot path.
-class IssueOrderBuffer {
- public:
-  explicit IssueOrderBuffer(TraceSink& out, bool deferred = false)
-      : out_(&out), deferred_(deferred) {}
-
-  void open(std::uint64_t first_seq) {
-    open_.push_back(first_seq);
-    std::push_heap(open_.begin(), open_.end(), std::greater<>{});
-  }
-
-  void drop(std::uint64_t first_seq) {
-    erase_open(first_seq);
-    if (!deferred_) drain();
-  }
-
-  void close(const TokenRecord& record) {
-    erase_open(record.first_seq);
-    ready_.push_back(record);
-    std::push_heap(ready_.begin(), ready_.end(), ready_after);
-    if (!deferred_) drain();
-  }
-
-  /// Releases every record no still-open operation can precede, as one
-  /// on_records() batch. Called automatically per close/drop unless
-  /// deferred; wave producers call it once per wave.
-  void drain() {
-    if (ready_.size() > peak_buffered_) peak_buffered_ = ready_.size();
-    if (ready_.empty()) return;
-    batch_.clear();
-    while (!ready_.empty() &&
-           (open_.empty() || ready_.front().first_seq < open_.front())) {
-      std::pop_heap(ready_.begin(), ready_.end(), ready_after);
-      batch_.push_back(ready_.back());
-      ready_.pop_back();
-    }
-    if (!batch_.empty()) out_->on_records(batch_);
-  }
-
-  void flush() {
-    batch_.clear();
-    while (!ready_.empty()) {
-      std::pop_heap(ready_.begin(), ready_.end(), ready_after);
-      batch_.push_back(ready_.back());
-      ready_.pop_back();
-    }
-    if (!batch_.empty()) out_->on_records(batch_);
-  }
-
-  /// High-water mark of held-back records (the producer-side "trace
-  /// memory" of a streaming run), sampled at each drain.
-  std::size_t peak_buffered() const noexcept { return peak_buffered_; }
-
- private:
-  /// Min-heap on the issue key.
-  static bool ready_after(const TokenRecord& a, const TokenRecord& b) noexcept {
-    return issue_order_less(b, a);
-  }
-
-  void erase_open(std::uint64_t first_seq) {
-    erased_.push_back(first_seq);
-    std::push_heap(erased_.begin(), erased_.end(), std::greater<>{});
-    // Every erased value is still in open_, and both are min-heaps, so a
-    // stale minimum is cancelled exactly when the two tops meet.
-    while (!erased_.empty() && !open_.empty() &&
-           open_.front() == erased_.front()) {
-      std::pop_heap(open_.begin(), open_.end(), std::greater<>{});
-      open_.pop_back();
-      std::pop_heap(erased_.begin(), erased_.end(), std::greater<>{});
-      erased_.pop_back();
-    }
-  }
-
-  TraceSink* out_;
-  bool deferred_ = false;
-  std::vector<std::uint64_t> open_;    ///< Min-heap of open first_seqs.
-  std::vector<std::uint64_t> erased_;  ///< Lazy deletions against open_.
-  std::vector<TokenRecord> ready_;     ///< Min-heap on the issue key.
-  std::vector<TokenRecord> batch_;     ///< Per-drain emission scratch.
-  std::size_t peak_buffered_ = 0;
-};
-
-/// Issue-order emitter for MONOTONE producers: open() must be called in
-/// nondecreasing first_seq order. That is true of every simulator
-/// producer — first_seqs are drawn from one incrementing step counter —
-/// and it collapses the reorder problem: the issue order IS the open
-/// order, so emission is a cursor over a ring of issue slots instead of
-/// IssueOrderBuffer's heaps. No comparisons, O(1) per record, and a
-/// drain emits each release run as one zero-copy span straight out of
-/// the ring. (IssueOrderBuffer remains for producers whose issue keys
-/// are not open-ordered, e.g. the msg kernel's service threads.)
+/// Every producer here is MONOTONE — it calls open() in issue order,
+/// because its first_seqs are drawn strictly increasing from one counter
+/// (the simulators' step counter, the msg kernel's delivery count). That
+/// collapses the reorder problem: the issue order IS the open order, so
+/// emission is a cursor over a ring of issue slots. No comparisons, O(1)
+/// per record, and a drain emits each release run as one zero-copy span
+/// straight out of the ring.
 ///
 /// Protocol: pos = open() when an operation's first_seq is drawn, then
-/// exactly one of close(pos, record) or drop(pos). drain() releases
-/// every slot before the first still-open position — exactly "first_seq
-/// below the minimum open first_seq", since position order equals
-/// first_seq order — and runs per close/drop unless `deferred`; wave
-/// producers defer and drain once per chunk. flush() at end of stream
-/// emits the completed residue held back by never-resolved opens. For
-/// any monotone producer the concatenated record sequence is identical
-/// to IssueOrderBuffer's.
+/// exactly one of close(pos, record) (normal completion) or drop(pos)
+/// (the operation vanishes: lost token, crashed process). drain()
+/// releases every slot before the first still-open position — exactly
+/// "first_seq below the minimum open first_seq", since position order
+/// equals first_seq order — and runs per close/drop unless `deferred`.
+/// flush() at end of stream emits the completed residue held back by
+/// never-resolved opens.
+///
+/// Wave producers defer and drain once per chunk. Deferring is
+/// release-EQUIVALENT, not just order-preserving: the minimum open
+/// position only ever grows, so a record emittable now is still
+/// emittable (ahead of everything buffered later) at the next drain —
+/// the concatenation of batches is the identical record sequence either
+/// way.
 ///
 /// Memory is the peak issued-but-unemitted window: O(open concurrency)
 /// for per-close drains, up to one chunk of completions when deferred.

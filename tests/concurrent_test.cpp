@@ -13,7 +13,7 @@
 #include "core/constructions.hpp"
 #include "core/sequential.hpp"
 #include "core/verify.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/timing.hpp"
 
 namespace cn {

@@ -9,7 +9,7 @@
 
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
 #include "trace/serialize.hpp"
@@ -294,33 +294,42 @@ TEST(EngineStreaming, StreamMatchesCollectAcrossBackends) {
 
 /// Fault-injected streaming: the degradation metrics come from the
 /// accumulator instead of the batch pass, and must agree exactly.
+/// Both natively streaming faulted producers: the simulator's overlay and
+/// the msg kernel (message loss drops an open issue slot mid-flight;
+/// duplication is off, so the msg run streams natively too).
 TEST(EngineStreaming, FaultedStreamMatchesCollect) {
-  engine::RunSpec spec;
-  spec.network = "bitonic";
-  spec.width = 8;
-  spec.processes = 6;
-  spec.ops_per_process = 6;
-  spec.c_max = 3.0;
-  spec.seed = 0xFA57;
-  spec.fault.enabled = true;
-  spec.fault.seed = 7;
-  spec.fault.p_token_loss = 0.1;
-  spec.fault.p_stuck_balancer = 0.1;
-  spec.fault.p_process_crash = 0.15;
+  for (const char* backend : {"simulator", "msg"}) {
+    SCOPED_TRACE(backend);
+    engine::RunSpec spec;
+    spec.backend = backend;
+    spec.network = "bitonic";
+    spec.width = 8;
+    spec.processes = 6;
+    spec.ops_per_process = 6;
+    spec.c_max = 3.0;
+    spec.seed = 0xFA57;
+    spec.fault.enabled = true;
+    spec.fault.seed = 7;
+    spec.fault.p_token_loss = 0.1;
+    spec.fault.p_stuck_balancer = 0.1;
+    spec.fault.p_process_crash = 0.15;
+    spec.fault.p_msg_duplicate = 0.0;
 
-  const engine::RunResult collect = engine::run_backend(spec);
-  ASSERT_TRUE(collect.ok()) << collect.error;
+    const engine::RunResult collect = engine::run_backend(spec);
+    ASSERT_TRUE(collect.ok()) << collect.error;
+    EXPECT_GT(collect.metric("fault_tokens_lost"), 0.0);
 
-  engine::RunSpec streamed_spec = spec;
-  streamed_spec.keep_trace = false;
-  const engine::RunResult streamed = engine::run_backend(streamed_spec);
-  ASSERT_TRUE(streamed.ok()) << streamed.error;
-  EXPECT_TRUE(streamed.trace.empty());
-  EXPECT_EQ(engine::to_json(streamed), engine::to_json(collect));
-  EXPECT_EQ(streamed.metric("counting_violation"),
-            collect.metric("counting_violation"));
-  EXPECT_EQ(streamed.metric("smoothness_gap"),
-            collect.metric("smoothness_gap"));
+    engine::RunSpec streamed_spec = spec;
+    streamed_spec.keep_trace = false;
+    const engine::RunResult streamed = engine::run_backend(streamed_spec);
+    ASSERT_TRUE(streamed.ok()) << streamed.error;
+    EXPECT_TRUE(streamed.trace.empty());
+    EXPECT_EQ(engine::to_json(streamed), engine::to_json(collect));
+    EXPECT_EQ(streamed.metric("counting_violation"),
+              collect.metric("counting_violation"));
+    EXPECT_EQ(streamed.metric("smoothness_gap"),
+              collect.metric("smoothness_gap"));
+  }
 }
 
 /// Message duplication cannot stream natively (a duplicated delivery

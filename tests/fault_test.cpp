@@ -5,6 +5,7 @@
 // retry, and the error taxonomy end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -17,7 +18,6 @@
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
 #include "fault/fault.hpp"
-#include "fault/faulted_sim.hpp"
 #include "msg/service.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
@@ -189,10 +189,11 @@ TEST(FaultedSim, EmptyOverlayMatchesSimulate) {
     const SimulationResult ref = simulate(exec);
     ASSERT_TRUE(ref.ok());
 
-    fault::SimFaults none;
-    none.lost_before_hop.assign(exec.plans.size(), fault::kCompletes);
+    SimFaults none;
+    none.lost_before_hop.assign(exec.plans.size(), kCompletes);
     none.stuck.assign(net.num_balancers(), false);
-    const fault::FaultedSimResult faulted = fault::simulate_faulted(exec, none);
+    SimArena arena;
+    const SimulationResult faulted = simulate(exec, none, arena);
     ASSERT_TRUE(faulted.ok()) << faulted.error;
 
     ASSERT_EQ(faulted.trace.size(), ref.trace.size());
@@ -222,8 +223,8 @@ TEST(FaultedSim, DrawIsDeterministic) {
   plan.p_token_loss = 0.2;
   plan.p_stuck_balancer = 0.1;
   plan.p_process_crash = 0.15;
-  const fault::SimFaults a = fault::draw_sim_faults(net, exec, plan, 77);
-  const fault::SimFaults b = fault::draw_sim_faults(net, exec, plan, 77);
+  const SimFaults a = fault::draw_sim_faults(net, exec, plan, 77);
+  const SimFaults b = fault::draw_sim_faults(net, exec, plan, 77);
   EXPECT_EQ(a.lost_before_hop, b.lost_before_hop);
   EXPECT_EQ(a.stuck, b.stuck);
   EXPECT_EQ(a.tokens_lost, b.tokens_lost);
@@ -231,7 +232,7 @@ TEST(FaultedSim, DrawIsDeterministic) {
   EXPECT_EQ(a.balancers_stuck, b.balancers_stuck);
   EXPECT_EQ(a.processes_crashed, b.processes_crashed);
   // And a different run seed draws different faults.
-  const fault::SimFaults c = fault::draw_sim_faults(net, exec, plan, 78);
+  const SimFaults c = fault::draw_sim_faults(net, exec, plan, 78);
   EXPECT_NE(a.lost_before_hop, c.lost_before_hop);
 }
 
@@ -245,22 +246,61 @@ TEST(FaultedSim, LossRemovesExactlyTheDoomedTokens) {
   fault::FaultPlan plan;
   plan.enabled = true;
   plan.p_token_loss = 0.25;
-  const fault::SimFaults faults = fault::draw_sim_faults(net, exec, plan, 11);
+  const SimFaults faults = fault::draw_sim_faults(net, exec, plan, 11);
   ASSERT_GT(faults.tokens_lost, 0u);
-  const fault::FaultedSimResult res = fault::simulate_faulted(exec, faults);
+  SimArena arena;
+  const SimulationResult res = simulate(exec, faults, arena);
   ASSERT_TRUE(res.ok()) << res.error;
   EXPECT_EQ(res.trace.size(),
             exec.plans.size() - faults.tokens_lost - faults.tokens_not_issued);
   // Completed tokens are reported in plan order with their own ids.
   std::set<TokenId> doomed;
   for (std::size_t i = 0; i < faults.lost_before_hop.size(); ++i) {
-    if (faults.lost_before_hop[i] != fault::kCompletes) {
+    if (faults.lost_before_hop[i] != kCompletes) {
       doomed.insert(exec.plans[i].token);
     }
   }
   for (const TokenRecord& rec : res.trace) {
     EXPECT_EQ(doomed.count(rec.token), 0u);
   }
+}
+
+/// Hand model of a stuck balancer: B(2) is a single (2,2) balancer, and
+/// wedging it at its initial position sends every token out of port 0 to
+/// counter 0, which hands out 0, 2, 4, ... in counter-crossing (last_seq)
+/// order. Checked on both interpreter bodies, independently of the
+/// pristine kernels.
+TEST(FaultedSim, StuckBalancerRoutesEveryTokenToSinkZero) {
+  const Network net = make_bitonic(2);
+  ASSERT_EQ(net.num_balancers(), 1u);
+  WorkloadSpec wl;
+  wl.processes = 4;
+  wl.tokens_per_process = 6;
+  wl.c_max = 2.5;
+  Xoshiro256 rng(21);
+  const TimedExecution exec = generate_workload(net, wl, rng);
+  SimFaults stuck;
+  stuck.lost_before_hop.assign(exec.plans.size(), kCompletes);
+  stuck.stuck.assign(1, true);
+  stuck.balancers_stuck = 1;
+
+  SimArena arena;
+  const SimulationResult scalar = simulate(exec, stuck, arena);
+  const SimulationResult wave = simulate_wave(exec, stuck, arena);
+  for (const SimulationResult* res : {&scalar, &wave}) {
+    ASSERT_TRUE(res->ok()) << res->error;
+    ASSERT_EQ(res->trace.size(), exec.plans.size());
+    Trace by_exit = res->trace;
+    std::sort(by_exit.begin(), by_exit.end(),
+              [](const TokenRecord& a, const TokenRecord& b) {
+                return a.last_seq < b.last_seq;
+              });
+    for (std::size_t k = 0; k < by_exit.size(); ++k) {
+      EXPECT_EQ(by_exit[k].sink, 0u) << "exit " << k;
+      EXPECT_EQ(by_exit[k].value, 2 * k) << "exit " << k;
+    }
+  }
+  EXPECT_EQ(scalar.trace, wave.trace);
 }
 
 // ---------------------------------------------------------------------

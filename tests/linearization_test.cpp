@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/constructions.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/linearization.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"

@@ -8,7 +8,7 @@
 #include "core/constructions.hpp"
 #include "msg/event_kernel.hpp"
 #include "msg/service.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 
 namespace cn {
 namespace {

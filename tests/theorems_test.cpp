@@ -11,7 +11,7 @@
 #include "core/sequential.hpp"
 #include "core/valency.hpp"
 #include "sim/adversary.hpp"
-#include "sim/consistency.hpp"
+#include "trace/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing.hpp"
 #include "sim/workload.hpp"

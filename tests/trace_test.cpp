@@ -14,7 +14,6 @@
 
 #include "core/constructions.hpp"
 #include "fault/fault.hpp"
-#include "fault/faulted_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
 #include "trace/consistency.hpp"
@@ -45,17 +44,24 @@ void expect_reports_equal(const ConsistencyReport& got,
 
 /// Replays a materialized trace the way an event-driven producer would:
 /// opens at first_seq, closes at last_seq (opens win seq ties so every
-/// record opens before it closes), all through an IssueOrderBuffer. The
-/// sink therefore sees exactly what a live producer would emit.
+/// record opens before it closes), all through an IssueWindowBuffer. Opens
+/// sharing a first_seq go in issue order, keeping the producer monotone.
+/// The sink therefore sees exactly what a live producer would emit.
 void feed_via_issue_buffer(const Trace& trace, TraceSink& sink) {
   struct Ev {
     std::uint64_t seq;
     int kind;  // 0 = open, 1 = close
     std::size_t idx;
   };
+  std::vector<std::size_t> by_issue(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) by_issue[i] = i;
+  std::sort(by_issue.begin(), by_issue.end(),
+            [&](std::size_t a, std::size_t b) {
+              return issue_order_less(trace[a], trace[b]);
+            });
   std::vector<Ev> events;
   events.reserve(2 * trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
+  for (const std::size_t i : by_issue) {
     events.push_back({trace[i].first_seq, 0, i});
     events.push_back({trace[i].last_seq, 1, i});
   }
@@ -63,12 +69,13 @@ void feed_via_issue_buffer(const Trace& trace, TraceSink& sink) {
                    [](const Ev& a, const Ev& b) {
                      return std::tie(a.seq, a.kind) < std::tie(b.seq, b.kind);
                    });
-  IssueOrderBuffer buffer(sink);
+  IssueWindowBuffer buffer(sink);
+  std::vector<std::uint64_t> pos(trace.size());
   for (const Ev& e : events) {
     if (e.kind == 0) {
-      buffer.open(trace[e.idx].first_seq);
+      pos[e.idx] = buffer.open();
     } else {
-      buffer.close(trace[e.idx]);
+      buffer.close(pos[e.idx], trace[e.idx]);
     }
   }
   buffer.flush();
@@ -243,9 +250,9 @@ TEST(StreamingConsistency, MatchesBatchOnFaultedTraces) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Xoshiro256 rng(seed);
     const TimedExecution exec = generate_workload(net, wl, rng);
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(net, exec, plan, seed);
-    const fault::FaultedSimResult sim = fault::simulate_faulted(exec, faults);
+    const SimFaults faults = fault::draw_sim_faults(net, exec, plan, seed);
+    SimArena arena;
+    const SimulationResult sim = simulate(exec, faults, arena);
     ASSERT_TRUE(sim.ok()) << sim.error;
     expect_streaming_matches_batch(sim.trace,
                                    "faulted seed=" + std::to_string(seed));
@@ -253,8 +260,8 @@ TEST(StreamingConsistency, MatchesBatchOnFaultedTraces) {
     // The faulted simulator's own streaming emission (not a re-fed
     // trace) must match too: live reordered emission, same fault overlay.
     StreamingConsistency live;
-    const fault::FaultedSimResult streamed =
-        fault::simulate_faulted_stream(exec, faults, live);
+    const SimulationResult streamed =
+        simulate_stream(exec, faults, arena, live);
     ASSERT_TRUE(streamed.ok()) << streamed.error;
     EXPECT_TRUE(streamed.trace.empty());
     live.finish();
@@ -343,9 +350,9 @@ TEST(StreamingConsistency, SelfOverlappingProcessIsExact) {
   expect_reports_equal(issue.report(), batch, "self-overlap");
 }
 
-TEST(TraceSink, IssueOrderBufferReordersAndTracksPeak) {
+TEST(TraceSink, IssueWindowBufferReordersAndReleasesOnDrop) {
   // Closes arrive out of issue order: the op issued FIRST completes LAST.
-  // The buffer must hold back the early completions and still emit
+  // The window must hold back the early completions and still emit
   // non-decreasing issue keys.
   const std::vector<TokenRecord> records = {
       rec(0, 0, 5, 1, 30),  // open 1 .. close 30
@@ -359,14 +366,17 @@ TEST(TraceSink, IssueOrderBufferReordersAndTracksPeak) {
   EXPECT_EQ(out.trace()[1].token, 1u);
   EXPECT_EQ(out.trace()[2].token, 2u);
 
-  IssueOrderBuffer buffer(out);
-  buffer.open(1);
-  buffer.open(2);
-  buffer.close(records[1]);  // blocked: first_seq 1 still open
-  EXPECT_EQ(buffer.peak_buffered(), 1u);
-  buffer.drop(1);  // the op vanishes: the blocked record releases
-  EXPECT_EQ(out.trace().size(), 4u);
+  IssueWindowBuffer buffer(out);
+  const std::uint64_t first = buffer.open();
+  const std::uint64_t second = buffer.open();
+  buffer.close(second, records[1]);  // blocked: the first op is still open
+  EXPECT_EQ(out.trace().size(), 3u);
+  EXPECT_EQ(buffer.peak_window(), 2u);
+  buffer.drop(first);  // the op vanishes: the blocked record releases
+  ASSERT_EQ(out.trace().size(), 4u);
+  EXPECT_EQ(out.trace()[3].token, 1u);
   buffer.flush();
+  EXPECT_EQ(out.trace().size(), 4u);
 }
 
 TEST(StreamingConsistency, OnRecordAfterFinishThrows) {
@@ -499,9 +509,9 @@ TEST(DegradationAccumulator, MatchesBatchOnFaultedTrace) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Xoshiro256 rng(seed);
     const TimedExecution exec = generate_workload(net, wl, rng);
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(net, exec, plan, seed);
-    const fault::FaultedSimResult sim = fault::simulate_faulted(exec, faults);
+    const SimFaults faults = fault::draw_sim_faults(net, exec, plan, seed);
+    SimArena arena;
+    const SimulationResult sim = simulate(exec, faults, arena);
     ASSERT_TRUE(sim.ok());
     const fault::Degradation batch =
         fault::degradation(sim.trace, net.fan_out());

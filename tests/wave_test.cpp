@@ -1,5 +1,5 @@
 // Differential tests for the level-synchronous wave execution stack
-// (core/wave + simulate_wave + simulate_faulted_wave + engine wave_exec)
+// (core/wave + simulate_wave and its faulted overload + engine wave_exec)
 // against the scalar interpreters, which remain the executable
 // specification.
 //
@@ -21,7 +21,6 @@
 #include "core/sequential.hpp"
 #include "core/wave.hpp"
 #include "engine/engine.hpp"
-#include "fault/faulted_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timed_execution.hpp"
 #include "sim/workload.hpp"
@@ -448,16 +447,6 @@ TEST(SimulateWaveStream, MatchesScalarStream) {
 // Faulted wave interpreter.
 // ---------------------------------------------------------------------
 
-void expect_same_faulted(const fault::FaultedSimResult& scalar,
-                         const fault::FaultedSimResult& wave,
-                         const std::string& what) {
-  EXPECT_EQ(scalar.error, wave.error) << what;
-  ASSERT_EQ(scalar.trace.size(), wave.trace.size()) << what;
-  for (std::size_t i = 0; i < scalar.trace.size(); ++i) {
-    EXPECT_EQ(scalar.trace[i], wave.trace[i]) << what << " record " << i;
-  }
-}
-
 TEST(FaultedWave, ZeroFaultIdentity) {
   const Network net = make_bitonic(8);
   WorkloadSpec spec;
@@ -465,14 +454,13 @@ TEST(FaultedWave, ZeroFaultIdentity) {
   spec.tokens_per_process = 16;
   Xoshiro256 rng(7);
   const TimedExecution exec = generate_workload(net, spec, rng);
-  fault::SimFaults none;  // fully-sized overlay with no faults drawn
-  none.lost_before_hop.assign(exec.plans.size(), fault::kCompletes);
+  SimFaults none;  // fully-sized overlay with no faults drawn
+  none.lost_before_hop.assign(exec.plans.size(), kCompletes);
   none.stuck.assign(net.num_balancers(), false);
   SimArena arena;
-  const fault::FaultedSimResult scalar = fault::simulate_faulted(exec, none);
-  const fault::FaultedSimResult wave =
-      fault::simulate_faulted_wave(exec, none, arena);
-  expect_same_faulted(scalar, wave, "zero-fault");
+  const SimulationResult scalar = simulate(exec, none, arena);
+  const SimulationResult wave = simulate_wave(exec, none, arena);
+  expect_same_result(scalar, wave, "zero-fault");
   // ... and both equal the pristine interpreters.
   const SimulationResult pristine = simulate(exec);
   ASSERT_TRUE(pristine.ok());
@@ -505,13 +493,11 @@ TEST(FaultedWave, MatchesScalarUnderMixedFaults) {
       plan.p_token_loss = 0.2;
       plan.p_stuck_balancer = 0.25;
       plan.p_process_crash = 0.15;
-      const fault::SimFaults faults =
+      const SimFaults faults =
           fault::draw_sim_faults(cfg.net, exec, plan, seed);
-      const fault::FaultedSimResult scalar =
-          fault::simulate_faulted(exec, faults);
-      const fault::FaultedSimResult wave =
-          fault::simulate_faulted_wave(exec, faults, arena);
-      expect_same_faulted(scalar, wave,
+      const SimulationResult scalar = simulate(exec, faults, arena);
+      const SimulationResult wave = simulate_wave(exec, faults, arena);
+      expect_same_result(scalar, wave,
                           cfg.name + " seed " + std::to_string(seed));
       // The overlay actually did something on at least one seed; the
       // draw probabilities guarantee it across this grid.
@@ -536,17 +522,16 @@ TEST(FaultedWave, StreamMatchesScalarStream) {
     plan.enabled = true;
     plan.p_token_loss = 0.25;
     plan.p_stuck_balancer = 0.2;
-    const fault::SimFaults faults =
-        fault::draw_sim_faults(net, exec, plan, seed);
+    const SimFaults faults = fault::draw_sim_faults(net, exec, plan, seed);
 
     CollectSink scalar_collect, wave_collect;
     StreamingConsistency scalar_cons, wave_cons;
     TeeSink scalar_tee(scalar_collect, scalar_cons);
     TeeSink wave_tee(wave_collect, wave_cons);
-    const fault::FaultedSimResult s =
-        fault::simulate_faulted_stream(exec, faults, scalar_tee);
-    const fault::FaultedSimResult w =
-        fault::simulate_faulted_wave_stream(exec, faults, arena, wave_tee);
+    const SimulationResult s =
+        simulate_stream(exec, faults, arena, scalar_tee);
+    const SimulationResult w =
+        simulate_wave_stream(exec, faults, arena, wave_tee);
     ASSERT_TRUE(s.ok()) << s.error;
     ASSERT_TRUE(w.ok()) << w.error;
     scalar_cons.finish();

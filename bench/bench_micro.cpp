@@ -38,6 +38,7 @@
 #include "bench_common.hpp"
 #include "concurrent/concurrent_network.hpp"
 #include "concurrent/harness.hpp"
+#include "core/batch_traversal.hpp"
 #include "core/compiled.hpp"
 #include "core/constructions.hpp"
 #include "core/reference_state.hpp"
@@ -532,8 +533,11 @@ AnalyzerRates measure_analyzer(double min_seconds) {
 /// Single-token vs batched traversal on the real-thread shared-memory
 /// network, per thread count. The ratio (batch_over_single) is the
 /// tracked metric: batching replaces per-token balancer RMWs with one
-/// fetch_add(k) per balancer per batch, so it must stay a multiple of
-/// the single-token rate regardless of the runner's absolute speed.
+/// fetch_add per sub-batch at each balancer it reaches, so it must stay
+/// a multiple of the single-token rate regardless of the runner's
+/// absolute speed. The depth-first split never re-merges sub-batches, so
+/// this is not one RMW per balancer: a 32-token batch on B(8) pays 95
+/// (63 balancer + 32 counter RMWs).
 struct ConcurrentBatchRates {
   static constexpr std::array<std::uint32_t, 3> kThreads = {1, 4, 8};
   std::array<double, 3> single_tokens_per_sec{};
@@ -592,6 +596,75 @@ std::string json_concurrent_batch(std::uint32_t width,
        << ",\n"
        << "      \"batch_over_single\": " << r.ratio(i) << "\n"
        << "    }" << (i + 1 < r.kThreads.size() ? "," : "") << "\n";
+  }
+  os << "  }";
+  return os.str();
+}
+
+/// The service shard's kernel: the single-writer BatchTraversal against
+/// ConcurrentNetwork::increment_batch, both on one thread, at batch sizes
+/// 1 and 32 (the closed-loop service's observed mean batch), cycling
+/// input wires like a classic shard worker. Plain adds and merged
+/// sub-batches (25 balancer/counter visits per 32-token batch on B(8),
+/// against 95 atomic RMWs) versus the shared-memory traversal; the
+/// shard_over_concurrent ratios are tracked. Alternating rounds, max of
+/// rates — same noise defense as measure_traversal.
+struct ShardBatchRates {
+  static constexpr std::array<std::uint32_t, 2> kBatches = {1, 32};
+  std::array<double, 2> concurrent_tokens_per_sec{};
+  std::array<double, 2> shard_tokens_per_sec{};
+
+  double ratio(std::size_t i) const {
+    return shard_tokens_per_sec[i] / concurrent_tokens_per_sec[i];
+  }
+};
+
+ShardBatchRates measure_shard_batch(double min_seconds) {
+  constexpr int kRounds = 4;
+  const Network topo = make_bitonic(8);
+  const CompiledNetwork compiled(topo);
+  ShardBatchRates r;
+  const double round_seconds = min_seconds / kRounds;
+  for (std::size_t i = 0; i < r.kBatches.size(); ++i) {
+    const std::uint32_t k = r.kBatches[i];
+    const std::uint32_t calls = kTraversalBatch / k;
+    std::vector<Value> out(k);
+    ConcurrentNetwork concurrent(topo);
+    BatchTraversal shard(compiled);
+    std::uint32_t source = 0;
+    const auto run = [&](auto& net) {
+      return cn::bench::measure_rate(
+          std::uint64_t{calls} * k, round_seconds, [&] {
+            for (std::uint32_t c = 0; c < calls; ++c) {
+              net.increment_batch(source, k, out.data());
+              source = (source + 1) & 7u;
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            }
+          });
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      r.concurrent_tokens_per_sec[i] =
+          std::max(r.concurrent_tokens_per_sec[i], run(concurrent));
+      r.shard_tokens_per_sec[i] =
+          std::max(r.shard_tokens_per_sec[i], run(shard));
+    }
+  }
+  return r;
+}
+
+std::string json_shard_batch(const ShardBatchRates& r) {
+  std::ostringstream os;
+  os << std::setprecision(6);
+  os << "  \"shard_batch_bitonic8\": {\n";
+  for (std::size_t i = 0; i < r.kBatches.size(); ++i) {
+    os << "    \"k_" << r.kBatches[i] << "\": {\n"
+       << "      \"concurrent_ns_per_token\": "
+       << 1e9 / r.concurrent_tokens_per_sec[i] << ",\n"
+       << "      \"shard_ns_per_token\": " << 1e9 / r.shard_tokens_per_sec[i]
+       << ",\n"
+       << "      \"shard_over_concurrent\": " << r.ratio(i) << "\n"
+       << "    }" << (i + 1 < r.kBatches.size() ? "," : "") << "\n";
   }
   os << "  }";
   return os.str();
@@ -923,6 +996,7 @@ int json_main(const CliArgs& args) {
       measure_streaming_sweep(min_seconds, /*wave_exec=*/true);
   const ConcurrentBatchRates cb8 = measure_concurrent_batch(8, min_seconds);
   const ConcurrentBatchRates cb32 = measure_concurrent_batch(32, min_seconds);
+  const ShardBatchRates sb = measure_shard_batch(min_seconds);
   const ServiceIngressRates si = measure_service_ingress(min_seconds);
 
   std::ostringstream os;
@@ -966,6 +1040,7 @@ int json_main(const CliArgs& args) {
      << "  },\n"
      << json_concurrent_batch(8, cb8) << ",\n"
      << json_concurrent_batch(32, cb32) << ",\n"
+     << json_shard_batch(sb) << ",\n"
      << json_service_ingress(si) << "\n"
      << "}\n";
 
@@ -1014,6 +1089,14 @@ int json_main(const CliArgs& args) {
             << "batch B(32) @8T: " << cb32.single_tokens_per_sec[2] / 1e6
             << "M single tokens/s, " << cb32.batch_tokens_per_sec[2] / 1e6
             << "M batched tokens/s (" << cb32.ratio(2) << "x)\n"
+            << "shard B(8) k=1:  " << 1e9 / sb.shard_tokens_per_sec[0]
+            << " ns/token vs concurrent "
+            << 1e9 / sb.concurrent_tokens_per_sec[0] << " (" << sb.ratio(0)
+            << "x)\n"
+            << "shard B(8) k=32: " << 1e9 / sb.shard_tokens_per_sec[1]
+            << " ns/token vs concurrent "
+            << 1e9 / sb.concurrent_tokens_per_sec[1] << " (" << sb.ratio(1)
+            << "x)\n"
             << "ingress B(8) @8C: " << si.single_req_per_sec / 1e3
             << "k single req/s, " << si.batched_req_per_sec / 1e3
             << "k batched req/s (" << si.batched_over_single()

@@ -74,8 +74,10 @@ int main() {
   }
 
   t.print(std::cout);
-  std::cout << "\nBatched row: increment_batch(32) pays ~1 balancer RMW "
-               "per batch instead of per token.\nService rows: closed-loop "
+  std::cout << "\nBatched row: increment_batch(32) pays one RMW per "
+               "sub-batch per balancer reached (95 per batch on B(8), ~3 "
+               "per token) instead of d(G)+1 per token.\nService rows: "
+               "closed-loop "
                "clients against the sharded counting service (queue + "
                "worker round trip per op).\n";
   std::cout << "\nShape notes: the bitonic network costs ~d(G)+1 = "

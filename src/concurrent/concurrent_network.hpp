@@ -22,8 +22,13 @@
 // fetch_add(k) — leave with the same per-port counts as k sequential
 // single-token traversals: port (pos+i) mod f for i in [0,k). The batch
 // therefore splits into at most f sub-batches per balancer and each
-// sub-batch carries its whole count down its wire, for ~1 RMW per
-// reached balancer per batch instead of one per token per balancer.
+// sub-batch carries its whole count down its wire: one RMW per
+// sub-batch per balancer it reaches instead of one per token. The split
+// is depth-first and never re-merges sub-batches that reconverge, so a
+// batch fans out into up to k single-token paths: a 32-token batch on
+// B(8) pays 95 RMWs (63 balancer + 32 counter), about 3 per token. The
+// single-writer shards of the counting service use the merging
+// traversal in core/batch_traversal.hpp instead.
 #pragma once
 
 #include <atomic>

@@ -159,8 +159,11 @@ void CountingService::install_epoch(std::uint32_t level) {
   ep->queues.reserve(n);
   ep->runtimes.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
-    const Network& net = elastic ? *ep->parts[s].net : *cfg_.net;
-    ep->nets.push_back(std::make_unique<ConcurrentNetwork>(net));
+    if (elastic || s == 0) {
+      ep->compiled.push_back(std::make_unique<CompiledNetwork>(
+          elastic ? *ep->parts[s].net : *cfg_.net));
+    }
+    ep->nets.push_back(std::make_unique<BatchTraversal>(*ep->compiled.back()));
     ep->queues.push_back(
         std::make_unique<BoundedQueue<Request>>(cfg_.queue_capacity));
     auto rt = std::make_unique<ShardRuntime>();
@@ -194,6 +197,24 @@ void CountingService::start() {
   }
 }
 
+bool CountingService::over_watermark(TopologyEpoch& ep, std::uint32_t shard) {
+  ShardRuntime& rt = *ep.runtimes[shard];
+  const double cap = static_cast<double>(ep.queues[shard]->capacity());
+  const std::size_t depth = ep.queues[shard]->approx_size();
+  if (rt.shedding.load(std::memory_order_relaxed)) {
+    // Hysteresis: stay closed until the depth falls below low.
+    const bool shed =
+        depth > static_cast<std::size_t>(cap * cfg_.shed_low_watermark);
+    if (!shed) rt.shedding.store(false, std::memory_order_relaxed);
+    return shed;
+  }
+  const bool shed =
+      depth >= std::max<std::size_t>(
+                   static_cast<std::size_t>(cap * cfg_.shed_high_watermark), 1);
+  if (shed) rt.shedding.store(true, std::memory_order_relaxed);
+  return shed;
+}
+
 bool CountingService::try_submit(std::uint32_t client,
                                  std::uint64_t arrival_ns,
                                  std::atomic<std::uint64_t>* done) {
@@ -215,28 +236,13 @@ bool CountingService::try_submit(std::uint32_t client,
   // check its watermark BEFORE drawing a ticket. A shed therefore burns
   // nothing — no ticket, no residue hole — unlike the queue-full
   // rejection below, which is the watermark race's accounted backstop.
-  if (cfg_.shed_high_watermark > 0.0) {
-    const std::uint32_t predicted =
-        ep.map.shard_of(tickets_.load(std::memory_order_relaxed));
-    ShardRuntime& rt = *ep.runtimes[predicted];
-    const double cap = static_cast<double>(ep.queues[predicted]->capacity());
-    const std::size_t depth = ep.queues[predicted]->approx_size();
-    const auto high = static_cast<std::size_t>(cap * cfg_.shed_high_watermark);
-    const auto low = static_cast<std::size_t>(cap * cfg_.shed_low_watermark);
-    bool shed;
-    if (rt.shedding.load(std::memory_order_relaxed)) {
-      shed = depth > low;  // Hysteresis: stay closed until below low.
-      if (!shed) rt.shedding.store(false, std::memory_order_relaxed);
-    } else {
-      shed = depth >= std::max<std::size_t>(high, 1);
-      if (shed) rt.shedding.store(true, std::memory_order_relaxed);
-    }
-    if (shed) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      ep.shed.fetch_add(1, std::memory_order_relaxed);
-      pending_submits_.fetch_sub(1, std::memory_order_release);
-      return false;
-    }
+  if (cfg_.shed_high_watermark > 0.0 &&
+      over_watermark(
+          ep, ep.map.shard_of(tickets_.load(std::memory_order_relaxed)))) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    ep.shed.fetch_add(1, std::memory_order_relaxed);
+    pending_submits_.fetch_sub(1, std::memory_order_release);
+    return false;
   }
   const std::uint64_t ticket =
       tickets_.fetch_add(1, std::memory_order_relaxed);
@@ -288,28 +294,15 @@ CountingService::BatchResult CountingService::submit_batch(
   const std::uint32_t runs = n < nsh ? n : nsh;
   // Admission is all-or-nothing and precedes the ticket draw: a shed
   // batch burns NO residue slot. Every target shard (the batch touches
-  // min(n, shards) residue classes) must be under its watermark, with
-  // the same hysteresis as the single path.
+  // min(n, shards) residue classes) must be under its watermark. Each
+  // gate is evaluated — no short circuit — so every target's hysteresis
+  // state advances exactly as on the single path.
   if (cfg_.shed_high_watermark > 0.0) {
     const std::uint64_t t_pred = tickets_.load(std::memory_order_relaxed);
     bool shed_batch = false;
     for (std::uint32_t j = 0; j < runs; ++j) {
-      const std::uint32_t s = ep.map.shard_of(t_pred + j);
-      ShardRuntime& rt = *ep.runtimes[s];
-      const double cap = static_cast<double>(ep.queues[s]->capacity());
-      const std::size_t depth = ep.queues[s]->approx_size();
-      const auto high =
-          static_cast<std::size_t>(cap * cfg_.shed_high_watermark);
-      const auto low = static_cast<std::size_t>(cap * cfg_.shed_low_watermark);
-      bool shed;
-      if (rt.shedding.load(std::memory_order_relaxed)) {
-        shed = depth > low;
-        if (!shed) rt.shedding.store(false, std::memory_order_relaxed);
-      } else {
-        shed = depth >= std::max<std::size_t>(high, 1);
-        if (shed) rt.shedding.store(true, std::memory_order_relaxed);
-      }
-      shed_batch = shed_batch || shed;
+      shed_batch = over_watermark(ep, ep.map.shard_of(t_pred + j)) ||
+                   shed_batch;
     }
     if (shed_batch) {
       shed_.fetch_add(n, std::memory_order_relaxed);
@@ -362,7 +355,7 @@ CountingService::BatchResult CountingService::submit_batch(
 
 void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   TopologyEpoch& ep = *epoch;
-  ConcurrentNetwork& net = *ep.nets[shard];
+  BatchTraversal& net = *ep.nets[shard];
   BoundedQueue<Request>& queue = *ep.queues[shard];
   ShardRuntime& rt = *ep.runtimes[shard];
 #if defined(__linux__)
@@ -395,10 +388,9 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   }
 
   std::vector<Request> batch(cfg_.max_batch);
-  std::vector<Request> live;
-  live.reserve(cfg_.max_batch);
   std::vector<Value> values(cfg_.max_batch);
-  std::vector<std::uint32_t> sources(cfg_.max_batch, 0);
+  // Entry wire per element; only records carry it.
+  std::vector<std::uint32_t> sources(cfg_.record ? cfg_.max_batch : 0);
   bool draining = false;
   std::uint32_t idle_rounds = 0;
   // Idle park backstop: notify_if_waiters on the submit path skips the
@@ -536,10 +528,14 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
     idle_rounds = 0;
     rt.processed.fetch_add(n, std::memory_order_relaxed);
 
-    live.clear();
+    // batch[0..k) are the elements that reach the traversal: all n of
+    // them unless thread faults abandon some, which are signalled and
+    // compacted out in place (survivors keep their order).
+    auto k = static_cast<std::uint32_t>(n);
     bool slots_stored = false;
-    std::uint64_t stall_draws = 0;
     if (inject) {
+      std::uint64_t stall_draws = 0;
+      k = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (rt.faults->flip(cfg_.fault.p_thread_stall)) ++stall_draws;
         if (rt.faults->flip(cfg_.fault.p_thread_abandon)) {
@@ -549,7 +545,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
             slots_stored = true;
           }
         } else {
-          live.push_back(batch[i]);
+          batch[k++] = batch[i];
         }
       }
       if (stall_draws > 0) {
@@ -557,11 +553,8 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         std::this_thread::sleep_for(
             std::chrono::nanoseconds(cfg_.fault.stall_ns * stall_draws));
       }
-    } else {
-      live.assign(batch.begin(), batch.begin() + n);
     }
 
-    const auto k = static_cast<std::uint32_t>(live.size());
     std::uint64_t completion_ns = 0;
     if (k > 0) {
       if (elastic) {
@@ -580,7 +573,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
           if (c == 0) break;
           net.increment_batch(entry, c, values.data() + off);
-          for (std::uint32_t i = off; i < off + c; ++i) sources[i] = entry;
+          if (cfg_.record) std::fill_n(sources.data() + off, c, entry);
           off += c;
         }
         rt.feed_cursor = (rt.feed_cursor + k) % m;
@@ -588,17 +581,17 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         const auto source =
             static_cast<std::uint32_t>(rt.next_source++ % fan_in);
         net.increment_batch(source, k, values.data());
-        for (std::uint32_t i = 0; i < k; ++i) sources[i] = source;
+        if (cfg_.record) std::fill_n(sources.data(), k, source);
       }
       completion_ns = now_ns();
       for (std::uint32_t i = 0; i < k; ++i) {
         const Value global = ep.map.global_value(values[i], shard);
-        const std::uint64_t lat = completion_ns > live[i].arrival_ns
-                                      ? completion_ns - live[i].arrival_ns
+        const std::uint64_t lat = completion_ns > batch[i].arrival_ns
+                                      ? completion_ns - batch[i].arrival_ns
                                       : 0;
         rt.latency.record(lat);
-        if (live[i].done != nullptr) {
-          live[i].done->store(global + 1, std::memory_order_release);
+        if (batch[i].done != nullptr) {
+          batch[i].done->store(global + 1, std::memory_order_release);
           slots_stored = true;
         }
       }
@@ -619,8 +612,8 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           events_.fetch_add(k, std::memory_order_relaxed);
       for (std::uint32_t i = 0; i < k; ++i) {
         TokenRecord rec;
-        rec.token = static_cast<TokenId>(live[i].ticket);
-        rec.process = live[i].client;
+        rec.token = static_cast<TokenId>(batch[i].ticket);
+        rec.process = batch[i].client;
         rec.source = sources[i];
         // Elastic shards label sinks with the TRUE full-network sink of
         // the Lemma 3.1 embedding; classic shards keep the flattened
@@ -632,9 +625,9 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
                        : shard * fan_out +
                              static_cast<std::uint32_t>(values[i] % fan_out);
         rec.value = ep.map.global_value(values[i], shard);
-        rec.t_in = static_cast<double>(live[i].arrival_ns);
+        rec.t_in = static_cast<double>(batch[i].arrival_ns);
         rec.t_out = static_cast<double>(completion_ns);
-        rec.first_seq = live[i].first_seq;
+        rec.first_seq = batch[i].first_seq;
         rec.last_seq = ls + i;
         rt.lane.push_back(rec);
       }
@@ -967,7 +960,12 @@ std::vector<EpochStats> CountingService::epoch_history() const {
 
 std::uint64_t CountingService::shard_total(std::uint32_t shard) const {
   std::lock_guard<std::mutex> lock(fence_mu_);
-  if (!epoch_ || shard >= epoch_->nets.size()) return 0;
+  // Only a retired epoch's shard networks may be read: its fence joined
+  // their single writers (epoch_stats_ gains an entry per retired epoch).
+  if (!epoch_ || epoch_stats_.size() <= epoch_->index ||
+      shard >= epoch_->nets.size()) {
+    return 0;
+  }
   return epoch_->nets[shard]->total();
 }
 

@@ -1,6 +1,7 @@
-// Counting-as-a-service: N independent ConcurrentNetwork shards behind a
-// residue-class router, each drained by a dedicated worker thread doing
-// adaptive batch formation — now SELF-HEALING: a supervisor thread
+// Counting-as-a-service: N independent single-writer shard networks
+// (core/batch_traversal.hpp) behind a residue-class router, each drained
+// by a dedicated worker thread doing adaptive batch formation — now
+// SELF-HEALING: a supervisor thread
 // watches per-shard heartbeats, detects crashed or wedged workers,
 // respawns them on the same shard network, and the service audits its
 // own residue accounting at quiescence.
@@ -56,9 +57,15 @@
 //
 // Each worker drains its shard's bounded MPSC queue up to max_batch
 // requests and shepherds them through the shard network with ONE
-// increment_batch call — the batched traversal costs ~1 atomic RMW per
-// balancer per batch instead of per token, which is where the service
-// throughput comes from.
+// increment_batch call. A shard has exactly one writer at a time — its
+// current worker; a respawn hands the shard over through the
+// supervisor's join of the dead thread, and an epoch's fence joins every
+// worker before anything reads the shard totals — so the traversal is a
+// plain single-writer BatchTraversal with no atomics. It moves the batch
+// layer by layer and merges the sub-batches converging on a balancer
+// into one claim there: one plain add per REACHED balancer per batch
+// (ConcurrentNetwork's depth-first split, which never re-merges, paid 95
+// atomic RMWs for a 32-token batch on B(8)).
 //
 // Ingress batching (Lemma 3.1 again, at the entry point): submit_batch
 // draws ONE contiguous ticket range with a single fetch_add(n) and
@@ -120,7 +127,8 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/concurrent_network.hpp"
+#include "core/batch_traversal.hpp"
+#include "core/compiled.hpp"
 #include "core/split.hpp"
 #include "core/topology.hpp"
 #include "fault/chaos.hpp"
@@ -129,6 +137,7 @@
 #include "service/queue.hpp"
 #include "trace/sink.hpp"
 #include "trace/streaming.hpp"
+#include "util/cacheline.hpp"
 #include "util/eventcount.hpp"
 #include "util/residue.hpp"
 
@@ -479,8 +488,8 @@ class CountingService {
     return nshards_.load(std::memory_order_relaxed);
   }
 
-  /// Quiescent per-shard totals of the final epoch (only meaningful
-  /// after stop()).
+  /// Quiescent per-shard totals of the final epoch, valid after stop()
+  /// (0 while that epoch's workers may still be writing).
   std::uint64_t shard_total(std::uint32_t shard) const;
 
  private:
@@ -551,7 +560,11 @@ class CountingService {
     /// shards). parts[r].net backs nets[r]; feed_order drives the
     /// worker's balanced cyclic feeding.
     std::vector<Subnetwork> parts;
-    std::vector<std::unique_ptr<ConcurrentNetwork>> nets;
+    /// Routing tables: one shared by every classic shard, one per part
+    /// in elastic mode.
+    std::vector<std::unique_ptr<CompiledNetwork>> compiled;
+    /// Shard networks, each written only by the shard's current worker.
+    std::vector<std::unique_ptr<BatchTraversal>> nets;
     std::vector<std::unique_ptr<BoundedQueue<Request>>> queues;
     std::vector<std::unique_ptr<ShardRuntime>> runtimes;
     std::vector<std::thread> workers;
@@ -580,6 +593,11 @@ class CountingService {
     TraceSink* down = nullptr;
   };
 
+  /// Admission watermark of one target shard, with hysteresis: once its
+  /// queue depth reaches the high watermark the shard sheds until the
+  /// depth falls to the low one. Advances the shard's shedding state;
+  /// true means shed. Requires cfg_.shed_high_watermark > 0.
+  bool over_watermark(TopologyEpoch& ep, std::uint32_t shard);
   void worker_loop(TopologyEpoch* epoch, std::uint32_t shard);
   void supervisor_loop();
   /// Builds + launches an epoch at `level` and opens admission.

@@ -1,6 +1,8 @@
 // Tests for the shared-memory counting-network implementation
 // (src/concurrent): gap-freedom, quiescent step property, and the
-// Theorem 4.1 pacing behaviour on real threads.
+// Theorem 4.1 pacing behaviour on real threads — plus the single-writer
+// BatchTraversal (src/core) the service shards run, differentially
+// against the same sequential spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +12,11 @@
 
 #include "concurrent/concurrent_network.hpp"
 #include "concurrent/harness.hpp"
+#include "core/batch_traversal.hpp"
+#include "core/compiled.hpp"
 #include "core/constructions.hpp"
 #include "core/sequential.hpp"
+#include "core/split.hpp"
 #include "core/verify.hpp"
 #include "trace/consistency.hpp"
 #include "sim/timing.hpp"
@@ -236,47 +241,114 @@ TEST(Harness, BatchThroughputRunnerCountsAllTokens) {
 
 // --- increment_batch: differential equivalence with the sequential spec ---
 
-// Runs the same token sequence through a ConcurrentNetwork (via
+// The two batched traversals under test, each built over a topology: the
+// shared-memory ConcurrentNetwork and the single-writer BatchTraversal a
+// service shard runs (over its own compiled tables).
+struct ConcurrentImpl {
+  static constexpr bool kAscending = false;  // depth-first order
+  explicit ConcurrentImpl(const Network& topo) : net(topo) {}
+  ConcurrentNetwork net;
+};
+struct ShardImpl {
+  static constexpr bool kAscending = true;
+  explicit ShardImpl(const Network& topo) : compiled(topo), net(compiled) {}
+  CompiledNetwork compiled;
+  BatchTraversal net;
+};
+
+// Runs the same token sequence through a batched implementation (via
 // increment_batch) and through the sequential NetworkState oracle (via
 // one shepherd call per token), then compares every observable: the
 // multiset of issued values per batch, per-balancer traversal counts,
 // per-sink counter totals, and the grand total. Equality of the balancer
-// counts is the "byte-compatible counting" claim: one fetch_add(k) must
-// advance each balancer exactly as far as k sequential tokens would.
-void expect_batch_matches_sequential(const Network& topo,
-                                     const std::vector<std::uint32_t>& batches) {
-  ConcurrentNetwork net(topo);
+// counts is the "byte-compatible counting" claim: one claim of k
+// positions must advance each balancer exactly as far as k sequential
+// tokens would.
+//
+// Batches enter the way the service's workers issue them. With no
+// `feed_order`, each batch goes whole onto one input wire, cycling wires
+// batch by batch (a classic shard). With one, each batch spreads over the
+// entries in balanced cyclic feed order (an elastic shard running an
+// extracted part), and the oracle feeds its tokens one by one in that
+// same order.
+//
+// Every topology here counts under its feeding, and a single caller
+// leaves the network quiescent between batches, so each batch must also
+// receive exactly the next k values: T..T+k-1 after T tokens counted.
+// An implementation that emits ascending values must then return, for a
+// whole-batch call, exactly the sequence the k sequential tokens get.
+template <typename Impl>
+void expect_batch_matches_sequential(
+    const Network& topo, const std::vector<std::uint32_t>& batches,
+    const std::vector<std::uint32_t>* feed_order = nullptr) {
+  Impl impl(topo);
   NetworkState spec(topo);
   TokenId token = 0;
+  std::uint64_t counted = 0;
   std::uint32_t next_source = 0;
+  std::uint64_t cursor = 0;
   for (const std::uint32_t k : batches) {
-    const std::uint32_t s = next_source++ % topo.fan_in();
     std::vector<std::uint64_t> got(k);
-    net.increment_batch(s, k, got.data());
     std::vector<std::uint64_t> expect;
     expect.reserve(k);
-    for (std::uint32_t i = 0; i < k; ++i) {
-      expect.push_back(spec.shepherd(token++, 0, s));
+    if (feed_order == nullptr) {
+      const std::uint32_t s = next_source++ % topo.fan_in();
+      impl.net.increment_batch(s, k, got.data());
+      for (std::uint32_t i = 0; i < k; ++i) {
+        expect.push_back(spec.shepherd(token++, 0, s));
+      }
+      if (Impl::kAscending) {
+        ASSERT_EQ(got, expect) << topo.name() << " batch k=" << k;
+      }
+    } else {
+      const std::vector<std::uint32_t>& feed = *feed_order;
+      const auto m = static_cast<std::uint32_t>(feed.size());
+      std::uint32_t off = 0;
+      for (std::uint32_t u = 0; u < m && off < k; ++u) {
+        const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
+        impl.net.increment_batch(feed[(cursor + u) % m], c, got.data() + off);
+        if (Impl::kAscending) {
+          ASSERT_TRUE(std::is_sorted(got.begin() + off, got.begin() + off + c))
+              << topo.name() << " sub-batch of " << c;
+        }
+        off += c;
+      }
+      for (std::uint32_t i = 0; i < k; ++i) {
+        expect.push_back(spec.shepherd(token++, 0, feed[(cursor + i) % m]));
+      }
+      cursor = (cursor + k) % m;
     }
     // The batch hands out exactly the values the k sequential tokens
-    // receive; the depth-first split may permute them within the batch.
+    // receive; the traversal may permute them within the batch.
     std::sort(got.begin(), got.end());
     std::sort(expect.begin(), expect.end());
     ASSERT_EQ(got, expect) << topo.name() << " batch k=" << k;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      ASSERT_EQ(got[i], counted + i)
+          << topo.name() << " batch k=" << k << " breaks the step property";
+    }
+    counted += k;
   }
   for (NodeIndex b = 0; b < topo.num_balancers(); ++b) {
     std::uint64_t through = 0;
     for (PortIndex j = 0; j < topo.balancer(b).fan_out(); ++j) {
       through += spec.balancer_out_count(b, j);
     }
-    EXPECT_EQ(net.balancer_through(b), through)
+    EXPECT_EQ(impl.net.balancer_through(b), through)
         << topo.name() << " balancer " << b;
   }
-  const std::vector<std::uint64_t> sinks = net.sink_counts();
+  const std::vector<std::uint64_t> sinks = impl.net.sink_counts();
   for (std::uint32_t j = 0; j < topo.fan_out(); ++j) {
     EXPECT_EQ(sinks[j], spec.sink_count(j)) << topo.name() << " sink " << j;
   }
-  EXPECT_EQ(net.total(), spec.total_exited());
+  EXPECT_EQ(impl.net.total(), spec.total_exited());
+}
+
+void expect_batches_match_sequential(
+    const Network& topo, const std::vector<std::uint32_t>& batches,
+    const std::vector<std::uint32_t>* feed_order = nullptr) {
+  expect_batch_matches_sequential<ConcurrentImpl>(topo, batches, feed_order);
+  expect_batch_matches_sequential<ShardImpl>(topo, batches, feed_order);
 }
 
 TEST(ConcurrentBatch, PureBatchSizesMatchSequentialSpec) {
@@ -285,9 +357,9 @@ TEST(ConcurrentBatch, PureBatchSizesMatchSequentialSpec) {
   // isolated.
   for (const std::uint32_t k : {1u, 3u, 64u, 37u}) {
     const std::vector<std::uint32_t> batches(5, k);
-    expect_batch_matches_sequential(make_bitonic(8), batches);
-    expect_batch_matches_sequential(make_periodic(8), batches);
-    expect_batch_matches_sequential(make_counting_tree(8), batches);
+    expect_batches_match_sequential(make_bitonic(8), batches);
+    expect_batches_match_sequential(make_periodic(8), batches);
+    expect_batches_match_sequential(make_counting_tree(8), batches);
   }
 }
 
@@ -295,10 +367,61 @@ TEST(ConcurrentBatch, MixedBatchSizesMatchSequentialSpec) {
   // Interleaved sizes exercise the mod-f dispenser restarting from an
   // arbitrary residue (pos % f != 0) at every balancer.
   const std::vector<std::uint32_t> batches = {1, 3, 64, 37, 2, 8, 5, 1, 13};
-  expect_batch_matches_sequential(make_bitonic(8), batches);
-  expect_batch_matches_sequential(make_periodic(8), batches);
-  expect_batch_matches_sequential(make_counting_tree(8), batches);
-  expect_batch_matches_sequential(make_bitonic(4), batches);
+  expect_batches_match_sequential(make_bitonic(8), batches);
+  expect_batches_match_sequential(make_periodic(8), batches);
+  expect_batches_match_sequential(make_counting_tree(8), batches);
+  expect_batches_match_sequential(make_bitonic(4), batches);
+  // Non-power-of-two fan-out (the mod-f split without a mask), a block
+  // cascade, and one wide balancer with fewer inputs than outputs.
+  expect_batches_match_sequential(make_counting_tree_k(9, 3), batches);
+  expect_batches_match_sequential(make_block_cascade(8, 3), batches);
+  expect_batches_match_sequential(make_single_balancer(3, 5), batches);
+}
+
+TEST(ConcurrentBatch, SplitPartsFedInFeedOrderMatchSequentialSpec) {
+  // The elastic service's shards: every extracted part at every
+  // operational split level, fed in its balanced cyclic feed order.
+  const std::vector<std::uint32_t> batches = {1, 3, 64, 37, 2, 8, 5, 1, 13};
+  for (const Network& net : {make_bitonic(8), make_periodic(8)}) {
+    const SplitPlan plan(net);
+    for (std::uint32_t ell = 1; ell <= operational_max_level(plan); ++ell) {
+      for (const Subnetwork& part : plan.extract(ell)) {
+        expect_batches_match_sequential(*part.net, batches, &part.feed_order);
+      }
+    }
+  }
+}
+
+TEST(ConcurrentBatch, NonCountingNetworksMatchSequentialMultisets) {
+  // Without the step property a batch's values are not one contiguous
+  // range: the shard traversal must still hand out the sequential
+  // multiset, ascending, and leave the sequential state behind.
+  for (const Network& topo : {make_block(8), make_brick_wall(8, 3)}) {
+    ShardImpl impl(topo);
+    NetworkState spec(topo);
+    TokenId token = 0;
+    std::uint32_t next_source = 0;
+    for (const std::uint32_t k : {1u, 3u, 64u, 37u, 2u, 8u, 5u, 13u}) {
+      const std::uint32_t s = next_source++ % topo.fan_in();
+      std::vector<std::uint64_t> got(k);
+      impl.net.increment_batch(s, k, got.data());
+      ASSERT_TRUE(std::is_sorted(got.begin(), got.end())) << topo.name();
+      std::vector<std::uint64_t> expect;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        expect.push_back(spec.shepherd(token++, 0, s));
+      }
+      std::sort(expect.begin(), expect.end());
+      ASSERT_EQ(got, expect) << topo.name() << " batch k=" << k;
+    }
+    for (NodeIndex b = 0; b < topo.num_balancers(); ++b) {
+      EXPECT_EQ(impl.net.balancer_through(b),
+                spec.balancer_out_count(b, 0) + spec.balancer_out_count(b, 1))
+          << topo.name() << " balancer " << b;
+    }
+    for (std::uint32_t j = 0; j < topo.fan_out(); ++j) {
+      EXPECT_EQ(impl.net.sink_counts()[j], spec.sink_count(j)) << topo.name();
+    }
+  }
 }
 
 TEST(ConcurrentBatch, BatchEqualsRepeatedSingleIncrements) {
@@ -324,6 +447,9 @@ TEST(ConcurrentBatch, ZeroSizedBatchIsANoOp) {
   ConcurrentNetwork net(topo);
   net.increment_batch(0, 0, nullptr);
   EXPECT_EQ(net.total(), 0u);
+  ShardImpl shard(topo);
+  shard.net.increment_batch(0, 0, nullptr);
+  EXPECT_EQ(shard.net.total(), 0u);
 }
 
 TEST(ConcurrentBatch, MixedBatchAndSingleThreadsStayGapFree) {

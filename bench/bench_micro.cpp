@@ -603,12 +603,15 @@ std::string json_concurrent_batch(std::uint32_t width,
 
 /// The service shard's kernel: the single-writer BatchTraversal against
 /// ConcurrentNetwork::increment_batch, both on one thread, at batch sizes
-/// 1 and 32 (the closed-loop service's observed mean batch), cycling
-/// input wires like a classic shard worker. Plain adds and merged
-/// sub-batches (25 balancer/counter visits per 32-token batch on B(8),
-/// against 95 atomic RMWs) versus the shared-memory traversal; the
-/// shard_over_concurrent ratios are tracked. Alternating rounds, max of
-/// rates — same noise defense as measure_traversal.
+/// 1 and 32 (the closed-loop service's observed mean batch). The shard
+/// side is fed the way a classic shard's worker feeds it: identity feed,
+/// persistent cursor, one call per batch. ConcurrentNetwork takes one
+/// input wire per call, so it gets each batch whole on a wire cycled
+/// batch by batch. Plain adds and merged sub-batches (a 32-token batch
+/// spread over B(8)'s 8 entries reaches all 24 balancers and 8 sinks: 32
+/// plain adds, against 95 atomic RMWs) versus the shared-memory
+/// traversal; the shard_over_concurrent ratios are tracked. Alternating
+/// rounds, max of rates — same noise defense as measure_traversal.
 struct ShardBatchRates {
   static constexpr std::array<std::uint32_t, 2> kBatches = {1, 32};
   std::array<double, 2> concurrent_tokens_per_sec{};
@@ -632,12 +635,13 @@ ShardBatchRates measure_shard_batch(double min_seconds) {
     ConcurrentNetwork concurrent(topo);
     BatchTraversal shard(compiled);
     std::uint32_t source = 0;
-    const auto run = [&](auto& net) {
+    const std::vector<std::uint32_t> feed = {0, 1, 2, 3, 4, 5, 6, 7};
+    std::uint64_t cursor = 0;
+    const auto run = [&](auto&& increment) {
       return cn::bench::measure_rate(
           std::uint64_t{calls} * k, round_seconds, [&] {
             for (std::uint32_t c = 0; c < calls; ++c) {
-              net.increment_batch(source, k, out.data());
-              source = (source + 1) & 7u;
+              increment();
               benchmark::DoNotOptimize(out.data());
               benchmark::ClobberMemory();
             }
@@ -645,9 +649,15 @@ ShardBatchRates measure_shard_batch(double min_seconds) {
     };
     for (int round = 0; round < kRounds; ++round) {
       r.concurrent_tokens_per_sec[i] =
-          std::max(r.concurrent_tokens_per_sec[i], run(concurrent));
+          std::max(r.concurrent_tokens_per_sec[i], run([&] {
+                     concurrent.increment_batch(source, k, out.data());
+                     source = (source + 1) & 7u;
+                   }));
       r.shard_tokens_per_sec[i] =
-          std::max(r.shard_tokens_per_sec[i], run(shard));
+          std::max(r.shard_tokens_per_sec[i], run([&] {
+                     shard.increment_batch(feed, cursor, k, out.data());
+                     cursor = (cursor + k) & 7u;
+                   }));
     }
   }
   return r;

@@ -41,12 +41,21 @@ void BatchTraversal::arrive(const CompiledNetwork::Route& r,
   pending_[r.node] += count;
 }
 
-void BatchTraversal::increment_batch(std::uint32_t source, std::uint32_t k,
+void BatchTraversal::increment_batch(std::span<const std::uint32_t> feed,
+                                     std::uint64_t cursor, std::uint32_t k,
                                      Value* out) noexcept {
   if (k == 0) return;
   const CompiledNetwork& net = *compiled_;
-  state_.source_count[source] += k;
-  arrive(net.route(net.source_wire(source)), k);
+  // Token i enters on feed[(cursor + i) mod e], so from the cursor on the
+  // first k mod e entries get ceil(k / e) tokens and the rest floor(k / e).
+  const auto e = static_cast<std::uint32_t>(feed.size());
+  auto at = static_cast<std::uint32_t>(cursor % e);
+  for (std::uint32_t u = 0; u < e && u < k; ++u) {
+    const std::uint32_t c = k / e + (u < k % e ? 1 : 0);
+    state_.source_count[feed[at]] += c;
+    arrive(net.route(net.source_wire(feed[at])), c);
+    if (++at == e) at = 0;
+  }
   // Longest-path layering: every arrival at layer l comes from a layer
   // < l, so when layer l is processed each of its queued balancers holds
   // the sum of all the sub-batches converging on it this batch.
@@ -88,9 +97,9 @@ void BatchTraversal::increment_batch(std::uint32_t source, std::uint32_t k,
   }
   // Each reached sink s hands out the run counter_next[s] + i * stride,
   // i < sink_pending_[s]. Values go out ascending. When the batch's
-  // values are exactly lo..lo+k-1 — always, for a counting network fed
-  // by a single writer — value v simply lands at out[v - lo]; otherwise
-  // the runs are written back to back and sorted.
+  // values are exactly lo..lo+k-1 — always, for a network that counts
+  // under its feed, with a single writer — value v simply lands at
+  // out[v - lo]; otherwise the runs are written back to back and sorted.
   const std::uint64_t stride = net.fan_out();
   Value lo = ~Value{0};
   Value hi = 0;

@@ -2,8 +2,10 @@
 //
 // A counting-service shard has exactly one writer at a time — its worker
 // thread — so its network needs none of ConcurrentNetwork's atomics. What
-// it does need is to push a whole drained batch through the network at
-// once. ConcurrentNetwork::increment_batch splits a batch depth-first and
+// it does need is to push a whole drained batch, spread over the entry
+// wires in the shard's feed order, through the network at once. All the
+// batch's per-entry counts are injected before one layer-by-layer pass.
+// ConcurrentNetwork::increment_batch splits a batch depth-first and
 // never merges the pieces again: sub-batches that reconverge on a
 // balancer each pay their own claim there. BatchTraversal instead moves
 // TOKEN COUNTS layer by layer over the network's longest-path layering
@@ -20,8 +22,8 @@
 // depend only on how many tokens crossed it, not on the order in which
 // sub-batches claimed their positions. So after a batch of k tokens every
 // balancer's throughput, every sink's count, and the multiset of issued
-// values equal those of k sequential single-token traversals from the
-// same source (tests/concurrent_test.cpp checks this differentially).
+// values equal those of k sequential single-token traversals entering in
+// feed order (tests/concurrent_test.cpp checks this differentially).
 // That needs no uniformity, power-of-two fan-out or counting-network
 // precondition: any DAG the Network constructor accepts works, including
 // the extracted subnetworks the elastic service runs.
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/compiled.hpp"
@@ -53,15 +56,17 @@ class BatchTraversal {
   /// any number of traversals may share one CompiledNetwork.
   explicit BatchTraversal(const CompiledNetwork& compiled);
 
-  /// Shepherds `k` tokens entering on input wire `source` (< fan_in)
-  /// and writes the k values they received to out[0..k) in ascending
-  /// order. Leaves
-  /// the network in exactly the state k sequential single-token
-  /// traversals would; on a counting network the values are also
-  /// exactly the sequence those traversals return (T..T+k-1 after T
-  /// tokens), so a caller handing them out in arrival order serves its
+  /// Shepherds `k` tokens over the input wires `feed` (non-empty, each
+  /// < fan_in; one wire is a one-entry feed): token i enters on
+  /// feed[(cursor + i) mod feed.size()]. Writes the k values they
+  /// received to out[0..k) in ascending order. Leaves the network in
+  /// exactly the state k sequential single-token traversals in that
+  /// order would; when the network counts under the feed the values are
+  /// also exactly the sequence those traversals return (T..T+k-1 after
+  /// T tokens), so a caller handing them out in arrival order serves its
   /// batch first-in, first-out.
-  void increment_batch(std::uint32_t source, std::uint32_t k,
+  void increment_batch(std::span<const std::uint32_t> feed,
+                       std::uint64_t cursor, std::uint32_t k,
                        Value* out) noexcept;
 
   /// Tokens that have passed through balancer `b` so far.

@@ -842,7 +842,8 @@ class ServiceBackend final : public TraceSource {
     r.result.metrics["elapsed_sec"] = elapsed;
     r.result.metrics["ops_per_sec"] =
         elapsed > 0 ? static_cast<double>(st.completed) / elapsed : 0.0;
-    r.result.metrics["shards"] = static_cast<double>(cfg.shards);
+    // The final epoch's width: elastic runs ignore cfg.shards.
+    r.result.metrics["shards"] = static_cast<double>(svc.shards());
     r.result.metrics["rejected"] = static_cast<double>(st.rejected);
     r.result.metrics["batches"] = static_cast<double>(st.batches);
     r.result.metrics["mean_batch"] = st.mean_batch;

@@ -94,15 +94,6 @@ class BoundedQueue {
     }
   }
 
-  /// Drains up to `max` items into out[0..n); returns n. This is the
-  /// worker's adaptive batch formation: a backlogged queue yields a full
-  /// batch, an idle one yields whatever is there.
-  std::size_t pop_batch(T* out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max && try_pop(out[n])) ++n;
-    return n;
-  }
-
  private:
   struct Cell {
     std::atomic<std::size_t> seq{0};

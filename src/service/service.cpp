@@ -134,11 +134,38 @@ void CountingService::install_epoch(std::uint32_t level) {
   auto ep = std::make_shared<TopologyEpoch>();
   ep->index = next_epoch_index_++;
   ep->level = level;
-  const bool elastic = cfg_.elastic.enabled;
-  const std::uint32_t n =
-      elastic ? residue::shards_at_level(level) : cfg_.shards;
+  // Every shard is (network, feed order, sink labels); the mode decides
+  // only what they are. Shard s serves residue class s (Lemma 3.1).
+  // An elastic shard runs SplitPlan part s in its certified feed_order,
+  // local sink u exiting full sink embed_sink(u, level, s, w). A classic
+  // shard is the degenerate single-epoch part: the full network, the
+  // identity feed rotated by s, and the flattened record sink s * w + u.
+  const std::uint32_t w = cfg_.net->fan_out();
+  if (cfg_.elastic.enabled) {
+    for (Subnetwork& part : plan_->extract(level)) {
+      const auto s = static_cast<std::uint32_t>(ep->nets.size());
+      ep->compiled.push_back(std::make_unique<CompiledNetwork>(*part.net));
+      ep->nets.push_back(std::make_unique<BatchTraversal>(*ep->compiled[s]));
+      ep->feeds.push_back(std::move(part.feed_order));
+      auto& labels = ep->sink_labels.emplace_back(part.net->fan_out());
+      for (std::uint32_t u = 0; u < labels.size(); ++u) {
+        labels[u] = residue::embed_sink(u, level, s, w);
+      }
+      ep->parts.push_back(std::move(part.net));
+    }
+  } else {
+    ep->compiled.push_back(std::make_unique<CompiledNetwork>(*cfg_.net));
+    const std::uint32_t fan_in = cfg_.net->fan_in();
+    for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
+      ep->nets.push_back(std::make_unique<BatchTraversal>(*ep->compiled[0]));
+      auto& feed = ep->feeds.emplace_back(fan_in);
+      for (std::uint32_t j = 0; j < fan_in; ++j) feed[j] = (s + j) % fan_in;
+      auto& labels = ep->sink_labels.emplace_back(w);
+      for (std::uint32_t u = 0; u < w; ++u) labels[u] = s * w + u;
+    }
+  }
+  const auto n = static_cast<std::uint32_t>(ep->nets.size());
   ep->map = residue::EpochMap{tickets_.load(std::memory_order_relaxed), n};
-  if (elastic && plan_ != nullptr) ep->parts = plan_->extract(level);
 
   // The single worker_crash_* event on the fault plan is sugar for a
   // one-event chaos schedule; fold it in so the worker loop has one
@@ -155,20 +182,13 @@ void CountingService::install_epoch(std::uint32_t level) {
   }
 
   const std::uint64_t t0 = now_ns();
-  ep->nets.reserve(n);
   ep->queues.reserve(n);
   ep->runtimes.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
-    if (elastic || s == 0) {
-      ep->compiled.push_back(std::make_unique<CompiledNetwork>(
-          elastic ? *ep->parts[s].net : *cfg_.net));
-    }
-    ep->nets.push_back(std::make_unique<BatchTraversal>(*ep->compiled.back()));
     ep->queues.push_back(
         std::make_unique<BoundedQueue<Request>>(cfg_.queue_capacity));
     auto rt = std::make_unique<ShardRuntime>();
     rt->chaos = chaos.for_shard(s);
-    rt->next_source = s;  // Stagger shards' source cursors.
     rt->last_beat_ns.store(t0, std::memory_order_relaxed);
     ep->runtimes.push_back(std::move(rt));
   }
@@ -356,6 +376,8 @@ CountingService::BatchResult CountingService::submit_batch(
 void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   TopologyEpoch& ep = *epoch;
   BatchTraversal& net = *ep.nets[shard];
+  const std::vector<std::uint32_t>& feed = ep.feeds[shard];
+  const std::vector<std::uint32_t>& sink_label = ep.sink_labels[shard];
   BoundedQueue<Request>& queue = *ep.queues[shard];
   ShardRuntime& rt = *ep.runtimes[shard];
 #if defined(__linux__)
@@ -369,13 +391,6 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
     sched_setaffinity(0, sizeof(set), &set);
   }
 #endif
-  const bool elastic = !ep.parts.empty();
-  const Subnetwork* part = elastic ? &ep.parts[shard] : nullptr;
-  const std::uint32_t fan_in =
-      elastic ? part->net->fan_in() : cfg_.net->fan_in();
-  const std::uint32_t fan_out = cfg_.net->fan_out();
-  const std::uint32_t part_w = elastic ? part->net->fan_out() : 0;
-  const std::uint32_t full_w = cfg_.net->fan_out();
   const bool inject = cfg_.fault.thread_faults();
   // The fault stream lives in the shard runtime and survives respawns:
   // the successor worker continues the dead worker's draw sequence, so a
@@ -389,8 +404,6 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
 
   std::vector<Request> batch(cfg_.max_batch);
   std::vector<Value> values(cfg_.max_batch);
-  // Entry wire per element; only records carry it.
-  std::vector<std::uint32_t> sources(cfg_.record ? cfg_.max_batch : 0);
   bool draining = false;
   std::uint32_t idle_rounds = 0;
   // Idle park backstop: notify_if_waiters on the submit path skips the
@@ -556,33 +569,14 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
     }
 
     std::uint64_t completion_ns = 0;
+    const std::uint64_t cursor = rt.feed_cursor;
     if (k > 0) {
-      if (elastic) {
-        // Balanced cyclic feeding: the part is a merger tail, not an
-        // arbitrary-input counting network, so per-entry counts must
-        // stay as equal as possible with the skew following the feed
-        // order (verify_extraction certifies exactly this discipline).
-        // Quiescent outputs depend only on per-entry counts, so the
-        // batch splits into one sub-batch per entry — at most fan_in
-        // traversal calls — without changing the issued value set.
-        const std::uint32_t m = fan_in;
-        std::uint32_t off = 0;
-        for (std::uint32_t u = 0; u < m && off < k; ++u) {
-          const std::uint32_t entry =
-              part->feed_order[(rt.feed_cursor + u) % m];
-          const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
-          if (c == 0) break;
-          net.increment_batch(entry, c, values.data() + off);
-          if (cfg_.record) std::fill_n(sources.data() + off, c, entry);
-          off += c;
-        }
-        rt.feed_cursor = (rt.feed_cursor + k) % m;
-      } else {
-        const auto source =
-            static_cast<std::uint32_t>(rt.next_source++ % fan_in);
-        net.increment_batch(source, k, values.data());
-        if (cfg_.record) std::fill_n(sources.data(), k, source);
-      }
+      // Balanced cyclic feeding continues from the previous batch, the
+      // discipline verify_extraction certifies for an elastic part (a
+      // merger tail, not an arbitrary-input counting network). ONE call
+      // returns the batch's values ascending: first-in, first-out.
+      net.increment_batch(feed, cursor, k, values.data());
+      rt.feed_cursor = (cursor + k) % feed.size();
       completion_ns = now_ns();
       for (std::uint32_t i = 0; i < k; ++i) {
         const Value global = ep.map.global_value(values[i], shard);
@@ -614,16 +608,9 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         TokenRecord rec;
         rec.token = static_cast<TokenId>(batch[i].ticket);
         rec.process = batch[i].client;
-        rec.source = sources[i];
-        // Elastic shards label sinks with the TRUE full-network sink of
-        // the Lemma 3.1 embedding; classic shards keep the flattened
-        // (shard, local sink) id.
-        rec.sink = elastic
-                       ? residue::embed_sink(
-                             static_cast<std::uint32_t>(values[i] % part_w),
-                             ep.level, shard, full_w)
-                       : shard * fan_out +
-                             static_cast<std::uint32_t>(values[i] % fan_out);
+        rec.source = feed[(cursor + i) % feed.size()];
+        // Local value v exited local sink v mod (local width).
+        rec.sink = sink_label[values[i] % sink_label.size()];
         rec.value = ep.map.global_value(values[i], shard);
         rec.t_in = static_cast<double>(batch[i].arrival_ns);
         rec.t_out = static_cast<double>(completion_ns);

@@ -36,7 +36,7 @@
 //               wedge detections (visible in health(); a stalled worker
 //               cannot be safely killed, but its window ends and the
 //               heartbeat age quantifies it). Respawn reuses the shard's
-//               persistent state — fault stream, chaos cursor, source
+//               persistent state — fault stream, chaos cursor, feed
 //               cursor — so a recovered execution replays the dead
 //               worker's exact logical continuation.
 //   chaos       a fault::ChaosPlan (or the single worker_crash_* event
@@ -56,9 +56,10 @@
 // depend on real scheduling by nature.
 //
 // Each worker drains its shard's bounded MPSC queue up to max_batch
-// requests and shepherds them through the shard network with ONE
-// increment_batch call. A shard has exactly one writer at a time — its
-// current worker; a respawn hands the shard over through the
+// requests and shepherds them through the shard network with ONE fed
+// increment_batch call, continuing the shard's balanced cyclic feed
+// where the previous batch stopped. A shard has exactly one writer at a
+// time — its current worker; a respawn hands the shard over through the
 // supervisor's join of the dead thread, and an epoch's fence joins every
 // worker before anything reads the shard totals — so the traversal is a
 // plain single-writer BatchTraversal with no atomics. It moves the batch
@@ -97,25 +98,25 @@
 // one epoch at a time. Un-recorded runs (the saturation benchmarks)
 // touch no shared mutable state beyond the queues, the dispenser, and
 // the shard networks.
-// Elastic width (paper Props 5.6-5.10 + Lemma 3.1): when
-// ServiceConfig::elastic is enabled the fixed residue-class router is
-// replaced by a versioned TopologyEpoch, swapped atomically. Epoch
-// e at split level ell runs 2^ell shards, each a Subnetwork extracted by
-// core/split.hpp's SplitPlan from the SAME base topology, fed in its
-// balanced cyclic feed order (the parts are merger tails, not
-// arbitrary-input counting networks; verify_extraction certifies the
-// discipline). Tickets are rebased per epoch: epoch-local ticket
-// u = t - base routes to shard u mod 2^ell, and local value v becomes
-// global base + v * 2^ell + shard (util/residue.hpp::EpochMap), so
-// consecutive epochs tile the global value space gap-free no matter how
-// often the width changes. resize(ell) drains the current epoch to a
-// QUIESCENCE FENCE — admission closed, in-flight submits retired, every
-// accepted ticket completed or accounted, per-epoch residue audit taken
-// — then atomically installs the new epoch. A per-epoch
-// StreamingConsistency tee reports measured F_nl / F_nsc against the
-// Cor 5.12/5.13 adversarial lower bounds at the epoch's split level,
-// and an adaptive controller (supervisor-driven) splits on sustained
-// queue pressure and merges when drained.
+// Epochs (paper Props 5.6-5.10 + Lemma 3.1): shards live in a versioned
+// TopologyEpoch. A classic service is its degenerate single epoch of N
+// full-network shards fed in rotated identity order. When
+// ServiceConfig::elastic is enabled, epoch e at split level ell runs
+// 2^ell shards, each a Subnetwork extracted by core/split.hpp's
+// SplitPlan from the SAME base topology, fed in its balanced cyclic
+// feed order (the parts are merger tails, not arbitrary-input counting
+// networks; verify_extraction certifies the discipline). Tickets are
+// rebased per epoch: epoch-local ticket u = t - base routes to shard
+// u mod 2^ell, and local value v becomes global base + v * 2^ell + shard
+// (util/residue.hpp::EpochMap), so consecutive epochs tile the global
+// value space gap-free no matter how often the width changes. resize(ell)
+// drains the current epoch to a QUIESCENCE FENCE — admission closed,
+// in-flight submits retired, every accepted ticket completed or
+// accounted, per-epoch residue audit taken — then atomically installs
+// the new epoch. A per-epoch StreamingConsistency tee reports measured
+// F_nl / F_nsc against the Cor 5.12/5.13 adversarial lower bounds at the
+// epoch's split level, and an adaptive controller (supervisor-driven)
+// splits on sustained queue pressure and merges when drained.
 #pragma once
 
 #include <atomic>
@@ -494,7 +495,7 @@ class CountingService {
 
  private:
   /// Per-shard state that survives worker respawns. The persistent
-  /// deterministic state (fault stream, chaos cursor, source cursor) is
+  /// deterministic state (fault stream, chaos cursor, feed cursor) is
   /// only ever touched by the shard's current worker — the supervisor
   /// joins the dead thread before spawning its successor, so handoff
   /// needs no lock.
@@ -524,8 +525,7 @@ class CountingService {
     std::unique_ptr<fault::FaultStream> faults;
     std::vector<fault::ChaosEvent> chaos;  ///< Sorted by at_ops.
     std::size_t chaos_next = 0;
-    std::uint64_t next_source = 0;  ///< Classic path's source cursor.
-    std::uint64_t feed_cursor = 0;  ///< Elastic balanced-feed cursor.
+    std::uint64_t feed_cursor = 0;  ///< Next position in the feed cycle.
     std::uint64_t stall_window_end = 0;   ///< processed bound, 0 = none.
     std::uint64_t stall_window_ns = 0;
     /// Partially consumed batch run: chaos triggers and max_batch cap
@@ -556,15 +556,16 @@ class CountingService {
     std::uint64_t index = 0;
     std::uint32_t level = 0;
     residue::EpochMap map{0, 1};  ///< Ticket rebase + residue routing.
-    /// Extracted subnetworks (elastic mode; empty => classic full-copy
-    /// shards). parts[r].net backs nets[r]; feed_order drives the
-    /// worker's balanced cyclic feeding.
-    std::vector<Subnetwork> parts;
-    /// Routing tables: one shared by every classic shard, one per part
-    /// in elastic mode.
+    /// Every shard, in both modes: a compiled network, its entry wires in
+    /// feed order, and the record sink of each local sink — built by
+    /// install_epoch, the only place the mode shapes a shard. `parts`
+    /// keeps an elastic epoch's extracted Networks alive.
+    std::vector<std::shared_ptr<const Network>> parts;
     std::vector<std::unique_ptr<CompiledNetwork>> compiled;
     /// Shard networks, each written only by the shard's current worker.
     std::vector<std::unique_ptr<BatchTraversal>> nets;
+    std::vector<std::vector<std::uint32_t>> feeds;
+    std::vector<std::vector<std::uint32_t>> sink_labels;
     std::vector<std::unique_ptr<BoundedQueue<Request>>> queues;
     std::vector<std::unique_ptr<ShardRuntime>> runtimes;
     std::vector<std::thread> workers;
@@ -600,8 +601,8 @@ class CountingService {
   bool over_watermark(TopologyEpoch& ep, std::uint32_t shard);
   void worker_loop(TopologyEpoch* epoch, std::uint32_t shard);
   void supervisor_loop();
-  /// Builds + launches an epoch at `level` and opens admission.
-  /// Requires fence_mu_.
+  /// Builds + launches an epoch at `level` and opens admission. The only
+  /// place the mode shapes a shard. Requires fence_mu_.
   void install_epoch(std::uint32_t level);
   /// The quiescence fence: closes admission, retires the live epoch
   /// (drain, heal, join, scavenge), records its EpochStats, and folds

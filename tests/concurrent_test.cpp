@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -241,46 +242,75 @@ TEST(Harness, BatchThroughputRunnerCountsAllTokens) {
 
 // --- increment_batch: differential equivalence with the sequential spec ---
 
-// The two batched traversals under test, each built over a topology: the
-// shared-memory ConcurrentNetwork and the single-writer BatchTraversal a
-// service shard runs (over its own compiled tables).
+// The two batched traversals under test, each built over a topology and
+// handed a FED batch: token i enters on feed[(cursor + i) mod m]. The
+// single-writer BatchTraversal a service shard runs (over its own
+// compiled tables) takes the whole batch in one call. The shared-memory
+// ConcurrentNetwork takes one input wire per call, so it gets one call
+// per entry carrying that entry's balanced count.
 struct ConcurrentImpl {
   static constexpr bool kAscending = false;  // depth-first order
   explicit ConcurrentImpl(const Network& topo) : net(topo) {}
+  void increment_fed(std::span<const std::uint32_t> feed,
+                     std::uint64_t cursor, std::uint32_t k,
+                     std::uint64_t* out) {
+    const auto m = static_cast<std::uint32_t>(feed.size());
+    std::uint32_t off = 0;
+    for (std::uint32_t u = 0; u < m && off < k; ++u) {
+      const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
+      net.increment_batch(feed[(cursor + u) % m], c, out + off);
+      off += c;
+    }
+  }
   ConcurrentNetwork net;
 };
 struct ShardImpl {
   static constexpr bool kAscending = true;
   explicit ShardImpl(const Network& topo) : compiled(topo), net(compiled) {}
+  void increment_fed(std::span<const std::uint32_t> feed,
+                     std::uint64_t cursor, std::uint32_t k,
+                     std::uint64_t* out) {
+    net.increment_batch(feed, cursor, k, out);
+  }
   CompiledNetwork compiled;
   BatchTraversal net;
 };
 
+// Classic service shard s's feed: the identity order rotated by s.
+std::vector<std::uint32_t> classic_feed(const Network& topo,
+                                        std::uint32_t s) {
+  std::vector<std::uint32_t> feed(topo.fan_in());
+  for (std::uint32_t j = 0; j < feed.size(); ++j) {
+    feed[j] = (s + j) % topo.fan_in();
+  }
+  return feed;
+}
+
 // Runs the same token sequence through a batched implementation (via
-// increment_batch) and through the sequential NetworkState oracle (via
-// one shepherd call per token), then compares every observable: the
-// multiset of issued values per batch, per-balancer traversal counts,
-// per-sink counter totals, and the grand total. Equality of the balancer
-// counts is the "byte-compatible counting" claim: one claim of k
-// positions must advance each balancer exactly as far as k sequential
-// tokens would.
+// increment_fed) and through the sequential NetworkState oracle (via
+// one shepherd call per token, in feed order), then compares every
+// observable: the multiset of issued values per batch, per-balancer
+// traversal counts, per-sink counter totals, and the grand total.
+// Equality of the balancer counts is the "byte-compatible counting"
+// claim: one claim of k positions must advance each balancer exactly as
+// far as k sequential tokens would.
 //
-// Batches enter the way the service's workers issue them. With no
-// `feed_order`, each batch goes whole onto one input wire, cycling wires
-// batch by batch (a classic shard). With one, each batch spreads over the
-// entries in balanced cyclic feed order (an elastic shard running an
-// extracted part), and the oracle feeds its tokens one by one in that
-// same order.
+// With a `feed`, batches continue one balanced cyclic feed through a
+// persistent cursor, as a service shard's worker feeds them (a classic
+// shard's rotated identity, or an extracted part's feed_order). Without
+// one, each batch goes whole onto a one-entry feed, cycling input wires
+// batch by batch.
 //
 // Every topology here counts under its feeding, and a single caller
 // leaves the network quiescent between batches, so each batch must also
 // receive exactly the next k values: T..T+k-1 after T tokens counted.
-// An implementation that emits ascending values must then return, for a
-// whole-batch call, exactly the sequence the k sequential tokens get.
+// An implementation that emits ascending values must then return, from
+// its one call per batch, exactly the sequence the k sequential tokens
+// get.
 template <typename Impl>
 void expect_batch_matches_sequential(
     const Network& topo, const std::vector<std::uint32_t>& batches,
-    const std::vector<std::uint32_t>* feed_order = nullptr) {
+    const std::vector<std::uint32_t>* feed = nullptr) {
   Impl impl(topo);
   NetworkState spec(topo);
   TokenId token = 0;
@@ -288,35 +318,24 @@ void expect_batch_matches_sequential(
   std::uint32_t next_source = 0;
   std::uint64_t cursor = 0;
   for (const std::uint32_t k : batches) {
+    std::uint32_t wire = 0;
+    std::span<const std::uint32_t> fed(&wire, 1);
+    if (feed != nullptr) {
+      fed = *feed;
+    } else {
+      wire = next_source++ % topo.fan_in();
+    }
+    const auto m = static_cast<std::uint32_t>(fed.size());
     std::vector<std::uint64_t> got(k);
+    impl.increment_fed(fed, cursor, k, got.data());
     std::vector<std::uint64_t> expect;
     expect.reserve(k);
-    if (feed_order == nullptr) {
-      const std::uint32_t s = next_source++ % topo.fan_in();
-      impl.net.increment_batch(s, k, got.data());
-      for (std::uint32_t i = 0; i < k; ++i) {
-        expect.push_back(spec.shepherd(token++, 0, s));
-      }
-      if (Impl::kAscending) {
-        ASSERT_EQ(got, expect) << topo.name() << " batch k=" << k;
-      }
-    } else {
-      const std::vector<std::uint32_t>& feed = *feed_order;
-      const auto m = static_cast<std::uint32_t>(feed.size());
-      std::uint32_t off = 0;
-      for (std::uint32_t u = 0; u < m && off < k; ++u) {
-        const std::uint32_t c = k / m + (u < k % m ? 1 : 0);
-        impl.net.increment_batch(feed[(cursor + u) % m], c, got.data() + off);
-        if (Impl::kAscending) {
-          ASSERT_TRUE(std::is_sorted(got.begin() + off, got.begin() + off + c))
-              << topo.name() << " sub-batch of " << c;
-        }
-        off += c;
-      }
-      for (std::uint32_t i = 0; i < k; ++i) {
-        expect.push_back(spec.shepherd(token++, 0, feed[(cursor + i) % m]));
-      }
-      cursor = (cursor + k) % m;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      expect.push_back(spec.shepherd(token++, 0, fed[(cursor + i) % m]));
+    }
+    cursor = (cursor + k) % m;
+    if (Impl::kAscending) {
+      ASSERT_EQ(got, expect) << topo.name() << " batch k=" << k;
     }
     // The batch hands out exactly the values the k sequential tokens
     // receive; the traversal may permute them within the batch.
@@ -346,9 +365,20 @@ void expect_batch_matches_sequential(
 
 void expect_batches_match_sequential(
     const Network& topo, const std::vector<std::uint32_t>& batches,
-    const std::vector<std::uint32_t>* feed_order = nullptr) {
-  expect_batch_matches_sequential<ConcurrentImpl>(topo, batches, feed_order);
-  expect_batch_matches_sequential<ShardImpl>(topo, batches, feed_order);
+    const std::vector<std::uint32_t>* feed = nullptr) {
+  expect_batch_matches_sequential<ConcurrentImpl>(topo, batches, feed);
+  expect_batch_matches_sequential<ShardImpl>(topo, batches, feed);
+}
+
+// A one-entry feed cycling wires per batch, then the classic feeds of
+// service shards 0..2.
+void expect_feedings_match_sequential(
+    const Network& topo, const std::vector<std::uint32_t>& batches) {
+  expect_batches_match_sequential(topo, batches);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    const std::vector<std::uint32_t> feed = classic_feed(topo, s);
+    expect_batches_match_sequential(topo, batches, &feed);
+  }
 }
 
 TEST(ConcurrentBatch, PureBatchSizesMatchSequentialSpec) {
@@ -357,25 +387,26 @@ TEST(ConcurrentBatch, PureBatchSizesMatchSequentialSpec) {
   // isolated.
   for (const std::uint32_t k : {1u, 3u, 64u, 37u}) {
     const std::vector<std::uint32_t> batches(5, k);
-    expect_batches_match_sequential(make_bitonic(8), batches);
-    expect_batches_match_sequential(make_periodic(8), batches);
-    expect_batches_match_sequential(make_counting_tree(8), batches);
+    expect_feedings_match_sequential(make_bitonic(8), batches);
+    expect_feedings_match_sequential(make_periodic(8), batches);
+    expect_feedings_match_sequential(make_counting_tree(8), batches);
   }
 }
 
 TEST(ConcurrentBatch, MixedBatchSizesMatchSequentialSpec) {
   // Interleaved sizes exercise the mod-f dispenser restarting from an
-  // arbitrary residue (pos % f != 0) at every balancer.
+  // arbitrary residue (pos % f != 0) at every balancer, and the feed
+  // cursor restarting mid-cycle.
   const std::vector<std::uint32_t> batches = {1, 3, 64, 37, 2, 8, 5, 1, 13};
-  expect_batches_match_sequential(make_bitonic(8), batches);
-  expect_batches_match_sequential(make_periodic(8), batches);
-  expect_batches_match_sequential(make_counting_tree(8), batches);
-  expect_batches_match_sequential(make_bitonic(4), batches);
+  expect_feedings_match_sequential(make_bitonic(8), batches);
+  expect_feedings_match_sequential(make_periodic(8), batches);
+  expect_feedings_match_sequential(make_counting_tree(8), batches);
+  expect_feedings_match_sequential(make_bitonic(4), batches);
   // Non-power-of-two fan-out (the mod-f split without a mask), a block
   // cascade, and one wide balancer with fewer inputs than outputs.
-  expect_batches_match_sequential(make_counting_tree_k(9, 3), batches);
-  expect_batches_match_sequential(make_block_cascade(8, 3), batches);
-  expect_batches_match_sequential(make_single_balancer(3, 5), batches);
+  expect_feedings_match_sequential(make_counting_tree_k(9, 3), batches);
+  expect_feedings_match_sequential(make_block_cascade(8, 3), batches);
+  expect_feedings_match_sequential(make_single_balancer(3, 5), batches);
 }
 
 TEST(ConcurrentBatch, SplitPartsFedInFeedOrderMatchSequentialSpec) {
@@ -395,7 +426,8 @@ TEST(ConcurrentBatch, SplitPartsFedInFeedOrderMatchSequentialSpec) {
 TEST(ConcurrentBatch, NonCountingNetworksMatchSequentialMultisets) {
   // Without the step property a batch's values are not one contiguous
   // range: the shard traversal must still hand out the sequential
-  // multiset, ascending, and leave the sequential state behind.
+  // multiset, ascending, and leave the sequential state behind. Each
+  // batch is a one-entry feed.
   for (const Network& topo : {make_block(8), make_brick_wall(8, 3)}) {
     ShardImpl impl(topo);
     NetworkState spec(topo);
@@ -404,7 +436,7 @@ TEST(ConcurrentBatch, NonCountingNetworksMatchSequentialMultisets) {
     for (const std::uint32_t k : {1u, 3u, 64u, 37u, 2u, 8u, 5u, 13u}) {
       const std::uint32_t s = next_source++ % topo.fan_in();
       std::vector<std::uint64_t> got(k);
-      impl.net.increment_batch(s, k, got.data());
+      impl.net.increment_batch(std::span(&s, 1), 0, k, got.data());
       ASSERT_TRUE(std::is_sorted(got.begin(), got.end())) << topo.name();
       std::vector<std::uint64_t> expect;
       for (std::uint32_t i = 0; i < k; ++i) {
@@ -448,7 +480,8 @@ TEST(ConcurrentBatch, ZeroSizedBatchIsANoOp) {
   net.increment_batch(0, 0, nullptr);
   EXPECT_EQ(net.total(), 0u);
   ShardImpl shard(topo);
-  shard.net.increment_batch(0, 0, nullptr);
+  const std::vector<std::uint32_t> feed = classic_feed(topo, 0);
+  shard.net.increment_batch(feed, 0, 0, nullptr);
   EXPECT_EQ(shard.net.total(), 0u);
 }
 

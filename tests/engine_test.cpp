@@ -507,6 +507,7 @@ TEST(EngineBackends, ElasticServiceBackendRunsAResizePlan) {
   EXPECT_EQ(res.metric("splits", -1.0), 2.0);
   EXPECT_EQ(res.metric("merges", -1.0), 2.0);
   EXPECT_EQ(res.metric("final_level", -1.0), 0.0);
+  EXPECT_EQ(res.metric("shards", -1.0), 1.0) << "the final epoch's width";
   EXPECT_EQ(res.metric("epochs_ok", -1.0), 1.0);
   EXPECT_EQ(res.metric("audit_exact", -1.0), 1.0);
   EXPECT_EQ(res.metric("audit_gap_free", -1.0), 1.0);

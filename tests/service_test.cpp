@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/constructions.hpp"
@@ -55,17 +56,6 @@ TEST(BoundedQueue, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(q.capacity(), 8u);
   BoundedQueue<int> q1(1);
   EXPECT_GE(q1.capacity(), 2u);
-}
-
-TEST(BoundedQueue, PopBatchDrainsUpToMax) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(i));
-  int out[16];
-  EXPECT_EQ(q.pop_batch(out, 4), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_EQ(q.pop_batch(out, 16), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(out[i], i + 4);
-  EXPECT_EQ(q.pop_batch(out, 16), 0u);
 }
 
 TEST(BoundedQueue, ManyProducersOneConsumerDeliverEverything) {
@@ -1025,6 +1015,52 @@ TEST(CountingService, BatchedRecordedStreamMatchesSingles) {
   EXPECT_DOUBLE_EQ(single.f_nl, 0.0) << "one shard, one client: sequential";
 }
 
+// The (token, value, sink, source) rows a recorded service emits for
+// `total` requests from one closed-loop client, sent as singles (batch
+// 1) or as submit_batch(batch) calls; sorted by token.
+using RecordRow =
+    std::tuple<TokenId, Value, std::uint32_t, std::uint32_t>;
+
+std::vector<RecordRow> recorded_rows(ServiceConfig cfg, std::uint32_t batch,
+                                     std::uint32_t total) {
+  cfg.record = true;
+  CollectSink collect;
+  CountingService svc(cfg, &collect);
+  svc.start();
+  service::SubmitPolicy policy;
+  service::PolicyClient client(svc, policy, 0, 3);
+  for (std::uint32_t sent = 0; sent < total; sent += batch) {
+    if (batch == 1) {
+      EXPECT_EQ(client.submit(sent).status, service::SubmitStatus::kCompleted);
+    } else {
+      EXPECT_EQ(client.submit_batch(sent, batch).completed, batch);
+    }
+  }
+  svc.stop();
+  collect.finish();
+  std::vector<RecordRow> rows;
+  for (const TokenRecord& r : collect.trace()) {
+    rows.emplace_back(r.token, r.value, r.sink, r.source);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(CountingService, RecordedRowsIgnoreBatchShape) {
+  // One client on 3 shards with room for 32-request worker batches:
+  // singles drain one request per batch, submit_batch(5) hands a shard 1
+  // or 2 requests per batch. The rows must not notice. Each batch gets
+  // the shard's next values ascending, first-in first-out, and a
+  // shard's j-th token enters on its feed's j-th wire whichever batch
+  // it rides in.
+  const Network net = make_bitonic(8);
+  ServiceConfig cfg = small_config(net, 3);
+  cfg.max_batch = 32;
+  const std::vector<RecordRow> singles = recorded_rows(cfg, 1, 600);
+  ASSERT_EQ(singles.size(), 600u);
+  EXPECT_EQ(singles, recorded_rows(cfg, 5, 600));
+}
+
 TEST(CountingService, FingerprintIdenticalAcrossIngressModes) {
   // Zero-fault classic path, one deterministic submitter: the replayable
   // fingerprint must be byte-identical whether the same 1200 tickets
@@ -1102,6 +1138,18 @@ ServiceConfig elastic_config(const Network& net, std::uint32_t max_level) {
   cfg.elastic.min_level = 0;
   cfg.elastic.max_level = max_level;
   return cfg;
+}
+
+TEST(ElasticService, LevelZeroRecordsLikeAClassicShard) {
+  // A classic 1-shard service is the degenerate epoch: the full network,
+  // the identity feed, sink labels 0 * w + u. An elastic service pinned
+  // at level 0 runs extract(0): the whole network, its identity
+  // feed_order, labels embed_sink(u, 0, 0, w) = u. Same shard, same rows.
+  const Network net = make_bitonic(8);
+  const std::vector<RecordRow> classic =
+      recorded_rows(small_config(net, 1), 5, 300);
+  ASSERT_EQ(classic.size(), 300u);
+  EXPECT_EQ(classic, recorded_rows(elastic_config(net, 0), 5, 300));
 }
 
 TEST(ElasticService, ValidateCertifiesSplittabilityAndRejectsChaos) {

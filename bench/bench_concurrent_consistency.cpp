@@ -73,7 +73,7 @@ int main() {
     spec.net = &topo;
     spec.threads = 4;
     spec.ops_per_thread = 150;
-    spec.service_shards = 2;
+    spec.service.shards = 2;
     spec.seed = 4;
     const engine::RunResult res = engine::run_backend(spec);
     if (!res.ok()) {

@@ -404,13 +404,8 @@ SoakResult run_soak(const Network& net, std::uint32_t shards,
   cfg.supervise = true;
   cfg.shed_high_watermark = 0.90;  // Shed before the queue saturates...
   cfg.shed_low_watermark = 0.50;   // ...resume once half-drained.
-  // One guaranteed early crash (the FaultPlan sugar event) plus a
-  // seed-driven schedule of further crashes and stall windows.
-  cfg.fault.enabled = true;
-  cfg.fault.worker_crash_at = std::max<std::uint64_t>(per_shard / 8, 16);
-  cfg.fault.worker_crash_shard = 0;
-  cfg.fault.worker_crash_lose = 0;  // Crash-only: recovery must keep
-                                    // counting clean (no holes).
+  // A seed-driven schedule of crashes and stall windows plus one
+  // guaranteed early crash of shard 0.
   fault::ChaosMix mix;
   mix.crashes = shards > 1 ? 1 : 0;  // A second crash on a random shard.
   mix.stall_windows = 1;
@@ -420,6 +415,11 @@ SoakResult run_soak(const Network& net, std::uint32_t shards,
   mix.burst_ops = std::max<std::uint64_t>(expected_total / 16, 64);
   mix.burst_factor = 6.0;
   cfg.chaos = fault::ChaosPlan::random(seed, shards, per_shard, mix);
+  // Crash-only (lose 0): recovery must keep counting clean (no holes).
+  cfg.chaos.events.push_back(
+      {.kind = fault::ChaosKind::kWorkerCrash,
+       .shard = 0,
+       .at_ops = std::max<std::uint64_t>(per_shard / 8, 16)});
   out.chaos_desc = cfg.chaos.describe();
 
   StreamingConsistency checker;
@@ -851,8 +851,8 @@ int main(int argc, char** argv) {
       probe.net = &net;
       probe.threads = clients;
       probe.ops_per_thread = 500;
-      probe.service_shards = 1;
-      probe.service_batch = batch;
+      probe.service.shards = 1;
+      probe.service.max_batch = batch;
       probe.seed = seed;
       const engine::RunResult res = engine::run_backend(probe);
       if (!res.ok()) {
@@ -920,8 +920,8 @@ int main(int argc, char** argv) {
       probe.net = &net;
       probe.threads = clients;
       probe.ops_per_thread = 500;
-      probe.service_shards = soak_shards;
-      probe.service_batch = batch;
+      probe.service.shards = soak_shards;
+      probe.service.max_batch = batch;
       probe.record_trace = false;
       probe.seed = seed;
       const engine::RunResult res = engine::run_backend(probe);
@@ -988,8 +988,8 @@ int main(int argc, char** argv) {
     spec.net = &net;
     spec.threads = clients;
     spec.ops_per_thread = ops;
-    spec.service_shards = shards;
-    spec.service_batch = batch;
+    spec.service.shards = shards;
+    spec.service.max_batch = batch;
     spec.record_trace = false;
     spec.seed = seed;
     const engine::RunResult res = engine::run_backend(spec);
@@ -1112,8 +1112,8 @@ int main(int argc, char** argv) {
     spec.net = &net;
     spec.threads = clients;
     spec.ops_per_thread = smoke ? 200 : 1000;
-    spec.service_shards = shards;
-    spec.service_batch = batch;
+    spec.service.shards = shards;
+    spec.service.max_batch = batch;
     spec.seed = seed;
     spec.keep_trace = false;   // stream straight into the analyzers
     spec.fault.enabled = true;  // inert plan: requests the quiescent
@@ -1153,8 +1153,8 @@ int main(int argc, char** argv) {
       spec.net = &net;
       spec.threads = clients;
       spec.ops_per_thread = smoke ? 200 : 1000;
-      spec.service_shards = shards;
-      spec.service_batch = batch;
+      spec.service.shards = shards;
+      spec.service.max_batch = batch;
       spec.seed = seed;
       spec.keep_trace = false;
       spec.fault.enabled = true;

@@ -59,7 +59,7 @@ int main() {
       spec.net = row.net;
       if (row.width > 0) spec.width = row.width;
       if (row.batch > 0) spec.batch_size = row.batch;
-      if (row.shards > 0) spec.service_shards = row.shards;
+      if (row.shards > 0) spec.service.shards = row.shards;
       spec.threads = threads;
       spec.ops_per_thread = kOps / threads;
       spec.record_trace = false;  // bare throughput, no recording overhead

@@ -630,39 +630,28 @@ std::uint64_t to_ns(Clock::time_point t) {
 // closed-loop clients. spec.threads clients each submit ops_per_thread
 // requests (at most one outstanding apiece, so the bounded queues never
 // reject in this backend) and spin on their completion slot;
-// service_shards workers drain per-shard queues and shepherd adaptive
-// batches through their shard's network. Recording emits the service's
-// live TokenRecord stream — global values, residue-class sinks — into
-// the engine sink, so the streaming analyzers attach to the service
-// exactly as to any other backend.
+// spec.service.shards workers drain per-shard queues and shepherd
+// adaptive batches through their shard's network. Recording emits the
+// service's live TokenRecord stream — global values, residue-class
+// sinks — into the engine sink, so the streaming analyzers attach to
+// the service exactly as to any other backend.
 // ---------------------------------------------------------------------
-/// Parses "1,2,1,0" into levels, checking each against the elastic
-/// range. Returns a reason on malformed input.
-std::string parse_resize_plan(const std::string& text,
-                              const service::ElasticConfig& elastic,
-                              std::vector<std::uint32_t>& out) {
+/// Why a forced resize schedule cannot run under `elastic`; empty when
+/// it can (or when there is no schedule).
+std::string resize_plan_error(const std::vector<std::uint32_t>& plan,
+                              const service::ElasticConfig& elastic) {
+  if (plan.empty()) return {};
   if (!elastic.enabled) {
-    return "spec invalid: service_resize_plan requires service_elastic";
+    return "spec invalid: service_resize_plan requires "
+           "service.elastic.enabled";
   }
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string tok = text.substr(pos, end - pos);
-    try {
-      const unsigned long v = std::stoul(tok);
-      if (v < elastic.min_level || v > elastic.max_level) {
-        return "spec invalid: resize plan level " + tok + " outside [" +
-               std::to_string(elastic.min_level) + ", " +
-               std::to_string(elastic.max_level) + "]";
-      }
-      out.push_back(static_cast<std::uint32_t>(v));
-    } catch (const std::exception&) {
-      return "spec invalid: bad resize plan entry '" + tok + "'";
+  for (const std::uint32_t level : plan) {
+    if (level < elastic.min_level || level > elastic.max_level) {
+      return "spec invalid: resize plan level " + std::to_string(level) +
+             " outside [" + std::to_string(elastic.min_level) + ", " +
+             std::to_string(elastic.max_level) + "]";
     }
-    pos = end + 1;
   }
-  if (out.empty()) return "spec invalid: empty resize plan";
   return {};
 }
 
@@ -692,39 +681,17 @@ class ServiceBackend final : public TraceSource {
       r.result.error_kind = ErrorKind::kSpecInvalid;
       return std::move(r.result);
     }
-    service::ServiceConfig cfg;
-    cfg.shards = spec.service_shards;
-    cfg.max_batch = spec.service_batch;
-    cfg.queue_capacity = spec.service_queue_capacity;
+    // spec.service is the service's configuration; the engine supplies
+    // only the four fields every backend takes from the common spec.
+    service::ServiceConfig cfg = spec.service;
     cfg.net = r.net;
     cfg.fault = spec.fault;
     cfg.seed = spec.seed;
     cfg.record = spec.record_trace;
-    cfg.supervise = spec.service_supervise;
-    cfg.shed_high_watermark = spec.service_shed_high;
-    cfg.shed_low_watermark = spec.service_shed_low;
-    cfg.pin_workers = spec.service_pin_workers;
-    cfg.elastic.enabled = spec.service_elastic;
-    cfg.elastic.initial_level = spec.service_initial_level;
-    cfg.elastic.min_level = spec.service_min_level;
-    cfg.elastic.max_level = spec.service_max_level;
-    cfg.elastic.controller = spec.service_controller;
-    cfg.elastic.split_queue_frac = spec.service_split_frac;
-    cfg.elastic.merge_queue_frac = spec.service_merge_frac;
-    cfg.elastic.breach_polls = spec.service_breach_polls;
-    cfg.elastic.cooldown_ns = spec.service_cooldown_ns;
-    std::vector<std::uint32_t> resize_plan;
-    if (!spec.service_resize_plan.empty()) {
-      if (std::string err =
-              parse_resize_plan(spec.service_resize_plan, cfg.elastic,
-                                resize_plan);
-          !err.empty()) {
-        r.result.error = std::move(err);
-        r.result.error_kind = ErrorKind::kSpecInvalid;
-        return std::move(r.result);
-      }
-    }
-    if (std::string err = service::validate(cfg); !err.empty()) {
+    const std::vector<std::uint32_t>& resize_plan = spec.service_resize_plan;
+    std::string err = resize_plan_error(resize_plan, cfg.elastic);
+    if (err.empty()) err = service::validate(cfg);
+    if (!err.empty()) {
       r.result.error = std::move(err);
       r.result.error_kind = ErrorKind::kSpecInvalid;
       return std::move(r.result);
@@ -740,9 +707,6 @@ class ServiceBackend final : public TraceSource {
     // backoff and (optionally) per-request deadlines replace the old
     // bare retry-forever/spin-forever loop, so a crashed or saturated
     // shard can slow clients down but never hang them.
-    service::SubmitPolicy policy;
-    policy.max_retries = spec.service_max_retries;
-    policy.deadline_ns = spec.service_deadline_ns;
     SpinBarrier barrier(spec.threads);
     // Clients are allocated OUTSIDE their threads and destroyed only
     // after svc.stop(): a timed-out request's completion slot stays
@@ -752,7 +716,7 @@ class ServiceBackend final : public TraceSource {
     client_objs.reserve(spec.threads);
     for (std::uint32_t t = 0; t < spec.threads; ++t) {
       client_objs.push_back(std::make_unique<service::PolicyClient>(
-          svc, policy, t, spec.seed));
+          svc, spec.service_policy, t, spec.seed));
     }
     std::vector<std::thread> clients;
     clients.reserve(spec.threads);
@@ -831,7 +795,7 @@ class ServiceBackend final : public TraceSource {
     // A run where EVERY request blew its deadline is a failure with its
     // own taxonomy entry: sweeps classify client timeouts as
     // deadline_exceeded instead of lumping them into backend_error.
-    if (spec.service_deadline_ns > 0 && agg.completed == 0 &&
+    if (spec.service_policy.deadline_ns > 0 && agg.completed == 0 &&
         agg.timed_out > 0) {
       r.result.error = "every client request exceeded its deadline";
       r.result.error_kind = ErrorKind::kDeadlineExceeded;

@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/topology.hpp"
 #include "fault/fault.hpp"
+#include "service/config.hpp"
 
 namespace cn::engine {
 
@@ -84,52 +86,28 @@ struct RunSpec {
   std::uint32_t batch_size = 1;
 
   // --- "service" backend (sharded counting service) --------------------
-  std::uint32_t service_shards = 2;       ///< Residue-class shard count.
-  std::uint32_t service_batch = 32;       ///< Worker drain-up-to size.
-  std::uint32_t service_queue_capacity = 4096;  ///< Per-shard queue.
-  /// Client submit policy (service/client.hpp): retry budget against
-  /// shed/queue-full refusals (0 = unbounded, the pre-policy behavior)
-  /// and per-request deadline (0 = wait forever). Backoff jitter draws
-  /// from the client's seeded rng, so retry schedules replay.
-  std::uint32_t service_max_retries = 0;
-  std::uint64_t service_deadline_ns = 0;
+  /// The service's own settings (service/config.hpp): shards, batching,
+  /// queues, supervision, watermarks, elastic width, chaos schedule.
+  /// The engine owns four of its fields and ignores their values here:
+  /// `net`, `fault`, `seed` and `record` come from net/network, fault,
+  /// seed and record_trace, like every other backend's.
+  service::ServiceConfig service;
+  /// Client submit policy: retries, backoff, deadline, wait gears.
+  /// max_retries = 0 retries shed/queue-full refusals until the deadline
+  /// (or forever without one), so closed-loop runs complete every op.
+  service::SubmitPolicy service_policy{.max_retries = 0};
   /// Requests per client submission: 1 = classic try_submit singles,
   /// >1 = PolicyClient::submit_batch rides the batched ingress (one
   /// ticket-range draw + at most min(batch, shards) queue cells per
   /// call). Accounting is identical either way (Lemma 3.1 splits the
   /// range residue-exactly); throughput is not — that is the point.
   std::uint32_t service_client_batch = 1;
-  /// Pin shard workers to CPU (shard mod hardware_concurrency);
-  /// Linux-only, off by default (ServiceConfig::pin_workers).
-  bool service_pin_workers = false;
-  /// Supervision: heartbeat-watching respawner for crashed workers
-  /// (fault.worker_crash_* arms the deterministic chaos crash).
-  bool service_supervise = true;
-  /// Admission watermarks as fractions of the per-shard queue capacity
-  /// (shed at >= high until < low); high <= 0 disables shedding.
-  double service_shed_high = 0.0;
-  double service_shed_low = 0.0;
-  /// Elastic width (live split/merge resharding, Props 5.6-5.10). When
-  /// enabled, service_shards is ignored: the service runs 2^level
-  /// extracted subnetworks per topology epoch and moves between levels
-  /// service_min_level..service_max_level. The topology must certify
-  /// uniform splittability up to max_level (validate() runs the
-  /// SplitPlan + verify_extraction gate).
-  bool service_elastic = false;
-  std::uint32_t service_initial_level = 0;
-  std::uint32_t service_min_level = 0;
-  std::uint32_t service_max_level = 0;
-  /// Adaptive split/merge controller (ElasticConfig knobs).
-  bool service_controller = false;
-  double service_split_frac = 0.5;
-  double service_merge_frac = 0.05;
-  std::uint32_t service_breach_polls = 3;
-  std::uint64_t service_cooldown_ns = 2'000'000;
-  /// Forced resize schedule: comma-separated split levels ("1,2,1,0").
+  /// Forced resize schedule of split levels (e.g. {1, 2, 1, 0}); needs
+  /// service.elastic.enabled and every level in [min_level, max_level].
   /// The backend applies the k-th entry once roughly (k+1)/(n+1) of the
   /// run's submissions have been accepted, guaranteeing the epoch
   /// transitions happen regardless of controller pressure.
-  std::string service_resize_plan;
+  std::vector<std::uint32_t> service_resize_plan;
 
   // --- "optimizer" backend (annealed schedule adversary) --------------
   std::uint32_t opt_iterations = 1500;

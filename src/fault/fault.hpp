@@ -47,7 +47,12 @@ namespace cn::fault {
 ///     p_token_loss, p_stuck_balancer, p_process_crash
 ///   msg: those three (loss = dropped message, stuck = frozen actor,
 ///     crash = client stops issuing) plus p_msg_duplicate, p_msg_delay
-///   concurrent + baseline counters: p_thread_stall, p_thread_abandon
+///   concurrent + baseline counters, service workers: p_thread_stall,
+///     p_thread_abandon
+///
+/// A service worker crash is deterministic, not probabilistic: it is a
+/// fault::ChaosPlan event (chaos.hpp), keyed on the worker's
+/// processed-request count.
 struct FaultPlan {
   /// Master switch. When false the plan is inert regardless of the
   /// probabilities, and every backend takes its pre-existing code path
@@ -92,26 +97,13 @@ struct FaultPlan {
   /// a lost update: the value is fetched but never observed.
   double p_thread_abandon = 0.0;
 
-  // --- counting-service chaos (deterministic, not probabilistic) -------
-  /// When > 0, the service worker for shard `worker_crash_shard` crashes
-  /// after processing exactly this many requests: it consumes-and-
-  /// abandons `worker_crash_lose` further tickets (accounted residue
-  /// holes) and dies; the supervisor respawns it on the same shard
-  /// network. Being count-triggered rather than time-triggered, the
-  /// crash replays at the identical logical point for a given workload.
-  /// Richer schedules (multiple crashes, stall windows, arrival bursts)
-  /// use fault::ChaosPlan (chaos.hpp) directly.
-  std::uint64_t worker_crash_at = 0;
-  std::uint32_t worker_crash_shard = 0;
-  std::uint64_t worker_crash_lose = 0;
-
   /// True when the plan can actually inject something.
   bool active() const noexcept {
     return enabled &&
            (p_token_loss > 0.0 || p_stuck_balancer > 0.0 ||
             p_process_crash > 0.0 || p_msg_duplicate > 0.0 ||
             p_msg_delay > 0.0 || p_thread_stall > 0.0 ||
-            p_thread_abandon > 0.0 || worker_crash_at > 0);
+            p_thread_abandon > 0.0);
   }
 
   /// True when any simulated-network fault is requested.
@@ -123,11 +115,6 @@ struct FaultPlan {
   /// True when any real-thread fault is requested.
   bool thread_faults() const noexcept {
     return enabled && (p_thread_stall > 0.0 || p_thread_abandon > 0.0);
-  }
-
-  /// True when the deterministic service worker-crash event is armed.
-  bool service_chaos() const noexcept {
-    return enabled && worker_crash_at > 0;
   }
 };
 

@@ -37,33 +37,11 @@
 #include <deque>
 #include <memory>
 
+#include "service/config.hpp"
 #include "service/service.hpp"
 #include "util/rng.hpp"
 
 namespace cn::service {
-
-struct SubmitPolicy {
-  /// Re-submission attempts after a shed/reject before giving up
-  /// (kRejected). 0 = retry until the deadline (or forever without one).
-  std::uint32_t max_retries = 16;
-  std::uint64_t backoff_base_ns = 2'000;    ///< First backoff.
-  std::uint64_t backoff_max_ns = 1'000'000;  ///< Exponential cap.
-  /// Fraction of each backoff that is randomized: the sleep is drawn
-  /// uniformly from [(1 - jitter) * b, b]. 0 = fully deterministic
-  /// spacing (and no rng draw, mirroring FaultStream::flip's p<=0 rule).
-  double jitter = 0.5;
-  /// Per-request deadline measured from the submit call; 0 = none.
-  std::uint64_t deadline_ns = 0;
-  /// Completion-wait shape, fully policy-configurable: `spin_limit`
-  /// pure spins, then `yield_limit` yield rounds, then timed parks of
-  /// `park_ns` each (on the service's completion eventcount when one is
-  /// passed, plain sleeps otherwise). The deadline is checked every
-  /// round and bounds each park, so the wait NEVER outlives a deadline
-  /// on a dead shard.
-  std::uint32_t spin_limit = 512;
-  std::uint32_t yield_limit = 64;
-  std::uint64_t park_ns = 50'000;
-};
 
 /// The backoff before retry `attempt` (0-based): min(base << attempt,
 /// max), jittered from `rng`. Pure in (policy, attempt, rng state) —

@@ -61,9 +61,6 @@ std::string validate(const ServiceConfig& cfg) {
     // Shard-targeted chaos triggers count per-shard processed requests;
     // those counters (and the shards themselves) do not survive epoch
     // boundaries, so the triggers would be meaningless mid-run.
-    if (cfg.fault.service_chaos()) {
-      return "service: worker_crash_* is not supported in elastic mode";
-    }
     for (const fault::ChaosEvent& ev : cfg.chaos.events) {
       if (ev.kind != fault::ChaosKind::kArrivalBurst) {
         return "service: shard-targeted chaos is not supported in elastic "
@@ -87,10 +84,6 @@ std::string validate(const ServiceConfig& cfg) {
           ev.shard >= cfg.shards) {
         return "service: chaos event targets a shard out of range";
       }
-    }
-    if (cfg.fault.service_chaos() &&
-        cfg.fault.worker_crash_shard >= cfg.shards) {
-      return "service: worker_crash_shard out of range";
     }
   }
   return {};
@@ -118,8 +111,7 @@ CountingService::CountingService(const ServiceConfig& cfg, TraceSink* sink)
     : cfg_(cfg), sink_(sink) {
   if (cfg_.record && sink_ != nullptr) {
     epoch_sc_ = std::make_unique<StreamingConsistency>();
-    fanout_.sc = epoch_sc_.get();
-    fanout_.down = sink_;
+    tee_ = std::make_unique<TeeSink>(*epoch_sc_, *sink_);
   } else {
     cfg_.record = false;  // Recording without a sink is a no-op.
   }
@@ -167,20 +159,6 @@ void CountingService::install_epoch(std::uint32_t level) {
   const auto n = static_cast<std::uint32_t>(ep->nets.size());
   ep->map = residue::EpochMap{tickets_.load(std::memory_order_relaxed), n};
 
-  // The single worker_crash_* event on the fault plan is sugar for a
-  // one-event chaos schedule; fold it in so the worker loop has one
-  // chaos representation. (Classic mode only; validate() rejects
-  // shard-targeted chaos for elastic configs.)
-  fault::ChaosPlan chaos = cfg_.chaos;
-  if (cfg_.fault.service_chaos()) {
-    fault::ChaosEvent e;
-    e.kind = fault::ChaosKind::kWorkerCrash;
-    e.shard = cfg_.fault.worker_crash_shard;
-    e.at_ops = cfg_.fault.worker_crash_at;
-    e.lose = cfg_.fault.worker_crash_lose;
-    chaos.events.push_back(e);
-  }
-
   const std::uint64_t t0 = now_ns();
   ep->queues.reserve(n);
   ep->runtimes.reserve(n);
@@ -188,7 +166,7 @@ void CountingService::install_epoch(std::uint32_t level) {
     ep->queues.push_back(
         std::make_unique<BoundedQueue<Request>>(cfg_.queue_capacity));
     auto rt = std::make_unique<ShardRuntime>();
-    rt->chaos = chaos.for_shard(s);
+    rt->chaos = cfg_.chaos.for_shard(s);
     rt->last_beat_ns.store(t0, std::memory_order_relaxed);
     ep->runtimes.push_back(std::move(rt));
   }
@@ -854,7 +832,7 @@ void CountingService::retire_epoch() {
       std::sort(rt->lane.begin(), rt->lane.end(), issue_order_less);
       lanes.push_back(std::move(rt->lane));
     }
-    merge_issue_ordered(lanes, fanout_);
+    merge_issue_ordered(lanes, *tee_);
     epoch_sc_->finish();
     if (epoch_sc_->total() > 0) {
       es.f_nl = epoch_sc_->report().f_nl;

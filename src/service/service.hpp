@@ -39,10 +39,10 @@
 //               persistent state — fault stream, chaos cursor, feed
 //               cursor — so a recovered execution replays the dead
 //               worker's exact logical continuation.
-//   chaos       a fault::ChaosPlan (or the single worker_crash_* event
-//               on fault::FaultPlan) triggers crashes and stall windows
-//               at exact processed-request counts. Batch formation never
-//               straddles a trigger, so the crash point is replayable.
+//   chaos       a fault::ChaosPlan (ServiceConfig::chaos) triggers
+//               crashes and stall windows at exact processed-request
+//               counts. Batch formation never straddles a trigger, so
+//               the crash point is replayable.
 //   shutdown    stop() drains normally; queued requests stranded by an
 //               unsupervised crash are scavenged, their completion slots
 //               signalled kDroppedSignal (a client can never hang on a
@@ -134,6 +134,7 @@
 #include "core/topology.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
+#include "service/config.hpp"
 #include "service/histogram.hpp"
 #include "service/queue.hpp"
 #include "trace/sink.hpp"
@@ -178,29 +179,6 @@ inline constexpr std::uint64_t kDroppedSignal =
 inline constexpr std::uint64_t kRejectedSignal =
     static_cast<std::uint64_t>(-2);
 
-/// Live split/merge resharding (paper Props 5.6-5.10). The base
-/// topology must be continuously uniformly splittable AND pass
-/// verify_extraction up to max_level — validate() certifies both.
-struct ElasticConfig {
-  bool enabled = false;
-  std::uint32_t initial_level = 0;  ///< 2^level shards at start().
-  std::uint32_t min_level = 0;      ///< Controller / resize floor.
-  /// Controller / resize ceiling; must be <= operational_max_level of
-  /// the base topology (0 with min_level 0 means "level 0 only", which
-  /// still exercises the epoch machinery via explicit resize(0)).
-  std::uint32_t max_level = 0;
-  /// Adaptive controller: the supervisor samples mean queue depth (as a
-  /// fraction of capacity) each poll and resizes after `breach_polls`
-  /// consecutive samples beyond a threshold — split above
-  /// split_queue_frac, merge below merge_queue_frac — with at least
-  /// cooldown_ns between transitions.
-  bool controller = false;
-  double split_queue_frac = 0.5;
-  double merge_queue_frac = 0.05;
-  std::uint32_t breach_polls = 3;
-  std::uint64_t cooldown_ns = 2'000'000;
-};
-
 /// Cor 5.12 adversarial lower bound on the non-linearizable fraction at
 /// split level ell: (1 - 2^-ell) / (2 - 2^-ell). A measured F_nl may
 /// legitimately sit anywhere in [0, 1] — the bound says an adversary CAN
@@ -215,52 +193,6 @@ inline double f_nsc_bound(std::uint32_t ell) noexcept {
   const double p = std::ldexp(1.0, -static_cast<int>(ell));
   return p / (2.0 - p);
 }
-
-struct ServiceConfig {
-  std::uint32_t shards = 2;
-  std::uint32_t max_batch = 32;        ///< Worker drain-up-to batch size.
-  std::uint32_t queue_capacity = 4096;  ///< Per-shard; full => reject.
-  const Network* net = nullptr;        ///< Topology each shard instantiates.
-  bool record = false;                 ///< Emit TokenRecords into the sink.
-  fault::FaultPlan fault;              ///< Worker stall/abandon/crash plan.
-  fault::ChaosPlan chaos;              ///< Timed chaos schedule (worker
-                                       ///< events; arrival events are for
-                                       ///< load generators).
-  std::uint64_t seed = 1;
-
-  // --- self-healing knobs ---------------------------------------------
-  /// Run the supervisor (heartbeats, crash respawn). Off = a crashed
-  /// worker stays dead and stop() scavenges its queue — the control for
-  /// every recovery experiment.
-  bool supervise = true;
-  /// Supervisor poll period.
-  std::uint64_t supervisor_poll_ns = 50'000;
-  /// A worker whose heartbeat has not advanced for this long while its
-  /// queue is non-empty counts as wedged (health + wedge_detections).
-  std::uint64_t wedge_timeout_ns = 5'000'000;
-  /// Admission watermarks as fractions of queue_capacity: shed new
-  /// arrivals at >= high, resume below low. high <= 0 disables shedding.
-  double shed_high_watermark = 0.0;
-  double shed_low_watermark = 0.0;
-  /// Pin each shard worker to CPU (shard mod hardware_concurrency).
-  /// Off by default: pinning helps steady-state saturation (no worker
-  /// migration, warm shard network in one L2) but hurts whenever the
-  /// machine is oversubscribed. Linux-only; silently ignored elsewhere.
-  bool pin_workers = false;
-
-  // --- elastic width ----------------------------------------------------
-  /// When enabled, `shards` is ignored: the service runs 2^level
-  /// extracted subnetworks per epoch and resize() / the controller moves
-  /// between levels. Shard-targeted chaos (worker crash/stall events and
-  /// fault.worker_crash_*) is rejected by validate() in elastic mode —
-  /// their at_ops triggers are per-shard and do not survive epoch
-  /// boundaries; thread faults (stall/abandon probabilities) remain
-  /// available and exercise per-epoch hole accounting.
-  ElasticConfig elastic;
-};
-
-/// Empty when the config is runnable, else a human-readable reason.
-std::string validate(const ServiceConfig& cfg);
 
 /// Aggregate counters, valid after stop().
 struct ServiceStats {
@@ -400,13 +332,17 @@ class CountingService {
   /// Launches the shard workers (and the supervisor). Call exactly once.
   void start();
 
-  /// Submits one request. Returns false (and consumes no ticket) when
-  /// the target queue is over its shed watermark, full, or the service
-  /// is not accepting; the caller decides whether to retry, back off, or
-  /// count the refusal. `done`, if non-null, must stay valid until it is
-  /// stored non-zero — the service guarantees every accepted request's
-  /// slot is eventually stored (value, kDroppedSignal, or the shutdown
-  /// scavenge), even across worker crashes.
+  /// Submits one request. Returns false when the service is not
+  /// accepting or the target queue is over its shed watermark — both
+  /// refuse before the ticket draw and consume nothing — or when the
+  /// target queue is full, which refuses AFTER the draw: the ticket is
+  /// burnt, counted in stats().rejected, and leaves an accounted residue
+  /// hole. A refused request's `done` slot is never touched; the caller
+  /// decides whether to retry, back off, or count the refusal. `done`,
+  /// if non-null, must stay valid until it is stored non-zero — the
+  /// service guarantees every accepted request's slot is eventually
+  /// stored (value, kDroppedSignal, or the shutdown scavenge), even
+  /// across worker crashes.
   bool try_submit(std::uint32_t client, std::uint64_t arrival_ns,
                   std::atomic<std::uint64_t>* done = nullptr);
 
@@ -576,24 +512,6 @@ class CountingService {
     std::atomic<bool> retiring{false};
   };
 
-  /// Forwards the issue-ordered record stream to the per-epoch
-  /// consistency analyzer AND the user's sink. finish() is NOT
-  /// propagated — the service finishes the analyzer at each fence and
-  /// the caller finishes the downstream sink.
-  class RecordFanout final : public TraceSink {
-   public:
-    void on_record(const TokenRecord& r) override {
-      if (sc != nullptr) sc->on_record(r);
-      if (down != nullptr) down->on_record(r);
-    }
-    void on_records(std::span<const TokenRecord> rs) override {
-      if (sc != nullptr) sc->on_records(rs);
-      if (down != nullptr) down->on_records(rs);
-    }
-    StreamingConsistency* sc = nullptr;
-    TraceSink* down = nullptr;
-  };
-
   /// Admission watermark of one target shard, with hysteresis: once its
   /// queue depth reaches the high watermark the shard sheds until the
   /// depth falls to the low one. Advances the shard's shedding state;
@@ -667,11 +585,13 @@ class CountingService {
   // dispenser (submit draws first_seq ranges, workers draw last_seqs;
   // one monotone counter makes first < last per record and all seqs
   // unique). Records accumulate in the per-shard single-writer lanes
-  // and reach fanout_ (per-epoch analyzer + user sink) via a sorted
-  // k-way merge at each fence, under fence_mu_.
+  // and reach tee_ via a sorted k-way merge at each fence, under
+  // fence_mu_. tee_ feeds the per-epoch analyzer epoch_sc_ and the
+  // user's sink; it is never finished — the fence finishes epoch_sc_
+  // directly and the caller finishes its own sink.
   alignas(kCacheLineSize) std::atomic<std::uint64_t> events_{0};
-  RecordFanout fanout_;
   std::unique_ptr<StreamingConsistency> epoch_sc_;
+  std::unique_ptr<TeeSink> tee_;
 
   ServiceStats stats_;
 };

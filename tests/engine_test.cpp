@@ -9,6 +9,7 @@
 
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
+#include "fault/chaos.hpp"
 #include "trace/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
@@ -451,8 +452,8 @@ TEST(EngineBackends, ServiceBackendCountsAndReportsLatency) {
   spec.width = 8;
   spec.threads = 4;
   spec.ops_per_thread = 100;
-  spec.service_shards = 2;
-  spec.service_batch = 8;
+  spec.service.shards = 2;
+  spec.service.max_batch = 8;
   const engine::RunResult res = engine::run_backend(spec);
   ASSERT_TRUE(res.ok()) << res.error;
   // Closed-loop clients retry rejections, so every op completes and the
@@ -477,12 +478,66 @@ TEST(EngineBackends, ServiceBackendStreamsWithZeroViolationsAtQuiescence) {
   spec.width = 8;
   spec.threads = 4;
   spec.ops_per_thread = 80;
-  spec.service_shards = 2;
+  spec.service.shards = 2;
   spec.keep_trace = false;
   const engine::RunResult res = engine::run_backend(spec);
   ASSERT_TRUE(res.ok()) << res.error;
   EXPECT_TRUE(res.trace.empty());
   EXPECT_EQ(res.report.total, 320u);
+}
+
+TEST(EngineBackends, ServiceBackendForwardsChaosDeadlinesAndBatches) {
+  // The backend hands spec.service (chaos schedule included) to the
+  // service and spec.service_policy to its clients, and drives the
+  // batched ingress when service_client_batch > 1.
+  engine::RunSpec base;
+  base.backend = "service";
+  base.network = "bitonic";
+  base.width = 8;
+
+  // Shard 1 crashes after 20 processed requests and takes 2 in-flight
+  // tickets with it: the worker is respawned, the 2 holes accounted.
+  engine::RunSpec crash = base;
+  crash.threads = 4;
+  crash.ops_per_thread = 100;
+  crash.service.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                                        .shard = 1, .at_ops = 20, .lose = 2});
+  const engine::RunResult crashed = engine::run_backend(crash);
+  ASSERT_TRUE(crashed.ok()) << crashed.error;
+  EXPECT_EQ(crashed.metric("crashes", -1.0), 1.0);
+  EXPECT_GE(crashed.metric("respawns", -1.0), 1.0);
+  EXPECT_EQ(crashed.metric("crash_lost", -1.0), 2.0);
+  EXPECT_EQ(crashed.metric("residue_holes", -1.0), 2.0);
+  EXPECT_EQ(crashed.metric("audit_exact", -1.0), 1.0);
+  EXPECT_EQ(crashed.metric("total_ops", -1.0), 398.0);
+  EXPECT_EQ(crashed.report.total, 398u);
+
+  // One unsupervised shard whose worker dies before serving anything:
+  // every request outlives its 1 ms deadline, which the backend
+  // classifies as kDeadlineExceeded.
+  engine::RunSpec dead = base;
+  dead.threads = 2;
+  dead.ops_per_thread = 3;
+  dead.service.shards = 1;
+  dead.service.supervise = false;
+  dead.service.chaos.events.push_back(
+      {.kind = fault::ChaosKind::kWorkerCrash, .at_ops = 0});
+  dead.service_policy.deadline_ns = 1'000'000;
+  const engine::RunResult expired = engine::run_backend(dead);
+  EXPECT_FALSE(expired.ok());
+  EXPECT_EQ(expired.error_kind, engine::ErrorKind::kDeadlineExceeded);
+
+  // Batched clients: ceil(150 / 8) = 19 submit_batch calls each, every
+  // call one queue cell per shard.
+  engine::RunSpec batched = base;
+  batched.threads = 4;
+  batched.ops_per_thread = 150;
+  batched.service_client_batch = 8;
+  const engine::RunResult res = engine::run_backend(batched);
+  ASSERT_TRUE(res.ok()) << res.error;
+  EXPECT_EQ(res.metric("total_ops", -1.0), 600.0);
+  EXPECT_EQ(res.metric("ingress_batches", -1.0), 76.0);
+  EXPECT_EQ(res.metric("ingress_cells", -1.0), 152.0);
 }
 
 TEST(EngineBackends, ElasticServiceBackendRunsAResizePlan) {
@@ -496,10 +551,10 @@ TEST(EngineBackends, ElasticServiceBackendRunsAResizePlan) {
   spec.width = 8;
   spec.threads = 4;
   spec.ops_per_thread = 150;
-  spec.service_batch = 8;
-  spec.service_elastic = true;
-  spec.service_max_level = 3;
-  spec.service_resize_plan = "1,2,1,0";
+  spec.service.max_batch = 8;
+  spec.service.elastic.enabled = true;
+  spec.service.elastic.max_level = 3;
+  spec.service_resize_plan = {1, 2, 1, 0};
   const engine::RunResult res = engine::run_backend(spec);
   ASSERT_TRUE(res.ok()) << res.error;
   EXPECT_EQ(res.metric("total_ops", -1.0), 600.0);
@@ -528,18 +583,18 @@ TEST(EngineBackends, ElasticSpecInvalidReasonsSurface) {
   spec.width = 8;
   spec.threads = 1;
   spec.ops_per_thread = 10;
-  spec.service_elastic = true;
-  spec.service_max_level = 1;
+  spec.service.elastic.enabled = true;
+  spec.service.elastic.max_level = 1;
   const engine::RunResult tree = engine::run_backend(spec);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.error_kind, engine::ErrorKind::kSpecInvalid);
   spec.network = "bitonic";
-  spec.service_resize_plan = "1,9";  // 9 beyond max_level
+  spec.service_resize_plan = {1, 9};  // 9 beyond max_level
   const engine::RunResult bad_plan = engine::run_backend(spec);
   EXPECT_FALSE(bad_plan.ok());
   EXPECT_EQ(bad_plan.error_kind, engine::ErrorKind::kSpecInvalid);
-  spec.service_resize_plan = "1";
-  spec.service_elastic = false;  // plan without elastic mode
+  spec.service_resize_plan = {1};
+  spec.service.elastic.enabled = false;  // plan without elastic mode
   const engine::RunResult no_elastic = engine::run_backend(spec);
   EXPECT_FALSE(no_elastic.ok());
   EXPECT_EQ(no_elastic.error_kind, engine::ErrorKind::kSpecInvalid);
@@ -552,9 +607,9 @@ TEST(EngineBackends, ServiceBackendRejectsInvalidSpecs) {
   spec.width = 8;
   spec.threads = 4;
   spec.ops_per_thread = 10;
-  spec.service_shards = 0;
+  spec.service.shards = 0;
   EXPECT_FALSE(engine::run_backend(spec).ok());
-  spec.service_shards = 2;
+  spec.service.shards = 2;
   spec.threads = 0;
   EXPECT_FALSE(engine::run_backend(spec).ok());
 }

@@ -374,10 +374,8 @@ TEST(CountingService, RespawnPreservesGapFreedomAcrossShards) {
   const Network net = make_bitonic(8);
   for (const std::uint32_t shards : {1u, 2u, 3u}) {
     ServiceConfig cfg = small_config(net, shards);
-    cfg.fault.enabled = true;
-    cfg.fault.worker_crash_at = 50;
-    cfg.fault.worker_crash_shard = 0;
-    cfg.fault.worker_crash_lose = 0;
+    cfg.chaos.events.push_back(
+        {.kind = fault::ChaosKind::kWorkerCrash, .shard = 0, .at_ops = 50});
     CountingService svc(cfg);
     svc.start();
     std::vector<std::uint64_t> values = drive(svc, 4, 300);
@@ -404,10 +402,8 @@ TEST(CountingService, CrashLostTicketsAreAccountedAsHolesExactly) {
   // surviving shard stream must stay internally gap-free.
   const Network net = make_bitonic(8);
   ServiceConfig cfg = small_config(net, 2);
-  cfg.fault.enabled = true;
-  cfg.fault.worker_crash_at = 20;
-  cfg.fault.worker_crash_shard = 0;
-  cfg.fault.worker_crash_lose = 5;
+  cfg.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                              .shard = 0, .at_ops = 20, .lose = 5});
   CountingService svc(cfg);
   svc.start();
   std::vector<std::uint64_t> values = drive(svc, 4, 200);
@@ -442,10 +438,8 @@ TEST(CountingService, StopRacesActiveChaosCrash) {
   for (const bool supervise : {true, false}) {
     ServiceConfig cfg = small_config(net, 1);
     cfg.supervise = supervise;
-    cfg.fault.enabled = true;
-    cfg.fault.worker_crash_at = 5;
-    cfg.fault.worker_crash_shard = 0;
-    cfg.fault.worker_crash_lose = 100;
+    cfg.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                                .shard = 0, .at_ops = 5, .lose = 100});
     CountingService svc(cfg);
     svc.start();
     std::uint64_t accepted = 0;
@@ -474,10 +468,8 @@ TEST(CountingService, DeterministicFingerprintIsReproducible) {
     ServiceConfig cfg = small_config(net, 3);
     cfg.queue_capacity = 4096;
     cfg.seed = 42;
-    cfg.fault.enabled = true;
-    cfg.fault.worker_crash_at = 100;
-    cfg.fault.worker_crash_shard = 0;
-    cfg.fault.worker_crash_lose = 3;
+    cfg.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                                .shard = 0, .at_ops = 100, .lose = 3});
     CountingService svc(cfg);
     svc.start();
     for (std::uint64_t i = 0; i < 1500; ++i) {
@@ -566,11 +558,6 @@ TEST(CountingService, ValidateRejectsBadWatermarksAndChaos) {
   bad_marks.shed_high_watermark = 0.4;
   bad_marks.shed_low_watermark = 0.6;  // low > high
   EXPECT_FALSE(service::validate(bad_marks).empty());
-  ServiceConfig bad_shard = small_config(net, 2);
-  bad_shard.fault.enabled = true;
-  bad_shard.fault.worker_crash_at = 10;
-  bad_shard.fault.worker_crash_shard = 5;  // out of range
-  EXPECT_FALSE(service::validate(bad_shard).empty());
   ServiceConfig bad_chaos = small_config(net, 2);
   fault::ChaosEvent e;
   e.kind = fault::ChaosKind::kWorkerCrash;
@@ -818,10 +805,8 @@ TEST(PolicyClient, DeadlineExpiresAgainstDeadShardWithoutHanging) {
   const Network net = make_bitonic(4);
   ServiceConfig cfg = small_config(net, 1);
   cfg.supervise = false;
-  cfg.fault.enabled = true;
-  cfg.fault.worker_crash_at = 3;
-  cfg.fault.worker_crash_shard = 0;
-  cfg.fault.worker_crash_lose = 0;
+  cfg.chaos.events.push_back(
+      {.kind = fault::ChaosKind::kWorkerCrash, .shard = 0, .at_ops = 3});
   CountingService svc(cfg);
   svc.start();
   service::SubmitPolicy policy;
@@ -1099,10 +1084,8 @@ TEST(PolicyClient, StopScavengeWakesParkedBatchClients) {
   const Network net = make_bitonic(4);
   ServiceConfig cfg = small_config(net, 1);
   cfg.supervise = false;
-  cfg.fault.enabled = true;
-  cfg.fault.worker_crash_at = 2;
-  cfg.fault.worker_crash_shard = 0;
-  cfg.fault.worker_crash_lose = 1;
+  cfg.chaos.events.push_back(
+      {.kind = fault::ChaosKind::kWorkerCrash, .shard = 0, .at_ops = 2, .lose = 1});
   CountingService svc(cfg);
   svc.start();
   service::SubmitPolicy policy;
@@ -1168,8 +1151,8 @@ TEST(ElasticService, ValidateCertifiesSplittabilityAndRejectsChaos) {
   EXPECT_FALSE(service::validate(bad_order).empty());
   // Shard-targeted chaos cannot survive epoch boundaries.
   ServiceConfig crash = elastic_config(bitonic, 2);
-  crash.fault.enabled = true;
-  crash.fault.worker_crash_at = 10;
+  crash.chaos.events.push_back(
+      {.kind = fault::ChaosKind::kWorkerCrash, .at_ops = 10});
   EXPECT_FALSE(service::validate(crash).empty());
   ServiceConfig chaos = elastic_config(bitonic, 2);
   fault::ChaosEvent e;

@@ -62,7 +62,7 @@ class ConcurrentNetwork {
   /// returns the value its counter assigned. Wait-free: one fetch_add per
   /// balancer plus one at the counter.
   Value increment(std::uint32_t source) noexcept {
-    return increment_paced(source, [](std::uint32_t) {});
+    return increment_interruptible(source, [](std::uint32_t) { return true; });
   }
 
   /// Shepherds a batch of `k` tokens entering together on input wire
@@ -82,39 +82,17 @@ class ConcurrentNetwork {
   void increment_batch(std::uint32_t source, std::uint32_t k,
                        Value* out_values) noexcept;
 
-  /// Like increment, but calls `pacer(hop_index)` before every node
-  /// crossing (hop 0 = first balancer). Used to impose wire-delay
-  /// envelopes [c_min, c_max] on real threads.
-  template <typename Pacer>
-  Value increment_paced(std::uint32_t source, Pacer&& pacer) noexcept {
-    const Network& net = *net_;
-    WireIndex wire = net.source_wire(source);
-    std::uint32_t hop = 0;
-    for (;;) {
-      const Wire& w = net.wire(wire);
-      pacer(hop++);
-      if (w.to.kind == Endpoint::Kind::kBalancer) {
-        const NodeIndex b = w.to.index;
-        const Balancer& bal = net.balancer(b);
-        const std::uint64_t pos =
-            balancers_[b].value.fetch_add(1, std::memory_order_relaxed);
-        wire = bal.out[pos % bal.fan_out()];
-      } else {
-        const std::uint64_t k =
-            counters_[w.to.index].value.fetch_add(1, std::memory_order_acq_rel);
-        return w.to.index + k * net.fan_out();
-      }
-    }
-  }
-
   /// Sentinel returned by increment_interruptible for an abandoned token.
   static constexpr Value kAbandonedToken = static_cast<Value>(-1);
 
-  /// Like increment_paced, but the pacer may abort the traversal by
-  /// returning false: the token is abandoned mid-network. Balancer steps
-  /// already taken are NOT undone — exactly the footprint of a process
-  /// that crashes between hops, leaving the network in a state other
-  /// tokens must route around. Returns kAbandonedToken when aborted.
+  /// Like increment, but calls `pacer(hop_index)` before every node
+  /// crossing (hop 0 = first balancer), e.g. to impose wire-delay
+  /// envelopes [c_min, c_max] on real threads. The pacer may abort the
+  /// traversal by returning false: the token is abandoned mid-network.
+  /// Balancer steps already taken are NOT undone — exactly the footprint
+  /// of a process that crashes between hops, leaving the network in a
+  /// state other tokens must route around. Returns kAbandonedToken when
+  /// aborted.
   template <typename Pacer>
   Value increment_interruptible(std::uint32_t source, Pacer&& pacer) noexcept {
     const Network& net = *net_;

@@ -1,7 +1,10 @@
 // Multithreaded driver for concurrent counting structures: runs N threads
 // in a closed loop, optionally pacing wire delays and local
 // inter-operation delays, and records a Trace compatible with the
-// consistency analyzers in src/sim.
+// consistency analyzers in src/sim. The shared-memory network and the
+// baseline counters run through the same recorded loop (per-thread
+// fault streams, crash points, start barrier, partial-trace merge); each
+// supplies only its operation step.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,9 @@
 
 namespace cn {
 
-/// Parameters for a recorded concurrent run.
+/// Parameters for a recorded concurrent run. A counter run
+/// (run_recorded_counter) reads threads, ops_per_thread, seed and fault;
+/// the pacing, local-delay and schedule knobs are the network's.
 struct ConcurrentRunSpec {
   std::uint32_t threads = 4;
   std::uint64_t ops_per_thread = 100;
@@ -63,9 +68,11 @@ struct ConcurrentRunResult {
   TimedExecution schedule;
 
   // Fault accounting (all zero when the plan is disabled).
-  std::uint64_t stalls = 0;            ///< Mid-hop freezes injected.
-  std::uint64_t tokens_abandoned = 0;  ///< Tokens dropped mid-traversal.
-  std::uint64_t threads_crashed = 0;   ///< Threads that stopped issuing.
+  std::uint64_t stalls = 0;  ///< Freezes injected (network: mid-hop).
+  /// Operations a fault dropped after they took their steps: tokens
+  /// abandoned mid-traversal, or counter values fetched and never used.
+  std::uint64_t tokens_abandoned = 0;
+  std::uint64_t threads_crashed = 0;  ///< Threads that stopped issuing.
 
   std::string error;
 
@@ -73,27 +80,33 @@ struct ConcurrentRunResult {
 };
 
 /// Structural validation of a spec: empty string when runnable, else a
-/// description of the first problem. run_recorded rejects invalid specs
-/// with the same message instead of silently proceeding.
+/// description of the first problem. run_recorded and
+/// run_recorded_counter reject invalid specs with the same message
+/// instead of silently proceeding.
 std::string validate(const ConcurrentRunSpec& spec);
 
 /// Runs `spec.threads` threads against the network; thread i acts as
 /// process i on input wire i mod fan_in. Every operation is timestamped
 /// (steady clock, before the first hop and after the counter) so the
 /// resulting trace can be fed to analyze() / is_sequentially_consistent().
-ConcurrentRunResult run_recorded(ConcurrentNetwork& net,
-                                 const ConcurrentRunSpec& spec);
-
-/// Streaming variant: after the workers join, feeds the merged records to
-/// `sink` in global ISSUE order ((first_seq, last_seq, token) — each
-/// thread's sequential partial is sorted by that key already, so per-
-/// thread partials are merged, not re-sorted) and leaves
-/// ConcurrentRunResult::trace empty. Threads still buffer their own
-/// records during the run so the sink never sits on the timed path. Does
-/// not call sink.finish().
+///
+/// With a `sink`, the merged records go there in global ISSUE order
+/// ((first_seq, last_seq, token), via merge_issue_ordered: each thread's
+/// sequential partial is sorted by that key already, so the partials are
+/// merged, not re-sorted) and ConcurrentRunResult::trace stays empty.
+/// Threads still buffer their own records during the run so the sink
+/// never sits on the timed path. Does not call sink->finish().
 ConcurrentRunResult run_recorded(ConcurrentNetwork& net,
                                  const ConcurrentRunSpec& spec,
-                                 TraceSink& sink);
+                                 TraceSink* sink = nullptr);
+
+/// The same recorded loop around any counter: `next(thread)` must return
+/// a fresh value. Records carry source = thread and sink = 0. A stall
+/// fault spins before the call; an abandon fault drops the fetched value
+/// (counted in tokens_abandoned). Sink semantics as run_recorded.
+ConcurrentRunResult run_recorded_counter(
+    const std::function<std::uint64_t(std::uint32_t)>& next,
+    const ConcurrentRunSpec& spec, TraceSink* sink = nullptr);
 
 /// Unrecorded throughput run against any counter functor: `next(thread)`
 /// must return a fresh value. Returns operations per second.

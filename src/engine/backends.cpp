@@ -526,8 +526,58 @@ class MsgBackend final : public TraceSource {
 };
 
 // ---------------------------------------------------------------------
-// concurrent: the shared-memory network on real threads.
+// Real threads: the shared-memory network and the baseline counters, all
+// recorded closed loops of concurrent/harness.cpp. In unrecorded mode
+// they measure bare throughput instead (no faults, no clocks per op).
 // ---------------------------------------------------------------------
+
+/// Runs one real-thread backend into `out`. The spec's real-thread
+/// section is checked up front in both modes. Recorded runs call
+/// `recorded(cs)` for the harness's loop; unrecorded ones call
+/// `throughput()` for operations per second. `lost_metric` names the tally
+/// of operations a fault dropped after they took their steps.
+template <typename Recorded, typename Throughput>
+void run_real_threads(RunResult& out, const RunSpec& spec,
+                      const char* lost_metric, Recorded&& recorded,
+                      Throughput&& throughput) {
+  ConcurrentRunSpec cs;
+  cs.threads = spec.threads;
+  cs.ops_per_thread = spec.ops_per_thread;
+  cs.hop_delay_min_ns = spec.hop_delay_min_ns;
+  cs.hop_delay_max_ns = spec.hop_delay_max_ns;
+  cs.local_delay_ns = spec.local_delay_ns;
+  cs.seed = spec.seed;
+  cs.record_schedule = spec.record_schedule;
+  cs.fault = spec.fault;
+  if (std::string err = validate(cs); !err.empty()) {
+    out.error = std::move(err);
+    out.error_kind = ErrorKind::kSpecInvalid;
+    return;
+  }
+  if (!spec.record_trace) {
+    out.metrics["ops_per_sec"] = throughput();
+    out.metrics["total_ops"] =
+        static_cast<double>(spec.threads) * spec.ops_per_thread;
+    return;
+  }
+  ConcurrentRunResult cr = recorded(cs);
+  if (!cr.ok()) {
+    out.error = std::move(cr.error);
+    return;
+  }
+  out.trace = std::move(cr.trace);
+  out.exec = std::move(cr.schedule);
+  out.metrics["total_ops"] = static_cast<double>(cr.total_ops);
+  out.metrics["elapsed_sec"] = cr.elapsed_sec;
+  out.metrics["ops_per_sec"] = cr.ops_per_sec;
+  if (spec.fault.enabled) {
+    out.metrics["fault_stalls"] = static_cast<double>(cr.stalls);
+    out.metrics[lost_metric] = static_cast<double>(cr.tokens_abandoned);
+    out.metrics["fault_threads_crashed"] =
+        static_cast<double>(cr.threads_crashed);
+  }
+}
+
 class ConcurrentBackend final : public TraceSource {
  public:
   std::string name() const override { return "concurrent"; }
@@ -549,75 +599,112 @@ class ConcurrentBackend final : public TraceSource {
     Resolved r(spec);
     if (!r.ok()) return std::move(r.result);
     ConcurrentNetwork net(*r.net);
-    if (!spec.record_trace) {
-      const std::uint32_t fan_in = r.net->fan_in();
-      double ops = 0.0;
-      if (spec.batch_size > 1) {
-        // Batched traversal: ops_per_thread still counts TOKENS, carried
-        // in chunks of batch_size per increment_batch call.
-        ops = run_batch_throughput(
-            spec.threads, spec.ops_per_thread, spec.batch_size,
-            [&net, fan_in](std::uint32_t th, std::uint64_t* out,
-                           std::uint32_t k) {
-              net.increment_batch(th % fan_in, k, out);
-            });
-        r.result.metrics["batch_size"] =
-            static_cast<double>(spec.batch_size);
-      } else {
-        ops = run_throughput(spec.threads, spec.ops_per_thread,
-                             [&net, fan_in](std::uint32_t th) {
-                               return net.increment(th % fan_in);
-                             });
-      }
-      r.result.metrics["ops_per_sec"] = ops;
-      r.result.metrics["total_ops"] =
-          static_cast<double>(spec.threads) * spec.ops_per_thread;
-      return std::move(r.result);
-    }
-    ConcurrentRunSpec cs;
-    cs.threads = spec.threads;
-    cs.ops_per_thread = spec.ops_per_thread;
-    cs.hop_delay_min_ns = spec.hop_delay_min_ns;
-    cs.hop_delay_max_ns = spec.hop_delay_max_ns;
-    cs.local_delay_ns = spec.local_delay_ns;
-    cs.seed = spec.seed;
-    cs.record_schedule = spec.record_schedule;
-    cs.fault = spec.fault;
-    if (std::string err = validate(cs); !err.empty()) {
-      r.result.error = std::move(err);
-      r.result.error_kind = ErrorKind::kSpecInvalid;
-      return std::move(r.result);
-    }
-    ConcurrentRunResult cr =
-        sink != nullptr ? run_recorded(net, cs, *sink) : run_recorded(net, cs);
-    if (!cr.ok()) {
-      r.result.error = cr.error;
-      return std::move(r.result);
-    }
-    r.result.trace = std::move(cr.trace);
-    r.result.exec = std::move(cr.schedule);
-    // The schedule's net pointer refers to the harness-local wrapper's
-    // topology, which is the resolved network — keep it pointed there.
-    if (spec.record_schedule) r.result.exec.net = r.net;
-    r.result.metrics["total_ops"] = static_cast<double>(cr.total_ops);
-    r.result.metrics["elapsed_sec"] = cr.elapsed_sec;
-    r.result.metrics["ops_per_sec"] = cr.ops_per_sec;
-    if (spec.fault.enabled) {
-      r.result.metrics["fault_stalls"] = static_cast<double>(cr.stalls);
-      r.result.metrics["fault_tokens_abandoned"] =
-          static_cast<double>(cr.tokens_abandoned);
-      r.result.metrics["fault_threads_crashed"] =
-          static_cast<double>(cr.threads_crashed);
-    }
+    const std::uint32_t fan_in = r.net->fan_in();
+    run_real_threads(
+        r.result, spec, "fault_tokens_abandoned",
+        [&](const ConcurrentRunSpec& cs) { return run_recorded(net, cs, sink); },
+        [&] {
+          if (spec.batch_size <= 1) {
+            return run_throughput(spec.threads, spec.ops_per_thread,
+                                  [&net, fan_in](std::uint32_t th) {
+                                    return net.increment(th % fan_in);
+                                  });
+          }
+          // Batched traversal: ops_per_thread still counts TOKENS, carried
+          // in chunks of batch_size per increment_batch call.
+          r.result.metrics["batch_size"] = static_cast<double>(spec.batch_size);
+          return run_batch_throughput(
+              spec.threads, spec.ops_per_thread, spec.batch_size,
+              [&net, fan_in](std::uint32_t th, std::uint64_t* out,
+                             std::uint32_t k) {
+                net.increment_batch(th % fan_in, k, out);
+              });
+        });
     return std::move(r.result);
   }
 };
 
-using Clock = std::chrono::steady_clock;
+/// A baseline counter for one run: `next(thread)` hands out a fresh
+/// value; `metrics`, when set, reports the counter's own tallies after
+/// the run.
+struct Counter {
+  std::function<std::uint64_t(std::uint32_t)> next;
+  std::function<void(RunResult&)> metrics;
+};
 
-double to_seconds(Clock::time_point t) {
-  return std::chrono::duration<double>(t.time_since_epoch()).count();
+/// The backend of every baseline counter, built from its registry name,
+/// description and `make(spec)`, which builds a fresh counter per run.
+/// Values lost to an abandon fault report as fault_values_lost.
+class CounterBackend final : public TraceSource {
+ public:
+  using Make = Counter (*)(const RunSpec&);
+
+  CounterBackend(std::string name, std::string description, Make make)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        make_(make) {}
+
+  std::string name() const override { return name_; }
+  std::string description() const override { return description_; }
+
+  RunResult run(const RunSpec& spec) const override {
+    return run_baseline(spec, nullptr);
+  }
+
+  RunResult run(const RunSpec& spec, RunContext&,
+                TraceSink& sink) const override {
+    return run_baseline(spec, &sink);
+  }
+
+ private:
+  RunResult run_baseline(const RunSpec& spec, TraceSink* sink) const {
+    RunResult out;
+    const Counter counter = make_(spec);
+    run_real_threads(
+        out, spec, "fault_values_lost",
+        [&](const ConcurrentRunSpec& cs) {
+          return run_recorded_counter(counter.next, cs, sink);
+        },
+        [&] {
+          return run_throughput(spec.threads, spec.ops_per_thread,
+                                counter.next);
+        });
+    if (out.ok() && counter.metrics) counter.metrics(out);
+    return out;
+  }
+
+  std::string name_;
+  std::string description_;
+  Make make_;
+};
+
+Counter make_fetch_inc(const RunSpec&) {
+  auto c = std::make_shared<FetchIncCounter>();
+  return {[c](std::uint32_t) { return c->next(); }, nullptr};
 }
+
+Counter make_mcs(const RunSpec&) {
+  auto c = std::make_shared<McsCounter>();
+  return {[c](std::uint32_t th) { return c->next(th); }, nullptr};
+}
+
+Counter make_combining_tree(const RunSpec& spec) {
+  std::uint32_t capacity = 2;
+  while (capacity < spec.threads) capacity *= 2;
+  auto c = std::make_shared<CombiningTree>(std::max(capacity, spec.width));
+  return {[c](std::uint32_t th) { return c->next(th); }, nullptr};
+}
+
+Counter make_diffracting_tree(const RunSpec& spec) {
+  auto c = std::make_shared<DiffractingTree>(spec.width);
+  return {[c](std::uint32_t th) { return c->next(th); },
+          [c](RunResult& out) {
+            out.metrics["diffracted"] =
+                static_cast<double>(c->total_diffracted());
+          }};
+}
+
+using Clock = std::chrono::steady_clock;
 
 std::uint64_t to_ns(Clock::time_point t) {
   return static_cast<std::uint64_t>(
@@ -874,247 +961,6 @@ class ServiceBackend final : public TraceSource {
 };
 
 // ---------------------------------------------------------------------
-// Baseline counters: a generic recorded / throughput runner over any
-// `next(thread) -> value` functor, mirroring the harness conventions.
-// ---------------------------------------------------------------------
-
-/// Spins for `ns` nanoseconds (fault-injected stall in a counter op).
-void counter_stall(std::uint64_t ns) {
-  if (ns == 0) return;
-  const auto deadline = Clock::now() + std::chrono::nanoseconds(ns);
-  std::uint32_t spins = 0;
-  while (Clock::now() < deadline) {
-    if (++spins % 128 == 0) std::this_thread::yield();
-  }
-}
-
-/// Feeds per-thread partial traces (each sequential, hence sorted by
-/// issue key and completion key alike) to `sink` in global issue order —
-/// the shared k-way merge (trace/sink.hpp), which also batches the
-/// emission instead of dispatching per record.
-void merge_partials_into(std::vector<Trace>& partial, TraceSink& sink) {
-  merge_issue_ordered(partial, sink);
-}
-
-template <typename Next>
-void run_counter(RunResult& out, const RunSpec& spec, Next&& next,
-                 TraceSink* sink = nullptr) {
-  if (spec.threads == 0) {
-    out.error = "spec invalid: threads == 0";
-    out.error_kind = ErrorKind::kSpecInvalid;
-    return;
-  }
-  if (spec.ops_per_thread == 0) {
-    out.error = "spec invalid: ops_per_thread == 0";
-    out.error_kind = ErrorKind::kSpecInvalid;
-    return;
-  }
-  if (!spec.record_trace) {
-    const double ops = run_throughput(
-        spec.threads, spec.ops_per_thread,
-        std::function<std::uint64_t(std::uint32_t)>(next));
-    out.metrics["ops_per_sec"] = ops;
-    out.metrics["total_ops"] =
-        static_cast<double>(spec.threads) * spec.ops_per_thread;
-    return;
-  }
-  const bool faulted = spec.fault.active();
-  std::vector<Trace> partial(spec.threads);
-  std::vector<std::uint64_t> stalls(spec.threads, 0);
-  std::vector<std::uint64_t> lost(spec.threads, 0);
-  std::vector<std::uint8_t> crashed(spec.threads, 0);
-  SpinBarrier barrier(spec.threads);
-  std::vector<std::thread> workers;
-  workers.reserve(spec.threads);
-  const auto t_start = Clock::now();
-  for (std::uint32_t t = 0; t < spec.threads; ++t) {
-    workers.emplace_back([&, t] {
-      // Same per-thread stream convention as the concurrent harness.
-      fault::FaultStream faults(spec.fault, spec.seed, 100 + t);
-      std::uint64_t crash_at = spec.ops_per_thread;  // "never"
-      if (faulted && spec.fault.p_process_crash > 0.0 &&
-          faults.flip(spec.fault.p_process_crash)) {
-        crash_at = faults.pick(0, spec.ops_per_thread - 1);
-      }
-      Trace& mine = partial[t];
-      mine.reserve(spec.ops_per_thread);
-      barrier.arrive_and_wait();
-      for (std::uint64_t k = 0; k < spec.ops_per_thread; ++k) {
-        if (k >= crash_at) {
-          crashed[t] = 1;
-          break;
-        }
-        bool drop = false;
-        if (faulted) {
-          if (faults.flip(spec.fault.p_thread_stall)) {
-            ++stalls[t];
-            counter_stall(spec.fault.stall_ns);
-          }
-          // Abandon for a flat counter = the value is fetched but its
-          // holder dies before using it: handed out, never observed.
-          drop = faults.flip(spec.fault.p_thread_abandon);
-        }
-        const auto in = Clock::now();
-        const std::uint64_t v = next(t);
-        const auto fin = Clock::now();
-        if (drop) {
-          ++lost[t];
-          continue;
-        }
-        TokenRecord rec;
-        rec.token = static_cast<TokenId>(t * spec.ops_per_thread + k);
-        rec.process = t;
-        rec.source = t;
-        rec.sink = 0;
-        rec.value = v;
-        rec.t_in = to_seconds(in);
-        rec.t_out = to_seconds(fin);
-        rec.first_seq = to_ns(in);
-        rec.last_seq = to_ns(fin);
-        mine.push_back(rec);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - t_start).count();
-  std::uint64_t completed_ops = 0;
-  for (const Trace& p : partial) completed_ops += p.size();
-  if (sink == nullptr) {
-    for (Trace& p : partial) {
-      out.trace.insert(out.trace.end(), p.begin(), p.end());
-    }
-  } else {
-    merge_partials_into(partial, *sink);
-  }
-  const double total =
-      faulted ? static_cast<double>(completed_ops)
-              : static_cast<double>(spec.threads) * spec.ops_per_thread;
-  out.metrics["total_ops"] = total;
-  out.metrics["elapsed_sec"] = elapsed;
-  out.metrics["ops_per_sec"] = elapsed > 0 ? total / elapsed : 0.0;
-  if (spec.fault.enabled) {
-    std::uint64_t s = 0, l = 0, c = 0;
-    for (std::uint32_t t = 0; t < spec.threads; ++t) {
-      s += stalls[t];
-      l += lost[t];
-      c += crashed[t];
-    }
-    out.metrics["fault_stalls"] = static_cast<double>(s);
-    out.metrics["fault_values_lost"] = static_cast<double>(l);
-    out.metrics["fault_threads_crashed"] = static_cast<double>(c);
-  }
-}
-
-class FetchIncBackend final : public TraceSource {
- public:
-  std::string name() const override { return "fetch_inc"; }
-  std::string description() const override {
-    return "single shared fetch&increment counter";
-  }
-
-  RunResult run(const RunSpec& spec) const override {
-    RunResult out;
-    FetchIncCounter c;
-    run_counter(out, spec, [&c](std::uint32_t) { return c.next(); });
-    return out;
-  }
-
-  RunResult run(const RunSpec& spec, RunContext&,
-                TraceSink& sink) const override {
-    RunResult out;
-    FetchIncCounter c;
-    run_counter(out, spec, [&c](std::uint32_t) { return c.next(); }, &sink);
-    return out;
-  }
-};
-
-class McsBackend final : public TraceSource {
- public:
-  std::string name() const override { return "mcs"; }
-  std::string description() const override {
-    return "MCS queue-lock protected counter";
-  }
-
-  RunResult run(const RunSpec& spec) const override {
-    RunResult out;
-    McsCounter c;
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); });
-    return out;
-  }
-
-  RunResult run(const RunSpec& spec, RunContext&,
-                TraceSink& sink) const override {
-    RunResult out;
-    McsCounter c;
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); },
-                &sink);
-    return out;
-  }
-};
-
-class CombiningTreeBackend final : public TraceSource {
- public:
-  std::string name() const override { return "combining_tree"; }
-  std::string description() const override {
-    return "software combining tree counter";
-  }
-
-  RunResult run(const RunSpec& spec) const override {
-    RunResult out;
-    CombiningTree c(capacity_for(spec));
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); });
-    return out;
-  }
-
-  RunResult run(const RunSpec& spec, RunContext&,
-                TraceSink& sink) const override {
-    RunResult out;
-    CombiningTree c(capacity_for(spec));
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); },
-                &sink);
-    return out;
-  }
-
- private:
-  static std::uint32_t capacity_for(const RunSpec& spec) {
-    std::uint32_t capacity = 2;
-    while (capacity < spec.threads) capacity *= 2;
-    return std::max(capacity, spec.width);
-  }
-};
-
-class DiffractingTreeBackend final : public TraceSource {
- public:
-  std::string name() const override { return "diffracting_tree"; }
-  std::string description() const override {
-    return "diffracting tree counter with prism exchangers";
-  }
-
-  RunResult run(const RunSpec& spec) const override {
-    RunResult out;
-    DiffractingTree c(spec.width);
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); });
-    if (out.ok()) {
-      out.metrics["diffracted"] = static_cast<double>(c.total_diffracted());
-    }
-    return out;
-  }
-
-  RunResult run(const RunSpec& spec, RunContext&,
-                TraceSink& sink) const override {
-    RunResult out;
-    DiffractingTree c(spec.width);
-    run_counter(out, spec, [&c](std::uint32_t th) { return c.next(th); },
-                &sink);
-    if (out.ok()) {
-      out.metrics["diffracted"] = static_cast<double>(c.total_diffracted());
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------
 // replay: re-analyzes a trace recorded with spec.record_path /
 // bench_sweep --record. The file (trace/serialize.hpp format) stands in
 // for the live producer; everything downstream — batch analyze or the
@@ -1151,6 +997,13 @@ BackendFactory factory() {
   return [] { return std::make_unique<T>(); };
 }
 
+void register_counter(const std::string& name, const std::string& description,
+                      CounterBackend::Make make) {
+  register_backend(name, [=] {
+    return std::make_unique<CounterBackend>(name, description, make);
+  });
+}
+
 }  // namespace
 
 void register_builtin_backends() {
@@ -1162,10 +1015,14 @@ void register_builtin_backends() {
   register_backend("msg", factory<MsgBackend>());
   register_backend("concurrent", factory<ConcurrentBackend>());
   register_backend("service", factory<ServiceBackend>());
-  register_backend("fetch_inc", factory<FetchIncBackend>());
-  register_backend("mcs", factory<McsBackend>());
-  register_backend("combining_tree", factory<CombiningTreeBackend>());
-  register_backend("diffracting_tree", factory<DiffractingTreeBackend>());
+  register_counter("fetch_inc", "single shared fetch&increment counter",
+                   make_fetch_inc);
+  register_counter("mcs", "MCS queue-lock protected counter", make_mcs);
+  register_counter("combining_tree", "software combining tree counter",
+                   make_combining_tree);
+  register_counter("diffracting_tree",
+                   "diffracting tree counter with prism exchangers",
+                   make_diffracting_tree);
   register_backend("replay", factory<ReplayBackend>());
 }
 

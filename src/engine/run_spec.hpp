@@ -71,6 +71,10 @@ struct RunSpec {
   bool slow_process_zero = false;
 
   // --- "concurrent" + baseline-counter backends (real threads) --------
+  // Each runs the harness's closed loop (concurrent/harness.hpp): thread
+  // t is process t. All five reject threads == 0, ops_per_thread == 0
+  // and an inverted hop envelope, recorded or not. The counters ignore
+  // the hop, local-delay and schedule knobs.
   std::uint32_t threads = 4;
   std::uint64_t ops_per_thread = 100;
   std::uint64_t hop_delay_min_ns = 0;

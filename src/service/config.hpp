@@ -53,24 +53,14 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
 
   // --- self-healing knobs ---------------------------------------------
-  /// Run the supervisor (heartbeats, crash respawn). Off = a crashed
-  /// worker stays dead and stop() scavenges its queue — the control for
-  /// every recovery experiment.
+  /// Run the supervisor (heartbeats, crash respawn, wedge detection;
+  /// it polls every 50 µs). Off = a crashed worker stays dead and stop()
+  /// scavenges its queue — the control for every recovery experiment.
   bool supervise = true;
-  /// Supervisor poll period.
-  std::uint64_t supervisor_poll_ns = 50'000;
-  /// A worker whose heartbeat has not advanced for this long while its
-  /// queue is non-empty counts as wedged (health + wedge_detections).
-  std::uint64_t wedge_timeout_ns = 5'000'000;
   /// Admission watermarks as fractions of queue_capacity: shed new
   /// arrivals at >= high, resume below low. high <= 0 disables shedding.
   double shed_high_watermark = 0.0;
   double shed_low_watermark = 0.0;
-  /// Pin each shard worker to CPU (shard mod hardware_concurrency).
-  /// Off by default: pinning helps steady-state saturation (no worker
-  /// migration, warm shard network in one L2) but hurts whenever the
-  /// machine is oversubscribed. Linux-only; silently ignored elsewhere.
-  bool pin_workers = false;
 
   // --- elastic width ----------------------------------------------------
   /// When enabled, `shards` is ignored: the service runs 2^level

@@ -5,13 +5,15 @@
 #include <cstddef>
 #include <sstream>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 namespace cn::service {
 
 namespace {
+
+/// Supervisor poll period.
+constexpr std::uint64_t kSupervisorPollNs = 50'000;
+/// A worker whose heartbeat has not advanced for this long while its
+/// queue is non-empty counts as wedged (health + wedge_detections).
+constexpr std::uint64_t kWedgeTimeoutNs = 5'000'000;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -358,17 +360,6 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   const std::vector<std::uint32_t>& sink_label = ep.sink_labels[shard];
   BoundedQueue<Request>& queue = *ep.queues[shard];
   ShardRuntime& rt = *ep.runtimes[shard];
-#if defined(__linux__)
-  if (cfg_.pin_workers) {
-    // Best-effort: a failed setaffinity (restricted cpuset, fewer CPUs
-    // than shards) degrades to the unpinned behavior.
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    CPU_SET(shard % ncpu, &set);
-    sched_setaffinity(0, sizeof(set), &set);
-  }
-#endif
   const bool inject = cfg_.fault.thread_faults();
   // The fault stream lives in the shard runtime and survives respawns:
   // the successor worker continues the dead worker's draw sequence, so a
@@ -635,11 +626,10 @@ void CountingService::supervisor_loop() {
             ep->workers[s] = std::thread([this, ep, s] {
               worker_loop(ep, s);
             });
-          } else if (cfg_.wedge_timeout_ns > 0 &&
-                     ep->queues[s]->approx_size() > 0) {
+          } else if (ep->queues[s]->approx_size() > 0) {
             const std::uint64_t beat =
                 rt.last_beat_ns.load(std::memory_order_relaxed);
-            if (now > beat && now - beat > cfg_.wedge_timeout_ns) {
+            if (now > beat && now - beat > kWedgeTimeoutNs) {
               // Wedged-but-alive (e.g. a chaos stall window): a thread
               // cannot be safely killed, so this is detection — the
               // count and the heartbeat age surface in health()/stats.
@@ -692,8 +682,7 @@ void CountingService::supervisor_loop() {
       resize(resize_target);  // Takes fence_mu_ itself.
     }
     if (final_pass) return;
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(cfg_.supervisor_poll_ns));
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kSupervisorPollNs));
   }
 }
 

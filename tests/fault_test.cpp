@@ -403,6 +403,31 @@ TEST(FaultBackends, ConcurrentFaultMixIsDeterministic) {
   EXPECT_EQ(a.trace.size(), b.trace.size());
   EXPECT_GT(a.tokens_abandoned + a.threads_crashed, 0u);
   EXPECT_EQ(a.total_ops, a.trace.size());
+
+  // The baseline counters run the same loop and draw the same mix.
+  for (const char* backend :
+       {"fetch_inc", "mcs", "combining_tree", "diffracting_tree"}) {
+    engine::RunSpec es;
+    es.backend = backend;
+    es.threads = spec.threads;
+    es.ops_per_thread = spec.ops_per_thread;
+    es.seed = spec.seed;
+    es.fault = spec.fault;
+    const engine::RunResult ea = engine::run_backend(es);
+    const engine::RunResult eb = engine::run_backend(es);
+    ASSERT_TRUE(ea.ok()) << backend << ": " << ea.error;
+    ASSERT_TRUE(eb.ok()) << backend << ": " << eb.error;
+    for (const char* m : {"fault_stalls", "fault_values_lost",
+                          "fault_threads_crashed", "total_ops"}) {
+      EXPECT_EQ(ea.metric(m), eb.metric(m)) << backend << " " << m;
+    }
+    EXPECT_EQ(ea.metric("total_ops"), static_cast<double>(ea.trace.size()))
+        << backend;
+    EXPECT_GT(ea.metric("fault_values_lost") +
+                  ea.metric("fault_threads_crashed"),
+              0.0)
+        << backend;
+  }
 }
 
 TEST(FaultSweep, FaultedAggregatesDeterministicAcrossThreadCounts) {
@@ -564,23 +589,39 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
   EXPECT_EQ(msg_res.error_kind, engine::ErrorKind::kSpecInvalid);
   EXPECT_NE(msg_res.error.find("c_min > c_max"), std::string::npos);
 
-  engine::RunSpec con_spec;
-  con_spec.backend = "concurrent";
-  con_spec.network = "bitonic";
-  con_spec.width = 4;
-  con_spec.threads = 0;
-  const engine::RunResult con_res = engine::run_backend(con_spec);
-  EXPECT_FALSE(con_res.ok());
-  EXPECT_EQ(con_res.error_kind, engine::ErrorKind::kSpecInvalid);
-
-  engine::RunSpec hop_spec = con_spec;
-  hop_spec.threads = 2;
-  hop_spec.ops_per_thread = 4;
-  hop_spec.hop_delay_min_ns = 100;
-  hop_spec.hop_delay_max_ns = 10;  // inverted pacing envelope
-  const engine::RunResult hop_res = engine::run_backend(hop_spec);
-  EXPECT_FALSE(hop_res.ok());
-  EXPECT_EQ(hop_res.error_kind, engine::ErrorKind::kSpecInvalid);
+  // Real-thread backends check their section up front, recorded or not.
+  struct BadSection {
+    const char* want;
+    std::uint32_t threads;
+    std::uint64_t ops_per_thread, hop_min_ns, hop_max_ns;
+  };
+  const BadSection bad_sections[] = {
+      {"threads == 0", 0, 4, 0, 0},
+      {"ops_per_thread == 0", 2, 0, 0, 0},
+      {"inverted pacing envelope", 2, 4, 100, 10},
+  };
+  for (const char* backend : {"concurrent", "fetch_inc"}) {
+    for (const bool recorded : {true, false}) {
+      for (const BadSection& bad : bad_sections) {
+        engine::RunSpec spec;
+        spec.backend = backend;
+        spec.network = "bitonic";
+        spec.width = 4;
+        spec.record_trace = recorded;
+        spec.threads = bad.threads;
+        spec.ops_per_thread = bad.ops_per_thread;
+        spec.hop_delay_min_ns = bad.hop_min_ns;
+        spec.hop_delay_max_ns = bad.hop_max_ns;
+        const engine::RunResult res = engine::run_backend(spec);
+        EXPECT_FALSE(res.ok()) << backend << " recorded=" << recorded
+                               << ": " << bad.want;
+        EXPECT_EQ(res.error_kind, engine::ErrorKind::kSpecInvalid)
+            << backend << " recorded=" << recorded << ": " << bad.want;
+        EXPECT_NE(res.error.find(bad.want), std::string::npos)
+            << backend << " recorded=" << recorded << ": " << res.error;
+      }
+    }
+  }
 
   // The classification reaches the JSON result shape.
   EXPECT_NE(engine::to_json(msg_res).find("\"error_kind\":\"spec_invalid\""),

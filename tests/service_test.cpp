@@ -1320,7 +1320,6 @@ TEST(ElasticService, ControllerSplitsUnderPressureAndMergesWhenDrained) {
   const Network net = make_bitonic(8);
   ServiceConfig cfg = elastic_config(net, 2);
   cfg.queue_capacity = 128;
-  cfg.supervisor_poll_ns = 50'000;
   cfg.elastic.controller = true;
   cfg.elastic.split_queue_frac = 0.10;
   cfg.elastic.merge_queue_frac = 0.02;

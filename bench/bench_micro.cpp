@@ -838,6 +838,94 @@ StreamingSweepRates measure_streaming_sweep(double min_seconds,
   return r;
 }
 
+/// A sink that only counts: the interpreter's emission path runs in
+/// full, without the cost of storing or checking records.
+class CountingSink final : public TraceSink {
+ public:
+  void on_record(const TokenRecord&) override { ++records_; }
+  void on_records(std::span<const TokenRecord> batch) override {
+    records_ += batch.size();
+  }
+  std::uint64_t records() const noexcept { return records_; }
+
+ private:
+  std::uint64_t records_ = 0;
+};
+
+struct InterpreterRates {
+  std::uint64_t steps_per_trial = 0;
+  double scalar_steps_per_sec = 0.0;
+  double wave_steps_per_sec = 0.0;
+};
+
+/// The whole interpreter, validate() included, at the sweep_wave_stream
+/// trial shape: B(8), 8 processes x 512 tokens, c_max 3, streaming into
+/// a counting sink. simulate_stream (the scalar body) and
+/// simulate_wave_stream (the wave body) interpret the same pregenerated
+/// trials with one reused arena; workload generation is not timed.
+/// Alternating rounds, max of rates — same noise defense as
+/// measure_traversal. Absolute rates only: not gated by --check.
+InterpreterRates measure_interpreter(double min_seconds) {
+  constexpr int kRounds = 4;
+  constexpr std::uint64_t kTrials = 4;
+  const Network topo = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 8;
+  wl.tokens_per_process = 512;
+  wl.c_max = 3.0;
+  wl.local_delay_max = 2.0;  // the RunSpec default
+  std::vector<TimedExecution> trials;
+  for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
+    Xoshiro256 rng(seed);
+    trials.push_back(generate_workload(topo, wl, rng));
+  }
+  InterpreterRates r;
+  r.steps_per_trial = trials[0].plans.size() * (topo.depth() + 1);
+  SimArena arena;
+  CountingSink sink;
+  const double round_seconds = min_seconds / kRounds;
+  for (int round = 0; round < kRounds; ++round) {
+    r.scalar_steps_per_sec = std::max(
+        r.scalar_steps_per_sec,
+        cn::bench::measure_rate(kTrials * r.steps_per_trial, round_seconds,
+                                [&] {
+                                  for (const TimedExecution& exec : trials) {
+                                    benchmark::DoNotOptimize(
+                                        simulate_stream(exec, arena, sink));
+                                  }
+                                }));
+    r.wave_steps_per_sec = std::max(
+        r.wave_steps_per_sec,
+        cn::bench::measure_rate(kTrials * r.steps_per_trial, round_seconds,
+                                [&] {
+                                  for (const TimedExecution& exec : trials) {
+                                    benchmark::DoNotOptimize(
+                                        simulate_wave_stream(exec, arena,
+                                                             sink));
+                                  }
+                                }));
+  }
+  benchmark::DoNotOptimize(sink.records());
+  return r;
+}
+
+std::string json_interpreter(const InterpreterRates& r) {
+  std::ostringstream os;
+  os << std::setprecision(6);
+  os << "  \"interpreter_bitonic8\": {\n"
+     << "    \"steps_per_trial\": " << r.steps_per_trial << ",\n"
+     << "    \"scalar_stream\": {\n"
+     << "      \"steps_per_sec\": " << r.scalar_steps_per_sec << ",\n"
+     << "      \"ns_per_step\": " << 1e9 / r.scalar_steps_per_sec << "\n"
+     << "    },\n"
+     << "    \"wave_stream\": {\n"
+     << "      \"steps_per_sec\": " << r.wave_steps_per_sec << ",\n"
+     << "      \"ns_per_step\": " << 1e9 / r.wave_steps_per_sec << "\n"
+     << "    }\n"
+     << "  }";
+  return os.str();
+}
+
 std::string json_traversal(std::uint32_t width, const TraversalRates& r) {
   std::ostringstream os;
   os << std::setprecision(6);
@@ -998,6 +1086,7 @@ int json_main(const CliArgs& args) {
   const WaveRates w8 = measure_wave<8>(min_seconds);
   const WaveRates w32 = measure_wave<32>(min_seconds);
   const WaveRates w64 = measure_wave<64>(min_seconds);
+  const InterpreterRates interp = measure_interpreter(min_seconds);
   const TrialRates trials = measure_trials(min_seconds);
   const AnalyzerRates an = measure_analyzer(min_seconds);
   const StreamingSweepRates ss =
@@ -1024,6 +1113,7 @@ int json_main(const CliArgs& args) {
      << json_wave(8, w8, t8) << ",\n"
      << json_wave(32, w32, t32) << ",\n"
      << json_wave(64, w64, t64) << ",\n"
+     << json_interpreter(interp) << ",\n"
      << "  \"engine_bitonic8\": {\n"
      << "    \"trials_per_sec_fresh_context\": " << trials.fresh_per_sec
      << ",\n"
@@ -1080,6 +1170,11 @@ int json_main(const CliArgs& args) {
             << "wave B(64):      " << w64.steps_per_sec() / 1e6
             << "M steps/s (" << w64.tokens_per_sec / t64.fast_tokens_per_sec
             << "x vs compiled)\n"
+            << "interpreter B(8): scalar " << interp.scalar_steps_per_sec / 1e6
+            << "M steps/s (" << 1e9 / interp.scalar_steps_per_sec
+            << " ns/step), wave " << interp.wave_steps_per_sec / 1e6
+            << "M steps/s (" << 1e9 / interp.wave_steps_per_sec
+            << " ns/step), validate() included\n"
             << "engine B(8):     " << trials.fresh_per_sec / 1e3
             << "k trials/s fresh context, " << trials.arena_per_sec / 1e3
             << "k trials/s reused arena (" << trials.speedup() << "x)\n"

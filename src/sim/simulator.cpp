@@ -1,8 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/wave.hpp"
@@ -11,47 +13,9 @@ namespace cn {
 
 namespace {
 
-struct Event {
-  double time;
-  double rank;
-  TokenId token;
-  std::uint32_t hop;  ///< Which layer crossing this is (0-based).
-
-  bool operator>(const Event& o) const {
-    if (time != o.time) return time > o.time;
-    if (rank != o.rank) return rank > o.rank;
-    return token > o.token;
-  }
-};
-
-/// Min-heap comparator: std::push_heap/pop_heap build a max-heap with
-/// respect to the comparator, so "greater" puts the earliest (time, rank,
-/// token) event on top. The comparator is a total order over any set of
-/// pending events (at most one event per token is pending), so the pop
-/// sequence is unique regardless of heap internals.
-constexpr auto event_after = [](const Event& a, const Event& b) { return a > b; };
-
 constexpr TokenId kNoToken = std::numeric_limits<TokenId>::max();
 
-/// Wave mode pre-sorts the complete event list instead of heaping pending
-/// events; `hop` joins the sort key as the final tie-break so the sorted
-/// order equals the scalar heap's pop order (see simulate_wave's header
-/// comment).
-struct WaveEvent {
-  double time;
-  double rank;
-  TokenId token;
-  std::uint32_t hop;
-};
-
-constexpr auto wave_event_less = [](const WaveEvent& a, const WaveEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.rank != b.rank) return a.rank < b.rank;
-  if (a.token != b.token) return a.token < b.token;
-  return a.hop < b.hop;
-};
-
-/// Chunk of the canonical event order processed per wave round. Large
+/// Chunk of the canonical step order processed per wave round. Large
 /// enough to amortize the per-chunk bucket pass and sink batch, small
 /// enough that the chunk's cursors stay cache-resident.
 constexpr std::size_t kWaveChunk = 4096;
@@ -107,12 +71,247 @@ TokenRecord make_record(const TokenPlan& plan, Value v, std::uint32_t fan_out,
   return rec;
 }
 
+/// One step of the canonical order: token `token` (of `plan`) crosses
+/// its hop `hop`.
+struct StepRef {
+  const TokenPlan* plan;
+  TokenId token;
+  std::uint32_t hop;
+};
+
+/// Order-preserving image of a double in the unsigned integers, so the
+/// merge compares and selects plain integers. -0.0 maps onto +0.0, so
+/// integer order is the double order on every non-NaN value; a NaN lands
+/// beyond an infinity instead of comparing unordered.
+inline std::uint64_t ordered_bits(double x) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(x + 0.0);
+  return bits ^ ((0 - (bits >> 63)) | (std::uint64_t{1} << 63));
+}
+
+/// A step's position in the canonical (time, rank, token, hop) order,
+/// without the hop: steps of different tokens never tie on the rest, and
+/// a token's own steps are ordered by construction.
+struct StepKey {
+  std::uint64_t time;
+  std::uint64_t rank;
+  TokenId token;
+};
+
+inline bool operator<(const StepKey& a, const StepKey& b) noexcept {
+  return std::tie(a.time, a.rank, a.token) < std::tie(b.time, b.rank, b.token);
+}
+
+inline StepKey key_of(const TokenPlan& p, std::uint32_t hop) noexcept {
+  return {ordered_bits(p.times[hop]), ordered_bits(p.rank), p.token};
+}
+
+/// Sorts after every real step: real token ids are below kNoToken.
+constexpr StepKey kExhausted{~std::uint64_t{0}, ~std::uint64_t{0}, kNoToken};
+
+/// The canonical step order of a timed execution, produced as a merge of
+/// per-process streams. Both interpreter bodies consume it.
+///
+/// A process's stream is its tokens in entry-key (t_in, rank, token)
+/// order, each contributing hops 0..last (last = depth, or the drop hop
+/// min(doom, depth) under an overlay). Paper Section 2.2, rule 3 says a
+/// process never issues while its previous token is in flight, which is
+/// exactly the condition for the stream to be sorted: each token's last
+/// step sorts before the next token's entry. Merging sorted streams
+/// yields every step in global order, so reset()'s O(tokens) pass that
+/// builds the streams is also the step-order overlap check. A stream
+/// that fails it is cut: the earlier token keeps only its steps that
+/// sort before the offending entry, and the stream ends with that entry.
+/// The cut stream is still sorted, so the merge reaches the offending
+/// entry exactly where the global order has it, after the same prefix of
+/// steps, and the scalar body raises its overlap error there.
+class StepOrder {
+ public:
+  /// Builds the streams of `exec` (validated, ids bounded by
+  /// `max_process` and below kNoToken). False when a stream was cut.
+  template <class Overlay>
+  bool reset(const TimedExecution& exec, ProcessId max_process,
+             std::uint32_t depth, const Overlay& ov);
+
+  /// Steps left to produce (all of them right after reset()).
+  std::size_t remaining() const noexcept { return remaining_; }
+
+  /// Writes the next `n` steps in canonical order to `out`. Requires
+  /// n <= remaining().
+  void take(StepRef* out, std::size_t n) noexcept {
+    StepKey* const keys = keys_.data();
+    std::uint32_t* const tree = tree_.data();
+    Stream* const streams = streams_.data();
+    const std::size_t leaves = keys_.size();
+    std::uint32_t w = tree[0];
+    for (std::size_t i = 0; i < n; ++i) {
+      Stream& s = streams[w];
+      out[i] = s.head;
+      keys[w] = s.next;
+      // Replay the winner's root path. Only the new head's time is on
+      // the dependency chain from one step to the next: it comes
+      // precomputed from the stream, and each node compares times and
+      // selects with masks (heads of unrelated processes order like coin
+      // flips, which a branch would mispredict). The full key decides
+      // exact time ties only.
+      std::uint64_t wt = s.next.time;
+      const std::uint32_t leaf = w;
+      for (std::size_t node = (leaves + leaf) >> 1; node != 0; node >>= 1) {
+        const std::uint32_t l = tree[node];
+        const std::uint64_t lt = keys[l].time;
+        bool loser_wins = lt < wt;
+        if (lt == wt) [[unlikely]] loser_wins = keys[l] < keys[w];
+        const std::uint64_t mask = 0 - std::uint64_t{loser_wins};
+        const auto mask32 = static_cast<std::uint32_t>(mask);
+        tree[node] = l ^ ((l ^ w) & mask32);
+        w ^= (w ^ l) & mask32;
+        wt ^= (wt ^ lt) & mask;
+      }
+      advance(streams[leaf]);
+    }
+    tree[0] = w;
+    remaining_ -= n;
+  }
+
+  StepRef next() noexcept {
+    StepRef s;
+    take(&s, 1);
+    return s;
+  }
+
+ private:
+  struct Entry {
+    const TokenPlan* plan;
+    std::uint32_t last;  ///< Last hop this token contributes.
+  };
+  /// A stream's head step, plus a lookahead: the key and position of
+  /// the step after it, so a head that wins is replaced without a load
+  /// from the plans on the merge's critical path.
+  struct Stream {
+    StepRef head;
+    StepKey next;        ///< kExhausted past the stream's end.
+    const Entry* entry;  ///< Token of `next`.
+    const Entry* end;
+    std::uint32_t hop;   ///< Hop of `next`.
+  };
+
+  /// Moves the stream's head to its lookahead and looks one step further.
+  static void advance(Stream& s) noexcept {
+    if (s.entry == s.end) {
+      s.next = kExhausted;
+      return;
+    }
+    const TokenPlan& plan = *s.entry->plan;
+    s.head = {&plan, plan.token, s.hop};
+    if (s.hop != s.entry->last) {
+      s.next.time = ordered_bits(plan.times[++s.hop]);
+    } else if (++s.entry != s.end) {
+      s.hop = 0;
+      s.next = key_of(*s.entry->plan, 0);
+    } else {
+      s.next = kExhausted;
+    }
+  }
+
+  /// Loser tree over the stream heads: tree_[0] holds the winner (the
+  /// minimum head), tree_[n] the loser of internal node n, and leaf i
+  /// sits at position keys_.size() + i. Fills the internal nodes under
+  /// `n` and returns the subtree's winner.
+  std::uint32_t build(std::size_t n) noexcept {
+    if (n >= keys_.size()) return static_cast<std::uint32_t>(n - keys_.size());
+    const std::uint32_t a = build(2 * n);
+    const std::uint32_t b = build(2 * n + 1);
+    const bool b_wins = keys_[b] < keys_[a];
+    tree_[n] = b_wins ? a : b;
+    return b_wins ? b : a;
+  }
+
+  std::vector<std::uint32_t> start_;  ///< Per-process entry offsets.
+  std::vector<Entry> entries_;        ///< Issued plans, by process.
+  std::vector<Stream> streams_;       ///< One per process with a token.
+  std::vector<StepKey> keys_;         ///< Head key per leaf (padded).
+  std::vector<std::uint32_t> tree_;
+  std::size_t remaining_ = 0;
+};
+
+template <class Overlay>
+bool StepOrder::reset(const TimedExecution& exec, ProcessId max_process,
+                      std::uint32_t depth, const Overlay& ov) {
+  // Counting sort of the issued plans by process, stable in plan order.
+  // Counting p at p + 2 (the last process needs no count) leaves
+  // start_[p + 1] at p's first slot after the prefix sum; the scatter
+  // advances it to p's end, so afterwards start_[p] and start_[p + 1]
+  // bound process p.
+  start_.assign(std::size_t{max_process} + 2, 0);
+  std::size_t issued = 0;
+  for (const TokenPlan& p : exec.plans) {
+    if constexpr (Overlay::kFaulted) {
+      if (ov.doom(p.token) == 0) continue;  // never issued
+    }
+    if (p.process != max_process) ++start_[p.process + 2];
+    ++issued;
+  }
+  for (std::size_t i = 2; i < start_.size(); ++i) start_[i] += start_[i - 1];
+  entries_.resize(issued);
+  for (const TokenPlan& p : exec.plans) {
+    std::uint32_t last = depth;
+    if constexpr (Overlay::kFaulted) {
+      const std::uint32_t doom = ov.doom(p.token);
+      if (doom == 0) continue;
+      last = std::min(doom, depth);
+    }
+    entries_[start_[p.process + 1]++] = {&p, last};
+  }
+
+  bool whole = true;
+  streams_.clear();
+  remaining_ = 0;
+  const auto entry_less = [](const Entry& a, const Entry& b) {
+    return key_of(*a.plan, 0) < key_of(*b.plan, 0);
+  };
+  for (ProcessId proc = 0; proc <= max_process; ++proc) {
+    Entry* const begin = entries_.data() + start_[proc];
+    Entry* end = entries_.data() + start_[proc + 1];
+    if (begin == end) continue;
+    if (!std::is_sorted(begin, end, entry_less)) {
+      std::sort(begin, end, entry_less);
+    }
+    for (Entry* a = begin; a + 1 != end; ++a) {
+      const StepKey next_entry = key_of(*a[1].plan, 0);
+      if (key_of(*a->plan, a->last) < next_entry) continue;
+      // Step-order overlap: a[1] enters while a is in flight. Cut the
+      // stream at that entry (a's hop 0 always sorts before it).
+      std::uint32_t keep = 0;
+      while (key_of(*a->plan, keep + 1) < next_entry) ++keep;
+      a->last = keep;
+      a[1].last = 0;
+      end = a + 2;
+      whole = false;
+      break;
+    }
+    for (const Entry* e = begin; e != end; ++e) remaining_ += e->last + 1;
+    streams_.push_back({.next = key_of(*begin->plan, 0),
+                        .entry = begin,
+                        .end = end,
+                        .hop = 0});
+  }
+
+  const std::size_t leaves = std::bit_ceil(std::max<std::size_t>(
+      streams_.size(), 1));
+  keys_.assign(leaves, kExhausted);
+  tree_.assign(leaves, 0);
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    keys_[i] = streams_[i].next;
+    advance(streams_[i]);
+  }
+  tree_[0] = build(1);
+  return whole;
+}
+
 }  // namespace
 
 /// Per-call buffers, kept allocated across calls.
 struct SimArena::Scratch {
-  std::vector<Event> heap;
-  std::vector<const TokenPlan*> plan_of;
+  StepOrder steps;  ///< The canonical step order, both bodies.
   std::vector<TokenRecord> records;
   std::vector<TokenId> in_flight_of_process;
   /// Streaming mode: first_seq and issue slot of each process's
@@ -123,10 +322,10 @@ struct SimArena::Scratch {
   IssueWindowBuffer window;  ///< Ring reused across calls.
   std::vector<WireIndex> wire_of;  ///< Current wire per token.
   // --- wave mode ---------------------------------------------------------
-  std::vector<WaveEvent> events;            ///< All steps, canonical order.
+  std::vector<StepRef> chunk;               ///< One round's steps.
   std::vector<std::uint32_t> bucket_start;  ///< Per-level chunk offsets.
   std::vector<std::uint32_t> bucket_pos;    ///< Scatter cursor per level.
-  std::vector<std::uint32_t> order;         ///< Chunk indices by level.
+  std::vector<std::uint32_t> by_level;      ///< Chunk indices by level.
   /// Wave streaming keeps first_seq and issue slot per TOKEN, not per
   /// process: inside one chunk a process's next issue is processed
   /// (level 0) before its previous token's completion or drop (level
@@ -142,7 +341,7 @@ struct SimArena::Scratch {
   /// express.
   std::vector<PortIndex> balancer_pos;
   std::vector<Value> counter_next;          ///< Next value per sink.
-  std::vector<std::uint64_t> seq_of;        ///< Wave: seq per chunk event.
+  std::vector<std::uint64_t> seq_of;        ///< Wave: seq per chunk step.
 
   void reset_overlay(const CompiledNetwork& cnet) {
     balancer_pos.assign(cnet.num_balancers(), 0);
@@ -257,7 +456,6 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   ProcessId max_process = 0;
   if (!id_bounds(exec, max_token, max_process, result.error)) return result;
 
-  scr.plan_of.assign(max_token + 1, nullptr);
   // Streaming runs emit records as tokens exit; only the collect path
   // materializes the O(tokens) records array. Completions happen in seq
   // order, but the sink contract is issue order, so they pass through a
@@ -278,30 +476,20 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   // Paper Section 2.2, rule 3: all steps of a process's token must
   // precede all steps of its next token IN THE STEP SEQUENCE. Equal times
   // with adverse ranks could interleave them, so track in-flight tokens
-  // per process and reject such schedules.
+  // per process and reject such schedules. (The step order ends right at
+  // the first such entry; see StepOrder.)
   scr.in_flight_of_process.assign(max_process + 1, kNoToken);
-  scr.heap.clear();
-  scr.heap.reserve(exec.plans.size());
-  for (const TokenPlan& p : exec.plans) {
-    scr.plan_of[p.token] = &p;
-    if constexpr (Overlay::kFaulted) {
-      if (ov.doom(p.token) == 0) continue;  // never issued
-    }
-    scr.heap.push_back({p.times[0], p.rank, p.token, 0});
-  }
-  std::make_heap(scr.heap.begin(), scr.heap.end(), event_after);
+  scr.steps.reset(exec, max_process, net.depth(), ov);
 
   std::uint64_t seq = 0;
-  while (!scr.heap.empty()) {
-    std::pop_heap(scr.heap.begin(), scr.heap.end(), event_after);
-    const Event ev = scr.heap.back();
-    scr.heap.pop_back();
-    const TokenPlan& plan = *scr.plan_of[ev.token];
+  while (scr.steps.remaining() != 0) {
+    const StepRef ev = scr.steps.next();
+    const TokenPlan& plan = *ev.plan;
     if constexpr (Overlay::kFaulted) {
       // The token vanishes at the planned time of its first unexecuted
       // hop: no transition, no seq; its process becomes free to issue
-      // again. (hop > 0 always: never-issued tokens were never pushed, so
-      // a vanishing token has an open issue slot to drop.)
+      // again. (hop > 0 always: never-issued tokens have no steps, so a
+      // vanishing token has an open issue slot to drop.)
       if (ev.hop == ov.doom(ev.token)) {
         scr.in_flight_of_process[plan.process] = kNoToken;
         if (sink != nullptr) scr.window.drop(scr.pos_of_process[plan.process]);
@@ -357,16 +545,11 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
                                      scr.first_seq_of_process[plan.process],
                                      seq - 1));
       }
-    } else {
-      if (ev.hop + 1 >= plan.times.size()) {
-        result.error = "token " + std::to_string(plan.token) +
-                       " still in flight after its last planned step; "
-                       "network is not uniform";
-        return result;
-      }
-      scr.heap.push_back({plan.times[ev.hop + 1], plan.rank, plan.token,
-                          ev.hop + 1});
-      std::push_heap(scr.heap.begin(), scr.heap.end(), event_after);
+    } else if (ev.hop + 1 >= plan.times.size()) {
+      result.error = "token " + std::to_string(plan.token) +
+                     " still in flight after its last planned step; "
+                     "network is not uniform";
+      return result;
     }
   }
 
@@ -398,52 +581,12 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   ProcessId max_process = 0;
   if (!id_bounds(exec, max_token, max_process, result.error)) return result;
 
-  // The canonical event order: one global sort replaces the heap. The
-  // scalar pop order is exactly this order — at every pop the heap holds
-  // each unfinished token's earliest unprocessed event, and a successor
-  // event never sorts before its predecessor (times are non-decreasing
-  // per plan; `hop` breaks the equal-time case), so the minimum over
-  // pending events is the minimum over all unprocessed events. An
-  // overlay is folded in here: never-issued tokens contribute nothing,
-  // and a doomed token's events stop at its drop hop.
-  scr.plan_of.assign(max_token + 1, nullptr);
-  scr.events.clear();
-  scr.events.reserve(exec.plans.size() * (d + 1));
-  for (const TokenPlan& p : exec.plans) {
-    scr.plan_of[p.token] = &p;
-    std::uint32_t last = d;
-    if constexpr (Overlay::kFaulted) {
-      const std::uint32_t doom = ov.doom(p.token);
-      if (doom == 0) continue;  // never issued
-      last = std::min(doom, d);
-    }
-    for (std::uint32_t h = 0; h <= last; ++h) {
-      scr.events.push_back({p.times[h], p.rank, p.token, h});
-    }
-  }
-  std::sort(scr.events.begin(), scr.events.end(), wave_event_less);
-
-  // Paper Section 2.2, rule 3 (step-order overlap): decided up front over
-  // the canonical order — the same slot transitions in the same order the
-  // scalar loop performs them. A rejected schedule falls back to the
-  // scalar interpreter so the error text and any partial sink emission
-  // match exactly.
-  scr.in_flight_of_process.assign(max_process + 1, kNoToken);
-  for (const WaveEvent& e : scr.events) {
-    TokenId& slot = scr.in_flight_of_process[scr.plan_of[e.token]->process];
-    if constexpr (Overlay::kFaulted) {
-      if (e.hop == ov.doom(e.token)) {
-        slot = kNoToken;
-        continue;
-      }
-    }
-    if (e.hop == 0) {
-      if (slot != kNoToken) {
-        return scalar(exec, arena, ov, /*record_steps=*/false, sink);
-      }
-      slot = e.token;
-    }
-    if (e.hop == d) slot = kNoToken;
+  // The canonical step order, the same one the scalar body consumes. A
+  // cut stream means a step-order overlap (paper Section 2.2, rule 3):
+  // the scalar body raises it, after the identical partial sink
+  // emission, so hand the run to it.
+  if (!scr.steps.reset(exec, max_process, d, ov)) {
+    return scalar(exec, arena, ov, /*record_steps=*/false, sink);
   }
 
   if (sink == nullptr) {
@@ -461,41 +604,42 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   if constexpr (Overlay::kFaulted) scr.reset_overlay(cnet);
   scr.bucket_start.assign(d + 2, 0);
   scr.bucket_pos.assign(d + 1, 0);
+  scr.chunk.resize(kWaveChunk);
 
-  // Entry and exit bookkeeping. Hop-0 events are visited in sorted-index
-  // order within each chunk's level-0 slice, so opens arrive in first_seq
-  // order.
-  const auto enter = [&](TokenId t, std::uint64_t seq) {
-    const std::uint32_t source = scr.plan_of[t]->source;
-    scr.wire_of[t] = cnet.source_wire(source);
-    ++cstate.source_count[source];
+  // Entry and exit bookkeeping. Hop-0 steps are visited in canonical
+  // order within each chunk's level-0 slice, so opens arrive in
+  // first_seq order.
+  const auto enter = [&](const StepRef& s, std::uint64_t seq) {
+    scr.wire_of[s.token] = cnet.source_wire(s.plan->source);
+    ++cstate.source_count[s.plan->source];
     if (sink == nullptr) {
-      scr.records[t].first_seq = seq;
+      scr.records[s.token].first_seq = seq;
     } else {
-      scr.first_seq_of_token[t] = seq;
-      scr.pos_of_token[t] = scr.window.open();
+      scr.first_seq_of_token[s.token] = seq;
+      scr.pos_of_token[s.token] = scr.window.open();
     }
   };
-  const auto leave = [&](TokenId t, Value v, std::uint64_t seq) {
-    const TokenPlan& plan = *scr.plan_of[t];
+  const auto leave = [&](const StepRef& s, Value v, std::uint64_t seq) {
     if (sink == nullptr) {
-      scr.records[t] =
-          make_record(plan, v, fan_out, scr.records[t].first_seq, seq);
+      scr.records[s.token] = make_record(*s.plan, v, fan_out,
+                                         scr.records[s.token].first_seq, seq);
     } else {
-      scr.window.close(scr.pos_of_token[t],
-                       make_record(plan, v, fan_out,
-                                   scr.first_seq_of_token[t], seq));
+      scr.window.close(scr.pos_of_token[s.token],
+                       make_record(*s.plan, v, fan_out,
+                                   scr.first_seq_of_token[s.token], seq));
     }
   };
 
+  std::uint64_t base = 0;    // Canonical index of the chunk's first step.
   std::uint64_t next_seq = 0;
-  for (std::size_t base = 0; base < scr.events.size(); base += kWaveChunk) {
-    const std::size_t n = std::min(kWaveChunk, scr.events.size() - base);
-    const WaveEvent* chunk = scr.events.data() + base;
+  while (scr.steps.remaining() != 0) {
+    const std::size_t n = std::min(kWaveChunk, scr.steps.remaining());
+    StepRef* const chunk = scr.chunk.data();
+    scr.steps.take(chunk, n);
 
-    // The seq of a pristine event is its global sorted index. Overlay
-    // seqs are drawn in sorted order before bucketing, skipping drop
-    // events exactly like the scalar loop's skipped increment.
+    // The seq of a pristine step is its canonical index. Overlay seqs
+    // are drawn in canonical order before bucketing, skipping drop steps
+    // exactly like the scalar loop's skipped increment.
     if constexpr (Overlay::kFaulted) {
       scr.seq_of.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -515,40 +659,39 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
     }
     std::copy(scr.bucket_start.begin(), scr.bucket_start.end() - 1,
               scr.bucket_pos.begin());
-    scr.order.resize(n);
+    scr.by_level.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      scr.order[scr.bucket_pos[chunk[i].hop]++] =
+      scr.by_level[scr.bucket_pos[chunk[i].hop]++] =
           static_cast<std::uint32_t>(i);
     }
 
     for (std::uint32_t lvl = 0; lvl <= d; ++lvl) {
       const std::span<const std::uint32_t> slice(
-          scr.order.data() + scr.bucket_start[lvl],
+          scr.by_level.data() + scr.bucket_start[lvl],
           scr.bucket_start[lvl + 1] - scr.bucket_start[lvl]);
       if (slice.empty()) continue;
 
       if constexpr (Overlay::kFaulted) {
-        // Event by event through the overlay step. A drop resolves its
+        // Step by step through the overlay step. A drop resolves its
         // issue slot; emission eligibility is reconciled at the chunk's
         // deferred drain, so call order against other levels is
         // immaterial.
         for (const std::uint32_t idx : slice) {
-          const TokenId t = chunk[idx].token;
-          if (lvl == ov.doom(t)) {
-            if (sink != nullptr) scr.window.drop(scr.pos_of_token[t]);
+          const StepRef& s = chunk[idx];
+          if (lvl == ov.doom(s.token)) {
+            if (sink != nullptr) scr.window.drop(scr.pos_of_token[s.token]);
             continue;
           }
-          if (lvl == 0) enter(t, scr.seq_of[idx]);
+          if (lvl == 0) enter(s, scr.seq_of[idx]);
           Value v = 0;
-          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[t], v)) {
-            leave(t, v, scr.seq_of[idx]);
+          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[s.token],
+                               v)) {
+            leave(s, v, scr.seq_of[idx]);
           }
         }
       } else {
         if (lvl == 0) {
-          for (const std::uint32_t idx : slice) {
-            enter(chunk[idx].token, base + idx);
-          }
+          for (const std::uint32_t idx : slice) enter(chunk[idx], base + idx);
         }
         scr.cursors.clear();
         for (const std::uint32_t idx : slice) {
@@ -564,12 +707,13 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
           step_wave_counters(cnet, cstate, scr.cursors, scr.values);
           for (std::size_t k = 0; k < scr.cursors.size(); ++k) {
             const std::uint32_t idx = scr.cursors[k].tag;
-            leave(chunk[idx].token, scr.values[k], base + idx);
+            leave(chunk[idx], scr.values[k], base + idx);
           }
         }
       }
     }
     if (sink != nullptr) scr.window.drain();
+    base += n;
   }
 
   finish(exec, scr, ov, sink, result);

@@ -7,11 +7,14 @@
 //
 // The hot path is non-recording: tokens advance through the compiled
 // routing tables (NetworkState::step_fast) without materializing Step
-// records, in-flight tokens are tracked in a per-process vector instead
-// of a std::map, and the event queue is a reserved binary heap. Callers
-// that want the full step log use simulate_recorded(). Repeated
-// simulations of the same network should share a SimArena: it caches the
-// compiled tables and reuses every per-trial buffer.
+// records, and in-flight tokens are tracked in a per-process vector
+// instead of a std::map. The (time, rank, token, hop) step order comes
+// from a merge of per-process step streams: a process's tokens never
+// overlap in the step sequence (Section 2.2, rule 3), so each stream is
+// already sorted, and the merge holds one pending step per process, not
+// per token. Callers that want the full step log use simulate_recorded().
+// Repeated simulations of the same network should share a SimArena: it
+// caches the compiled tables and reuses every per-trial buffer.
 //
 // Fault overlays. The overloads taking a SimFaults interpret the SAME
 // execution under an overlay that edits its step sequence, deliberately
@@ -24,9 +27,9 @@
 //     token leaves through the frozen port;
 //   * a crashed process's later tokens are never issued.
 //
-// There is one interpreter body per execution model (scalar event heap,
-// level-synchronous waves), each a template on a compile-time overlay
-// policy: the pristine instantiation keeps the compiled kernels and
+// There is one interpreter body per execution model (scalar step by
+// step, level-synchronous waves), both fed by the same producer of the
+// step order, and each a template on a compile-time overlay policy: the pristine instantiation keeps the compiled kernels and
 // contains no overlay check at all; the faulted one steps every token
 // through one shared helper over the compiled routes with explicit
 // per-balancer positions. With an empty overlay the faulted overloads
@@ -91,8 +94,8 @@ struct SimulationResult {
 };
 
 /// Reusable simulation arena: the compiled routing tables plus every
-/// buffer simulate() needs per call (network state, event heap, token
-/// records, per-process in-flight slots). Keep one per worker thread and
+/// buffer simulate() needs per call (network state, per-process step
+/// streams, token records, per-process in-flight slots). Keep one per worker thread and
 /// pass it to simulate() so back-to-back trials on the same network stop
 /// reallocating.
 ///
@@ -157,22 +160,23 @@ SimulationResult simulate_stream(const TimedExecution& exec, SimArena& arena,
                                  TraceSink& sink);
 
 /// Level-synchronous wave interpreter: byte-identical results to
-/// simulate(exec, arena), computed wave-by-wave instead of event-by-event.
+/// simulate(exec, arena), computed wave-by-wave instead of step-by-step.
 ///
 /// Every step of a timed execution is known up front (the plans fix all
-/// crossing times), and the scalar event heap pops in exactly the total
-/// order (time, rank, token, hop) — a pending successor event never
-/// precedes its predecessor under that key. So the wave interpreter sorts
-/// all N*(d+1) events once, takes fixed-size chunks of the sorted order,
+/// crossing times), and both interpreters consume one producer of the
+/// total order (time, rank, token, hop): a merge of per-process streams,
+/// each sorted because a process's tokens never overlap in the step
+/// sequence. The wave interpreter takes fixed-size chunks of that order,
 /// buckets each chunk by hop (= level, for a uniform network), and runs
 /// each level as one wave through the core wave kernels
 /// (core/wave.hpp). Per-balancer arrival order is preserved because a
 /// balancer lives at exactly one level and bucketing is stable; sequence
-/// numbers are the sorted positions, which is exactly the scalar seq
+/// numbers are positions in the order, which is exactly the scalar seq
 /// assignment. Executions the wave path cannot take — structurally
-/// non-uniform networks, schedules that fail the per-process overlap
-/// check — fall back to the scalar interpreter wholesale, reproducing its
-/// errors (and any partial sink emission) exactly.
+/// non-uniform networks, schedules with a step-order overlap (the merge
+/// finds them while building its streams, in O(tokens)) — fall back to
+/// the scalar interpreter wholesale, reproducing its errors (and any
+/// partial sink emission) exactly.
 SimulationResult simulate_wave(const TimedExecution& exec, SimArena& arena);
 
 /// Streaming twin of simulate_wave: same record sequence as
@@ -184,7 +188,7 @@ SimulationResult simulate_wave_stream(const TimedExecution& exec,
                                       SimArena& arena, TraceSink& sink);
 
 /// The four entry points above under the fault overlay `faults`: same
-/// event order, same record fields and the same streaming protocol. A
+/// step order, same record fields and the same streaming protocol. A
 /// lost token's drop happens at the planned time of its first unexecuted
 /// hop, draws no sequence number, and resolves its issue slot so it
 /// holds back no later-issued record. Each wave overload is byte-identical

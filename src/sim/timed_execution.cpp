@@ -1,15 +1,49 @@
 #include "sim/timed_execution.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
-#include <unordered_set>
+#include <tuple>
 
 namespace cn {
+
+namespace {
+
+/// Open-addressing set of token ids, sized to at least twice the plan
+/// count so linear probes stay short. Slot value 0 is empty; token t is
+/// stored as t + 1.
+class TokenIdSet {
+ public:
+  explicit TokenIdSet(std::size_t n)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * n, 2)), 0),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// Inserts `t`; false when it was already present.
+  bool insert(TokenId t) {
+    const std::uint64_t stored = std::uint64_t{t} + 1;
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of the golden-ratio product.
+    std::size_t i = (stored * 0x9E3779B97F4A7C15ull) >> shift_;
+    for (;; i = (i + 1) & mask) {
+      if (slots_[i] == stored) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = stored;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> slots_;
+  int shift_;
+};
+
+}  // namespace
 
 std::string validate(const TimedExecution& exec) {
   if (exec.net == nullptr) return "no network";
   const std::size_t want = exec.net->depth() + 1;
-  std::unordered_set<TokenId> seen;
+  TokenIdSet seen(exec.plans.size());
   for (const TokenPlan& p : exec.plans) {
     if (p.times.size() != want) {
       return "token " + std::to_string(p.token) + ": plan has " +
@@ -24,17 +58,23 @@ std::string validate(const TimedExecution& exec) {
     if (p.source >= exec.net->fan_in()) {
       return "token " + std::to_string(p.token) + ": bad source wire";
     }
-    if (!seen.insert(p.token).second) {
+    if (!seen.insert(p.token)) {
       return "duplicate token id " + std::to_string(p.token);
     }
   }
-  // Per-process tokens must be totally ordered in time (no overlap).
+  // Per-process tokens must be totally ordered in time (no overlap). The
+  // key is total (token ids are unique by now), so the verdict does not
+  // depend on the order of exec.plans, and an already-sorted plan list
+  // (generate_workload's output) skips the sort exactly.
   std::vector<const TokenPlan*> by_proc(exec.plans.size());
   for (std::size_t i = 0; i < exec.plans.size(); ++i) by_proc[i] = &exec.plans[i];
-  std::sort(by_proc.begin(), by_proc.end(), [](const TokenPlan* a, const TokenPlan* b) {
-    if (a->process != b->process) return a->process < b->process;
-    return a->t_in() < b->t_in();
-  });
+  const auto key_less = [](const TokenPlan* a, const TokenPlan* b) {
+    return std::make_tuple(a->process, a->t_in(), a->t_out(), a->token) <
+           std::make_tuple(b->process, b->t_in(), b->t_out(), b->token);
+  };
+  if (!std::is_sorted(by_proc.begin(), by_proc.end(), key_less)) {
+    std::sort(by_proc.begin(), by_proc.end(), key_less);
+  }
   for (std::size_t i = 1; i < by_proc.size(); ++i) {
     const TokenPlan* prev = by_proc[i - 1];
     const TokenPlan* cur = by_proc[i];

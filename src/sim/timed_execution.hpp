@@ -42,6 +42,15 @@ struct TimedExecution {
 /// token ids unique, sources in range, and tokens of the same process do
 /// not overlap in time (paper Section 2.2, rule 3). Returns a description
 /// of the first problem, or an empty string when valid.
+///
+/// The per-plan checks run in plan order, so the first bad plan (or the
+/// first repeated token id) is the one reported. The overlap check walks
+/// each process's tokens in (t_in, t_out, token) order, which is total:
+/// its verdict does not depend on the order of exec.plans. Back-to-back
+/// tokens (t_in equal to the previous t_out) pass here, including
+/// zero-duration tokens sharing an instant with their neighbor; whether
+/// their steps interleave is decided by rank at run time, by the
+/// simulator's step-order overlap check.
 std::string validate(const TimedExecution& exec);
 
 /// Convenience: builds a plan with constant wire delay `delay` starting at

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/constructions.hpp"
@@ -58,6 +62,59 @@ TEST(TimedExecution, BackToBackSameProcessTokensAreLegal) {
   exec.plans.push_back(make_uniform_plan(0, 7, 0, net.depth(), 0.0, 1.0));
   exec.plans.push_back(make_uniform_plan(1, 7, 0, net.depth(), 3.0, 1.0));
   EXPECT_EQ(validate(exec), "");
+}
+
+// Two tokens of process 0 share t_in = 0: token 0 has zero duration,
+// token 1 crosses at 0, 1, 2, 3. The overlap verdict must not depend on
+// which plan comes first; the rank order at run time decides the pair.
+TEST(TimedExecution, ValidateVerdictIgnoresPlanOrder) {
+  const Network net = make_bitonic(4);
+  const TokenPlan zero = make_uniform_plan(0, 0, 0, net.depth(), 0.0, 0.0,
+                                           /*rank=*/0.0);
+  const TokenPlan crossing = make_uniform_plan(1, 0, 1, net.depth(), 0.0,
+                                               1.0, /*rank=*/1.0);
+  for (const bool swapped : {false, true}) {
+    TimedExecution exec;
+    exec.net = &net;
+    exec.plans = swapped ? std::vector<TokenPlan>{crossing, zero}
+                         : std::vector<TokenPlan>{zero, crossing};
+    EXPECT_EQ(validate(exec), "") << "swapped " << swapped;
+    const SimulationResult res = simulate(exec);
+    ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_EQ(res.trace.size(), 2u);
+  }
+
+  // Tie-heavy schedules, valid or not: every permutation of the plans
+  // gets the same verdict, word for word.
+  Xoshiro256 rng(0x5EED);
+  int valid = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    TimedExecution exec;
+    exec.net = &net;
+    for (TokenId t = 0; t < 12; ++t) {
+      TokenPlan p;
+      p.token = t;
+      p.process = static_cast<ProcessId>(rng.below(3));
+      p.rank = static_cast<double>(rng.below(3));
+      double time = static_cast<double>(rng.below(6));
+      for (std::uint32_t h = 0; h <= net.depth(); ++h) {
+        p.times.push_back(time);
+        time += static_cast<double>(rng.below(2));
+      }
+      exec.plans.push_back(std::move(p));
+    }
+    const std::string verdict = validate(exec);
+    if (verdict.empty()) ++valid;
+    for (int shuffle = 0; shuffle < 4; ++shuffle) {
+      for (std::size_t i = exec.plans.size(); i > 1; --i) {
+        std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+      }
+      ASSERT_EQ(validate(exec), verdict) << "trial " << trial;
+    }
+  }
+  // Both verdicts occur.
+  EXPECT_GT(valid, 0);
+  EXPECT_LT(valid, 200);
 }
 
 TEST(Simulator, SequentialTokensGetIncreasingValues) {
@@ -144,11 +201,15 @@ TEST(Simulator, RecordsSinkAndSource) {
 
 namespace {
 
-/// Naive reference executor: materialize every (time, rank, token, hop)
-/// event upfront, sort, and replay on the sequential engine. The
-/// production simulator uses a priority queue and inserts hops lazily —
-/// differential testing shows they implement the same semantics.
-std::vector<Value> reference_execute(const TimedExecution& exec) {
+/// Naive reference executor: materializes every (time, rank, token, hop)
+/// event up front, sorts them globally, and replays them on the
+/// sequential engine. The production simulator merges per-process step
+/// streams instead; differential testing shows both produce the same
+/// step sequence. Returns the step log, or nothing when a process issues
+/// a token while its previous one is still in flight (a step-order
+/// overlap).
+std::optional<std::vector<Step>> reference_execute(
+    const TimedExecution& exec) {
   struct Ev {
     double time;
     double rank;
@@ -156,7 +217,9 @@ std::vector<Value> reference_execute(const TimedExecution& exec) {
     std::uint32_t hop;
   };
   std::vector<Ev> events;
+  std::map<TokenId, const TokenPlan*> plan_of;
   for (const TokenPlan& p : exec.plans) {
+    plan_of[p.token] = &p;
     for (std::uint32_t h = 0; h < p.times.size(); ++h) {
       events.push_back({p.times[h], p.rank, p.token, h});
     }
@@ -168,23 +231,69 @@ std::vector<Value> reference_execute(const TimedExecution& exec) {
     return a.hop < b.hop;
   });
   NetworkState state(*exec.net);
-  std::vector<Value> values;
-  TokenId max_token = 0;
-  for (const TokenPlan& p : exec.plans) max_token = std::max(max_token, p.token);
-  values.assign(max_token + 1, 0);
+  std::set<ProcessId> busy;
+  std::vector<Step> log;
   for (const Ev& ev : events) {
+    const TokenPlan& p = *plan_of.at(ev.token);
     if (ev.hop == 0) {
-      for (const TokenPlan& p : exec.plans) {
-        if (p.token == ev.token) {
-          state.enter(p.token, p.process, p.source);
-          break;
-        }
-      }
+      if (!busy.insert(p.process).second) return std::nullopt;
+      state.enter(p.token, p.process, p.source);
     }
-    const Step st = state.step(ev.token);
-    if (st.kind == Step::Kind::kCounter) values[ev.token] = st.value;
+    log.push_back(state.step(ev.token));
+    if (log.back().kind == Step::Kind::kCounter) busy.erase(p.process);
   }
-  return values;
+  return log;
+}
+
+/// Integer schedule on which equal times are the rule: per process a
+/// chain of tokens, each entering 0 or 1 after its predecessor's exit,
+/// with hop delays in {0, 1, 2} (all 0 for a zero-duration token). Valid
+/// by construction. Ranks are random in {0, ..., 3}, so adverse ranks at
+/// shared instants make step-order overlaps common, unless
+/// `ordered_ranks`: then a process's k-th token has rank k, which keeps
+/// its tokens' steps apart while ranks still tie across processes.
+TimedExecution tie_heavy_schedule(const Network& net, Xoshiro256& rng,
+                                  std::uint32_t processes,
+                                  std::uint32_t per_process,
+                                  bool zero_durations, bool ordered_ranks) {
+  TimedExecution exec;
+  exec.net = &net;
+  TokenId next = 0;
+  for (ProcessId p = 0; p < processes; ++p) {
+    double t = static_cast<double>(rng.below(4));
+    for (std::uint32_t k = 0; k < per_process; ++k) {
+      TokenPlan plan;
+      plan.token = next++;
+      plan.process = p;
+      plan.source = static_cast<std::uint32_t>(rng.below(net.fan_in()));
+      plan.rank = static_cast<double>(ordered_ranks ? k : rng.below(4));
+      const bool zero = zero_durations && rng.below(3) == 0;
+      plan.times.push_back(t);
+      for (std::uint32_t h = 1; h <= net.depth(); ++h) {
+        plan.times.push_back(plan.times.back() +
+                             (zero ? 0.0 : static_cast<double>(rng.below(3))));
+      }
+      t = plan.times.back() + static_cast<double>(rng.below(2));
+      exec.plans.push_back(std::move(plan));
+    }
+  }
+  return exec;
+}
+
+/// simulate_recorded's step log equals the reference's; a schedule the
+/// reference rejects for step-order overlap fails the same way.
+void expect_reference_steps(const TimedExecution& exec,
+                            const std::string& what) {
+  ASSERT_EQ(validate(exec), "") << what;
+  const SimulationResult sim = simulate_recorded(exec);
+  const std::optional<std::vector<Step>> ref = reference_execute(exec);
+  if (!ref.has_value()) {
+    EXPECT_NE(sim.error.find("step-order overlap"), std::string::npos)
+        << what << ": " << sim.error;
+    return;
+  }
+  ASSERT_TRUE(sim.ok()) << what << ": " << sim.error;
+  EXPECT_EQ(sim.steps, *ref) << what;
 }
 
 }  // namespace
@@ -203,12 +312,40 @@ TEST(Simulator, DifferentialAgainstNaiveReference) {
         const TimedExecution exec = generate_workload(net, spec, rng);
         const SimulationResult sim = simulate(exec);
         ASSERT_TRUE(sim.ok()) << sim.error;
-        const std::vector<Value> ref = reference_execute(exec);
+        const std::optional<std::vector<Step>> ref = reference_execute(exec);
+        ASSERT_TRUE(ref.has_value());
+        std::map<TokenId, Value> ref_value;
+        for (const Step& st : *ref) {
+          if (st.kind == Step::Kind::kCounter) ref_value[st.token] = st.value;
+        }
         for (const TokenRecord& r : sim.trace) {
-          ASSERT_EQ(r.value, ref[r.token])
+          ASSERT_EQ(r.value, ref_value.at(r.token))
               << net.name() << " trial " << trial << " token " << r.token;
         }
+        expect_reference_steps(exec, net.name() + " random " +
+                                         std::to_string(trial));
       }
+      // Equal times everywhere, with and without zero-duration tokens,
+      // and the same schedules with their plans shuffled: the step log
+      // must follow the global sort, or fail where it overlaps.
+      std::size_t overlaps = 0;
+      for (int trial = 0; trial < 40; ++trial) {
+        const bool zero = trial % 2 == 1;
+        TimedExecution exec =
+            tie_heavy_schedule(net, rng, 5, 6, zero, trial % 4 >= 2);
+        const std::string what = net.name() +
+                                 (zero ? " zero-duration " : " ties ") +
+                                 std::to_string(trial);
+        expect_reference_steps(exec, what);
+        if (!reference_execute(exec).has_value()) ++overlaps;
+        for (std::size_t i = exec.plans.size(); i > 1; --i) {
+          std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+        }
+        expect_reference_steps(exec, what + " shuffled");
+      }
+      // Both verdicts occur, so both branches above were exercised.
+      EXPECT_GT(overlaps, 0u) << net.name();
+      EXPECT_LT(overlaps, 40u) << net.name();
     }
   }
 }

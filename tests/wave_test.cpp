@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/compiled.hpp"
@@ -21,6 +22,7 @@
 #include "core/sequential.hpp"
 #include "core/wave.hpp"
 #include "engine/engine.hpp"
+#include "fault/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timed_execution.hpp"
 #include "sim/workload.hpp"
@@ -273,7 +275,9 @@ TEST(SimulateWave, MatchesScalarOnRandomWorkloads) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       WorkloadSpec spec;
       spec.processes = 6;
-      spec.tokens_per_process = 24;  // several kWaveChunk-relative sizes
+      // 144 tokens: at most 2,304 steps, all inside one 4096-step wave
+      // chunk. The MultiChunk tests below cross chunk boundaries.
+      spec.tokens_per_process = 24;
       spec.c_min = 1.0;
       spec.c_max = 2.5;
       spec.local_delay_max = 1.0;
@@ -440,6 +444,166 @@ TEST(SimulateWaveStream, MatchesScalarStream) {
     // And the stream is the batch trace, reordered by issue order.
     const SimulationResult batch = simulate(exec);
     EXPECT_EQ(scalar_collect.trace().size(), batch.trace.size());
+  }
+}
+
+// ---------------------------------------------------------------------
+// Chunk boundaries and plan order. The wave body consumes the canonical
+// step order in 4096-step chunks; these schedules span several chunks.
+// ---------------------------------------------------------------------
+
+/// The sweep_wave_stream benchmark shape: B(8), 8 x 512 tokens, c_max 3.
+/// 28,672 steps, seven full chunks.
+TimedExecution multi_chunk_workload(const Network& net, std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.processes = 8;
+  spec.tokens_per_process = 512;
+  spec.c_max = 3.0;
+  spec.local_delay_max = 2.0;
+  Xoshiro256 rng(seed);
+  return generate_workload(net, spec, rng);
+}
+
+/// Integer times, 16 processes x 256 tokens on B(8) (28,672 steps):
+/// hop delays in {0, 1, 2}, entries 0 or 1 after the previous exit, so
+/// most steps share their instant with others. A process's k-th token
+/// has rank k, which keeps its own tokens' steps apart (no step-order
+/// overlap) while ranks tie across processes.
+TimedExecution multi_chunk_ties(const Network& net, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  TimedExecution exec;
+  exec.net = &net;
+  TokenId next = 0;
+  for (ProcessId p = 0; p < 16; ++p) {
+    double t = static_cast<double>(rng.below(4));
+    for (std::uint32_t k = 0; k < 256; ++k) {
+      TokenPlan plan;
+      plan.token = next++;
+      plan.process = p;
+      plan.source = static_cast<std::uint32_t>(rng.below(net.fan_in()));
+      plan.rank = static_cast<double>(k);
+      plan.times.push_back(t);
+      for (std::uint32_t h = 1; h <= net.depth(); ++h) {
+        plan.times.push_back(plan.times.back() +
+                             static_cast<double>(rng.below(3)));
+      }
+      t = plan.times.back() + static_cast<double>(rng.below(2));
+      exec.plans.push_back(std::move(plan));
+    }
+  }
+  return exec;
+}
+
+fault::FaultPlan mixed_fault_plan() {
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = 0.2;
+  plan.p_stuck_balancer = 0.2;
+  plan.p_process_crash = 0.15;
+  return plan;
+}
+
+/// The records a streaming entry point emits, in emission order.
+template <class Run>
+Trace streamed(const Run& run) {
+  CollectSink sink;
+  const SimulationResult res = run(sink);
+  EXPECT_TRUE(res.ok()) << res.error;
+  EXPECT_TRUE(res.trace.empty());
+  return sink.trace();
+}
+
+/// The four pristine and the four faulted entry points agree pairwise,
+/// scalar against wave: full traces and streamed record sequences.
+void expect_wave_matches_scalar(const TimedExecution& exec,
+                                const SimFaults& faults,
+                                const std::string& what) {
+  SimArena arena;
+  const SimulationResult scalar = simulate(exec, arena);
+  ASSERT_TRUE(scalar.ok()) << what << ": " << scalar.error;
+  ASSERT_EQ(scalar.trace.size(), exec.plans.size()) << what;
+  expect_same_result(scalar, simulate_wave(exec, arena), what);
+  const Trace scalar_stream = streamed(
+      [&](TraceSink& s) { return simulate_stream(exec, arena, s); });
+  EXPECT_EQ(scalar_stream.size(), exec.plans.size()) << what;
+  EXPECT_EQ(scalar_stream, streamed([&](TraceSink& s) {
+              return simulate_wave_stream(exec, arena, s);
+            }))
+      << what;
+
+  const SimulationResult f_scalar = simulate(exec, faults, arena);
+  ASSERT_TRUE(f_scalar.ok()) << what << ": " << f_scalar.error;
+  expect_same_result(f_scalar, simulate_wave(exec, faults, arena),
+                     what + " faulted");
+  EXPECT_EQ(streamed([&](TraceSink& s) {
+              return simulate_stream(exec, faults, arena, s);
+            }),
+            streamed([&](TraceSink& s) {
+              return simulate_wave_stream(exec, faults, arena, s);
+            }))
+      << what << " faulted";
+}
+
+TEST(SimulateWave, MultiChunkMatchesScalar) {
+  const Network net = make_bitonic(8);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const TimedExecution exec = multi_chunk_workload(net, seed);
+    ASSERT_EQ(exec.plans.size() * (net.depth() + 1), 28672u);
+    const SimFaults faults =
+        fault::draw_sim_faults(net, exec, mixed_fault_plan(), seed);
+    ASSERT_FALSE(faults.empty());
+    expect_wave_matches_scalar(exec, faults,
+                               "workload seed " + std::to_string(seed));
+  }
+}
+
+TEST(SimulateWave, MultiChunkTieHeavyMatchesScalar) {
+  const Network net = make_bitonic(8);
+  const TimedExecution exec = multi_chunk_ties(net, 77);
+  ASSERT_EQ(validate(exec), "");
+  ASSERT_EQ(exec.plans.size() * (net.depth() + 1), 28672u);
+  const SimFaults faults =
+      fault::draw_sim_faults(net, exec, mixed_fault_plan(), 77);
+  ASSERT_FALSE(faults.empty());
+  expect_wave_matches_scalar(exec, faults, "ties");
+}
+
+// The canonical order depends on the plans' contents, never on their
+// order in exec.plans: every streaming entry point emits the identical
+// record sequence after a shuffle.
+TEST(SimulateWaveStream, ShuffledPlansStreamIdentically) {
+  const Network net = make_bitonic(8);
+  SimArena arena;
+  for (const bool ties : {false, true}) {
+    TimedExecution exec =
+        ties ? multi_chunk_ties(net, 5) : multi_chunk_workload(net, 5);
+    const SimFaults faults =
+        fault::draw_sim_faults(net, exec, mixed_fault_plan(), 5);
+    const auto stream_all = [&] {
+      return std::vector<Trace>{
+          streamed([&](TraceSink& s) {
+            return simulate_stream(exec, arena, s);
+          }),
+          streamed([&](TraceSink& s) {
+            return simulate_wave_stream(exec, arena, s);
+          }),
+          streamed([&](TraceSink& s) {
+            return simulate_stream(exec, faults, arena, s);
+          }),
+          streamed([&](TraceSink& s) {
+            return simulate_wave_stream(exec, faults, arena, s);
+          })};
+    };
+    const std::vector<Trace> before = stream_all();
+    Xoshiro256 rng(9);
+    for (std::size_t i = exec.plans.size(); i > 1; --i) {
+      std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+    }
+    const std::vector<Trace> after = stream_all();
+    for (std::size_t k = 0; k < before.size(); ++k) {
+      EXPECT_FALSE(before[k].empty());
+      EXPECT_EQ(before[k], after[k]) << "ties " << ties << " entry " << k;
+    }
   }
 }
 

@@ -37,6 +37,14 @@ void ensure_builtins() {
 
 }  // namespace
 
+RunResult stream_collected(RunResult out, TraceSink& sink) {
+  if (!out.ok()) return out;
+  feed_issue_order(out.trace, sink);
+  out.trace = Trace{};
+  out.exec = TimedExecution{};
+  return out;
+}
+
 bool register_backend(const std::string& key, BackendFactory factory) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -1,8 +1,10 @@
 // TraceSource: the one interface every trace producer implements, and
 // the string-keyed registry that makes each of them a plug-in. Adding a
-// backend is: derive from TraceSource, call register_backend in
-// register_builtin_backends (or from your own translation unit), and
-// every sweep driver, bench binary, and test can reach it by name.
+// backend is: derive from TraceSource, call register_backend (from your
+// own translation unit), and every sweep driver, bench binary, and test
+// can reach it by name. The built-in backends (backends.cpp) are one
+// private subclass each holding a produce function; a null sink means
+// collect.
 #pragma once
 
 #include <functional>
@@ -30,6 +32,12 @@ struct RunContext {
   StreamingConsistency checker;
   fault::DegradationAccumulator degradation;
 };
+
+/// Hands a collected run to `sink`: feeds its trace in issue order (see
+/// feed_issue_order) and drops the materialized trace and execution. A
+/// failed run passes through unchanged. TraceSource's default streaming
+/// entry point ends with it, as does any producer that can only collect.
+RunResult stream_collected(RunResult out, TraceSink& sink);
 
 /// A named producer of traces. Implementations must be stateless (or
 /// internally synchronized): the sweeper calls run() concurrently from
@@ -66,16 +74,11 @@ class TraceSource {
   /// records the collecting run(spec, ctx) would have produced; must NOT
   /// call sink.finish() (run_backend owns stream termination). Native
   /// producers emit live in O(open operations) memory (see
-  /// IssueWindowBuffer); the default collects via run(spec, ctx), replays
-  /// the trace with feed_issue_order, and drops the materialized copy.
+  /// IssueWindowBuffer); the default collects via run(spec, ctx) and
+  /// hands the result to stream_collected.
   virtual RunResult run(const RunSpec& spec, RunContext& ctx,
                         TraceSink& sink) const {
-    RunResult out = run(spec, ctx);
-    if (!out.ok()) return out;
-    feed_issue_order(out.trace, sink);
-    out.trace = Trace{};
-    out.exec = TimedExecution{};
-    return out;
+    return stream_collected(run(spec, ctx), sink);
   }
 };
 

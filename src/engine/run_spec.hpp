@@ -124,17 +124,17 @@ struct RunSpec {
   /// RunResult::trace stays empty, RunResult::report is computed
   /// incrementally (byte-identical to the batch analyze), and trace
   /// memory is O(open operations) instead of O(tokens). Backends that
-  /// stream natively (those overriding the sink entry point of
-  /// TraceSource) never build the trace at all; the rest collect
+  /// stream natively (every built-in one, except replay and msg with
+  /// message duplication) never build the trace at all; the rest collect
   /// internally and replay into the sink.
   bool keep_trace = true;
-  /// When true, the simulated backends (simulator / sim_burst /
-  /// sim_heterogeneous, plus the wave and optimizer fault re-runs)
-  /// execute through the level-synchronous wave interpreter
-  /// (simulate_wave and its faulted overload) instead of the scalar event
-  /// loop. Byte-identical results — trace, errors, streaming emission,
-  /// fault metrics — selected per trial; networks the wave path cannot
-  /// take fall back to the scalar interpreter internally.
+  /// When true, the simulated backends (simulator, sim_burst,
+  /// sim_heterogeneous, wave, optimizer) interpret their schedule with
+  /// the level-synchronous wave interpreter (simulate_wave and its
+  /// faulted and streaming overloads) instead of the scalar event loop.
+  /// Byte-identical results — trace, errors, streaming emission, fault
+  /// metrics — selected per trial; networks the wave path cannot take
+  /// fall back to the scalar interpreter internally.
   bool wave_exec = false;
   /// When non-empty, the produced trace is also written to this file in
   /// the versioned binary format of trace/serialize.hpp (forces the

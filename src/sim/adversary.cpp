@@ -16,8 +16,8 @@ constexpr ProcessId kWave3FreshProcessBase = 2'000'000;
 
 }  // namespace
 
-WaveResult run_wave_execution(const Network& net, const SplitAnalysis& split,
-                              const WaveSpec& spec) {
+WaveResult build_wave_execution(const Network& net, const SplitAnalysis& split,
+                                const WaveSpec& spec) {
   WaveResult result;
   const std::uint32_t w = net.fan_out();
   if (net.fan_in() != w || !is_pow2(w)) {
@@ -104,7 +104,14 @@ WaveResult run_wave_execution(const Network& net, const SplitAnalysis& split,
   const double pow2 = std::ldexp(1.0, -static_cast<int>(spec.ell));  // 2^-ell
   result.predicted_f_nl = (1.0 - pow2) / (2.0 - pow2);
   result.predicted_f_nsc = pow2 / (2.0 - pow2);
+  result.timing = measure_timing(result.exec);
+  return result;
+}
 
+WaveResult run_wave_execution(const Network& net, const SplitAnalysis& split,
+                              const WaveSpec& spec) {
+  WaveResult result = build_wave_execution(net, split, spec);
+  if (!result.ok()) return result;
   SimulationResult sim = simulate(result.exec);
   if (!sim.ok()) {
     result.error = "simulation failed: " + sim.error;
@@ -112,7 +119,6 @@ WaveResult run_wave_execution(const Network& net, const SplitAnalysis& split,
   }
   result.trace = std::move(sim.trace);
   result.report = analyze(result.trace);
-  result.timing = measure_timing(result.exec);
   return result;
 }
 

@@ -60,10 +60,19 @@ struct WaveResult {
   bool ok() const noexcept { return error.empty(); }
 };
 
-/// Builds and simulates the three-wave execution at split level spec.ell.
-/// The network must be uniform with fan w (a power of two) and an
-/// applicable, continuously complete, continuously uniformly splittable
-/// split analysis (e.g. bitonic or periodic).
+/// Builds the three-wave execution at split level spec.ell without
+/// simulating it: fills exec, timing, the wave sizes, the required ratio
+/// and the predicted bounds, and leaves trace and report empty. The
+/// network must be uniform with fan w (a power of two) and an applicable,
+/// continuously complete, continuously uniformly splittable split
+/// analysis (e.g. bitonic or periodic). Every error is a precondition of
+/// the construction: this network shape, the split level, or (with an
+/// automatic c_max) the ratio.
+WaveResult build_wave_execution(const Network& net, const SplitAnalysis& split,
+                                const WaveSpec& spec);
+
+/// build_wave_execution, then simulates the execution and analyzes its
+/// trace.
 WaveResult run_wave_execution(const Network& net, const SplitAnalysis& split,
                               const WaveSpec& spec);
 

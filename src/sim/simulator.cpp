@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/wave.hpp"
+#include "util/id_slots.hpp"
 
 namespace cn {
 
@@ -39,19 +40,17 @@ struct Faulted {
   }
 };
 
-/// The largest token and process ids of `exec`; false (with `error` set)
-/// when a plan uses the reserved token id.
+/// The largest token id of `exec`; false (with `error` set) when a plan
+/// uses the reserved token id.
 bool id_bounds(const TimedExecution& exec, TokenId& max_token,
-               ProcessId& max_process, std::string& error) {
+               std::string& error) {
   max_token = 0;
-  max_process = 0;
   for (const TokenPlan& p : exec.plans) {
     if (p.token == kNoToken) {
       error = "token id " + std::to_string(kNoToken) + " is reserved";
       return false;
     }
     max_token = std::max(max_token, p.token);
-    max_process = std::max(max_process, p.process);
   }
   return true;
 }
@@ -126,14 +125,18 @@ constexpr StepKey kExhausted{~std::uint64_t{0}, ~std::uint64_t{0}, kNoToken};
 /// steps, and the scalar body raises its overlap error there.
 class StepOrder {
  public:
-  /// Builds the streams of `exec` (validated, ids bounded by
-  /// `max_process` and below kNoToken). False when a stream was cut.
+  /// Builds the streams of `exec` (validated, token ids below
+  /// kNoToken). False when a stream was cut.
   template <class Overlay>
-  bool reset(const TimedExecution& exec, ProcessId max_process,
-             std::uint32_t depth, const Overlay& ov);
+  bool reset(const TimedExecution& exec, std::uint32_t depth,
+             const Overlay& ov);
 
   /// Steps left to produce (all of them right after reset()).
   std::size_t remaining() const noexcept { return remaining_; }
+
+  /// Streams built by the last reset(): one per process with an issued
+  /// token. Per-process state of the interpreter is indexed by stream.
+  std::size_t streams() const noexcept { return streams_.size(); }
 
   /// Writes the next `n` steps in canonical order to `out`. Requires
   /// n <= remaining().
@@ -172,7 +175,9 @@ class StepOrder {
     remaining_ -= n;
   }
 
-  StepRef next() noexcept {
+  /// The next step; `stream` receives the index of its process's stream.
+  StepRef next(std::uint32_t& stream) noexcept {
+    stream = tree_[0];
     StepRef s;
     take(&s, 1);
     return s;
@@ -225,41 +230,50 @@ class StepOrder {
     return b_wins ? b : a;
   }
 
-  std::vector<std::uint32_t> start_;  ///< Per-process entry offsets.
-  std::vector<Entry> entries_;        ///< Issued plans, by process.
-  std::vector<Stream> streams_;       ///< One per process with a token.
+  IdSlots processes_;  ///< Slot (and stream) of each issuing process.
+  std::vector<std::uint32_t> slot_of_plan_;  ///< Issued plans' slots.
+  std::vector<std::uint32_t> start_;  ///< Per-slot entry offsets.
+  std::vector<Entry> entries_;        ///< Issued plans, by slot.
+  std::vector<Stream> streams_;       ///< One per slot.
   std::vector<StepKey> keys_;         ///< Head key per leaf (padded).
   std::vector<std::uint32_t> tree_;
   std::size_t remaining_ = 0;
 };
 
 template <class Overlay>
-bool StepOrder::reset(const TimedExecution& exec, ProcessId max_process,
-                      std::uint32_t depth, const Overlay& ov) {
+bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
+                      const Overlay& ov) {
   // Counting sort of the issued plans by process, stable in plan order.
-  // Counting p at p + 2 (the last process needs no count) leaves
-  // start_[p + 1] at p's first slot after the prefix sum; the scatter
-  // advances it to p's end, so afterwards start_[p] and start_[p + 1]
-  // bound process p.
-  start_.assign(std::size_t{max_process} + 2, 0);
+  // Each process with an issued token gets a slot, numbered by first
+  // appearance (IdSlots), so nothing here grows with the largest process
+  // id. Counting slot s at s + 2 leaves start_[s + 1] at s's first entry
+  // after the prefix sum; the scatter advances it to s's end, so
+  // afterwards start_[s] and start_[s + 1] bound slot s.
+  processes_.clear();
+  slot_of_plan_.resize(exec.plans.size());
+  start_.assign(2, 0);
   std::size_t issued = 0;
-  for (const TokenPlan& p : exec.plans) {
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    const TokenPlan& p = exec.plans[i];
     if constexpr (Overlay::kFaulted) {
       if (ov.doom(p.token) == 0) continue;  // never issued
     }
-    if (p.process != max_process) ++start_[p.process + 2];
+    const std::uint32_t slot = processes_.slot(p.process);
+    if (slot + 2 == start_.size()) start_.push_back(0);  // a new process
+    ++start_[slot + 2];
+    slot_of_plan_[i] = slot;
     ++issued;
   }
   for (std::size_t i = 2; i < start_.size(); ++i) start_[i] += start_[i - 1];
   entries_.resize(issued);
-  for (const TokenPlan& p : exec.plans) {
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
     std::uint32_t last = depth;
     if constexpr (Overlay::kFaulted) {
-      const std::uint32_t doom = ov.doom(p.token);
+      const std::uint32_t doom = ov.doom(exec.plans[i].token);
       if (doom == 0) continue;
       last = std::min(doom, depth);
     }
-    entries_[start_[p.process + 1]++] = {&p, last};
+    entries_[start_[slot_of_plan_[i] + 1]++] = {&exec.plans[i], last};
   }
 
   bool whole = true;
@@ -268,10 +282,9 @@ bool StepOrder::reset(const TimedExecution& exec, ProcessId max_process,
   const auto entry_less = [](const Entry& a, const Entry& b) {
     return key_of(*a.plan, 0) < key_of(*b.plan, 0);
   };
-  for (ProcessId proc = 0; proc <= max_process; ++proc) {
-    Entry* const begin = entries_.data() + start_[proc];
-    Entry* end = entries_.data() + start_[proc + 1];
-    if (begin == end) continue;
+  for (std::size_t slot = 0; slot < processes_.size(); ++slot) {
+    Entry* const begin = entries_.data() + start_[slot];
+    Entry* end = entries_.data() + start_[slot + 1];
     if (!std::is_sorted(begin, end, entry_less)) {
       std::sort(begin, end, entry_less);
     }
@@ -313,12 +326,12 @@ bool StepOrder::reset(const TimedExecution& exec, ProcessId max_process,
 struct SimArena::Scratch {
   StepOrder steps;  ///< The canonical step order, both bodies.
   std::vector<TokenRecord> records;
-  std::vector<TokenId> in_flight_of_process;
-  /// Streaming mode: first_seq and issue slot of each process's
-  /// in-flight token — the only per-token state that must survive from
-  /// entry to exit.
-  std::vector<std::uint64_t> first_seq_of_process;
-  std::vector<std::uint64_t> pos_of_process;
+  /// Scalar mode, per process, indexed by its StepOrder stream: the
+  /// in-flight token, and (streaming) its first_seq and issue slot — the
+  /// only per-token state that must survive from entry to exit.
+  std::vector<TokenId> in_flight_of_stream;
+  std::vector<std::uint64_t> first_seq_of_stream;
+  std::vector<std::uint64_t> pos_of_stream;
   IssueWindowBuffer window;  ///< Ring reused across calls.
   std::vector<WireIndex> wire_of;  ///< Current wire per token.
   // --- wave mode ---------------------------------------------------------
@@ -453,9 +466,16 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   const CompiledNetwork& cnet = *arena.compiled_;
   SimArena::Scratch& scr = *arena.scratch_;
   TokenId max_token = 0;
-  ProcessId max_process = 0;
-  if (!id_bounds(exec, max_token, max_process, result.error)) return result;
+  if (!id_bounds(exec, max_token, result.error)) return result;
 
+  // Paper Section 2.2, rule 3: all steps of a process's token must
+  // precede all steps of its next token IN THE STEP SEQUENCE. Equal times
+  // with adverse ranks could interleave them, so track in-flight tokens
+  // per process and reject such schedules. (The step order ends right at
+  // the first such entry; see StepOrder.)
+  scr.steps.reset(exec, net.depth(), ov);
+  const std::size_t streams = scr.steps.streams();
+  scr.in_flight_of_stream.assign(streams, kNoToken);
   // Streaming runs emit records as tokens exit; only the collect path
   // materializes the O(tokens) records array. Completions happen in seq
   // order, but the sink contract is issue order, so they pass through a
@@ -465,25 +485,19 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   if (sink == nullptr) {
     scr.records.assign(max_token + 1, TokenRecord{});
   } else {
-    scr.first_seq_of_process.assign(max_process + 1, 0);
-    scr.pos_of_process.assign(max_process + 1, 0);
+    scr.first_seq_of_stream.assign(streams, 0);
+    scr.pos_of_stream.assign(streams, 0);
     scr.window.reset(*sink, /*deferred=*/false);
   }
   if constexpr (Overlay::kFaulted) {
     scr.wire_of.assign(max_token + 1, kInvalidWire);
     scr.reset_overlay(cnet);
   }
-  // Paper Section 2.2, rule 3: all steps of a process's token must
-  // precede all steps of its next token IN THE STEP SEQUENCE. Equal times
-  // with adverse ranks could interleave them, so track in-flight tokens
-  // per process and reject such schedules. (The step order ends right at
-  // the first such entry; see StepOrder.)
-  scr.in_flight_of_process.assign(max_process + 1, kNoToken);
-  scr.steps.reset(exec, max_process, net.depth(), ov);
 
   std::uint64_t seq = 0;
   while (scr.steps.remaining() != 0) {
-    const StepRef ev = scr.steps.next();
+    std::uint32_t stream = 0;
+    const StepRef ev = scr.steps.next(stream);
     const TokenPlan& plan = *ev.plan;
     if constexpr (Overlay::kFaulted) {
       // The token vanishes at the planned time of its first unexecuted
@@ -491,13 +505,13 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
       // again. (hop > 0 always: never-issued tokens have no steps, so a
       // vanishing token has an open issue slot to drop.)
       if (ev.hop == ov.doom(ev.token)) {
-        scr.in_flight_of_process[plan.process] = kNoToken;
-        if (sink != nullptr) scr.window.drop(scr.pos_of_process[plan.process]);
+        scr.in_flight_of_stream[stream] = kNoToken;
+        if (sink != nullptr) scr.window.drop(scr.pos_of_stream[stream]);
         continue;
       }
     }
     if (ev.hop == 0) {
-      TokenId& slot = scr.in_flight_of_process[plan.process];
+      TokenId& slot = scr.in_flight_of_stream[stream];
       if (slot != kNoToken) {
         result.error = "process " + std::to_string(plan.process) +
                        " issued token " + std::to_string(plan.token) +
@@ -514,8 +528,8 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
       if (sink == nullptr) {
         scr.records[ev.token].first_seq = seq;
       } else {
-        scr.first_seq_of_process[plan.process] = seq;
-        scr.pos_of_process[plan.process] = scr.window.open();
+        scr.first_seq_of_stream[stream] = seq;
+        scr.pos_of_stream[stream] = scr.window.open();
       }
     }
     Value v = 0;
@@ -529,7 +543,7 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
     }
     ++seq;
     if (finished) {
-      scr.in_flight_of_process[plan.process] = kNoToken;
+      scr.in_flight_of_stream[stream] = kNoToken;
       if (ev.hop != net.depth()) {
         result.error = "token " + std::to_string(plan.token) +
                        " reached a counter after " + std::to_string(ev.hop) +
@@ -540,9 +554,9 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
         TokenRecord& rec = scr.records[ev.token];
         rec = make_record(plan, v, cnet.fan_out(), rec.first_seq, seq - 1);
       } else {
-        scr.window.close(scr.pos_of_process[plan.process],
+        scr.window.close(scr.pos_of_stream[stream],
                          make_record(plan, v, cnet.fan_out(),
-                                     scr.first_seq_of_process[plan.process],
+                                     scr.first_seq_of_stream[stream],
                                      seq - 1));
       }
     } else if (ev.hop + 1 >= plan.times.size()) {
@@ -578,14 +592,13 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
 
   SimArena::Scratch& scr = *arena.scratch_;
   TokenId max_token = 0;
-  ProcessId max_process = 0;
-  if (!id_bounds(exec, max_token, max_process, result.error)) return result;
+  if (!id_bounds(exec, max_token, result.error)) return result;
 
   // The canonical step order, the same one the scalar body consumes. A
   // cut stream means a step-order overlap (paper Section 2.2, rule 3):
   // the scalar body raises it, after the identical partial sink
   // emission, so hand the run to it.
-  if (!scr.steps.reset(exec, max_process, d, ov)) {
+  if (!scr.steps.reset(exec, d, ov)) {
     return scalar(exec, arena, ov, /*record_steps=*/false, sink);
   }
 

@@ -7,7 +7,8 @@
 //
 // The hot path is non-recording: tokens advance through the compiled
 // routing tables (NetworkState::step_fast) without materializing Step
-// records, and in-flight tokens are tracked in a per-process vector
+// records, and in-flight tokens are tracked in a vector with one slot per
+// process that has a token (never sized by the largest process id)
 // instead of a std::map. The (time, rank, token, hop) step order comes
 // from a merge of per-process step streams: a process's tokens never
 // overlap in the step sequence (Section 2.2, rule 3), so each stream is

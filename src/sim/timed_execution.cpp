@@ -1,49 +1,17 @@
 #include "sim/timed_execution.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 #include <tuple>
 
+#include "util/id_slots.hpp"
+
 namespace cn {
-
-namespace {
-
-/// Open-addressing set of token ids, sized to at least twice the plan
-/// count so linear probes stay short. Slot value 0 is empty; token t is
-/// stored as t + 1.
-class TokenIdSet {
- public:
-  explicit TokenIdSet(std::size_t n)
-      : slots_(std::bit_ceil(std::max<std::size_t>(2 * n, 2)), 0),
-        shift_(64 - std::countr_zero(slots_.size())) {}
-
-  /// Inserts `t`; false when it was already present.
-  bool insert(TokenId t) {
-    const std::uint64_t stored = std::uint64_t{t} + 1;
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hashing: the top bits of the golden-ratio product.
-    std::size_t i = (stored * 0x9E3779B97F4A7C15ull) >> shift_;
-    for (;; i = (i + 1) & mask) {
-      if (slots_[i] == stored) return false;
-      if (slots_[i] == 0) {
-        slots_[i] = stored;
-        return true;
-      }
-    }
-  }
-
- private:
-  std::vector<std::uint64_t> slots_;
-  int shift_;
-};
-
-}  // namespace
 
 std::string validate(const TimedExecution& exec) {
   if (exec.net == nullptr) return "no network";
   const std::size_t want = exec.net->depth() + 1;
-  TokenIdSet seen(exec.plans.size());
+  IdSlots seen(exec.plans.size());
   for (const TokenPlan& p : exec.plans) {
     if (p.times.size() != want) {
       return "token " + std::to_string(p.token) + ": plan has " +

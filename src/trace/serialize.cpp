@@ -1,7 +1,9 @@
 #include "trace/serialize.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace cn {
 
@@ -44,10 +46,15 @@ void encode_record(const TokenRecord& r,
   put_u64(buf + 56, r.last_seq);
 }
 
-void decode_record(const unsigned char (&buf)[kTraceRecordBytes],
-                   TokenRecord& r) {
-  r.token = static_cast<TokenId>(get_u64(buf + 0));
-  r.process = static_cast<ProcessId>(get_u64(buf + 8));
+/// Decodes one record; returns what makes it unusable, or an empty string.
+/// Token and process ids are 32-bit in memory, so wider values are
+/// corrupt rather than truncated.
+std::string decode_record(const unsigned char (&buf)[kTraceRecordBytes],
+                          TokenRecord& r) {
+  const std::uint64_t token = get_u64(buf + 0);
+  const std::uint64_t process = get_u64(buf + 8);
+  r.token = static_cast<TokenId>(token);
+  r.process = static_cast<ProcessId>(process);
   r.source = get_u32(buf + 16);
   r.sink = get_u32(buf + 20);
   r.value = get_u64(buf + 24);
@@ -55,6 +62,15 @@ void decode_record(const unsigned char (&buf)[kTraceRecordBytes],
   r.t_out = std::bit_cast<double>(get_u64(buf + 40));
   r.first_seq = get_u64(buf + 48);
   r.last_seq = get_u64(buf + 56);
+  if (token > std::numeric_limits<TokenId>::max() ||
+      process > std::numeric_limits<ProcessId>::max()) {
+    return "token or process id wider than 32 bits";
+  }
+  if (r.last_seq < r.first_seq) return "last_seq < first_seq";
+  if (!std::isfinite(r.t_in) || !std::isfinite(r.t_out)) {
+    return "t_in or t_out is not finite";
+  }
+  return {};
 }
 
 }  // namespace
@@ -135,7 +151,14 @@ bool TraceReader::next(TokenRecord& out) {
     error_ = "unexpected end of trace file";
     return false;
   }
-  decode_record(buf, out);
+  std::string bad = decode_record(buf, out);
+  if (bad.empty() && !tokens_.insert(out.token)) {
+    bad = "duplicate token id " + std::to_string(out.token);
+  }
+  if (!bad.empty()) {
+    error_ = "trace record " + std::to_string(read_) + ": " + bad;
+    return false;
+  }
   ++read_;
   return true;
 }

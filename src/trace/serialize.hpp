@@ -10,8 +10,11 @@
 //   then count records of 64 bytes each:
 //     u64 token, u64 process, u32 source, u32 sink, u64 value,
 //     u64 bit_cast(t_in), u64 bit_cast(t_out), u64 first_seq, u64 last_seq
-// A reader rejects wrong magic/version and any file whose size is not
-// exactly 16 + 64 * count (truncation or trailing garbage).
+// A reader rejects wrong magic/version, any file whose size is not
+// exactly 16 + 64 * count (truncation or trailing garbage), and, naming
+// its index, any record that no producer writes: last_seq < first_seq, a
+// t_in or t_out that is not finite, a token or process id wider than 32
+// bits, or a repeated token id.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +24,7 @@
 
 #include "trace/sink.hpp"
 #include "trace/trace.hpp"
+#include "util/id_slots.hpp"
 
 namespace cn {
 
@@ -52,7 +56,9 @@ class TraceWriter final : public TraceSink {
 };
 
 /// Streaming reader for the same format. Validates header and exact file
-/// size up front; next() then yields records one at a time.
+/// size up front; next() then yields records one at a time, checking each
+/// (see the format notes above). To catch a repeated token id it keeps
+/// the set of ids read so far.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
@@ -70,6 +76,7 @@ class TraceReader {
   std::string error_;
   std::uint64_t count_ = 0;
   std::uint64_t read_ = 0;
+  IdSlots tokens_;  ///< Token ids read so far.
 };
 
 /// Convenience wrappers over the streaming classes.

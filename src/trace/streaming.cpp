@@ -16,6 +16,7 @@ void StreamingConsistency::reset() {
   frontier_.clear();
   max_completed_ = 0;
   any_completed_ = false;
+  process_slots_.clear();
   procs_.clear();
   nl_.clear();
   nsc_.clear();
@@ -85,10 +86,9 @@ void StreamingConsistency::sweep_non_linearizable(const TokenRecord& record) {
 
 StreamingConsistency::ProcState& StreamingConsistency::proc_state(
     ProcessId process) {
-  if (procs_.size() <= static_cast<std::size_t>(process)) {
-    procs_.resize(static_cast<std::size_t>(process) + 1);
-  }
-  return procs_[process];
+  const std::uint32_t slot = process_slots_.slot(process);
+  if (slot == procs_.size()) procs_.emplace_back();
+  return procs_[slot];
 }
 
 void StreamingConsistency::finish() {

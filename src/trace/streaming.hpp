@@ -44,6 +44,7 @@
 
 #include "trace/consistency.hpp"
 #include "trace/sink.hpp"
+#include "util/id_slots.hpp"
 
 namespace cn {
 
@@ -110,7 +111,9 @@ class StreamingConsistency final : public TraceSink {
   Value max_completed_ = 0;
   bool any_completed_ = false;
 
-  // Sequential-consistency state (per-process prefix maxima).
+  // Sequential-consistency state (per-process prefix maxima), indexed by
+  // the process's slot.
+  IdSlots process_slots_;
   std::vector<ProcState> procs_;
 
   std::vector<TokenId> nl_;

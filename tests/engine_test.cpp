@@ -259,12 +259,25 @@ TEST(EngineSweep, CleanSweepJsonIsUnchangedByTheTaxonomy) {
 
 /// The deterministic backends must serialize to the exact same JSON in
 /// streaming mode as in collect mode (same report, same metrics), with
-/// the trace left unmaterialized.
+/// the trace left unmaterialized. The replay backend reads a file this
+/// test records first.
 TEST(EngineStreaming, StreamMatchesCollectAcrossBackends) {
+  const std::string recorded = testing::TempDir() + "stream_vs_collect.trace";
+  {
+    engine::RunSpec rec;
+    rec.network = "bitonic";
+    rec.width = 8;
+    rec.c_max = 3.0;
+    rec.seed = 0xBEEF;
+    rec.record_path = recorded;
+    const engine::RunResult res = engine::run_backend(rec);
+    ASSERT_TRUE(res.ok()) << res.error;
+  }
   for (const std::string& backend :
        {std::string("simulator"), std::string("sim_burst"),
         std::string("sim_heterogeneous"), std::string("msg"),
-        std::string("wave")}) {
+        std::string("wave"), std::string("optimizer"),
+        std::string("replay")}) {
     engine::RunSpec spec;
     spec.backend = backend;
     spec.network = "bitonic";
@@ -273,6 +286,9 @@ TEST(EngineStreaming, StreamMatchesCollectAcrossBackends) {
     spec.ops_per_process = 5;
     spec.c_max = 3.0;  // past the ratio-2 bound so flags exist to disagree on
     spec.seed = 0xBEEF;
+    spec.opt_iterations = 40;
+    spec.opt_restarts = 2;
+    spec.replay_path = recorded;
 
     const engine::RunResult collect = engine::run_backend(spec);
     ASSERT_TRUE(collect.ok()) << backend << ": " << collect.error;
@@ -291,15 +307,69 @@ TEST(EngineStreaming, StreamMatchesCollectAcrossBackends) {
         << backend;
     EXPECT_EQ(engine::to_json(streamed), engine::to_json(collect)) << backend;
   }
+  std::remove(recorded.c_str());
+}
+
+/// The heterogeneous backend's per-process metrics come from one sink in
+/// both modes, and must match the batch per-process oracle on the
+/// collected trace. In the first spec a paced process violates SC, in
+/// the second only the hare does.
+TEST(EngineStreaming, HeterogeneousMetricsAgreeOnAViolation) {
+  struct Case {
+    double hare_delay;
+    std::uint64_t seed;
+    bool hare_sc;
+    bool others_sc;
+  };
+  for (const Case& c :
+       {Case{0.5, 1, true, false}, Case{0.0, 61, false, true}}) {
+    SCOPED_TRACE(c.seed);
+    engine::RunSpec spec;
+    spec.backend = "sim_heterogeneous";
+    spec.network = "bitonic";
+    spec.width = 8;
+    spec.c_max = 10.0;
+    spec.hare_delay = c.hare_delay;
+    spec.tortoise_delay = 0.0;
+    spec.horizon = 40.0;
+    spec.seed = c.seed;
+    const engine::RunResult collect = engine::run_backend(spec);
+    ASSERT_TRUE(collect.ok()) << collect.error;
+
+    double hare_ops = 0.0;
+    for (const TokenRecord& r : collect.trace) hare_ops += r.process == 0;
+    const bool hare_sc = is_sequentially_consistent_for(collect.trace, 0);
+    bool others_sc = true;
+    for (ProcessId p = 1; p < spec.width; ++p) {
+      others_sc &= is_sequentially_consistent_for(collect.trace, p);
+    }
+    // The violation each case is about.
+    EXPECT_EQ(hare_sc, c.hare_sc);
+    EXPECT_EQ(others_sc, c.others_sc);
+
+    spec.keep_trace = false;
+    const engine::RunResult streamed = engine::run_backend(spec);
+    ASSERT_TRUE(streamed.ok()) << streamed.error;
+    EXPECT_TRUE(streamed.trace.empty());
+    for (const engine::RunResult* res : {&collect, &streamed}) {
+      EXPECT_EQ(res->metric("hare_sc", -1.0), hare_sc ? 1.0 : 0.0);
+      EXPECT_EQ(res->metric("others_sc", -1.0), others_sc ? 1.0 : 0.0);
+      EXPECT_EQ(res->metric("hare_ops", -1.0), hare_ops);
+      EXPECT_EQ(res->metric("other_ops", -1.0),
+                static_cast<double>(collect.trace.size()) - hare_ops);
+    }
+    EXPECT_EQ(engine::to_json(streamed), engine::to_json(collect));
+  }
 }
 
 /// Fault-injected streaming: the degradation metrics come from the
 /// accumulator instead of the batch pass, and must agree exactly.
-/// Both natively streaming faulted producers: the simulator's overlay and
-/// the msg kernel (message loss drops an open issue slot mid-flight;
-/// duplication is off, so the msg run streams natively too).
+/// Natively streaming faulted producers: the simulator's overlay on a
+/// workload and on the wave and optimizer schedules, and the msg kernel
+/// (message loss drops an open issue slot mid-flight; duplication is off,
+/// so the msg run streams natively too).
 TEST(EngineStreaming, FaultedStreamMatchesCollect) {
-  for (const char* backend : {"simulator", "msg"}) {
+  for (const char* backend : {"simulator", "msg", "wave", "optimizer"}) {
     SCOPED_TRACE(backend);
     engine::RunSpec spec;
     spec.backend = backend;
@@ -315,6 +385,8 @@ TEST(EngineStreaming, FaultedStreamMatchesCollect) {
     spec.fault.p_stuck_balancer = 0.1;
     spec.fault.p_process_crash = 0.15;
     spec.fault.p_msg_duplicate = 0.0;
+    spec.opt_iterations = 40;
+    spec.opt_restarts = 2;
 
     const engine::RunResult collect = engine::run_backend(spec);
     ASSERT_TRUE(collect.ok()) << collect.error;

@@ -623,6 +623,71 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
     }
   }
 
+  // The simulated backends check their schedule once, collecting or
+  // streaming: an empty schedule, a negative or inverted wire-delay
+  // envelope, a heterogeneous schedule whose operations cannot advance
+  // time (it would never end) and an inapplicable wave construction are
+  // spec-invalid.
+  struct BadSchedule {
+    const char* backend;
+    const char* want;
+    void (*edit)(engine::RunSpec&);
+  };
+  const BadSchedule bad_schedules[] = {
+      {"simulator", "no operations",
+       [](engine::RunSpec& s) { s.processes = 0; }},
+      {"simulator", "no operations",
+       [](engine::RunSpec& s) { s.ops_per_process = 0; }},
+      {"sim_burst", "no operations", [](engine::RunSpec& s) { s.bursts = 0; }},
+      {"sim_burst", "no operations",
+       [](engine::RunSpec& s) { s.burst_size = 0; }},
+      {"sim_heterogeneous", "no operations",
+       [](engine::RunSpec& s) { s.horizon = 0.0; }},
+      {"sim_heterogeneous", "operations take no time",
+       [](engine::RunSpec& s) {
+         s.c_min = 0.0;
+         s.c_max = 0.0;
+       }},
+      {"sim_heterogeneous", "negative local delay",
+       [](engine::RunSpec& s) { s.tortoise_delay = -1.0; }},
+      {"optimizer", "no operations",
+       [](engine::RunSpec& s) { s.opt_iterations = 0; }},
+      {"optimizer", "no operations",
+       [](engine::RunSpec& s) { s.opt_restarts = 0; }},
+      {"simulator", "c_min > c_max",
+       [](engine::RunSpec& s) {
+         s.c_min = 3.0;
+         s.c_max = 1.0;
+       }},
+      {"simulator", "negative latency",
+       [](engine::RunSpec& s) { s.c_min = -1.0; }},
+      {"wave", "negative latency", [](engine::RunSpec& s) { s.c_min = -1.0; }},
+      {"wave", "split level out of range",
+       [](engine::RunSpec& s) { s.ell = 0; }},
+      {"wave", "split level out of range",
+       [](engine::RunSpec& s) { s.ell = 4; }},
+      {"wave", "fan-in == fan-out",
+       [](engine::RunSpec& s) { s.network = "counting_tree"; }},
+  };
+  for (const BadSchedule& bad : bad_schedules) {
+    for (const bool keep_trace : {true, false}) {
+      engine::RunSpec spec;
+      spec.backend = bad.backend;
+      spec.network = "bitonic";
+      spec.width = 8;
+      spec.opt_iterations = 20;
+      spec.keep_trace = keep_trace;
+      bad.edit(spec);
+      const engine::RunResult res = engine::run_backend(spec);
+      EXPECT_FALSE(res.ok()) << bad.backend << " keep_trace=" << keep_trace
+                             << ": " << bad.want;
+      EXPECT_EQ(res.error_kind, engine::ErrorKind::kSpecInvalid)
+          << bad.backend << " keep_trace=" << keep_trace << ": " << res.error;
+      EXPECT_NE(res.error.find(bad.want), std::string::npos)
+          << bad.backend << " keep_trace=" << keep_trace << ": " << res.error;
+    }
+  }
+
   // The classification reaches the JSON result shape.
   EXPECT_NE(engine::to_json(msg_res).find("\"error_kind\":\"spec_invalid\""),
             std::string::npos);

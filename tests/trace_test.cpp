@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -296,17 +298,25 @@ TEST(StreamingConsistency, LiveSimulatorStreamMatchesCollect) {
 }
 
 TEST(StreamingConsistency, ResetReuses) {
-  const Trace a = simulator_trace(8, 4, 4, 3.0, 1);
-  const Trace b = simulator_trace(8, 4, 4, 3.0, 2);
-  StreamingConsistency checker;
-  feed_issue_order(a, checker);
-  checker.finish();
-  const ConsistencyReport first = checker.report();
-  expect_reports_equal(first, analyze(a), "reset-first");
-  checker.reset();
-  feed_issue_order(b, checker);
-  checker.finish();
-  expect_reports_equal(checker.report(), analyze(b), "reset-second");
+  // Dense process ids, and the same traces with ids far past the
+  // checker's vector-indexed range (the wave adversary's numbering).
+  for (const ProcessId base : {ProcessId{0}, ProcessId{1'000'000}}) {
+    Trace a = simulator_trace(8, 4, 4, 3.0, 1);
+    Trace b = simulator_trace(8, 4, 4, 3.0, 2);
+    for (Trace* t : {&a, &b}) {
+      for (TokenRecord& r : *t) r.process += base;
+    }
+    const std::string label = "base " + std::to_string(base);
+    StreamingConsistency checker;
+    feed_issue_order(a, checker);
+    checker.finish();
+    const ConsistencyReport first = checker.report();
+    expect_reports_equal(first, analyze(a), label + " reset-first");
+    checker.reset();
+    feed_issue_order(b, checker);
+    checker.finish();
+    expect_reports_equal(checker.report(), analyze(b), label + " reset-second");
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -488,6 +498,113 @@ TEST(TraceSerialize, MissingFileIsAnError) {
   const ReadTraceResult rd =
       read_trace_file(temp_path("does_not_exist.trace"));
   EXPECT_FALSE(rd.ok());
+}
+
+std::string golden_bytes() {
+  std::ifstream in(std::string(CN_TESTDATA_DIR) + "/golden.trace",
+                   std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+ReadTraceResult read_bytes(const std::string& bytes, const std::string& name) {
+  const std::string path = temp_path(name);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ReadTraceResult rd = read_trace_file(path);
+  std::remove(path.c_str());
+  return rd;
+}
+
+/// Overwrites the little-endian u64 field at `offset` of record `index`.
+void put_field(std::string& bytes, std::size_t index, std::size_t offset,
+               std::uint64_t v) {
+  const std::size_t at = kTraceHeaderBytes + index * kTraceRecordBytes + offset;
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[at + b] = static_cast<char>(v >> (8 * b));
+  }
+}
+
+std::uint64_t get_field(const std::string& bytes, std::size_t index,
+                        std::size_t offset) {
+  const std::size_t at = kTraceHeaderBytes + index * kTraceRecordBytes + offset;
+  std::uint64_t v = 0;
+  for (std::size_t b = 0; b < 8; ++b) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + b]))
+         << (8 * b);
+  }
+  return v;
+}
+
+/// Record field offsets of the CNTRACE1 layout.
+constexpr std::size_t kTokenAt = 0, kProcessAt = 8, kTInAt = 32, kTOutAt = 40,
+                      kFirstSeqAt = 48, kLastSeqAt = 56;
+
+/// A record no producer writes is rejected, naming its index.
+TEST(TraceSerialize, CorruptRecordsAreRejectedByIndex) {
+  struct Mutation {
+    const char* want;
+    void (*apply)(std::string&);
+  };
+  const Mutation mutations[] = {
+      {"trace record 0: last_seq < first_seq",
+       [](std::string& b) {
+         put_field(b, 0, kFirstSeqAt, get_field(b, 0, kLastSeqAt) + 1);
+       }},
+      {"trace record 3: duplicate token id",
+       [](std::string& b) {
+         put_field(b, 3, kTokenAt, get_field(b, 1, kTokenAt));
+       }},
+      {"trace record 0: t_in or t_out is not finite",
+       [](std::string& b) {
+         put_field(b, 0, kTOutAt,
+                   std::bit_cast<std::uint64_t>(
+                       std::numeric_limits<double>::quiet_NaN()));
+       }},
+      {"trace record 5: t_in or t_out is not finite",
+       [](std::string& b) {
+         put_field(b, 5, kTInAt,
+                   std::bit_cast<std::uint64_t>(
+                       -std::numeric_limits<double>::infinity()));
+       }},
+      {"trace record 2: token or process id wider than 32 bits",
+       [](std::string& b) { put_field(b, 2, kProcessAt, std::uint64_t{1} << 32); }},
+  };
+  for (const Mutation& m : mutations) {
+    std::string bytes = golden_bytes();
+    m.apply(bytes);
+    const ReadTraceResult rd = read_bytes(bytes, "mutated.trace");
+    EXPECT_FALSE(rd.ok()) << m.want;
+    EXPECT_NE(rd.error.find(m.want), std::string::npos) << rd.error;
+  }
+}
+
+/// Seeded single-byte flips of the golden payload: the reader either
+/// rejects the file or yields records every analyzer can take, and the
+/// streaming checker agrees with the batch one on them.
+TEST(TraceSerialize, ByteFlipsNeverCrash) {
+  const std::string golden = golden_bytes();
+  ASSERT_GT(golden.size(), kTraceHeaderBytes);
+  const std::size_t payload = golden.size() - kTraceHeaderBytes;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 512; ++seed) {
+    Xoshiro256 rng(seed);
+    std::string bytes = golden;
+    const std::size_t at = kTraceHeaderBytes + rng.below(payload);
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.below(255)));
+    const ReadTraceResult rd = read_bytes(bytes, "flipped.trace");
+    if (!rd.ok()) {
+      EXPECT_NE(rd.error.find("trace record"), std::string::npos) << rd.error;
+      ++rejected;
+      continue;
+    }
+    expect_streaming_matches_batch(rd.trace, "seed " + std::to_string(seed));
+  }
+  // Flips land in checked fields (ids, times, seqs) often enough.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, 512u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "util/bits.hpp"
 #include "util/cli.hpp"
+#include "util/id_slots.hpp"
 #include "util/residue.hpp"
 #include "util/rng.hpp"
 #include "util/spin_barrier.hpp"
@@ -42,6 +43,26 @@ TEST(Bits, GcdLcm) {
   EXPECT_EQ(gcd_u64(0, 5), 5u);
   EXPECT_EQ(lcm_u64(4, 6), 12u);
   EXPECT_EQ(lcm_u64(2, 8), 8u);
+}
+
+TEST(IdSlots, NumbersIdsInFirstSeenOrder) {
+  IdSlots slots;
+  EXPECT_EQ(slots.slot(0xFFFFFFFFu), 0u);
+  EXPECT_EQ(slots.slot(0), 1u);
+  EXPECT_EQ(slots.slot(0xFFFFFFFFu), 0u);
+  EXPECT_FALSE(slots.insert(0));
+  EXPECT_TRUE(slots.insert(7));
+  EXPECT_EQ(slots.size(), 3u);
+  // Many sparse ids grow the table; every id keeps its slot.
+  for (std::uint32_t i = 0; i < 5000; ++i) slots.slot(1'000'000 + 977 * i);
+  EXPECT_EQ(slots.size(), 5003u);
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    EXPECT_EQ(slots.slot(1'000'000 + 977 * i), 3 + i);
+  }
+  EXPECT_EQ(slots.slot(7), 2u);
+  slots.clear();
+  EXPECT_EQ(slots.size(), 0u);
+  EXPECT_EQ(slots.slot(1'000'000), 0u);
 }
 
 TEST(Rng, DeterministicPerSeed) {

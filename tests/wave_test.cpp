@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled.hpp"
@@ -706,6 +708,95 @@ TEST(FaultedWave, StreamMatchesScalarStream) {
 }
 
 // ---------------------------------------------------------------------
+// Sparse process ids: the interpreters size per-process state by the
+// processes that have a token, never by the largest id.
+// ---------------------------------------------------------------------
+
+Trace trace_of(SimulationResult sim) {
+  EXPECT_TRUE(sim.ok()) << sim.error;
+  return std::move(sim.trace);
+}
+
+template <class Run>
+Trace streamed(Run&& run) {
+  CollectSink sink;
+  const SimulationResult sim = run(sink);
+  EXPECT_TRUE(sim.ok()) << sim.error;
+  EXPECT_TRUE(sim.trace.empty());
+  return sink.take();
+}
+
+TEST(SparseProcessIds, EveryEntryPointMatchesTheDenseSchedule) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 6;
+  wl.tokens_per_process = 8;
+  wl.c_max = 3.0;
+  Xoshiro256 rng(17);
+  const TimedExecution dense = generate_workload(net, wl, rng);
+  // Process p becomes an id up to 0xFFFFFFF0, in the same order.
+  const auto sparse_id = [&](ProcessId p) {
+    return 0xFFFFFFF0u - (wl.processes - 1 - p) * 0x01000000u;
+  };
+  TimedExecution sparse = dense;
+  for (TokenPlan& p : sparse.plans) p.process = sparse_id(p.process);
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = 0.2;
+  plan.p_stuck_balancer = 0.2;
+  plan.p_process_crash = 0.2;
+  const SimFaults faults = fault::draw_sim_faults(net, dense, plan, 5);
+  ASSERT_FALSE(faults.empty());
+
+  SimArena arena;
+  using Entry = std::function<Trace(const TimedExecution&)>;
+  const std::vector<std::pair<std::string, Entry>> entries = {
+      {"simulate", [](const TimedExecution& e) { return trace_of(simulate(e)); }},
+      {"simulate(arena)",
+       [&](const TimedExecution& e) { return trace_of(simulate(e, arena)); }},
+      {"simulate_recorded",
+       [](const TimedExecution& e) { return trace_of(simulate_recorded(e)); }},
+      {"simulate_stream",
+       [&](const TimedExecution& e) {
+         return streamed(
+             [&](TraceSink& s) { return simulate_stream(e, arena, s); });
+       }},
+      {"simulate_wave",
+       [&](const TimedExecution& e) { return trace_of(simulate_wave(e, arena)); }},
+      {"simulate_wave_stream",
+       [&](const TimedExecution& e) {
+         return streamed(
+             [&](TraceSink& s) { return simulate_wave_stream(e, arena, s); });
+       }},
+      {"simulate(faults)",
+       [&](const TimedExecution& e) {
+         return trace_of(simulate(e, faults, arena));
+       }},
+      {"simulate_stream(faults)",
+       [&](const TimedExecution& e) {
+         return streamed(
+             [&](TraceSink& s) { return simulate_stream(e, faults, arena, s); });
+       }},
+      {"simulate_wave(faults)",
+       [&](const TimedExecution& e) {
+         return trace_of(simulate_wave(e, faults, arena));
+       }},
+      {"simulate_wave_stream(faults)",
+       [&](const TimedExecution& e) {
+         return streamed([&](TraceSink& s) {
+           return simulate_wave_stream(e, faults, arena, s);
+         });
+       }},
+  };
+  for (const auto& [name, run] : entries) {
+    Trace want = run(dense);
+    ASSERT_FALSE(want.empty()) << name;
+    for (TokenRecord& r : want) r.process = sparse_id(r.process);
+    EXPECT_EQ(run(sparse), want) << name;
+  }
+}
+
+// ---------------------------------------------------------------------
 // Engine: RunSpec::wave_exec flips the interpreter, nothing else.
 // ---------------------------------------------------------------------
 
@@ -755,9 +846,9 @@ TEST(EngineWaveExec, SweepJsonIdenticalFaulted) {
   expect_same_sweep_json(sweep);
 }
 
-TEST(EngineWaveExec, WaveBackendFaultRerunIdentical) {
-  // The wave/optimizer backends re-interpret their built schedule under
-  // the overlay without a shared arena; wave_exec must not change the
+TEST(EngineWaveExec, WaveBackendFaultedRunIdentical) {
+  // The wave backend interprets its built schedule once, under the
+  // overlay, like every simulated backend; wave_exec must not change the
   // result.
   engine::RunSpec spec;
   spec.backend = "wave";

@@ -856,13 +856,15 @@ struct InterpreterRates {
   std::uint64_t steps_per_trial = 0;
   double scalar_steps_per_sec = 0.0;
   double wave_steps_per_sec = 0.0;
+  double workload_tokens_per_sec = 0.0;
 };
 
 /// The whole interpreter, validate() included, at the sweep_wave_stream
 /// trial shape: B(8), 8 processes x 512 tokens, c_max 3, streaming into
 /// a counting sink. simulate_stream (the scalar body) and
 /// simulate_wave_stream (the wave body) interpret the same pregenerated
-/// trials with one reused arena; workload generation is not timed.
+/// trials with one reused arena. The workload layer is timed on its own:
+/// generate_workload of the same trials plus the schedule's destruction.
 /// Alternating rounds, max of rates — same noise defense as
 /// measure_traversal. Absolute rates only: not gated by --check.
 InterpreterRates measure_interpreter(double min_seconds) {
@@ -880,7 +882,8 @@ InterpreterRates measure_interpreter(double min_seconds) {
     trials.push_back(generate_workload(topo, wl, rng));
   }
   InterpreterRates r;
-  r.steps_per_trial = trials[0].plans.size() * (topo.depth() + 1);
+  const std::uint64_t tokens_per_trial = trials[0].plans.size();
+  r.steps_per_trial = tokens_per_trial * (topo.depth() + 1);
   SimArena arena;
   CountingSink sink;
   const double round_seconds = min_seconds / kRounds;
@@ -904,6 +907,17 @@ InterpreterRates measure_interpreter(double min_seconds) {
                                                              sink));
                                   }
                                 }));
+    r.workload_tokens_per_sec = std::max(
+        r.workload_tokens_per_sec,
+        cn::bench::measure_rate(kTrials * tokens_per_trial, round_seconds,
+                                [&] {
+                                  for (std::uint64_t seed = 1;
+                                       seed <= kTrials; ++seed) {
+                                    Xoshiro256 rng(seed);
+                                    benchmark::DoNotOptimize(
+                                        generate_workload(topo, wl, rng));
+                                  }
+                                }));
   }
   benchmark::DoNotOptimize(sink.records());
   return r;
@@ -921,6 +935,10 @@ std::string json_interpreter(const InterpreterRates& r) {
      << "    \"wave_stream\": {\n"
      << "      \"steps_per_sec\": " << r.wave_steps_per_sec << ",\n"
      << "      \"ns_per_step\": " << 1e9 / r.wave_steps_per_sec << "\n"
+     << "    },\n"
+     << "    \"workload\": {\n"
+     << "      \"tokens_per_sec\": " << r.workload_tokens_per_sec << ",\n"
+     << "      \"ns_per_token\": " << 1e9 / r.workload_tokens_per_sec << "\n"
      << "    }\n"
      << "  }";
   return os.str();

@@ -1,8 +1,9 @@
 #include "concurrent/harness.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -169,7 +170,9 @@ ConcurrentRunResult run_recorded(ConcurrentNetwork& net,
   const std::uint32_t fan_out = net.network().fan_out();
   const std::uint32_t hops = net.network().depth() + 1;
   const bool faulted = spec.fault.active();
-  std::vector<std::vector<TokenPlan>> partial_plans(spec.threads);
+  // Each thread appends to its own schedule; they join in thread order.
+  std::vector<TimedExecution> partial(spec.threads,
+                                      TimedExecution{.net = &net.network()});
   const auto make_step = [&](std::uint32_t t) {
     return [&, t, source = t % fan_in,
             rng = Xoshiro256(spec.seed * 0x9e3779b9ULL + t),
@@ -209,12 +212,9 @@ ConcurrentRunResult run_recorded(ConcurrentNetwork& net,
       }
       const auto out = Clock::now();
       if (spec.record_schedule) {
-        TokenPlan plan;
-        plan.token = token_id(spec, t, k);
-        plan.process = t;
-        plan.source = source;
-        plan.times = hop_times;
-        partial_plans[t].push_back(std::move(plan));
+        const std::span<double> row = partial[t].add(
+            {.token = token_id(spec, t, k), .process = t, .source = source});
+        std::ranges::copy(hop_times, row.begin());
       }
       spin_for_ns(spec.local_delay_ns);
       return stamped_record(token_id(spec, t, k), t, source,
@@ -224,11 +224,13 @@ ConcurrentRunResult run_recorded(ConcurrentNetwork& net,
   };
   ConcurrentRunResult result = closed_loop(spec, make_step, sink);
   if (result.ok() && spec.record_schedule) {
-    result.schedule.net = &net.network();
-    for (auto& plans : partial_plans) {
-      result.schedule.plans.insert(result.schedule.plans.end(),
-                                   std::make_move_iterator(plans.begin()),
-                                   std::make_move_iterator(plans.end()));
+    TimedExecution& joined = result.schedule;
+    joined.net = &net.network();
+    for (const TimedExecution& part : partial) {
+      joined.plans.insert(joined.plans.end(), part.plans.begin(),
+                          part.plans.end());
+      joined.times.insert(joined.times.end(), part.times.begin(),
+                          part.times.end());
     }
   }
   return result;

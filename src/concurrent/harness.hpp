@@ -64,7 +64,7 @@ struct ConcurrentRunResult {
   std::uint64_t total_ops = 0;
   double ops_per_sec = 0.0;
   /// Per-operation layer-crossing times (seconds); only filled when
-  /// spec.record_schedule. Feed to measure_timing via as_timed_execution.
+  /// spec.record_schedule. Feed to measure_timing.
   TimedExecution schedule;
 
   // Fault accounting (all zero when the plan is disabled).

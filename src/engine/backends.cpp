@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -178,6 +179,9 @@ RunResult run_schedule(const RunSpec& spec, RunContext& ctx, TraceSink* sink,
 /// Why a builder cannot use the wire-delay envelope [c_min, c_max]; empty
 /// when it can. The wording is msg::validate's.
 std::string envelope_error(double c_min, double c_max) {
+  if (!std::isfinite(c_min) || !std::isfinite(c_max)) {
+    return "spec invalid: non-finite latency";
+  }
   if (c_min > c_max) {
     return "spec invalid: c_min > c_max (inverted latency envelope)";
   }
@@ -213,24 +217,22 @@ TimedExecution build_burst(const RunSpec& spec, const Network& net,
   TimedExecution exec;
   exec.net = &net;
   const std::uint32_t d = net.depth();
+  const double extreme[2] = {spec.c_max, spec.c_min};
   TokenId next = 0;
   double t0 = 0.0;
   for (std::uint32_t b = 0; b < spec.bursts; ++b) {
     double latest_exit = t0;
     for (std::uint32_t i = 0; i < spec.burst_size; ++i) {
-      TokenPlan p;
-      p.token = next;
-      p.process = next;  // all distinct processes: pure C_g probe
-      p.source = i % net.fan_in();
-      p.rank = rng.unit();
-      p.times.resize(d + 1);
-      p.times[0] = t0 + rng.uniform(0.0, 0.25 * spec.c_min);
+      // All distinct processes: pure C_g probe.
+      const std::span<double> row = exec.add({.token = next,
+                                              .process = next,
+                                              .source = i % net.fan_in(),
+                                              .rank = rng.unit()});
+      row[0] = t0 + rng.uniform(0.0, 0.25 * spec.c_min);
       for (std::uint32_t h = 1; h <= d; ++h) {
-        p.times[h] =
-            p.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
+        row[h] = row[h - 1] + extreme[rng.below(2)];
       }
-      latest_exit = std::max(latest_exit, p.times[d]);
-      exec.plans.push_back(std::move(p));
+      latest_exit = std::max(latest_exit, row[d]);
       ++next;
     }
     t0 = latest_exit + spec.burst_gap;
@@ -243,8 +245,15 @@ TimedExecution build_heterogeneous(const RunSpec& spec, const Network& net,
                                    RunResult& out) {
   out.error = envelope_error(spec.c_min, spec.c_max);
   // A process's next operation enters its local delay after the last one
-  // exits. A negative delay overlaps them (Section 2.2, rule 3), and with
-  // no delay at all the loop below would never reach the horizon.
+  // exits. A non-finite delay would end the loop below after one
+  // operation (or, for the horizon, never), a negative one overlaps them
+  // (Section 2.2, rule 3), and with no delay at all the loop would never
+  // reach the horizon.
+  if (out.ok() && !(std::isfinite(spec.hare_delay) &&
+                    std::isfinite(spec.tortoise_delay) &&
+                    std::isfinite(spec.horizon))) {
+    out.error = "spec invalid: non-finite local delay or horizon";
+  }
   const double min_local = std::min(spec.hare_delay, spec.tortoise_delay);
   if (out.ok() && min_local < 0.0) {
     out.error = "spec invalid: negative local delay";
@@ -258,25 +267,22 @@ TimedExecution build_heterogeneous(const RunSpec& spec, const Network& net,
   TimedExecution exec;
   exec.net = &net;
   const std::uint32_t d = net.depth();
+  const double extreme[2] = {spec.c_max, spec.c_min};
   TokenId next = 0;
   for (ProcessId p = 0; p < net.fan_in(); ++p) {
     const double local = p == 0 ? spec.hare_delay : spec.tortoise_delay;
     double t = 0.0;
     std::uint32_t k = 0;
     while (t < spec.horizon) {
-      TokenPlan plan;
-      plan.token = next++;
-      plan.process = p;
-      plan.source = p;
-      plan.rank = k + rng.unit() * 0.9;
-      plan.times.resize(d + 1);
-      plan.times[0] = t;
+      const std::span<double> row = exec.add({.token = next++,
+                                              .process = p,
+                                              .source = p,
+                                              .rank = k + rng.unit() * 0.9});
+      row[0] = t;
       for (std::uint32_t h = 1; h <= d; ++h) {
-        plan.times[h] =
-            plan.times[h - 1] + (rng.below(2) ? spec.c_min : spec.c_max);
+        row[h] = row[h - 1] + extreme[rng.below(2)];
       }
-      t = plan.times[d] + local;
-      exec.plans.push_back(std::move(plan));
+      t = row[d] + local;
       ++k;
     }
   }

@@ -1,5 +1,6 @@
 #include "msg/service.hpp"
 
+#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -114,6 +115,9 @@ struct RunState {
 std::string validate(const MsgRunSpec& spec) {
   if (spec.processes == 0) return "spec invalid: processes == 0";
   if (spec.ops_per_process == 0) return "spec invalid: ops_per_process == 0";
+  if (!std::isfinite(spec.c_min) || !std::isfinite(spec.c_max)) {
+    return "spec invalid: non-finite latency";
+  }
   if (spec.c_min > spec.c_max) {
     return "spec invalid: c_min > c_max (inverted latency envelope)";
   }

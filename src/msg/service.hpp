@@ -59,9 +59,9 @@ struct MsgRunResult {
 };
 
 /// Structural validation of a spec: empty string when runnable, else a
-/// description of the first problem (empty workload, inverted latency
-/// envelope, ...). run_message_passing rejects invalid specs with the
-/// same message instead of silently proceeding.
+/// description of the first problem (empty workload, non-finite or
+/// inverted latency envelope, ...). run_message_passing rejects invalid
+/// specs with the same message instead of silently proceeding.
 std::string validate(const MsgRunSpec& spec);
 
 /// Runs the workload to completion. Process p enters on input wire

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
@@ -57,35 +58,30 @@ WaveResult build_wave_execution(const Network& net, const SplitAnalysis& split,
   result.wave2_size = wave2_size;
   result.wave3_size = wave3_size;
 
-  result.exec.net = &net;
+  TimedExecution& exec = result.exec;
+  exec.net = &net;
   TokenId next_token = 0;
 
   // Wave 1: one token per source 0..wave1_size-1, fresh processes, slow
   // throughout (one wire per c_max).
   for (std::uint32_t i = 0; i < wave1_size; ++i) {
-    result.exec.plans.push_back(make_uniform_plan(
-        next_token++, kWave1ProcessBase + i, i, d, /*t_in=*/0.0, c_max,
-        /*rank=*/static_cast<double>(i)));
+    add_uniform_plan(exec, next_token++, kWave1ProcessBase + i, i,
+                     /*t_in=*/0.0, c_max, /*rank=*/static_cast<double>(i));
   }
 
   // Wave 2: processes p_0..p_{wave2_size-1}, entering simultaneously with
   // wave 1 but ordered after it at every balancer; slow until crossing the
   // ell-th split layer (absolute layer L), fast afterwards.
   for (std::uint32_t i = 0; i < wave2_size; ++i) {
-    TokenPlan p;
-    p.token = next_token++;
-    p.process = i;
-    p.source = i;
-    p.rank = 10'000.0 + i;
-    p.times.resize(d + 1);
+    const std::span<double> row = exec.add(
+        {.token = next_token++, .process = i, .source = i, .rank = 10'000.0 + i});
     for (std::uint32_t k = 0; k <= d; ++k) {
       if (k + 1 <= L) {
-        p.times[k] = k * c_max;
+        row[k] = k * c_max;
       } else {
-        p.times[k] = (L - 1) * c_max + (k - (L - 1)) * c_min;
+        row[k] = (L - 1) * c_max + (k - (L - 1)) * c_min;
       }
     }
-    result.exec.plans.push_back(std::move(p));
   }
   const double t2 = (L - 1) * c_max + delta * c_min  // wave-2 exit time
                     + spec.wave3_extra_delay;        // + the C_L timer
@@ -97,14 +93,13 @@ WaveResult build_wave_execution(const Network& net, const SplitAnalysis& split,
     const ProcessId proc = spec.distinct_processes
                                ? kWave3FreshProcessBase + i
                                : (i < wave2_size ? i : kWave3FreshProcessBase + i);
-    result.exec.plans.push_back(make_uniform_plan(next_token++, proc, i, d, t2,
-                                                  c_min, 20'000.0 + i));
+    add_uniform_plan(exec, next_token++, proc, i, t2, c_min, 20'000.0 + i);
   }
 
   const double pow2 = std::ldexp(1.0, -static_cast<int>(spec.ell));  // 2^-ell
   result.predicted_f_nl = (1.0 - pow2) / (2.0 - pow2);
   result.predicted_f_nsc = pow2 / (2.0 - pow2);
-  result.timing = measure_timing(result.exec);
+  result.timing = measure_timing(exec);
   return result;
 }
 
@@ -204,8 +199,10 @@ Theorem32Result run_theorem32_transform(const Network& net,
     if (r.token >= rec_of.size()) rec_of.resize(r.token + 1, nullptr);
     rec_of[r.token] = &r;
   }
-  std::vector<const TokenPlan*> plan_of(rec_of.size(), nullptr);
-  for (const TokenPlan& p : base.plans) plan_of[p.token] = &p;
+  std::vector<std::size_t> plan_of(rec_of.size());
+  for (std::size_t i = 0; i < base.plans.size(); ++i) {
+    plan_of[base.plans[i].token] = i;
+  }
 
   const std::uint64_t n_per_wire = min_uniform_wave_multiplier(net);
   if (n_per_wire == 0) {
@@ -219,7 +216,7 @@ Theorem32Result run_theorem32_transform(const Network& net,
   // tokens).
   for (const TokenId t_prime_id : result.base_report.non_linearizable) {
     const TokenRecord& t_prime = *rec_of[t_prime_id];
-    const TokenPlan& t_prime_plan = *plan_of[t_prime_id];
+    const std::size_t t_prime_plan = plan_of[t_prime_id];
     // Witness T: the max-value token completing before T' starts
     // (non-linearizability guarantees one with a larger value exists).
     // Following the proof, T will be RELABELED to a fresh process, so no
@@ -239,6 +236,7 @@ Theorem32Result run_theorem32_transform(const Network& net,
     TimedExecution trans;
     trans.net = &net;
     trans.plans = base.plans;
+    trans.times = base.times;
     TokenId next_token = 0;
     for (const TokenPlan& p : base.plans) {
       next_token = std::max(next_token, p.token + 1);
@@ -250,22 +248,22 @@ Theorem32Result run_theorem32_transform(const Network& net,
     for (TokenPlan& p : trans.plans) {
       if (p.token == t_rec->token) p.process = witness_proc;
     }
-    const double rank_base = t_prime_plan.rank - 0.5;
+    const double rank_base = base.plans[t_prime_plan].rank - 0.5;
+    const std::span<const double> t_prime_row = base.times_of(t_prime_plan);
     const std::uint64_t wave_total = n_per_wire * net.fan_in();
     std::vector<TokenId> wave_tokens;
     wave_tokens.reserve(wave_total);
     std::uint64_t idx = 0;
     for (std::uint32_t wire = 0; wire < net.fan_in(); ++wire) {
       for (std::uint64_t rep = 0; rep < n_per_wire; ++rep, ++idx) {
-        TokenPlan p;
-        p.token = next_token++;
-        p.process = next_proc++;
-        p.source = wire;
-        p.times = t_prime_plan.times;
-        p.rank = rank_base + 1e-6 * static_cast<double>(idx) /
-                                 static_cast<double>(wave_total);
-        wave_tokens.push_back(p.token);
-        trans.plans.push_back(std::move(p));
+        wave_tokens.push_back(next_token);
+        const std::span<double> row = trans.add(
+            {.token = next_token++,
+             .process = next_proc++,
+             .source = wire,
+             .rank = rank_base + 1e-6 * static_cast<double>(idx) /
+                                     static_cast<double>(wave_total)});
+        std::ranges::copy(t_prime_row, row.begin());
       }
     }
 

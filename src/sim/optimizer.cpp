@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -96,26 +97,26 @@ OptimizerResult optimize_schedule(const Network& net,
   auto build = [&](const Genome& g) {
     TimedExecution exec;
     exec.net = &net;
+    exec.plans.reserve(total);
+    exec.times.reserve(std::size_t{total} * (d + 1));
     TokenId id = 0;
     for (ProcessId p = 0; p < spec.processes; ++p) {
       double t = g.slack[p * spec.tokens_per_process];  // initial stagger
       for (std::uint32_t k = 0; k < spec.tokens_per_process; ++k) {
         const std::uint32_t idx = p * spec.tokens_per_process + k;
         if (k > 0) t += spec.local_delay_min + g.slack[idx];
-        TokenPlan plan;
-        plan.token = id++;
-        plan.process = p;
-        plan.source = p % net.fan_in();
-        plan.rank = k * 1.0 + (idx % 7) * 0.1;  // per-process increasing
-        plan.times.resize(d + 1);
-        plan.times[0] = t;
+        // The rank is per-process increasing.
+        const std::span<double> row =
+            exec.add({.token = id++,
+                      .process = p,
+                      .source = p % net.fan_in(),
+                      .rank = k * 1.0 + (idx % 7) * 0.1});
+        row[0] = t;
         for (std::uint32_t h = 0; h < hops; ++h) {
-          plan.times[h + 1] =
-              plan.times[h] +
-              (g.slow_hop[idx * hops + h] ? spec.c_max : spec.c_min);
+          row[h + 1] =
+              row[h] + (g.slow_hop[idx * hops + h] ? spec.c_max : spec.c_min);
         }
-        t = plan.times[d];
-        exec.plans.push_back(std::move(plan));
+        t = row[d];
       }
     }
     return exec;

@@ -40,41 +40,43 @@ struct Faulted {
   }
 };
 
-/// The largest token id of `exec`; false (with `error` set) when a plan
-/// uses the reserved token id.
-bool id_bounds(const TimedExecution& exec, TokenId& max_token,
-               std::string& error) {
-  max_token = 0;
+/// Plan-index sentinel: no plan (no token in flight).
+constexpr std::uint32_t kNoPlan = std::numeric_limits<std::uint32_t>::max();
+
+/// Empty, or the error for a plan that uses the reserved token id (the
+/// step order's end-of-stream key carries it).
+std::string reserved_id_error(const TimedExecution& exec) {
   for (const TokenPlan& p : exec.plans) {
     if (p.token == kNoToken) {
-      error = "token id " + std::to_string(kNoToken) + " is reserved";
-      return false;
+      return "token id " + std::to_string(kNoToken) + " is reserved";
     }
-    max_token = std::max(max_token, p.token);
   }
-  return true;
+  return {};
 }
 
-TokenRecord make_record(const TokenPlan& plan, Value v, std::uint32_t fan_out,
-                        std::uint64_t first_seq, std::uint64_t last_seq) {
+/// The record of plan `i`'s token, which counted `v`.
+TokenRecord make_record(const TimedExecution& exec, std::uint32_t i, Value v,
+                        std::uint32_t fan_out, std::uint64_t first_seq,
+                        std::uint64_t last_seq) {
+  const TokenPlan& plan = exec.plans[i];
   TokenRecord rec;
   rec.token = plan.token;
   rec.process = plan.process;
   rec.source = plan.source;
   rec.sink = static_cast<std::uint32_t>(v % fan_out);
   rec.value = v;
-  rec.t_in = plan.t_in();
-  rec.t_out = plan.t_out();
+  rec.t_in = exec.t_in(i);
+  rec.t_out = exec.t_out(i);
   rec.first_seq = first_seq;
   rec.last_seq = last_seq;
   return rec;
 }
 
-/// One step of the canonical order: token `token` (of `plan`) crosses
-/// its hop `hop`.
+/// One step of the canonical order: the token of plan `plan` (an index
+/// into exec.plans and a row of exec.times) crosses its hop `hop`. Token
+/// ids are unique, so a schedule has fewer than 2^32 plans.
 struct StepRef {
-  const TokenPlan* plan;
-  TokenId token;
+  std::uint32_t plan;
   std::uint32_t hop;
 };
 
@@ -100,10 +102,6 @@ inline bool operator<(const StepKey& a, const StepKey& b) noexcept {
   return std::tie(a.time, a.rank, a.token) < std::tie(b.time, b.rank, b.token);
 }
 
-inline StepKey key_of(const TokenPlan& p, std::uint32_t hop) noexcept {
-  return {ordered_bits(p.times[hop]), ordered_bits(p.rank), p.token};
-}
-
 /// Sorts after every real step: real token ids are below kNoToken.
 constexpr StepKey kExhausted{~std::uint64_t{0}, ~std::uint64_t{0}, kNoToken};
 
@@ -126,7 +124,8 @@ constexpr StepKey kExhausted{~std::uint64_t{0}, ~std::uint64_t{0}, kNoToken};
 class StepOrder {
  public:
   /// Builds the streams of `exec` (validated, token ids below
-  /// kNoToken). False when a stream was cut.
+  /// kNoToken), which must outlive the steps taken. False when a stream
+  /// was cut.
   template <class Overlay>
   bool reset(const TimedExecution& exec, std::uint32_t depth,
              const Overlay& ov);
@@ -185,7 +184,7 @@ class StepOrder {
 
  private:
   struct Entry {
-    const TokenPlan* plan;
+    std::uint32_t plan;
     std::uint32_t last;  ///< Last hop this token contributes.
   };
   /// A stream's head step, plus a lookahead: the key and position of
@@ -196,22 +195,32 @@ class StepOrder {
     StepKey next;        ///< kExhausted past the stream's end.
     const Entry* entry;  ///< Token of `next`.
     const Entry* end;
+    const double* row;   ///< Crossing times of `entry`'s plan.
     std::uint32_t hop;   ///< Hop of `next`.
   };
 
+  const double* row_of(std::uint32_t plan) const noexcept {
+    return times_ + std::size_t{plan} * stride_;
+  }
+
+  StepKey key_of(std::uint32_t plan, std::uint32_t hop) const noexcept {
+    return {ordered_bits(row_of(plan)[hop]), ordered_bits(plans_[plan].rank),
+            plans_[plan].token};
+  }
+
   /// Moves the stream's head to its lookahead and looks one step further.
-  static void advance(Stream& s) noexcept {
+  void advance(Stream& s) const noexcept {
     if (s.entry == s.end) {
       s.next = kExhausted;
       return;
     }
-    const TokenPlan& plan = *s.entry->plan;
-    s.head = {&plan, plan.token, s.hop};
+    s.head = {s.entry->plan, s.hop};
     if (s.hop != s.entry->last) {
-      s.next.time = ordered_bits(plan.times[++s.hop]);
+      s.next.time = ordered_bits(s.row[++s.hop]);
     } else if (++s.entry != s.end) {
       s.hop = 0;
-      s.next = key_of(*s.entry->plan, 0);
+      s.row = row_of(s.entry->plan);
+      s.next = key_of(s.entry->plan, 0);
     } else {
       s.next = kExhausted;
     }
@@ -230,6 +239,9 @@ class StepOrder {
     return b_wins ? b : a;
   }
 
+  const TokenPlan* plans_ = nullptr;  ///< The last reset()'s schedule.
+  const double* times_ = nullptr;
+  std::size_t stride_ = 0;
   IdSlots processes_;  ///< Slot (and stream) of each issuing process.
   std::vector<std::uint32_t> slot_of_plan_;  ///< Issued plans' slots.
   std::vector<std::uint32_t> start_;  ///< Per-slot entry offsets.
@@ -249,6 +261,9 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
   // id. Counting slot s at s + 2 leaves start_[s + 1] at s's first entry
   // after the prefix sum; the scatter advances it to s's end, so
   // afterwards start_[s] and start_[s + 1] bound slot s.
+  plans_ = exec.plans.data();
+  times_ = exec.times.data();
+  stride_ = std::size_t{depth} + 1;
   processes_.clear();
   slot_of_plan_.resize(exec.plans.size());
   start_.assign(2, 0);
@@ -273,14 +288,15 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
       if (doom == 0) continue;
       last = std::min(doom, depth);
     }
-    entries_[start_[slot_of_plan_[i] + 1]++] = {&exec.plans[i], last};
+    entries_[start_[slot_of_plan_[i] + 1]++] = {static_cast<std::uint32_t>(i),
+                                                 last};
   }
 
   bool whole = true;
   streams_.clear();
   remaining_ = 0;
-  const auto entry_less = [](const Entry& a, const Entry& b) {
-    return key_of(*a.plan, 0) < key_of(*b.plan, 0);
+  const auto entry_less = [this](const Entry& a, const Entry& b) {
+    return key_of(a.plan, 0) < key_of(b.plan, 0);
   };
   for (std::size_t slot = 0; slot < processes_.size(); ++slot) {
     Entry* const begin = entries_.data() + start_[slot];
@@ -289,12 +305,12 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
       std::sort(begin, end, entry_less);
     }
     for (Entry* a = begin; a + 1 != end; ++a) {
-      const StepKey next_entry = key_of(*a[1].plan, 0);
-      if (key_of(*a->plan, a->last) < next_entry) continue;
+      const StepKey next_entry = key_of(a[1].plan, 0);
+      if (key_of(a->plan, a->last) < next_entry) continue;
       // Step-order overlap: a[1] enters while a is in flight. Cut the
       // stream at that entry (a's hop 0 always sorts before it).
       std::uint32_t keep = 0;
-      while (key_of(*a->plan, keep + 1) < next_entry) ++keep;
+      while (key_of(a->plan, keep + 1) < next_entry) ++keep;
       a->last = keep;
       a[1].last = 0;
       end = a + 2;
@@ -302,9 +318,10 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
       break;
     }
     for (const Entry* e = begin; e != end; ++e) remaining_ += e->last + 1;
-    streams_.push_back({.next = key_of(*begin->plan, 0),
+    streams_.push_back({.next = key_of(begin->plan, 0),
                         .entry = begin,
                         .end = end,
+                        .row = row_of(begin->plan),
                         .hop = 0});
   }
 
@@ -325,27 +342,29 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
 /// Per-call buffers, kept allocated across calls.
 struct SimArena::Scratch {
   StepOrder steps;  ///< The canonical step order, both bodies.
-  std::vector<TokenRecord> records;
+  /// Per-token state is indexed by plan, never by token id: its size is
+  /// the schedule's, however large the ids.
+  std::vector<TokenRecord> records;  ///< Collect mode, per plan.
   /// Scalar mode, per process, indexed by its StepOrder stream: the
-  /// in-flight token, and (streaming) its first_seq and issue slot — the
-  /// only per-token state that must survive from entry to exit.
-  std::vector<TokenId> in_flight_of_stream;
+  /// in-flight token's plan, and (streaming) its first_seq and issue
+  /// slot — the only per-token state that must survive from entry to
+  /// exit.
+  std::vector<std::uint32_t> in_flight_of_stream;
   std::vector<std::uint64_t> first_seq_of_stream;
   std::vector<std::uint64_t> pos_of_stream;
   IssueWindowBuffer window;  ///< Ring reused across calls.
-  std::vector<WireIndex> wire_of;  ///< Current wire per token.
+  std::vector<WireIndex> wire_of;  ///< Current wire per plan.
   // --- wave mode ---------------------------------------------------------
   std::vector<StepRef> chunk;               ///< One round's steps.
   std::vector<std::uint32_t> bucket_start;  ///< Per-level chunk offsets.
   std::vector<std::uint32_t> bucket_pos;    ///< Scatter cursor per level.
   std::vector<std::uint32_t> by_level;      ///< Chunk indices by level.
-  /// Wave streaming keeps first_seq and issue slot per TOKEN, not per
-  /// process: inside one chunk a process's next issue is processed
+  /// Wave streaming keeps first_seq and issue slot per TOKEN (plan), not
+  /// per process: inside one chunk a process's next issue is processed
   /// (level 0) before its previous token's completion or drop (level
   /// >= 1), so a per-process slot would be overwritten too early.
-  /// O(max token id) scratch, arena-reused.
-  std::vector<std::uint64_t> first_seq_of_token;
-  std::vector<std::uint64_t> pos_of_token;
+  std::vector<std::uint64_t> first_seq_of_plan;
+  std::vector<std::uint64_t> pos_of_plan;
   std::vector<TokenCursor> cursors;         ///< One wave's gather buffer.
   std::vector<Value> values;                ///< Counter-wave results.
   // --- fault overlay -----------------------------------------------------
@@ -439,15 +458,18 @@ struct SimInterpreter {
       scr.window.flush();
       return;
     }
-    const std::uint32_t d = exec.net->depth();
-    result.trace.reserve(exec.plans.size());
-    for (const TokenPlan& p : exec.plans) {
-      if constexpr (Overlay::kFaulted) {
-        // A successful run completes exactly the tokens whose drop hop
-        // lies past the counter crossing.
-        if (ov.doom(p.token) <= d) continue;
+    if constexpr (Overlay::kFaulted) {
+      // A successful run completes exactly the tokens whose drop hop
+      // lies past the counter crossing.
+      const std::uint32_t d = exec.net->depth();
+      result.trace.reserve(exec.plans.size());
+      for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+        if (ov.doom(exec.plans[i].token) > d) {
+          result.trace.push_back(scr.records[i]);
+        }
       }
-      result.trace.push_back(scr.records[p.token]);
+    } else {
+      result.trace.assign(scr.records.begin(), scr.records.end());
     }
   }
 };
@@ -465,8 +487,8 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   state.set_recording(record_steps);
   const CompiledNetwork& cnet = *arena.compiled_;
   SimArena::Scratch& scr = *arena.scratch_;
-  TokenId max_token = 0;
-  if (!id_bounds(exec, max_token, result.error)) return result;
+  result.error = reserved_id_error(exec);
+  if (!result.error.empty()) return result;
 
   // Paper Section 2.2, rule 3: all steps of a process's token must
   // precede all steps of its next token IN THE STEP SEQUENCE. Equal times
@@ -475,7 +497,7 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   // the first such entry; see StepOrder.)
   scr.steps.reset(exec, net.depth(), ov);
   const std::size_t streams = scr.steps.streams();
-  scr.in_flight_of_stream.assign(streams, kNoToken);
+  scr.in_flight_of_stream.assign(streams, kNoPlan);
   // Streaming runs emit records as tokens exit; only the collect path
   // materializes the O(tokens) records array. Completions happen in seq
   // order, but the sink contract is issue order, so they pass through a
@@ -483,50 +505,54 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   // come from the incrementing `seq`, so the monotone-producer
   // contract of IssueWindowBuffer holds).
   if (sink == nullptr) {
-    scr.records.assign(max_token + 1, TokenRecord{});
+    scr.records.assign(exec.plans.size(), TokenRecord{});
   } else {
     scr.first_seq_of_stream.assign(streams, 0);
     scr.pos_of_stream.assign(streams, 0);
     scr.window.reset(*sink, /*deferred=*/false);
   }
   if constexpr (Overlay::kFaulted) {
-    scr.wire_of.assign(max_token + 1, kInvalidWire);
+    scr.wire_of.assign(exec.plans.size(), kInvalidWire);
     scr.reset_overlay(cnet);
   }
+  const std::size_t stride = exec.stride();
 
   std::uint64_t seq = 0;
   while (scr.steps.remaining() != 0) {
     std::uint32_t stream = 0;
     const StepRef ev = scr.steps.next(stream);
-    const TokenPlan& plan = *ev.plan;
+    const TokenPlan& plan = exec.plans[ev.plan];
     if constexpr (Overlay::kFaulted) {
       // The token vanishes at the planned time of its first unexecuted
       // hop: no transition, no seq; its process becomes free to issue
       // again. (hop > 0 always: never-issued tokens have no steps, so a
       // vanishing token has an open issue slot to drop.)
-      if (ev.hop == ov.doom(ev.token)) {
-        scr.in_flight_of_stream[stream] = kNoToken;
+      if (ev.hop == ov.doom(plan.token)) {
+        scr.in_flight_of_stream[stream] = kNoPlan;
         if (sink != nullptr) scr.window.drop(scr.pos_of_stream[stream]);
         continue;
       }
     }
     if (ev.hop == 0) {
-      TokenId& slot = scr.in_flight_of_stream[stream];
-      if (slot != kNoToken) {
+      std::uint32_t& slot = scr.in_flight_of_stream[stream];
+      if (slot != kNoPlan) {
         result.error = "process " + std::to_string(plan.process) +
                        " issued token " + std::to_string(plan.token) +
-                       " while token " + std::to_string(slot) +
+                       " while token " +
+                       std::to_string(exec.plans[slot].token) +
                        " was still in flight (step-order overlap)";
         return result;
       }
-      slot = plan.token;
+      slot = ev.plan;
       if constexpr (Overlay::kFaulted) {
-        scr.wire_of[ev.token] = cnet.source_wire(plan.source);
+        scr.wire_of[ev.plan] = cnet.source_wire(plan.source);
       } else {
-        state.enter(plan.token, plan.process, plan.source);
+        // NetworkState knows the token by its plan index; the step log
+        // is mapped back to token ids at the end.
+        state.enter(ev.plan, plan.process, plan.source);
       }
       if (sink == nullptr) {
-        scr.records[ev.token].first_seq = seq;
+        scr.records[ev.plan].first_seq = seq;
       } else {
         scr.first_seq_of_stream[stream] = seq;
         scr.pos_of_stream[stream] = scr.window.open();
@@ -536,14 +562,14 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
     bool finished = false;
     if constexpr (Overlay::kFaulted) {
       finished =
-          scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[ev.token], v);
+          scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[ev.plan], v);
     } else {
-      finished = state.step_fast(plan.token);
-      if (finished) v = state.value(plan.token);
+      finished = state.step_fast(ev.plan);
+      if (finished) v = state.value(ev.plan);
     }
     ++seq;
     if (finished) {
-      scr.in_flight_of_stream[stream] = kNoToken;
+      scr.in_flight_of_stream[stream] = kNoPlan;
       if (ev.hop != net.depth()) {
         result.error = "token " + std::to_string(plan.token) +
                        " reached a counter after " + std::to_string(ev.hop) +
@@ -551,15 +577,16 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
         return result;
       }
       if (sink == nullptr) {
-        TokenRecord& rec = scr.records[ev.token];
-        rec = make_record(plan, v, cnet.fan_out(), rec.first_seq, seq - 1);
+        TokenRecord& rec = scr.records[ev.plan];
+        rec = make_record(exec, ev.plan, v, cnet.fan_out(), rec.first_seq,
+                          seq - 1);
       } else {
         scr.window.close(scr.pos_of_stream[stream],
-                         make_record(plan, v, cnet.fan_out(),
+                         make_record(exec, ev.plan, v, cnet.fan_out(),
                                      scr.first_seq_of_stream[stream],
                                      seq - 1));
       }
-    } else if (ev.hop + 1 >= plan.times.size()) {
+    } else if (ev.hop + 1 >= stride) {
       result.error = "token " + std::to_string(plan.token) +
                      " still in flight after its last planned step; "
                      "network is not uniform";
@@ -568,7 +595,10 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   }
 
   finish(exec, scr, ov, sink, result);
-  if (record_steps) result.steps = state.log();
+  if (record_steps) {
+    result.steps = state.log();
+    for (Step& s : result.steps) s.token = exec.plans[s.token].token;
+  }
   return result;
 }
 
@@ -591,8 +621,8 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   }
 
   SimArena::Scratch& scr = *arena.scratch_;
-  TokenId max_token = 0;
-  if (!id_bounds(exec, max_token, result.error)) return result;
+  result.error = reserved_id_error(exec);
+  if (!result.error.empty()) return result;
 
   // The canonical step order, the same one the scalar body consumes. A
   // cut stream means a step-order overlap (paper Section 2.2, rule 3):
@@ -602,14 +632,15 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
     return scalar(exec, arena, ov, /*record_steps=*/false, sink);
   }
 
+  const std::size_t plans = exec.plans.size();
   if (sink == nullptr) {
-    scr.records.assign(max_token + 1, TokenRecord{});
+    scr.records.assign(plans, TokenRecord{});
   } else {
-    scr.first_seq_of_token.assign(max_token + 1, 0);
-    scr.pos_of_token.assign(max_token + 1, 0);
+    scr.first_seq_of_plan.assign(plans, 0);
+    scr.pos_of_plan.assign(plans, 0);
     scr.window.reset(*sink, /*deferred=*/true);
   }
-  scr.wire_of.assign(max_token + 1, kInvalidWire);
+  scr.wire_of.assign(plans, kInvalidWire);
 
   const CompiledNetwork& cnet = *arena.compiled_;
   CompiledState& cstate = *arena.wave_state_;
@@ -623,23 +654,24 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   // order within each chunk's level-0 slice, so opens arrive in
   // first_seq order.
   const auto enter = [&](const StepRef& s, std::uint64_t seq) {
-    scr.wire_of[s.token] = cnet.source_wire(s.plan->source);
-    ++cstate.source_count[s.plan->source];
+    const std::uint32_t source = exec.plans[s.plan].source;
+    scr.wire_of[s.plan] = cnet.source_wire(source);
+    ++cstate.source_count[source];
     if (sink == nullptr) {
-      scr.records[s.token].first_seq = seq;
+      scr.records[s.plan].first_seq = seq;
     } else {
-      scr.first_seq_of_token[s.token] = seq;
-      scr.pos_of_token[s.token] = scr.window.open();
+      scr.first_seq_of_plan[s.plan] = seq;
+      scr.pos_of_plan[s.plan] = scr.window.open();
     }
   };
   const auto leave = [&](const StepRef& s, Value v, std::uint64_t seq) {
     if (sink == nullptr) {
-      scr.records[s.token] = make_record(*s.plan, v, fan_out,
-                                         scr.records[s.token].first_seq, seq);
+      scr.records[s.plan] = make_record(exec, s.plan, v, fan_out,
+                                        scr.records[s.plan].first_seq, seq);
     } else {
-      scr.window.close(scr.pos_of_token[s.token],
-                       make_record(*s.plan, v, fan_out,
-                                   scr.first_seq_of_token[s.token], seq));
+      scr.window.close(scr.pos_of_plan[s.plan],
+                       make_record(exec, s.plan, v, fan_out,
+                                   scr.first_seq_of_plan[s.plan], seq));
     }
   };
 
@@ -657,7 +689,9 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
       scr.seq_of.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         scr.seq_of[i] =
-            chunk[i].hop == ov.doom(chunk[i].token) ? 0 : next_seq++;
+            chunk[i].hop == ov.doom(exec.plans[chunk[i].plan].token)
+                ? 0
+                : next_seq++;
       }
     }
 
@@ -691,13 +725,13 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
         // immaterial.
         for (const std::uint32_t idx : slice) {
           const StepRef& s = chunk[idx];
-          if (lvl == ov.doom(s.token)) {
-            if (sink != nullptr) scr.window.drop(scr.pos_of_token[s.token]);
+          if (lvl == ov.doom(exec.plans[s.plan].token)) {
+            if (sink != nullptr) scr.window.drop(scr.pos_of_plan[s.plan]);
             continue;
           }
           if (lvl == 0) enter(s, scr.seq_of[idx]);
           Value v = 0;
-          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[s.token],
+          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[s.plan],
                                v)) {
             leave(s, v, scr.seq_of[idx]);
           }
@@ -708,12 +742,12 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
         }
         scr.cursors.clear();
         for (const std::uint32_t idx : slice) {
-          scr.cursors.push_back({scr.wire_of[chunk[idx].token], idx});
+          scr.cursors.push_back({scr.wire_of[chunk[idx].plan], idx});
         }
         if (lvl < d) {
           step_wave(cnet, cstate, scr.cursors);
           for (const TokenCursor& c : scr.cursors) {
-            scr.wire_of[chunk[c.tag].token] = c.wire;
+            scr.wire_of[chunk[c.tag].plan] = c.wire;
           }
         } else {
           scr.values.resize(scr.cursors.size());

@@ -9,7 +9,8 @@
 // routing tables (NetworkState::step_fast) without materializing Step
 // records, and in-flight tokens are tracked in a vector with one slot per
 // process that has a token (never sized by the largest process id)
-// instead of a std::map. The (time, rank, token, hop) step order comes
+// instead of a std::map. Per-token state is indexed by the token's plan,
+// never by its id. The (time, rank, token, hop) step order comes
 // from a merge of per-process step streams: a process's tokens never
 // overlap in the step sequence (Section 2.2, rule 3), so each stream is
 // already sorted, and the merge holds one pending step per process, not

@@ -1,6 +1,8 @@
 #include "sim/timing.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <vector>
 
 namespace cn {
@@ -12,35 +14,44 @@ TimingParameters measure_timing(const TimedExecution& exec) {
     return t;
   }
   // Wire delays.
-  for (const TokenPlan& p : exec.plans) {
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    const std::span<const double> row = exec.times_of(i);
     double local_min = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 1; k < p.times.size(); ++k) {
-      const double d = p.times[k] - p.times[k - 1];
+    for (std::size_t k = 1; k < row.size(); ++k) {
+      const double d = row[k] - row[k - 1];
       t.c_min = std::min(t.c_min, d);
       t.c_max = std::max(t.c_max, d);
       local_min = std::min(local_min, d);
     }
-    const auto it = t.c_min_p.find(p.process);
+    const ProcessId proc = exec.plans[i].process;
+    const auto it = t.c_min_p.find(proc);
     if (it == t.c_min_p.end()) {
-      t.c_min_p[p.process] = local_min;
+      t.c_min_p[proc] = local_min;
     } else {
       it->second = std::min(it->second, local_min);
     }
   }
   // Local inter-operation delays: consecutive tokens of the same process.
-  std::vector<const TokenPlan*> plans;
+  struct Interval {
+    ProcessId process;
+    double t_in;
+    double t_out;
+  };
+  std::vector<Interval> plans;
   plans.reserve(exec.plans.size());
-  for (const TokenPlan& p : exec.plans) plans.push_back(&p);
-  std::sort(plans.begin(), plans.end(), [](const TokenPlan* a, const TokenPlan* b) {
-    if (a->process != b->process) return a->process < b->process;
-    return a->t_in() < b->t_in();
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    plans.push_back({exec.plans[i].process, exec.t_in(i), exec.t_out(i)});
+  }
+  std::sort(plans.begin(), plans.end(), [](const Interval& a, const Interval& b) {
+    if (a.process != b.process) return a.process < b.process;
+    return a.t_in < b.t_in;
   });
   for (std::size_t i = 1; i < plans.size(); ++i) {
-    if (plans[i]->process != plans[i - 1]->process) continue;
-    const double gap = plans[i]->t_in() - plans[i - 1]->t_out();
-    const auto it = t.C_L_p.find(plans[i]->process);
+    if (plans[i].process != plans[i - 1].process) continue;
+    const double gap = plans[i].t_in - plans[i - 1].t_out;
+    const auto it = t.C_L_p.find(plans[i].process);
     if (it == t.C_L_p.end()) {
-      t.C_L_p[plans[i]->process] = gap;
+      t.C_L_p[plans[i].process] = gap;
     } else {
       it->second = std::min(it->second, gap);
     }
@@ -52,9 +63,9 @@ TimingParameters measure_timing(const TimedExecution& exec) {
   std::vector<double> ins, outs;
   ins.reserve(plans.size());
   outs.reserve(plans.size());
-  for (const TokenPlan* p : plans) {
-    ins.push_back(p->t_in());
-    outs.push_back(p->t_out());
+  for (const Interval& p : plans) {
+    ins.push_back(p.t_in);
+    outs.push_back(p.t_out);
   }
   std::sort(ins.begin(), ins.end());
   std::sort(outs.begin(), outs.end());

@@ -28,7 +28,8 @@ struct TimingParameters {
   }
 };
 
-/// Measures all timing parameters of `exec` (paper Section 2.3).
+/// Measures all timing parameters of `exec` (paper Section 2.3). A
+/// non-empty `exec` needs its network and one row of times per plan.
 TimingParameters measure_timing(const TimedExecution& exec);
 
 /// A timing condition in the style of Sections 3-4: bounds the wire-delay

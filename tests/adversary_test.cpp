@@ -338,7 +338,7 @@ TEST(Theorem32, RejectsLinearizableBase) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
   const Theorem32Result res = run_theorem32_transform(net, exec);
   EXPECT_FALSE(res.ok());
 }

@@ -192,10 +192,11 @@ TEST(Harness, RecordedScheduleMeasuresTimingParameters) {
   const ConcurrentRunResult res = run_recorded(net, spec);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res.schedule.plans.size(), 50u);
-  for (const TokenPlan& p : res.schedule.plans) {
-    ASSERT_EQ(p.times.size(), topo.depth() + 1);
-    for (std::size_t h = 1; h < p.times.size(); ++h) {
-      EXPECT_GE(p.times[h], p.times[h - 1]);
+  ASSERT_EQ(res.schedule.times.size(), 50u * (topo.depth() + 1));
+  for (std::size_t i = 0; i < res.schedule.plans.size(); ++i) {
+    const std::span<const double> row = res.schedule.times_of(i);
+    for (std::size_t h = 1; h < row.size(); ++h) {
+      EXPECT_GE(row[h], row[h - 1]);
     }
   }
   const TimingParameters t = measure_timing(res.schedule);

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "concurrent/concurrent_network.hpp"
@@ -650,6 +652,17 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
        }},
       {"sim_heterogeneous", "negative local delay",
        [](engine::RunSpec& s) { s.tortoise_delay = -1.0; }},
+      {"sim_heterogeneous", "non-finite local delay",
+       [](engine::RunSpec& s) {
+         s.hare_delay = std::numeric_limits<double>::quiet_NaN();
+       }},
+      // A NaN horizon goes through the same finiteness check as an
+      // infinite one, which without the check would grow the schedule
+      // until memory ran out.
+      {"sim_heterogeneous", "non-finite local delay or horizon",
+       [](engine::RunSpec& s) {
+         s.horizon = std::numeric_limits<double>::quiet_NaN();
+       }},
       {"optimizer", "no operations",
        [](engine::RunSpec& s) { s.opt_iterations = 0; }},
       {"optimizer", "no operations",
@@ -685,6 +698,38 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
           << bad.backend << " keep_trace=" << keep_trace << ": " << res.error;
       EXPECT_NE(res.error.find(bad.want), std::string::npos)
           << bad.backend << " keep_trace=" << keep_trace << ": " << res.error;
+    }
+  }
+
+  // A non-finite wire-delay bound is spec-invalid wherever one is taken.
+  // NaN compares false against every bound, so the inverted-envelope and
+  // negative-latency checks alone would let it run.
+  for (const char* backend : {"simulator", "sim_burst", "sim_heterogeneous",
+                              "wave", "optimizer", "msg"}) {
+    for (const bool keep_trace : {true, false}) {
+      for (const bool nan_c_max : {true, false}) {
+        engine::RunSpec spec;
+        spec.backend = backend;
+        spec.network = "bitonic";
+        spec.width = 8;
+        spec.opt_iterations = 20;
+        spec.keep_trace = keep_trace;
+        if (nan_c_max) {
+          // The wave backend's c_max is wave_c_max.
+          (spec.backend == "wave" ? spec.wave_c_max : spec.c_max) =
+              std::numeric_limits<double>::quiet_NaN();
+        } else {
+          spec.c_min = std::numeric_limits<double>::infinity();
+        }
+        const std::string what = std::string(backend) +
+                                 (nan_c_max ? " NaN c_max" : " inf c_min") +
+                                 " keep_trace=" + std::to_string(keep_trace);
+        const engine::RunResult res = engine::run_backend(spec);
+        EXPECT_EQ(res.error_kind, engine::ErrorKind::kSpecInvalid)
+            << what << ": " << res.error;
+        EXPECT_NE(res.error.find("non-finite"), std::string::npos)
+            << what << ": " << res.error;
+      }
     }
   }
 

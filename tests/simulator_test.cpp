@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,12 +20,19 @@
 namespace cn {
 namespace {
 
+/// Swaps plans i and j of `exec`, crossing-time rows included.
+void swap_plans(TimedExecution& exec, std::size_t i, std::size_t j) {
+  std::swap(exec.plans[i], exec.plans[j]);
+  const std::span<double> a = exec.times_of(i);
+  std::swap_ranges(a.begin(), a.end(), exec.times_of(j).begin());
+}
+
 TEST(TimedExecution, ValidateAcceptsWellFormed) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 0.5, 2.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 1, 0.5, 2.0);
   EXPECT_EQ(validate(exec), "");
 }
 
@@ -31,7 +40,13 @@ TEST(TimedExecution, ValidateRejectsShortPlan) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth() - 1, 0.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 1, 0.0, 1.0);
+  // One time short of two rows, then one time over.
+  exec.times.pop_back();
+  EXPECT_NE(validate(exec), "");
+  exec.times.push_back(4.0);
+  exec.times.push_back(5.0);
   EXPECT_NE(validate(exec), "");
 }
 
@@ -39,19 +54,50 @@ TEST(TimedExecution, ValidateRejectsDecreasingTimes) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  TokenPlan p = make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0);
-  p.times[2] = p.times[1] - 0.5;
-  exec.plans.push_back(p);
+  const std::span<double> row = add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  row[2] = row[1] - 0.5;
   EXPECT_NE(validate(exec), "");
+}
+
+// NaN compares false both ways and an infinity is non-decreasing, so
+// neither would fail a plain `times decrease` test.
+TEST(TimedExecution, ValidateRejectsNonFiniteTimesNamingTheToken) {
+  const Network net = make_bitonic(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    std::uint32_t hop;
+    double time;
+  };
+  const Case cases[] = {
+      {"NaN at hop 0", 0, nan},
+      {"NaN mid-row", 2, nan},
+      {"+inf at t_out", net.depth(), inf},
+  };
+  for (const Case& c : cases) {
+    TimedExecution exec;
+    exec.net = &net;
+    add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+    add_uniform_plan(exec, 41, 1, 1, 0.0, 1.0)[c.hop] = c.time;
+    const std::string verdict = validate(exec);
+    EXPECT_NE(verdict.find("token 41"), std::string::npos)
+        << c.what << ": " << verdict;
+    EXPECT_NE(verdict.find("not finite"), std::string::npos)
+        << c.what << ": " << verdict;
+    const SimulationResult res = simulate(exec);
+    EXPECT_FALSE(res.ok()) << c.what;
+    EXPECT_EQ(res.error, verdict) << c.what;
+  }
 }
 
 TEST(TimedExecution, ValidateRejectsOverlappingSameProcessTokens) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 7, 0, net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, 0, 7, 0, 0.0, 1.0);
   // Second token of process 7 enters before the first exits (t_out = 3).
-  exec.plans.push_back(make_uniform_plan(1, 7, 0, net.depth(), 2.0, 1.0));
+  add_uniform_plan(exec, 1, 7, 0, 2.0, 1.0);
   EXPECT_NE(validate(exec), "");
 }
 
@@ -59,8 +105,8 @@ TEST(TimedExecution, BackToBackSameProcessTokensAreLegal) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 7, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 7, 0, net.depth(), 3.0, 1.0));
+  add_uniform_plan(exec, 0, 7, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 7, 0, 3.0, 1.0);
   EXPECT_EQ(validate(exec), "");
 }
 
@@ -69,15 +115,22 @@ TEST(TimedExecution, BackToBackSameProcessTokensAreLegal) {
 // which plan comes first; the rank order at run time decides the pair.
 TEST(TimedExecution, ValidateVerdictIgnoresPlanOrder) {
   const Network net = make_bitonic(4);
-  const TokenPlan zero = make_uniform_plan(0, 0, 0, net.depth(), 0.0, 0.0,
-                                           /*rank=*/0.0);
-  const TokenPlan crossing = make_uniform_plan(1, 0, 1, net.depth(), 0.0,
-                                               1.0, /*rank=*/1.0);
+  const auto add_zero = [](TimedExecution& exec) {
+    add_uniform_plan(exec, 0, 0, 0, 0.0, 0.0, /*rank=*/0.0);
+  };
+  const auto add_crossing = [](TimedExecution& exec) {
+    add_uniform_plan(exec, 1, 0, 1, 0.0, 1.0, /*rank=*/1.0);
+  };
   for (const bool swapped : {false, true}) {
     TimedExecution exec;
     exec.net = &net;
-    exec.plans = swapped ? std::vector<TokenPlan>{crossing, zero}
-                         : std::vector<TokenPlan>{zero, crossing};
+    if (swapped) {
+      add_crossing(exec);
+      add_zero(exec);
+    } else {
+      add_zero(exec);
+      add_crossing(exec);
+    }
     EXPECT_EQ(validate(exec), "") << "swapped " << swapped;
     const SimulationResult res = simulate(exec);
     ASSERT_TRUE(res.ok()) << res.error;
@@ -97,17 +150,16 @@ TEST(TimedExecution, ValidateVerdictIgnoresPlanOrder) {
       p.process = static_cast<ProcessId>(rng.below(3));
       p.rank = static_cast<double>(rng.below(3));
       double time = static_cast<double>(rng.below(6));
-      for (std::uint32_t h = 0; h <= net.depth(); ++h) {
-        p.times.push_back(time);
+      for (double& crossing : exec.add(p)) {
+        crossing = time;
         time += static_cast<double>(rng.below(2));
       }
-      exec.plans.push_back(std::move(p));
     }
     const std::string verdict = validate(exec);
     if (verdict.empty()) ++valid;
     for (int shuffle = 0; shuffle < 4; ++shuffle) {
       for (std::size_t i = exec.plans.size(); i > 1; --i) {
-        std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+        swap_plans(exec, i - 1, rng.below(i));
       }
       ASSERT_EQ(validate(exec), verdict) << "trial " << trial;
     }
@@ -123,8 +175,7 @@ TEST(Simulator, SequentialTokensGetIncreasingValues) {
   exec.net = &net;
   // Five strictly sequential tokens: each enters after the previous exits.
   for (TokenId t = 0; t < 5; ++t) {
-    exec.plans.push_back(
-        make_uniform_plan(t, t, t % 4, net.depth(), t * 10.0, 1.0));
+    add_uniform_plan(exec, t, t, t % 4, t * 10.0, 1.0);
   }
   const SimulationResult res = simulate(exec);
   ASSERT_TRUE(res.ok()) << res.error;
@@ -141,8 +192,7 @@ TEST(Simulator, ValuesAreAPermutationOfZeroToN) {
   exec.net = &net;
   // 16 overlapping tokens with varied speeds.
   for (TokenId t = 0; t < 16; ++t) {
-    exec.plans.push_back(make_uniform_plan(t, t, t % 8, net.depth(),
-                                           0.1 * t, 1.0 + 0.13 * (t % 5)));
+    add_uniform_plan(exec, t, t, t % 8, 0.1 * t, 1.0 + 0.13 * (t % 5));
   }
   const SimulationResult res = simulate(exec);
   ASSERT_TRUE(res.ok()) << res.error;
@@ -159,11 +209,8 @@ TEST(Simulator, RankBreaksTiesDeterministically) {
   for (int swap = 0; swap < 2; ++swap) {
     TimedExecution exec;
     exec.net = &net;
-    TokenPlan a = make_uniform_plan(0, 0, 0, net.depth(), 1.0, 1.0);
-    TokenPlan b = make_uniform_plan(1, 1, 1, net.depth(), 1.0, 1.0);
-    a.rank = swap == 0 ? 0.0 : 5.0;
-    b.rank = swap == 0 ? 5.0 : 0.0;
-    exec.plans = {a, b};
+    add_uniform_plan(exec, 0, 0, 0, 1.0, 1.0, swap == 0 ? 0.0 : 5.0);
+    add_uniform_plan(exec, 1, 1, 1, 1.0, 1.0, swap == 0 ? 5.0 : 0.0);
     const SimulationResult res = simulate(exec);
     ASSERT_TRUE(res.ok());
     EXPECT_EQ(res.trace[0].value, swap == 0 ? 0u : 1u);
@@ -175,8 +222,8 @@ TEST(Simulator, SequenceNumbersDefinePrecedence) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 0, net.depth(), 100.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 0, 100.0, 1.0);
   const SimulationResult res = simulate(exec);
   ASSERT_TRUE(res.ok());
   EXPECT_LT(res.trace[0].last_seq, res.trace[1].first_seq);
@@ -187,8 +234,7 @@ TEST(Simulator, RecordsSinkAndSource) {
   TimedExecution exec;
   exec.net = &net;
   for (TokenId t = 0; t < 4; ++t) {
-    exec.plans.push_back(
-        make_uniform_plan(t, t, 0, net.depth(), t * 10.0, 1.0));
+    add_uniform_plan(exec, t, t, 0, t * 10.0, 1.0);
   }
   const SimulationResult res = simulate(exec);
   ASSERT_TRUE(res.ok()) << res.error;
@@ -218,10 +264,12 @@ std::optional<std::vector<Step>> reference_execute(
   };
   std::vector<Ev> events;
   std::map<TokenId, const TokenPlan*> plan_of;
-  for (const TokenPlan& p : exec.plans) {
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    const TokenPlan& p = exec.plans[i];
     plan_of[p.token] = &p;
-    for (std::uint32_t h = 0; h < p.times.size(); ++h) {
-      events.push_back({p.times[h], p.rank, p.token, h});
+    const std::span<const double> row = exec.times_of(i);
+    for (std::uint32_t h = 0; h < row.size(); ++h) {
+      events.push_back({row[h], p.rank, p.token, h});
     }
   }
   std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {
@@ -268,13 +316,12 @@ TimedExecution tie_heavy_schedule(const Network& net, Xoshiro256& rng,
       plan.source = static_cast<std::uint32_t>(rng.below(net.fan_in()));
       plan.rank = static_cast<double>(ordered_ranks ? k : rng.below(4));
       const bool zero = zero_durations && rng.below(3) == 0;
-      plan.times.push_back(t);
+      const std::span<double> row = exec.add(plan);
+      row[0] = t;
       for (std::uint32_t h = 1; h <= net.depth(); ++h) {
-        plan.times.push_back(plan.times.back() +
-                             (zero ? 0.0 : static_cast<double>(rng.below(3))));
+        row[h] = row[h - 1] + (zero ? 0.0 : static_cast<double>(rng.below(3)));
       }
-      t = plan.times.back() + static_cast<double>(rng.below(2));
-      exec.plans.push_back(std::move(plan));
+      t = row[net.depth()] + static_cast<double>(rng.below(2));
     }
   }
   return exec;
@@ -339,7 +386,7 @@ TEST(Simulator, DifferentialAgainstNaiveReference) {
         expect_reference_steps(exec, what);
         if (!reference_execute(exec).has_value()) ++overlaps;
         for (std::size_t i = exec.plans.size(); i > 1; --i) {
-          std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+          swap_plans(exec, i - 1, rng.below(i));
         }
         expect_reference_steps(exec, what + " shuffled");
       }
@@ -357,8 +404,8 @@ TEST(Simulator, OverlappingFastTokenOvertakesSlow) {
   // Slow token enters first; fast token enters slightly later but exits
   // first and must obtain the smaller value (non-linearizable only if a
   // third party completed in between — here it's just reordering).
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 10.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 1.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 10.0);
+  add_uniform_plan(exec, 1, 1, 1, 1.0, 1.0);
   const SimulationResult res = simulate(exec);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.trace[1].value, 0u);

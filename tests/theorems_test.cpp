@@ -174,8 +174,7 @@ TEST(EngineSimulatorAgreement, SerializedSchedulesMatchShepherding) {
     for (TokenId k = 0; k < 20; ++k) {
       const auto src = static_cast<std::uint32_t>(rng.below(w));
       sources.push_back(src);
-      exec.plans.push_back(
-          make_uniform_plan(k, k, src, net.depth(), t, 1.0));
+      add_uniform_plan(exec, k, k, src, t, 1.0);
       t += net.depth() + 10.0;  // strictly after the previous token exits
     }
     const SimulationResult sim = simulate(exec);
@@ -194,9 +193,8 @@ TEST(EngineSimulatorAgreement, SimultaneousLockstepMatchesRankOrder) {
   TimedExecution exec;
   exec.net = &net;
   for (TokenId k = 0; k < 8; ++k) {
-    TokenPlan p = make_uniform_plan(k, k, k, net.depth(), 0.0, 1.0);
-    p.rank = 7.0 - k;  // reverse order
-    exec.plans.push_back(p);
+    // Reverse rank order.
+    add_uniform_plan(exec, k, k, k, 0.0, 1.0, /*rank=*/7.0 - k);
   }
   const SimulationResult sim = simulate(exec);
   ASSERT_TRUE(sim.ok());

@@ -12,9 +12,8 @@ TEST(Timing, WireDelayEnvelope) {
   const Network net = make_bitonic(4);  // depth 3
   TimedExecution exec;
   exec.net = &net;
-  TokenPlan p = make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0);
-  p.times = {0.0, 1.0, 3.5, 4.0};  // deltas 1.0, 2.5, 0.5
-  exec.plans.push_back(p);
+  exec.add(TokenPlan{});
+  exec.times = {0.0, 1.0, 3.5, 4.0};  // deltas 1.0, 2.5, 0.5
   const TimingParameters t = measure_timing(exec);
   EXPECT_DOUBLE_EQ(t.c_min, 0.5);
   EXPECT_DOUBLE_EQ(t.c_max, 2.5);
@@ -26,8 +25,8 @@ TEST(Timing, PerProcessMinimumDelay) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 2.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 0.0, 3.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 2.0);
+  add_uniform_plan(exec, 1, 1, 1, 0.0, 3.0);
   const TimingParameters t = measure_timing(exec);
   EXPECT_DOUBLE_EQ(t.c_min_p.at(0), 2.0);
   EXPECT_DOUBLE_EQ(t.c_min_p.at(1), 3.0);
@@ -40,10 +39,10 @@ TEST(Timing, LocalInterOperationDelay) {
   TimedExecution exec;
   exec.net = &net;
   // Process 5: token 0 in [0, 3], token 1 in [4.5, 7.5]: C_L^5 = 1.5.
-  exec.plans.push_back(make_uniform_plan(0, 5, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 5, 0, net.depth(), 4.5, 1.0));
+  add_uniform_plan(exec, 0, 5, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 5, 0, 4.5, 1.0);
   // Process 6: one token only — contributes no local delay.
-  exec.plans.push_back(make_uniform_plan(2, 6, 1, net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, 2, 6, 1, 0.0, 1.0);
   const TimingParameters t = measure_timing(exec);
   ASSERT_TRUE(t.C_L.has_value());
   EXPECT_DOUBLE_EQ(*t.C_L, 1.5);
@@ -56,9 +55,9 @@ TEST(Timing, GlobalDelayOverNonOverlappingPairs) {
   TimedExecution exec;
   exec.net = &net;
   // A: [0, 3]; B: [1, 4] (overlaps A); C: [4.25, 7.25].
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 1.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(2, 2, 2, net.depth(), 4.25, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 1, 1.0, 1.0);
+  add_uniform_plan(exec, 2, 2, 2, 4.25, 1.0);
   const TimingParameters t = measure_timing(exec);
   // Non-overlapping pairs: (A, C) gap 1.25 and (B, C) gap 0.25.
   ASSERT_TRUE(t.C_g.has_value());
@@ -69,8 +68,8 @@ TEST(Timing, NoGlobalDelayWhenAllTokensOverlap) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 0.5, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 1, 0.5, 1.0);
   const TimingParameters t = measure_timing(exec);
   EXPECT_FALSE(t.C_g.has_value());
 }
@@ -88,7 +87,7 @@ TEST(Timing, SatisfiesChecksEnvelope) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.5));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.5);
   EXPECT_TRUE(satisfies(exec, {.c_min = 1.0, .c_max = 2.0}));
   EXPECT_FALSE(satisfies(exec, {.c_min = 1.6, .c_max = 2.0}));
   EXPECT_FALSE(satisfies(exec, {.c_min = 1.0, .c_max = 1.4}));
@@ -98,8 +97,8 @@ TEST(Timing, SatisfiesChecksLocalDelayBound) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 5, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 5, 0, net.depth(), 4.0, 1.0));
+  add_uniform_plan(exec, 0, 5, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 5, 0, 4.0, 1.0);
   TimingCondition cond{.c_min = 1.0, .c_max = 1.0};
   cond.C_L_at_least = 0.5;
   EXPECT_TRUE(satisfies(exec, cond));
@@ -111,8 +110,8 @@ TEST(Timing, SatisfiesChecksGlobalDelayBound) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, net.depth(), 5.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
+  add_uniform_plan(exec, 1, 1, 1, 5.0, 1.0);
   // Measured C_g = 2.0 (gap between [0,3] and [5,8]).
   TimingCondition cond{.c_min = 1.0, .c_max = 1.0};
   cond.C_g_at_least = 1.5;
@@ -126,7 +125,7 @@ TEST(Timing, VacuousBoundsAreSatisfied) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
   TimingCondition cond{.c_min = 1.0, .c_max = 1.0};
   cond.C_L_at_least = 100.0;
   cond.C_g_at_least = 100.0;

@@ -15,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -304,13 +305,12 @@ TEST(SimulateWave, MatchesScalarOnTieHeavySchedules) {
     TimedExecution exec;
     exec.net = &net;
     for (TokenId t = 0; t < 64; ++t) {
-      TokenPlan p = make_uniform_plan(
-          t, /*process=*/static_cast<ProcessId>(t % 16),
-          /*source=*/static_cast<std::uint32_t>(rng.below(8)), net.depth(),
+      add_uniform_plan(
+          exec, t, /*process=*/static_cast<ProcessId>(t % 16),
+          /*source=*/static_cast<std::uint32_t>(rng.below(8)),
           /*t_in=*/static_cast<double>((t / 16) * (net.depth() + 1)),
           /*delay=*/1.0,
           /*rank=*/static_cast<double>(rng.below(5)));
-      exec.plans.push_back(std::move(p));
     }
     ASSERT_EQ(validate(exec), "");
     const SimulationResult scalar = simulate(exec);
@@ -329,7 +329,7 @@ TEST(SimulateWave, EmptyAndSingleToken) {
 
   TimedExecution one;
   one.net = &net;
-  one.plans.push_back(make_uniform_plan(0, 0, 3, net.depth(), 0.0, 1.0));
+  add_uniform_plan(one, 0, 0, 3, 0.0, 1.0);
   const SimulationResult scalar = simulate(one);
   ASSERT_TRUE(scalar.ok());
   ASSERT_EQ(scalar.trace.size(), 1u);
@@ -342,7 +342,7 @@ TEST(SimulateWave, NonUniformFallsBackToScalarError) {
   const Network net = make_brick_wall(4, 3);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 1.0);
   SimArena arena;
   const SimulationResult scalar = simulate(exec);
   const SimulationResult wave = simulate_wave(exec, arena);
@@ -354,9 +354,7 @@ TEST(SimulateWave, ReservedTokenIdError) {
   const Network net = make_bitonic(4);
   TimedExecution exec;
   exec.net = &net;
-  exec.plans.push_back(
-      make_uniform_plan(std::numeric_limits<TokenId>::max(), 0, 0,
-                        net.depth(), 0.0, 1.0));
+  add_uniform_plan(exec, std::numeric_limits<TokenId>::max(), 0, 0, 0.0, 1.0);
   SimArena arena;
   const SimulationResult scalar = simulate(exec);
   const SimulationResult wave = simulate_wave(exec, arena);
@@ -374,15 +372,12 @@ TimedExecution make_overlap_exec(const Network& net) {
   exec.net = &net;
   const std::uint32_t d = net.depth();
   // Two earlier tokens that complete cleanly (the emitted prefix).
-  exec.plans.push_back(make_uniform_plan(0, 0, 0, d, 0.0, 0.25));
-  exec.plans.push_back(make_uniform_plan(1, 1, 1, d, 0.0, 0.25));
+  add_uniform_plan(exec, 0, 0, 0, 0.0, 0.25);
+  add_uniform_plan(exec, 1, 1, 1, 0.0, 0.25);
   // Token 2 of process 9 exits at time d; token 3 of process 9 enters at
   // time d with a LOWER rank, so its entry event pops first.
-  TokenPlan a = make_uniform_plan(2, 9, 2, d, 0.0, 1.0, /*rank=*/1.0);
-  TokenPlan b = make_uniform_plan(3, 9, 3, d, static_cast<double>(d), 1.0,
-                                  /*rank=*/0.0);
-  exec.plans.push_back(std::move(a));
-  exec.plans.push_back(std::move(b));
+  add_uniform_plan(exec, 2, 9, 2, 0.0, 1.0, /*rank=*/1.0);
+  add_uniform_plan(exec, 3, 9, 3, static_cast<double>(d), 1.0, /*rank=*/0.0);
   return exec;
 }
 
@@ -484,13 +479,12 @@ TimedExecution multi_chunk_ties(const Network& net, std::uint64_t seed) {
       plan.process = p;
       plan.source = static_cast<std::uint32_t>(rng.below(net.fan_in()));
       plan.rank = static_cast<double>(k);
-      plan.times.push_back(t);
+      const std::span<double> row = exec.add(plan);
+      row[0] = t;
       for (std::uint32_t h = 1; h <= net.depth(); ++h) {
-        plan.times.push_back(plan.times.back() +
-                             static_cast<double>(rng.below(3)));
+        row[h] = row[h - 1] + static_cast<double>(rng.below(3));
       }
-      t = plan.times.back() + static_cast<double>(rng.below(2));
-      exec.plans.push_back(std::move(plan));
+      t = row[net.depth()] + static_cast<double>(rng.below(2));
     }
   }
   return exec;
@@ -599,7 +593,11 @@ TEST(SimulateWaveStream, ShuffledPlansStreamIdentically) {
     const std::vector<Trace> before = stream_all();
     Xoshiro256 rng(9);
     for (std::size_t i = exec.plans.size(); i > 1; --i) {
-      std::swap(exec.plans[i - 1], exec.plans[rng.below(i)]);
+      // Rows move with their plans.
+      const std::size_t j = rng.below(i);
+      std::swap(exec.plans[i - 1], exec.plans[j]);
+      const std::span<double> a = exec.times_of(i - 1);
+      std::swap_ranges(a.begin(), a.end(), exec.times_of(j).begin());
     }
     const std::vector<Trace> after = stream_all();
     for (std::size_t k = 0; k < before.size(); ++k) {
@@ -726,31 +724,13 @@ Trace streamed(Run&& run) {
   return sink.take();
 }
 
-TEST(SparseProcessIds, EveryEntryPointMatchesTheDenseSchedule) {
-  const Network net = make_bitonic(8);
-  WorkloadSpec wl;
-  wl.processes = 6;
-  wl.tokens_per_process = 8;
-  wl.c_max = 3.0;
-  Xoshiro256 rng(17);
-  const TimedExecution dense = generate_workload(net, wl, rng);
-  // Process p becomes an id up to 0xFFFFFFF0, in the same order.
-  const auto sparse_id = [&](ProcessId p) {
-    return 0xFFFFFFF0u - (wl.processes - 1 - p) * 0x01000000u;
-  };
-  TimedExecution sparse = dense;
-  for (TokenPlan& p : sparse.plans) p.process = sparse_id(p.process);
-  fault::FaultPlan plan;
-  plan.enabled = true;
-  plan.p_token_loss = 0.2;
-  plan.p_stuck_balancer = 0.2;
-  plan.p_process_crash = 0.2;
-  const SimFaults faults = fault::draw_sim_faults(net, dense, plan, 5);
-  ASSERT_FALSE(faults.empty());
+using EntryPoint = std::function<Trace(const TimedExecution&)>;
 
-  SimArena arena;
-  using Entry = std::function<Trace(const TimedExecution&)>;
-  const std::vector<std::pair<std::string, Entry>> entries = {
+/// The ten simulate* entry points, each returning the records it
+/// collected or streamed; the four faulted ones run under `faults`.
+std::vector<std::pair<std::string, EntryPoint>> entry_points(
+    SimArena& arena, const SimFaults& faults) {
+  return {
       {"simulate", [](const TimedExecution& e) { return trace_of(simulate(e)); }},
       {"simulate(arena)",
        [&](const TimedExecution& e) { return trace_of(simulate(e, arena)); }},
@@ -788,12 +768,73 @@ TEST(SparseProcessIds, EveryEntryPointMatchesTheDenseSchedule) {
          });
        }},
   };
-  for (const auto& [name, run] : entries) {
+}
+
+TEST(SparseProcessIds, EveryEntryPointMatchesTheDenseSchedule) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 6;
+  wl.tokens_per_process = 8;
+  wl.c_max = 3.0;
+  Xoshiro256 rng(17);
+  const TimedExecution dense = generate_workload(net, wl, rng);
+  // Process p becomes an id up to 0xFFFFFFF0, in the same order.
+  const auto sparse_id = [&](ProcessId p) {
+    return 0xFFFFFFF0u - (wl.processes - 1 - p) * 0x01000000u;
+  };
+  TimedExecution sparse = dense;
+  for (TokenPlan& p : sparse.plans) p.process = sparse_id(p.process);
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = 0.2;
+  plan.p_stuck_balancer = 0.2;
+  plan.p_process_crash = 0.2;
+  const SimFaults faults = fault::draw_sim_faults(net, dense, plan, 5);
+  ASSERT_FALSE(faults.empty());
+
+  SimArena arena;
+  for (const auto& [name, run] : entry_points(arena, faults)) {
     Trace want = run(dense);
     ASSERT_FALSE(want.empty()) << name;
     for (TokenRecord& r : want) r.process = sparse_id(r.process);
     EXPECT_EQ(run(sparse), want) << name;
   }
+}
+
+// Sparse token ids: per-token state is indexed by plan, so a schedule
+// whose ids reach 0xFFFFFFF0 costs what its dense twin costs.
+TEST(SparseTokenIds, EveryEntryPointMatchesTheDenseSchedule) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 6;
+  wl.tokens_per_process = 8;
+  wl.c_max = 3.0;
+  Xoshiro256 rng(19);
+  const TimedExecution dense = generate_workload(net, wl, rng);
+  const std::size_t n = dense.plans.size();
+  // Token t becomes an id up to 0xFFFFFFF0, in the same order, so the
+  // step order (which breaks exact ties by token id) is unchanged.
+  const auto sparse_id = [&](TokenId t) {
+    return static_cast<TokenId>(0xFFFFFFF0u - (n - 1 - t) * 0x00100000u);
+  };
+  TimedExecution sparse = dense;
+  for (TokenPlan& p : sparse.plans) p.token = sparse_id(p.token);
+  // The empty overlay: no token is doomed, no balancer is stuck.
+  SimFaults none;
+  none.stuck.assign(net.num_balancers(), false);
+
+  SimArena arena;
+  for (const auto& [name, run] : entry_points(arena, none)) {
+    Trace want = run(dense);
+    ASSERT_EQ(want.size(), n) << name;
+    for (TokenRecord& r : want) r.token = sparse_id(r.token);
+    EXPECT_EQ(run(sparse), want) << name;
+  }
+  // The step log names the schedule's token ids.
+  std::vector<Step> want = simulate_recorded(dense).steps;
+  ASSERT_EQ(want.size(), n * (net.depth() + 1));
+  for (Step& s : want) s.token = sparse_id(s.token);
+  EXPECT_EQ(simulate_recorded(sparse).steps, want);
 }
 
 // ---------------------------------------------------------------------

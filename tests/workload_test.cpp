@@ -1,7 +1,13 @@
 // Tests for the randomized workload generator (sim/workload).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <span>
+#include <string>
+#include <type_traits>
+
 #include "core/constructions.hpp"
+#include "engine/backend.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing.hpp"
 #include "sim/workload.hpp"
@@ -45,9 +51,10 @@ TEST(Workload, ExtremeDelaysUseOnlyEndpoints) {
   spec.processes = 8;
   spec.tokens_per_process = 4;
   const TimedExecution exec = generate_workload(net, spec, rng);
-  for (const TokenPlan& p : exec.plans) {
-    for (std::size_t k = 1; k < p.times.size(); ++k) {
-      const double d = p.times[k] - p.times[k - 1];
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    const std::span<const double> row = exec.times_of(i);
+    for (std::size_t k = 1; k < row.size(); ++k) {
+      const double d = row[k] - row[k - 1];
       EXPECT_TRUE(std::abs(d - 1.0) < 1e-12 || std::abs(d - 4.0) < 1e-12);
     }
   }
@@ -73,9 +80,7 @@ TEST(Workload, DeterministicPerSeed) {
   const TimedExecution ea = generate_workload(net, {}, a);
   const TimedExecution eb = generate_workload(net, {}, b);
   ASSERT_EQ(ea.plans.size(), eb.plans.size());
-  for (std::size_t i = 0; i < ea.plans.size(); ++i) {
-    EXPECT_EQ(ea.plans[i].times, eb.plans[i].times);
-  }
+  EXPECT_EQ(ea.times, eb.times);
 }
 
 TEST(Workload, ProcessesMapToFixedWires) {
@@ -99,6 +104,139 @@ TEST(Workload, SimulatesCleanly) {
   const SimulationResult res = simulate(exec);
   EXPECT_TRUE(res.ok()) << res.error;
   EXPECT_EQ(res.trace.size(), 32u);
+}
+
+// --- values pinned across layout and generator changes ------------------
+// FNV-1a over the bit patterns of every plan field, crossing time and
+// record field, from the workload generator and from the schedules the
+// other simulated backends build. Equal-path checks (wave vs scalar,
+// stream vs collect) cannot see a change that alters values the same way
+// in every path; these constants can.
+
+class Fnv1a {
+ public:
+  template <class T>
+  void add(T x) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = std::bit_cast<std::uint64_t>(static_cast<double>(x));
+    } else {
+      bits = static_cast<std::uint64_t>(x);
+    }
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (bits >> (8 * byte)) & 0xFF;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+/// Plan i's crossing times in either schedule layout: a row of one flat
+/// times array, or a vector per plan. The constants below were computed on
+/// the per-plan layout, and the test builds against both.
+template <class Exec>
+std::span<const double> crossing_times(const Exec& exec, std::size_t i) {
+  if constexpr (requires(const Exec& e) { e.times; }) {
+    return exec.times_of(i);
+  } else {
+    return exec.plans[i].times;
+  }
+}
+
+template <class Exec>
+void hash_schedule(const Exec& exec, Fnv1a& h) {
+  h.add(exec.plans.size());
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    const auto& p = exec.plans[i];
+    h.add(p.token);
+    h.add(p.process);
+    h.add(p.source);
+    h.add(p.rank);
+    for (const double t : crossing_times(exec, i)) h.add(t);
+  }
+}
+
+void hash_trace(const Trace& trace, Fnv1a& h) {
+  h.add(trace.size());
+  for (const TokenRecord& r : trace) {
+    h.add(r.token);
+    h.add(r.process);
+    h.add(r.source);
+    h.add(r.sink);
+    h.add(r.value);
+    h.add(r.t_in);
+    h.add(r.t_out);
+    h.add(r.first_seq);
+    h.add(r.last_seq);
+  }
+}
+
+TEST(Workload, SchedulesAndRecordsMatchPinnedValues) {
+  const Network net = make_bitonic(8);
+  struct Generated {
+    std::uint32_t tokens_per_process;
+    bool extreme;
+    std::uint64_t schedule;  ///< Seeds 1-3, each with the next draw after.
+    std::uint64_t records;   ///< simulate() of the same schedules.
+  };
+  const Generated generated[] = {
+      {512, true, 0x4C378BEE93379A61ULL, 0x25341031C168BED7ULL},
+      {512, false, 0x908AE46EED829226ULL, 0xEB06EB23874F3218ULL},
+      {4, true, 0x078DF418D27495F6ULL, 0x98F0CBF98C7227F1ULL},
+      {4, false, 0x4FD69060143325D1ULL, 0xD78EB88436E7C473ULL},
+  };
+  for (const Generated& g : generated) {
+    Fnv1a schedule, records;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      WorkloadSpec spec;
+      spec.processes = 8;
+      spec.tokens_per_process = g.tokens_per_process;
+      spec.c_max = 7.0;
+      spec.local_delay_max = 2.0;
+      spec.extreme_delays = g.extreme;
+      Xoshiro256 rng(seed);
+      const TimedExecution exec = generate_workload(net, spec, rng);
+      hash_schedule(exec, schedule);
+      schedule.add(rng());  // the caller's generator advanced as before
+      const SimulationResult sim = simulate(exec);
+      ASSERT_TRUE(sim.ok()) << sim.error;
+      hash_trace(sim.trace, records);
+    }
+    const std::string what = "8 x " + std::to_string(g.tokens_per_process) +
+                             (g.extreme ? " extreme" : " interval");
+    EXPECT_EQ(schedule.value(), g.schedule) << what;
+    EXPECT_EQ(records.value(), g.records) << what;
+  }
+
+  struct Built {
+    const char* backend;
+    std::uint64_t schedule;  ///< RunResult::exec.
+    std::uint64_t records;   ///< RunResult::trace.
+  };
+  const Built built[] = {
+      {"sim_burst", 0xAF84FF7915E72D12ULL, 0xC50B451EB674B37CULL},
+      {"sim_heterogeneous", 0x6AFAB6A0D61D2076ULL, 0x2EECB6FB11B28409ULL},
+      {"wave", 0x04884702702F2BF8ULL, 0xEC074A01B096EF11ULL},
+      {"optimizer", 0xBE81D6D077B50238ULL, 0x3B0F0B60358816C1ULL},
+  };
+  for (const Built& b : built) {
+    engine::RunSpec spec;
+    spec.backend = b.backend;
+    spec.net = &net;
+    spec.c_max = 7.0;
+    spec.opt_iterations = 40;
+    spec.seed = 3;
+    const engine::RunResult res = engine::run_backend(spec);
+    ASSERT_TRUE(res.ok()) << b.backend << ": " << res.error;
+    Fnv1a schedule, records;
+    hash_schedule(res.exec, schedule);
+    hash_trace(res.trace, records);
+    EXPECT_EQ(schedule.value(), b.schedule) << b.backend;
+    EXPECT_EQ(records.value(), b.records) << b.backend;
+  }
 }
 
 }  // namespace

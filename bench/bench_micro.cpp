@@ -801,8 +801,8 @@ struct StreamingSweepRates {
 /// Single-threaded 8-trial sweeps of 4096-token trials, materialized
 /// traces vs the streaming sink path (keep_trace=false), through either
 /// the scalar event loop or the level-synchronous wave interpreter. In
-/// wave mode the stream side emits per-chunk on_records batches through
-/// the deferred emission window instead of one virtual call per token.
+/// wave mode the stream side emits on_records batches through the
+/// deferred emission window instead of one virtual call per token.
 /// Trials are sized so the ratio measures the trace pipeline — collect
 /// + batch analyze vs incremental checker, a gap that only opens once
 /// the trace outgrows the analyzer's cache-resident regime — rather
@@ -857,6 +857,7 @@ struct InterpreterRates {
   double scalar_steps_per_sec = 0.0;
   double wave_steps_per_sec = 0.0;
   double workload_tokens_per_sec = 0.0;
+  double validate_tokens_per_sec = 0.0;
 };
 
 /// The whole interpreter, validate() included, at the sweep_wave_stream
@@ -864,7 +865,8 @@ struct InterpreterRates {
 /// a counting sink. simulate_stream (the scalar body) and
 /// simulate_wave_stream (the wave body) interpret the same pregenerated
 /// trials with one reused arena. The workload layer is timed on its own:
-/// generate_workload of the same trials plus the schedule's destruction.
+/// generate_workload of the same trials plus the schedule's destruction;
+/// so is validate() on the same trials, the interpreters' first pass.
 /// Alternating rounds, max of rates — same noise defense as
 /// measure_traversal. Absolute rates only: not gated by --check.
 InterpreterRates measure_interpreter(double min_seconds) {
@@ -918,6 +920,14 @@ InterpreterRates measure_interpreter(double min_seconds) {
                                         generate_workload(topo, wl, rng));
                                   }
                                 }));
+    r.validate_tokens_per_sec = std::max(
+        r.validate_tokens_per_sec,
+        cn::bench::measure_rate(kTrials * tokens_per_trial, round_seconds,
+                                [&] {
+                                  for (const TimedExecution& exec : trials) {
+                                    benchmark::DoNotOptimize(validate(exec));
+                                  }
+                                }));
   }
   benchmark::DoNotOptimize(sink.records());
   return r;
@@ -939,6 +949,10 @@ std::string json_interpreter(const InterpreterRates& r) {
      << "    \"workload\": {\n"
      << "      \"tokens_per_sec\": " << r.workload_tokens_per_sec << ",\n"
      << "      \"ns_per_token\": " << 1e9 / r.workload_tokens_per_sec << "\n"
+     << "    },\n"
+     << "    \"validate\": {\n"
+     << "      \"tokens_per_sec\": " << r.validate_tokens_per_sec << ",\n"
+     << "      \"ns_per_token\": " << 1e9 / r.validate_tokens_per_sec << "\n"
      << "    }\n"
      << "  }";
   return os.str();

@@ -61,22 +61,12 @@ WavePlan::WavePlan(const CompiledNetwork& net) : net_(&net) {
 }
 
 void step_wave(const CompiledNetwork& net, CompiledState& state,
-               std::span<TokenCursor> wave) {
-  for (TokenCursor& c : wave) {
-    const CompiledNetwork::Route& r = net.route(c.wire);
-    const std::uint64_t t = state.bal_through[r.node]++;
-    c.wire = net.out_wire_at(r.out_base + net.port_of(r, t));
-  }
-}
-
-void step_wave_counters(const CompiledNetwork& net, CompiledState& state,
-                        std::span<const TokenCursor> wave,
-                        std::span<Value> values) {
-  const std::uint32_t stride = net.fan_out();
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    const CompiledNetwork::Route& r = net.route(wave[i].wire);
-    values[i] = state.counter_next[r.node];
-    state.counter_next[r.node] += stride;
+               std::span<const std::uint32_t> tokens,
+               std::span<WireIndex> wire) {
+  for (const std::uint32_t t : tokens) {
+    const CompiledNetwork::Route& r = net.route(wire[t]);
+    const std::uint64_t through = state.bal_through[r.node]++;
+    wire[t] = net.out_wire_at(r.out_base + net.port_of(r, through));
   }
 }
 

@@ -12,9 +12,10 @@
 //     layer) and certifies the network uniform in the structural sense —
 //     every path from a source to a counter crosses the same number of
 //     nodes, so "all tokens at level l" is well defined;
-//   * step_wave / step_wave_counters advance a whole span of TokenCursors
-//     one level in a tight loop over the shared tables (the generic wave
-//     kernels: any uniform network, any fan-out);
+//   * step_wave / step_wave_counters advance a whole span of tokens one
+//     level in a tight loop over the shared tables, each token's wire
+//     kept in a caller-owned per-token array (the generic wave kernels:
+//     any uniform network, any fan-out);
 //   * WidthWaves<W> is the width-specialized form for the hot widths
 //     (W = 8, 32, 64): per-level structure-of-arrays tables sized by the
 //     compile-time width (std::array<.., W>), level-local slot indexing
@@ -32,11 +33,11 @@
 // counter bump per exit — so the history accessors (NetworkState /
 // CompiledState pure functions) remain valid mid-wave.
 //
-// Ordering contract: a wave kernel advances cursors IN SPAN ORDER. Two
-// cursors hitting the same balancer toggle it in their span positions'
+// Ordering contract: a wave kernel advances tokens IN SPAN ORDER. Two
+// tokens hitting the same balancer toggle it in their span positions'
 // order, exactly as if the scalar engine had stepped those tokens in that
 // order. Callers that need a specific global order (the simulator's
-// canonical event order) sort/bucket before calling.
+// canonical step order) bucket before calling.
 #pragma once
 
 #include <array>
@@ -50,10 +51,8 @@
 
 namespace cn {
 
-/// A token's position inside a wave: the wire it is parked on (generic
-/// kernels) or its level-local slot (WidthWaves). `tag` is caller-owned —
-/// the simulator stores the chunk-local event index to scatter results
-/// back, the bench stores nothing.
+/// A token's position inside a WidthWaves wave: its level-local slot.
+/// `tag` is caller-owned.
 struct TokenCursor {
   WireIndex wire = 0;
   std::uint32_t tag = 0;
@@ -100,17 +99,28 @@ class WavePlan {
   std::vector<std::vector<WireIndex>> wires_at_;
 };
 
-/// Generic wave kernel: advances every cursor one BALANCER hop, in span
-/// order. Precondition: every cursor's wire routes to a balancer (the
+/// Generic wave kernel: advances every token in `tokens` one BALANCER
+/// hop, in span order; wire[t] is token t's wire, updated in place.
+/// Precondition: every listed token's wire routes to a balancer (the
 /// caller buckets by level, so a wave is homogeneous). Any fan-out.
 void step_wave(const CompiledNetwork& net, CompiledState& state,
-               std::span<TokenCursor> wave);
+               std::span<const std::uint32_t> tokens,
+               std::span<WireIndex> wire);
 
-/// Generic counter kernel: every cursor's wire routes to a counter;
-/// values[i] receives cursor i's counted value, in span order.
+/// Generic counter kernel: every listed token's wire routes to a counter.
+/// Calls counted(k, v) with the value v that tokens[k] counts, in span
+/// order.
+template <class Counted>
 void step_wave_counters(const CompiledNetwork& net, CompiledState& state,
-                        std::span<const TokenCursor> wave,
-                        std::span<Value> values);
+                        std::span<const std::uint32_t> tokens,
+                        std::span<const WireIndex> wire, Counted&& counted) {
+  const std::uint32_t stride = net.fan_out();
+  for (std::size_t k = 0; k < tokens.size(); ++k) {
+    const CompiledNetwork::Route& r = net.route(wire[tokens[k]]);
+    counted(k, state.counter_next[r.node]);
+    state.counter_next[r.node] += stride;
+  }
+}
 
 /// Width-specialized wave engine for a uniform all-(2,2)-balancer network
 /// of compile-time width W at every level — the shape of B(w) and P(w).

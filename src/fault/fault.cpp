@@ -23,12 +23,7 @@ SimFaults draw_sim_faults(const Network& net, const TimedExecution& exec,
                           const FaultPlan& plan, std::uint64_t run_seed) {
   SimFaults f;
   f.stuck.assign(net.num_balancers(), false);
-  TokenId max_token = 0;
-  for (const TokenPlan& p : exec.plans) {
-    max_token = std::max(max_token, p.token);
-  }
-  f.lost_before_hop.assign(static_cast<std::size_t>(max_token) + 1,
-                           kCompletes);
+  f.lost_before_hop.assign(exec.plans.size(), kCompletes);
   if (!plan.sim_faults()) return f;
 
   FaultStream stream(plan, run_seed);
@@ -50,34 +45,34 @@ SimFaults draw_sim_faults(const Network& net, const TimedExecution& exec,
   }
 
   // 2. Process crashes, ascending process id. The crash victim is one of
-  // the process's tokens (uniform over its issue order); later tokens
-  // are never issued.
+  // the process's tokens (uniform over its plans, in plan order); its
+  // later tokens are never issued.
   if (plan.p_process_crash > 0.0) {
-    std::map<ProcessId, std::vector<TokenId>> by_process;
-    for (const TokenPlan& p : exec.plans) {
-      by_process[p.process].push_back(p.token);
+    std::map<ProcessId, std::vector<std::uint32_t>> by_process;
+    for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
+      by_process[exec.plans[i].process].push_back(i);
     }
-    for (const auto& [proc, tokens] : by_process) {
+    for (const auto& [proc, indices] : by_process) {
       if (!stream.flip(plan.p_process_crash)) continue;
       ++f.processes_crashed;
       const std::size_t victim =
-          static_cast<std::size_t>(stream.pick(0, tokens.size() - 1));
-      f.lost_before_hop[tokens[victim]] = mid_traversal_hop();
-      if (f.lost_before_hop[tokens[victim]] > 0) ++f.tokens_lost;
-      for (std::size_t k = victim + 1; k < tokens.size(); ++k) {
-        f.lost_before_hop[tokens[k]] = 0;
+          static_cast<std::size_t>(stream.pick(0, indices.size() - 1));
+      f.lost_before_hop[indices[victim]] = mid_traversal_hop();
+      if (f.lost_before_hop[indices[victim]] > 0) ++f.tokens_lost;
+      for (std::size_t k = victim + 1; k < indices.size(); ++k) {
+        f.lost_before_hop[indices[k]] = 0;
         ++f.tokens_not_issued;
       }
     }
   }
 
-  // 3. Independent token loss, plan order, skipping already-doomed ids.
+  // 3. Independent token loss, plan order, skipping already-doomed plans.
   if (plan.p_token_loss > 0.0) {
-    for (const TokenPlan& p : exec.plans) {
-      if (f.lost_before_hop[p.token] != kCompletes) continue;
+    for (std::uint32_t& doom : f.lost_before_hop) {
+      if (doom != kCompletes) continue;
       if (!stream.flip(plan.p_token_loss)) continue;
-      f.lost_before_hop[p.token] = mid_traversal_hop();
-      if (f.lost_before_hop[p.token] > 0) {
+      doom = mid_traversal_hop();
+      if (doom > 0) {
         ++f.tokens_lost;
       } else {
         ++f.tokens_not_issued;

@@ -153,7 +153,9 @@ class FaultStream {
 /// Draws a concrete overlay for `exec` from the plan's fault stream.
 /// Draw order is fixed (balancers ascending, then processes ascending,
 /// then tokens in plan order) so a (plan, run_seed) pair replays
-/// identically at any thread count.
+/// identically at any thread count. The overlay's per-token entries are
+/// indexed by plan, so its size is the schedule's, however large the
+/// token ids.
 SimFaults draw_sim_faults(const Network& net, const TimedExecution& exec,
                           const FaultPlan& plan, std::uint64_t run_seed);
 

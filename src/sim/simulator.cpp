@@ -16,10 +16,17 @@ namespace {
 
 constexpr TokenId kNoToken = std::numeric_limits<TokenId>::max();
 
-/// Chunk of the canonical step order processed per wave round. Large
-/// enough to amortize the per-chunk bucket pass and sink batch, small
-/// enough that the chunk's cursors stay cache-resident.
+/// Entries of the wave body's bucket array: one (plan, seq offset) pair
+/// per step of a chunk, split into one bucket per level. A chunk is
+/// kWaveChunk / (d + 1) steps, so no bucket can overflow, and the array's
+/// size does not grow with the depth. Large enough to amortize each
+/// level's pass, small enough that the buckets stay cache-resident; the
+/// streaming body also drains its sink batches once per kWaveChunk steps.
 constexpr std::size_t kWaveChunk = 4096;
+
+/// Seq-offset sentinel of an overlay's drop step, which draws no
+/// sequence number.
+constexpr std::uint32_t kNoSeq = std::numeric_limits<std::uint32_t>::max();
 
 /// Compile-time overlay policies of the interpreter bodies. Every
 /// overlay check sits behind `if constexpr (Overlay::kFaulted)`, so the
@@ -33,9 +40,10 @@ struct Faulted {
   static constexpr bool kFaulted = true;
   const SimFaults& faults;
 
-  /// Hop at which token t vanishes (0 = never issued), or kCompletes.
-  std::uint32_t doom(TokenId t) const noexcept {
-    return t < faults.lost_before_hop.size() ? faults.lost_before_hop[t]
+  /// Hop at which plan i's token vanishes (0 = never issued), or
+  /// kCompletes.
+  std::uint32_t doom(std::uint32_t i) const noexcept {
+    return i < faults.lost_before_hop.size() ? faults.lost_before_hop[i]
                                              : kCompletes;
   }
 };
@@ -137,9 +145,10 @@ class StepOrder {
   /// token. Per-process state of the interpreter is indexed by stream.
   std::size_t streams() const noexcept { return streams_.size(); }
 
-  /// Writes the next `n` steps in canonical order to `out`. Requires
-  /// n <= remaining().
-  void take(StepRef* out, std::size_t n) noexcept {
+  /// Hands the next `n` steps, in canonical order, to visit(StepRef).
+  /// Requires n <= remaining().
+  template <class Visit>
+  void take(std::size_t n, Visit&& visit) noexcept {
     StepKey* const keys = keys_.data();
     std::uint32_t* const tree = tree_.data();
     Stream* const streams = streams_.data();
@@ -147,7 +156,7 @@ class StepOrder {
     std::uint32_t w = tree[0];
     for (std::size_t i = 0; i < n; ++i) {
       Stream& s = streams[w];
-      out[i] = s.head;
+      const StepRef head = s.head;
       keys[w] = s.next;
       // Replay the winner's root path. Only the new head's time is on
       // the dependency chain from one step to the next: it comes
@@ -169,6 +178,7 @@ class StepOrder {
         wt ^= (wt ^ lt) & mask;
       }
       advance(streams[leaf]);
+      visit(head);
     }
     tree[0] = w;
     remaining_ -= n;
@@ -177,8 +187,8 @@ class StepOrder {
   /// The next step; `stream` receives the index of its process's stream.
   StepRef next(std::uint32_t& stream) noexcept {
     stream = tree_[0];
-    StepRef s;
-    take(&s, 1);
+    StepRef s{};
+    take(1, [&s](StepRef step) { s = step; });
     return s;
   }
 
@@ -268,10 +278,10 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
   slot_of_plan_.resize(exec.plans.size());
   start_.assign(2, 0);
   std::size_t issued = 0;
-  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+  for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
     const TokenPlan& p = exec.plans[i];
     if constexpr (Overlay::kFaulted) {
-      if (ov.doom(p.token) == 0) continue;  // never issued
+      if (ov.doom(i) == 0) continue;  // never issued
     }
     const std::uint32_t slot = processes_.slot(p.process);
     if (slot + 2 == start_.size()) start_.push_back(0);  // a new process
@@ -281,15 +291,14 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
   }
   for (std::size_t i = 2; i < start_.size(); ++i) start_[i] += start_[i - 1];
   entries_.resize(issued);
-  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+  for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
     std::uint32_t last = depth;
     if constexpr (Overlay::kFaulted) {
-      const std::uint32_t doom = ov.doom(exec.plans[i].token);
+      const std::uint32_t doom = ov.doom(i);
       if (doom == 0) continue;
       last = std::min(doom, depth);
     }
-    entries_[start_[slot_of_plan_[i] + 1]++] = {static_cast<std::uint32_t>(i),
-                                                 last};
+    entries_[start_[slot_of_plan_[i] + 1]++] = {i, last};
   }
 
   bool whole = true;
@@ -301,21 +310,32 @@ bool StepOrder::reset(const TimedExecution& exec, std::uint32_t depth,
   for (std::size_t slot = 0; slot < processes_.size(); ++slot) {
     Entry* const begin = entries_.data() + start_[slot];
     Entry* end = entries_.data() + start_[slot + 1];
-    if (!std::is_sorted(begin, end, entry_less)) {
-      std::sort(begin, end, entry_less);
+    // One comparison per consecutive pair: the token's last step sorts
+    // before the next token's entry. A token's entry never sorts after
+    // its own last step, so passing it everywhere shows the stream both
+    // sorted and overlap-free. Only a stream that fails it is sorted and
+    // scanned for its cut.
+    const Entry* a = begin;
+    while (a + 1 != end && key_of(a->plan, a->last) < key_of(a[1].plan, 0)) {
+      ++a;
     }
-    for (Entry* a = begin; a + 1 != end; ++a) {
-      const StepKey next_entry = key_of(a[1].plan, 0);
-      if (key_of(a->plan, a->last) < next_entry) continue;
-      // Step-order overlap: a[1] enters while a is in flight. Cut the
-      // stream at that entry (a's hop 0 always sorts before it).
-      std::uint32_t keep = 0;
-      while (key_of(a->plan, keep + 1) < next_entry) ++keep;
-      a->last = keep;
-      a[1].last = 0;
-      end = a + 2;
-      whole = false;
-      break;
+    if (a + 1 != end) {
+      if (!std::is_sorted(begin, end, entry_less)) {
+        std::sort(begin, end, entry_less);
+      }
+      for (Entry* b = begin; b + 1 != end; ++b) {
+        const StepKey next_entry = key_of(b[1].plan, 0);
+        if (key_of(b->plan, b->last) < next_entry) continue;
+        // Step-order overlap: b[1] enters while b is in flight. Cut the
+        // stream at that entry (b's hop 0 always sorts before it).
+        std::uint32_t keep = 0;
+        while (key_of(b->plan, keep + 1) < next_entry) ++keep;
+        b->last = keep;
+        b[1].last = 0;
+        end = b + 2;
+        whole = false;
+        break;
+      }
     }
     for (const Entry* e = begin; e != end; ++e) remaining_ += e->last + 1;
     streams_.push_back({.next = key_of(begin->plan, 0),
@@ -355,25 +375,23 @@ struct SimArena::Scratch {
   IssueWindowBuffer window;  ///< Ring reused across calls.
   std::vector<WireIndex> wire_of;  ///< Current wire per plan.
   // --- wave mode ---------------------------------------------------------
-  std::vector<StepRef> chunk;               ///< One round's steps.
-  std::vector<std::uint32_t> bucket_start;  ///< Per-level chunk offsets.
-  std::vector<std::uint32_t> bucket_pos;    ///< Scatter cursor per level.
-  std::vector<std::uint32_t> by_level;      ///< Chunk indices by level.
+  /// The chunk's steps by level: kWaveChunk (plan, seq offset) entries,
+  /// stored as the plans of every bucket, then their seq offsets, so a
+  /// bucket's plans are one span for the wave kernels.
+  std::vector<std::uint32_t> bucket;
+  std::vector<std::uint32_t> bucket_size;  ///< Steps per level.
   /// Wave streaming keeps first_seq and issue slot per TOKEN (plan), not
   /// per process: inside one chunk a process's next issue is processed
   /// (level 0) before its previous token's completion or drop (level
   /// >= 1), so a per-process slot would be overwritten too early.
   std::vector<std::uint64_t> first_seq_of_plan;
   std::vector<std::uint64_t> pos_of_plan;
-  std::vector<TokenCursor> cursors;         ///< One wave's gather buffer.
-  std::vector<Value> values;                ///< Counter-wave results.
   // --- fault overlay -----------------------------------------------------
   /// Explicit round-robin position per balancer: a stuck balancer freezes
   /// its position, which CompiledState's throughput encoding cannot
   /// express.
   std::vector<PortIndex> balancer_pos;
   std::vector<Value> counter_next;          ///< Next value per sink.
-  std::vector<std::uint64_t> seq_of;        ///< Wave: seq per chunk step.
 
   void reset_overlay(const CompiledNetwork& cnet) {
     balancer_pos.assign(cnet.num_balancers(), 0);
@@ -463,8 +481,8 @@ struct SimInterpreter {
       // lies past the counter crossing.
       const std::uint32_t d = exec.net->depth();
       result.trace.reserve(exec.plans.size());
-      for (std::size_t i = 0; i < exec.plans.size(); ++i) {
-        if (ov.doom(exec.plans[i].token) > d) {
+      for (std::uint32_t i = 0; i < exec.plans.size(); ++i) {
+        if (ov.doom(i) > d) {
           result.trace.push_back(scr.records[i]);
         }
       }
@@ -527,7 +545,7 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
       // hop: no transition, no seq; its process becomes free to issue
       // again. (hop > 0 always: never-issued tokens have no steps, so a
       // vanishing token has an open issue slot to drop.)
-      if (ev.hop == ov.doom(plan.token)) {
+      if (ev.hop == ov.doom(ev.plan)) {
         scr.in_flight_of_stream[stream] = kNoPlan;
         if (sink != nullptr) scr.window.drop(scr.pos_of_stream[stream]);
         continue;
@@ -646,121 +664,109 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   CompiledState& cstate = *arena.wave_state_;
   const std::uint32_t fan_out = cnet.fan_out();
   if constexpr (Overlay::kFaulted) scr.reset_overlay(cnet);
-  scr.bucket_start.assign(d + 2, 0);
-  scr.bucket_pos.assign(d + 1, 0);
-  scr.chunk.resize(kWaveChunk);
 
-  // Entry and exit bookkeeping. Hop-0 steps are visited in canonical
-  // order within each chunk's level-0 slice, so opens arrive in
-  // first_seq order.
-  const auto enter = [&](const StepRef& s, std::uint64_t seq) {
-    const std::uint32_t source = exec.plans[s.plan].source;
-    scr.wire_of[s.plan] = cnet.source_wire(source);
+  // One bucket per level (= hop, for a uniform network) of `cap` entries.
+  const std::size_t levels = std::size_t{d} + 1;
+  const std::size_t cap = std::max<std::size_t>(kWaveChunk / levels, 1);
+  scr.bucket.resize(2 * levels * cap);
+  scr.bucket_size.assign(levels, 0);
+  std::uint32_t* const plan_at = scr.bucket.data();
+  std::uint32_t* const seq_at = plan_at + levels * cap;
+  std::uint32_t* const size = scr.bucket_size.data();
+
+  // Entry and exit bookkeeping. Level 0's bucket holds a chunk's hop-0
+  // steps in canonical order, so opens arrive in first_seq order.
+  const auto enter = [&](std::uint32_t plan, std::uint64_t seq) {
+    const std::uint32_t source = exec.plans[plan].source;
+    scr.wire_of[plan] = cnet.source_wire(source);
     ++cstate.source_count[source];
     if (sink == nullptr) {
-      scr.records[s.plan].first_seq = seq;
+      scr.records[plan].first_seq = seq;
     } else {
-      scr.first_seq_of_plan[s.plan] = seq;
-      scr.pos_of_plan[s.plan] = scr.window.open();
+      scr.first_seq_of_plan[plan] = seq;
+      scr.pos_of_plan[plan] = scr.window.open();
     }
   };
-  const auto leave = [&](const StepRef& s, Value v, std::uint64_t seq) {
+  const auto leave = [&](std::uint32_t plan, Value v, std::uint64_t seq) {
     if (sink == nullptr) {
-      scr.records[s.plan] = make_record(exec, s.plan, v, fan_out,
-                                        scr.records[s.plan].first_seq, seq);
+      scr.records[plan] = make_record(exec, plan, v, fan_out,
+                                      scr.records[plan].first_seq, seq);
     } else {
-      scr.window.close(scr.pos_of_plan[s.plan],
-                       make_record(exec, s.plan, v, fan_out,
-                                   scr.first_seq_of_plan[s.plan], seq));
+      scr.window.close(scr.pos_of_plan[plan],
+                       make_record(exec, plan, v, fan_out,
+                                   scr.first_seq_of_plan[plan], seq));
     }
   };
 
-  std::uint64_t base = 0;    // Canonical index of the chunk's first step.
-  std::uint64_t next_seq = 0;
+  std::uint64_t base = 0;  // Seq of the chunk's first sequenced step.
+  std::size_t undrained = 0;  // Steps since the window last drained.
   while (scr.steps.remaining() != 0) {
-    const std::size_t n = std::min(kWaveChunk, scr.steps.remaining());
-    StepRef* const chunk = scr.chunk.data();
-    scr.steps.take(chunk, n);
-
-    // The seq of a pristine step is its canonical index. Overlay seqs
-    // are drawn in canonical order before bucketing, skipping drop steps
-    // exactly like the scalar loop's skipped increment.
-    if constexpr (Overlay::kFaulted) {
-      scr.seq_of.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        scr.seq_of[i] =
-            chunk[i].hop == ov.doom(exec.plans[chunk[i].plan].token)
-                ? 0
-                : next_seq++;
+    const std::size_t n = std::min(cap, scr.steps.remaining());
+    // The merge appends each step of the chunk to its level's bucket and
+    // draws its seq: its canonical index, except that an overlay's drop
+    // step draws none, exactly like the scalar loop's skipped increment.
+    // A balancer lives at exactly one level, so its bucket keeps its
+    // arrival order; hop h's bucket runs before hop h+1's, so a token's
+    // own steps stay ordered.
+    std::uint32_t offset = 0;
+    scr.steps.take(n, [&](StepRef s) {
+      const std::size_t at = s.hop * cap + size[s.hop]++;
+      plan_at[at] = s.plan;
+      if constexpr (Overlay::kFaulted) {
+        if (s.hop == ov.doom(s.plan)) {
+          seq_at[at] = kNoSeq;
+          return;
+        }
       }
-    }
-
-    // Stable counting sort of the chunk by hop. A balancer lives at
-    // exactly one level, so grouping by level keeps each balancer's
-    // arrival order; hop h sorts before hop h+1, so a token's own steps
-    // stay ordered within the chunk.
-    std::fill(scr.bucket_start.begin(), scr.bucket_start.end(), 0u);
-    for (std::size_t i = 0; i < n; ++i) ++scr.bucket_start[chunk[i].hop + 1];
-    for (std::uint32_t h = 0; h <= d; ++h) {
-      scr.bucket_start[h + 1] += scr.bucket_start[h];
-    }
-    std::copy(scr.bucket_start.begin(), scr.bucket_start.end() - 1,
-              scr.bucket_pos.begin());
-    scr.by_level.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scr.by_level[scr.bucket_pos[chunk[i].hop]++] =
-          static_cast<std::uint32_t>(i);
-    }
+      seq_at[at] = offset++;
+    });
 
     for (std::uint32_t lvl = 0; lvl <= d; ++lvl) {
-      const std::span<const std::uint32_t> slice(
-          scr.by_level.data() + scr.bucket_start[lvl],
-          scr.bucket_start[lvl + 1] - scr.bucket_start[lvl]);
-      if (slice.empty()) continue;
-
+      const std::span<const std::uint32_t> level_plans(plan_at + lvl * cap,
+                                                       size[lvl]);
+      const std::uint32_t* const seqs = seq_at + lvl * cap;
+      size[lvl] = 0;
       if constexpr (Overlay::kFaulted) {
         // Step by step through the overlay step. A drop resolves its
-        // issue slot; emission eligibility is reconciled at the chunk's
+        // issue slot; emission eligibility is reconciled at the next
         // deferred drain, so call order against other levels is
         // immaterial.
-        for (const std::uint32_t idx : slice) {
-          const StepRef& s = chunk[idx];
-          if (lvl == ov.doom(exec.plans[s.plan].token)) {
-            if (sink != nullptr) scr.window.drop(scr.pos_of_plan[s.plan]);
+        for (std::size_t k = 0; k < level_plans.size(); ++k) {
+          const std::uint32_t plan = level_plans[k];
+          if (seqs[k] == kNoSeq) {
+            if (sink != nullptr) scr.window.drop(scr.pos_of_plan[plan]);
             continue;
           }
-          if (lvl == 0) enter(s, scr.seq_of[idx]);
+          if (lvl == 0) enter(plan, base + seqs[k]);
           Value v = 0;
-          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[s.plan],
-                               v)) {
-            leave(s, v, scr.seq_of[idx]);
+          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[plan], v)) {
+            leave(plan, v, base + seqs[k]);
           }
         }
       } else {
         if (lvl == 0) {
-          for (const std::uint32_t idx : slice) enter(chunk[idx], base + idx);
-        }
-        scr.cursors.clear();
-        for (const std::uint32_t idx : slice) {
-          scr.cursors.push_back({scr.wire_of[chunk[idx].plan], idx});
+          for (std::size_t k = 0; k < level_plans.size(); ++k) {
+            enter(level_plans[k], base + seqs[k]);
+          }
         }
         if (lvl < d) {
-          step_wave(cnet, cstate, scr.cursors);
-          for (const TokenCursor& c : scr.cursors) {
-            scr.wire_of[chunk[c.tag].plan] = c.wire;
-          }
+          step_wave(cnet, cstate, level_plans, scr.wire_of);
         } else {
-          scr.values.resize(scr.cursors.size());
-          step_wave_counters(cnet, cstate, scr.cursors, scr.values);
-          for (std::size_t k = 0; k < scr.cursors.size(); ++k) {
-            const std::uint32_t idx = scr.cursors[k].tag;
-            leave(chunk[idx], scr.values[k], base + idx);
-          }
+          step_wave_counters(cnet, cstate, level_plans, scr.wire_of,
+                             [&](std::size_t k, Value v) {
+                               leave(level_plans[k], v, base + seqs[k]);
+                             });
         }
       }
     }
-    if (sink != nullptr) scr.window.drain();
-    base += n;
+    // The sink's batches stay kWaveChunk steps long however short the
+    // chunks are: the window drains once per kWaveChunk steps.
+    undrained += n;
+    if (sink != nullptr && undrained >= kWaveChunk) {
+      scr.window.drain();
+      undrained = 0;
+    }
+    base += offset;
   }
 
   finish(exec, scr, ov, sink, result);

@@ -64,9 +64,10 @@ inline constexpr std::uint32_t kCompletes =
 /// residual randomness): applying it is deterministic. Drawn from a
 /// fault::FaultPlan by fault::draw_sim_faults (fault/fault.hpp).
 struct SimFaults {
-  /// Indexed by token id. kCompletes = traverses normally; h in
-  /// [1, depth] = crosses hops 0..h-1 then vanishes; 0 = never issued
-  /// (a crashed process's later tokens).
+  /// Indexed by plan (position in exec.plans); a plan past the end
+  /// completes. kCompletes = traverses normally; h in [1, depth] =
+  /// crosses hops 0..h-1 then vanishes; 0 = never issued (a crashed
+  /// process's later tokens).
   std::vector<std::uint32_t> lost_before_hop;
   /// Indexed by balancer: true = toggle wedged at its initial position.
   std::vector<bool> stuck;
@@ -168,24 +169,25 @@ SimulationResult simulate_stream(const TimedExecution& exec, SimArena& arena,
 /// crossing times), and both interpreters consume one producer of the
 /// total order (time, rank, token, hop): a merge of per-process streams,
 /// each sorted because a process's tokens never overlap in the step
-/// sequence. The wave interpreter takes fixed-size chunks of that order,
-/// buckets each chunk by hop (= level, for a uniform network), and runs
-/// each level as one wave through the core wave kernels
+/// sequence. The wave interpreter takes that order in chunks of
+/// 4096 / (d + 1) steps: the merge appends each step to the bucket of its
+/// hop (= level, for a uniform network), and each level then steps its
+/// bucket in place as one wave through the core wave kernels
 /// (core/wave.hpp). Per-balancer arrival order is preserved because a
-/// balancer lives at exactly one level and bucketing is stable; sequence
-/// numbers are positions in the order, which is exactly the scalar seq
-/// assignment. Executions the wave path cannot take — structurally
-/// non-uniform networks, schedules with a step-order overlap (the merge
-/// finds them while building its streams, in O(tokens)) — fall back to
-/// the scalar interpreter wholesale, reproducing its errors (and any
-/// partial sink emission) exactly.
+/// balancer lives at exactly one level and each bucket keeps the merge's
+/// order; sequence numbers are positions in the order, which is exactly
+/// the scalar seq assignment. Executions the wave path cannot take —
+/// structurally non-uniform networks, schedules with a step-order
+/// overlap (the merge finds them while building its streams, in
+/// O(tokens)) — fall back to the scalar interpreter wholesale,
+/// reproducing its errors (and any partial sink emission) exactly.
 SimulationResult simulate_wave(const TimedExecution& exec, SimArena& arena);
 
 /// Streaming twin of simulate_wave: same record sequence as
-/// simulate_stream (the reorder buffer drains once per chunk, which
+/// simulate_stream (the reorder buffer drains once per 4096 steps, which
 /// releases records in the identical order — the minimum open first_seq
-/// only ever grows), emitted in per-wave on_records batches. Does not
-/// call sink.finish().
+/// only ever grows), emitted in on_records batches of those drains. Does
+/// not call sink.finish().
 SimulationResult simulate_wave_stream(const TimedExecution& exec,
                                       SimArena& arena, TraceSink& sink);
 

@@ -74,7 +74,10 @@ struct TimedExecution {
 /// The per-plan checks run in plan order, so the first bad plan (or the
 /// first repeated token id) is the one reported. The overlap check walks
 /// each process's tokens in (t_in, t_out, token) order, which is total:
-/// its verdict does not depend on the order of exec.plans. Back-to-back
+/// its verdict does not depend on the order of exec.plans. A schedule
+/// whose token ids increase and whose plans are already in (process,
+/// t_in, t_out, token) order, as generate_workload's are, is validated
+/// without a heap allocation. Back-to-back
 /// tokens (t_in equal to the previous t_out) pass here, including
 /// zero-duration tokens sharing an instant with their neighbor; whether
 /// their steps interleave is decided by rank at run time, by the

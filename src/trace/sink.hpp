@@ -143,7 +143,7 @@ void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink);
 /// flush() at end of stream emits the completed residue held back by
 /// never-resolved opens.
 ///
-/// Wave producers defer and drain once per chunk. Deferring is
+/// Wave producers defer and drain once per 4096 steps. Deferring is
 /// release-EQUIVALENT, not just order-preserving: the minimum open
 /// position only ever grows, so a record emittable now is still
 /// emittable (ahead of everything buffered later) at the next drain —
@@ -151,7 +151,8 @@ void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink);
 /// way.
 ///
 /// Memory is the peak issued-but-unemitted window: O(open concurrency)
-/// for per-close drains, up to one chunk of completions when deferred.
+/// for per-close drains, up to one drain period of completions when
+/// deferred.
 /// The ring grows by doubling and is reusable across calls via reset().
 class IssueWindowBuffer {
  public:

@@ -9,11 +9,13 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "concurrent/concurrent_network.hpp"
 #include "concurrent/harness.hpp"
@@ -236,6 +238,39 @@ TEST(FaultedSim, DrawIsDeterministic) {
   // And a different run seed draws different faults.
   const SimFaults c = fault::draw_sim_faults(net, exec, plan, 78);
   EXPECT_NE(a.lost_before_hop, c.lost_before_hop);
+}
+
+// A crash dooms one of the process's own plans and never issues the
+// plans after it. The overlay is indexed by plan, so each process's
+// entries are read off in its plan order.
+TEST(FaultedSim, CrashDoomsOneOwnPlanThenSilencesTheProcess) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 6;
+  wl.tokens_per_process = 10;
+  Xoshiro256 rng(9);
+  const TimedExecution exec = generate_workload(net, wl, rng);
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_process_crash = 1.0;
+  const SimFaults f = fault::draw_sim_faults(net, exec, plan, 4);
+  ASSERT_EQ(f.lost_before_hop.size(), exec.plans.size());
+  EXPECT_EQ(f.processes_crashed, wl.processes);
+  EXPECT_EQ(f.tokens_lost, wl.processes);
+  std::map<ProcessId, std::vector<std::uint32_t>> by_process;
+  for (std::size_t i = 0; i < exec.plans.size(); ++i) {
+    by_process[exec.plans[i].process].push_back(f.lost_before_hop[i]);
+  }
+  for (const auto& [process, dooms] : by_process) {
+    std::size_t k = 0;
+    while (k < dooms.size() && dooms[k] == kCompletes) ++k;
+    ASSERT_LT(k, dooms.size()) << "process " << process << " has no victim";
+    EXPECT_GE(dooms[k], 1u) << "process " << process;
+    EXPECT_LE(dooms[k], net.depth()) << "process " << process;
+    for (++k; k < dooms.size(); ++k) {
+      EXPECT_EQ(dooms[k], 0u) << "process " << process;
+    }
+  }
 }
 
 TEST(FaultedSim, LossRemovesExactlyTheDoomedTokens) {

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <new>
 #include <optional>
 #include <set>
 #include <span>
@@ -16,6 +19,25 @@
 #include "sim/timed_execution.hpp"
 #include "sim/workload.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+/// Calls of the global operator new in this test binary.
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, so the compiler never sees free() applied to memory from
+// operator new at an inlined call site.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cn {
 namespace {
@@ -167,6 +189,95 @@ TEST(TimedExecution, ValidateVerdictIgnoresPlanOrder) {
   // Both verdicts occur.
   EXPECT_GT(valid, 0);
   EXPECT_LT(valid, 200);
+}
+
+// The duplicate-id table is built only at the first id that does not
+// increase; it must already hold the ids before it.
+TEST(TimedExecution, ValidateFindsADuplicateAfterIncreasingIds) {
+  const Network net = make_bitonic(4);
+  TimedExecution exec;
+  exec.net = &net;
+  for (const TokenId t : {5u, 6u, 7u, 6u}) {
+    add_uniform_plan(exec, t, /*process=*/t + exec.plans.size(), 0, 0.0, 1.0);
+  }
+  EXPECT_EQ(validate(exec), "duplicate token id 6");
+}
+
+TEST(TimedExecution, ValidateAcceptsUniqueIdsThatDoNotIncrease) {
+  const Network net = make_bitonic(4);
+  TimedExecution exec;
+  exec.net = &net;
+  for (const TokenId t : {9u, 3u, 7u, 1u, 8u}) {
+    add_uniform_plan(exec, t, /*process=*/t, 0, 0.0, 1.0);
+  }
+  EXPECT_EQ(validate(exec), "");
+}
+
+// Per-plan problems are reported in plan order, whichever kind comes
+// first: a repeated id at plan 3 before a bad source at plan 5, and the
+// other way round.
+TEST(TimedExecution, ValidateReportsTheFirstBadPlan) {
+  const Network net = make_bitonic(4);
+  const auto build = [&](std::size_t duplicate_at, std::size_t bad_source_at) {
+    TimedExecution exec;
+    exec.net = &net;
+    for (std::uint32_t i = 0; i < 7; ++i) {
+      const TokenId t = i == duplicate_at ? 11 : 10 + i;
+      const std::uint32_t source = i == bad_source_at ? net.fan_in() : 0;
+      add_uniform_plan(exec, t, /*process=*/i, source, 0.0, 1.0);
+    }
+    return exec;
+  };
+  EXPECT_EQ(validate(build(3, 5)), "duplicate token id 11");
+  EXPECT_EQ(validate(build(5, 3)), "token 13: bad source wire");
+}
+
+// generate_workload's plans are already in (process, t_in, t_out, token)
+// order, which validate() walks in place; a shuffle makes it sort a copy.
+// One injected overlap is reported as the same pair, word for word.
+TEST(TimedExecution, ValidateOverlapPairIgnoresKeyOrder) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 6;
+  wl.tokens_per_process = 40;
+  Xoshiro256 rng(13);
+  TimedExecution exec = generate_workload(net, wl, rng);
+  ASSERT_EQ(validate(exec), "");
+  // Plan 100 (process 2's token 100) moves back to enter halfway through
+  // plan 99, which keeps the plans in key order.
+  ASSERT_EQ(exec.plans[99].process, 2u);
+  ASSERT_EQ(exec.plans[100].process, 2u);
+  const double shift =
+      exec.t_in(100) - (exec.t_in(99) + exec.t_out(99)) / 2.0;
+  for (double& t : exec.times_of(100)) t -= shift;
+  const std::string want = "process 2 has overlapping tokens 99, 100";
+  EXPECT_EQ(validate(exec), want);
+  for (std::size_t i = exec.plans.size(); i > 1; --i) {
+    swap_plans(exec, i - 1, rng.below(i));
+  }
+  EXPECT_EQ(validate(exec), want);
+}
+
+// validate() runs before every interpretation, so on the generator's
+// output it must not touch the heap. Out of key order it sorts a copy,
+// which the counter sees.
+TEST(TimedExecution, ValidateAllocatesNothingOnGeneratedWorkloads) {
+  const Network net = make_bitonic(8);
+  WorkloadSpec wl;
+  wl.processes = 8;
+  wl.tokens_per_process = 512;
+  wl.c_max = 3.0;
+  wl.local_delay_max = 2.0;
+  Xoshiro256 rng(3);
+  TimedExecution exec = generate_workload(net, wl, rng);
+  std::size_t before = g_allocations.load();
+  EXPECT_EQ(validate(exec), "");
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+
+  swap_plans(exec, 0, exec.plans.size() - 1);
+  before = g_allocations.load();
+  EXPECT_EQ(validate(exec), "");
+  EXPECT_GT(g_allocations.load() - before, 0u);
 }
 
 TEST(Simulator, SequentialTokensGetIncreasingValues) {

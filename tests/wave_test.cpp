@@ -95,21 +95,29 @@ TEST(GenericWave, MatchesScalarLevelMajorStepping) {
   CompiledState wave_state(compiled);
   TokenId next = 0;
   for (std::uint32_t round = 0; round < 5; ++round) {
-    std::vector<TokenCursor> wave(8);
+    // Token i of the wave is listed as 2i + 1: the kernels touch only
+    // the listed entries of the per-token wire array.
+    std::vector<std::uint32_t> tokens(8);
+    std::vector<WireIndex> wire(16, kInvalidWire);
     std::vector<TokenId> ids(8);
     for (std::uint32_t i = 0; i < 8; ++i) {
       ids[i] = next++;
       scalar.enter(ids[i], /*process=*/i, /*source=*/i);
-      wave[i] = TokenCursor{compiled.source_wire(i), i};
+      tokens[i] = 2 * i + 1;
+      wire[tokens[i]] = compiled.source_wire(i);
       ++wave_state.source_count[i];
     }
     for (std::uint32_t l = 0; l < d; ++l) {
       for (const TokenId t : ids) scalar.step(t);
-      step_wave(compiled, wave_state, wave);
+      step_wave(compiled, wave_state, tokens, wire);
     }
     std::vector<Value> values(8);
     for (const TokenId t : ids) scalar.step(t);
-    step_wave_counters(compiled, wave_state, wave, values);
+    step_wave_counters(compiled, wave_state, tokens, wire,
+                       [&](std::size_t k, Value v) { values[k] = v; });
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(wire[2 * i], kInvalidWire);
+    }
     for (std::uint32_t i = 0; i < 8; ++i) {
       ASSERT_TRUE(scalar.done(ids[i]));
       EXPECT_EQ(values[i], scalar.value(ids[i])) << "round " << round
@@ -138,20 +146,23 @@ TEST(GenericWave, HandlesNonPowerOfTwoFanOut) {
   const std::uint32_t batch = 9;
   TokenId next = 0;
   for (std::uint32_t round = 0; round < 4; ++round) {
-    std::vector<TokenCursor> wave(batch);
+    std::vector<std::uint32_t> tokens(batch);
+    std::vector<WireIndex> wire(batch);
     std::vector<TokenId> ids(batch);
     for (std::uint32_t i = 0; i < batch; ++i) {
       ids[i] = next++;
       scalar.enter(ids[i], /*process=*/i, /*source=*/0);
-      wave[i] = TokenCursor{compiled.source_wire(0), i};
+      tokens[i] = i;
+      wire[i] = compiled.source_wire(0);
     }
     for (std::uint32_t l = 0; l < d; ++l) {
       for (const TokenId t : ids) scalar.step(t);
-      step_wave(compiled, wave_state, wave);
+      step_wave(compiled, wave_state, tokens, wire);
     }
     std::vector<Value> values(batch);
     for (const TokenId t : ids) scalar.step(t);
-    step_wave_counters(compiled, wave_state, wave, values);
+    step_wave_counters(compiled, wave_state, tokens, wire,
+                       [&](std::size_t k, Value v) { values[k] = v; });
     for (std::uint32_t i = 0; i < batch; ++i) {
       EXPECT_EQ(values[i], scalar.value(ids[i]));
     }
@@ -190,22 +201,26 @@ void run_width_differential(const Network& net, std::uint32_t rounds) {
       std::swap(sources[i - 1], sources[rng.below(i)]);
     }
     const auto n = static_cast<std::uint32_t>(sources.size());
-    std::vector<TokenCursor> generic_wave(n), spec_wave(n);
+    std::vector<std::uint32_t> tokens(n);
+    std::vector<WireIndex> generic_wire(n);
+    std::vector<TokenCursor> spec_wave(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      generic_wave[i] = TokenCursor{compiled.source_wire(sources[i]), i};
+      tokens[i] = i;
+      generic_wire[i] = compiled.source_wire(sources[i]);
       spec_wave[i] = TokenCursor{waves->entry_slot(sources[i]), i};
     }
     for (std::uint32_t l = 0; l < plan.depth(); ++l) {
-      step_wave(compiled, generic_state, generic_wave);
+      step_wave(compiled, generic_state, tokens, generic_wire);
       waves->step_level(l, spec_state, spec_wave);
       for (std::uint32_t i = 0; i < n; ++i) {
         EXPECT_EQ(waves->wire_of_slot(l + 1, spec_wave[i].wire),
-                  generic_wave[i].wire)
+                  generic_wire[i])
             << "round " << round << " level " << l << " cursor " << i;
       }
     }
     std::vector<Value> generic_values(n), spec_values(n);
-    step_wave_counters(compiled, generic_state, generic_wave, generic_values);
+    step_wave_counters(compiled, generic_state, tokens, generic_wire,
+                       [&](std::size_t k, Value v) { generic_values[k] = v; });
     waves->step_counters(spec_state, spec_wave, spec_values);
     EXPECT_EQ(generic_values, spec_values) << "round " << round;
     EXPECT_EQ(generic_state, spec_state) << "round " << round;
@@ -278,8 +293,8 @@ TEST(SimulateWave, MatchesScalarOnRandomWorkloads) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       WorkloadSpec spec;
       spec.processes = 6;
-      // 144 tokens: at most 2,304 steps, all inside one 4096-step wave
-      // chunk. The MultiChunk tests below cross chunk boundaries.
+      // 144 tokens: 432 to 2,304 steps, one wave chunk on the trees and
+      // up to nine on B(32). The MultiChunk tests below cross many.
       spec.tokens_per_process = 24;
       spec.c_min = 1.0;
       spec.c_max = 2.5;
@@ -446,11 +461,12 @@ TEST(SimulateWaveStream, MatchesScalarStream) {
 
 // ---------------------------------------------------------------------
 // Chunk boundaries and plan order. The wave body consumes the canonical
-// step order in 4096-step chunks; these schedules span several chunks.
+// step order in chunks of 4096 / (d + 1) steps; these schedules span
+// fifty.
 // ---------------------------------------------------------------------
 
 /// The sweep_wave_stream benchmark shape: B(8), 8 x 512 tokens, c_max 3.
-/// 28,672 steps, seven full chunks.
+/// 28,672 steps, fifty chunks of at most 585.
 TimedExecution multi_chunk_workload(const Network& net, std::uint64_t seed) {
   WorkloadSpec spec;
   spec.processes = 8;
@@ -573,7 +589,7 @@ TEST(SimulateWaveStream, ShuffledPlansStreamIdentically) {
   for (const bool ties : {false, true}) {
     TimedExecution exec =
         ties ? multi_chunk_ties(net, 5) : multi_chunk_workload(net, 5);
-    const SimFaults faults =
+    SimFaults faults =
         fault::draw_sim_faults(net, exec, mixed_fault_plan(), 5);
     const auto stream_all = [&] {
       return std::vector<Trace>{
@@ -593,17 +609,101 @@ TEST(SimulateWaveStream, ShuffledPlansStreamIdentically) {
     const std::vector<Trace> before = stream_all();
     Xoshiro256 rng(9);
     for (std::size_t i = exec.plans.size(); i > 1; --i) {
-      // Rows move with their plans.
+      // Rows and overlay entries move with their plans.
       const std::size_t j = rng.below(i);
       std::swap(exec.plans[i - 1], exec.plans[j]);
       const std::span<double> a = exec.times_of(i - 1);
       std::swap_ranges(a.begin(), a.end(), exec.times_of(j).begin());
+      std::swap(faults.lost_before_hop[i - 1], faults.lost_before_hop[j]);
     }
     const std::vector<Trace> after = stream_all();
     for (std::size_t k = 0; k < before.size(); ++k) {
       EXPECT_FALSE(before[k].empty());
       EXPECT_EQ(before[k], after[k]) << "ties " << ties << " entry " << k;
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Wave buckets. The merge deals each chunk of the canonical order into
+// one bucket per level; a chunk is 4096 / (d + 1) steps (585 on B(8),
+// 186 on B(64)). These schedules sit on the edges of that layout.
+// ---------------------------------------------------------------------
+
+// 1000 single-token processes all enter at time 0, before any second
+// hop (hop h crosses at time h): the first chunk is hop-0 steps only,
+// which fill the level-0 bucket, and the next chunk starts with the rest.
+TEST(WaveBuckets, EntryBurstFillsTheFirstChunk) {
+  const Network net = make_bitonic(8);
+  Xoshiro256 rng(31);
+  TimedExecution exec;
+  exec.net = &net;
+  for (TokenId t = 0; t < 1000; ++t) {
+    add_uniform_plan(exec, t, /*process=*/t, /*source=*/t % net.fan_in(),
+                     /*t_in=*/0.0, /*delay=*/1.0, /*rank=*/rng.unit());
+  }
+  const SimFaults faults =
+      fault::draw_sim_faults(net, exec, mixed_fault_plan(), 31);
+  ASSERT_FALSE(faults.empty());
+  expect_wave_matches_scalar(exec, faults, "entry burst");
+}
+
+// Deep and narrow networks: B(64) (d = 21, 186-step chunks) and counting
+// trees, random workloads crossing many chunks.
+TEST(WaveBuckets, DeepAndNarrowNetworksMatchScalar) {
+  struct Config {
+    Network net;
+    std::string name;
+    std::uint32_t processes;
+    std::uint32_t tokens;
+  };
+  std::vector<Config> configs;
+  configs.push_back({make_bitonic(64), "bitonic64", 16, 64});
+  configs.push_back({make_counting_tree(16), "tree16", 8, 256});
+  configs.push_back({make_counting_tree_k(9, 3), "tree9x3", 6, 512});
+  for (const Config& cfg : configs) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      WorkloadSpec wl;
+      wl.processes = cfg.processes;
+      wl.tokens_per_process = cfg.tokens;
+      wl.c_min = 0.0;
+      wl.c_max = 9.0;
+      Xoshiro256 rng(seed);
+      const TimedExecution exec = generate_workload(cfg.net, wl, rng);
+      const SimFaults faults =
+          fault::draw_sim_faults(cfg.net, exec, mixed_fault_plan(), seed);
+      ASSERT_FALSE(faults.empty()) << cfg.name;
+      expect_wave_matches_scalar(exec, faults,
+                                 cfg.name + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+// Two processes, each issuing back to back, interleave their steps
+// exactly: a chunk boundary lands inside both in-flight tokens (on B(8),
+// step 585 is hop 5 of process 1's 42nd token). B(16) (372-step chunks of
+// 11-hop tokens) and P(8) (409-step chunks of 10-hop tokens) split
+// tokens at other hops.
+TEST(WaveBuckets, ChunkBoundarySplitsATokensHops) {
+  std::vector<Network> nets;
+  nets.push_back(make_bitonic(8));
+  nets.push_back(make_bitonic(16));
+  nets.push_back(make_periodic(8));
+  for (const Network& net : nets) {
+    const double span = net.depth() + 1.0;
+    TimedExecution exec;
+    exec.net = &net;
+    TokenId next = 0;
+    for (std::uint32_t k = 0; k < 200; ++k) {
+      for (ProcessId p = 0; p < 2; ++p) {
+        add_uniform_plan(exec, next++, p, (k + p) % net.fan_in(),
+                         /*t_in=*/k * span + 0.5 * p, /*delay=*/1.0);
+      }
+    }
+    const SimFaults faults =
+        fault::draw_sim_faults(net, exec, mixed_fault_plan(), 3);
+    ASSERT_FALSE(faults.empty()) << net.name();
+    expect_wave_matches_scalar(exec, faults, net.name());
   }
 }
 
@@ -801,8 +901,9 @@ TEST(SparseProcessIds, EveryEntryPointMatchesTheDenseSchedule) {
   }
 }
 
-// Sparse token ids: per-token state is indexed by plan, so a schedule
-// whose ids reach 0xFFFFFFF0 costs what its dense twin costs.
+// Sparse token ids: per-token state, the fault overlay included, is
+// indexed by plan, so a schedule whose ids reach 0xFFFFFFF0 costs what
+// its dense twin costs.
 TEST(SparseTokenIds, EveryEntryPointMatchesTheDenseSchedule) {
   const Network net = make_bitonic(8);
   WorkloadSpec wl;
@@ -819,16 +920,36 @@ TEST(SparseTokenIds, EveryEntryPointMatchesTheDenseSchedule) {
   };
   TimedExecution sparse = dense;
   for (TokenPlan& p : sparse.plans) p.token = sparse_id(p.token);
-  // The empty overlay: no token is doomed, no balancer is stuck.
-  SimFaults none;
-  none.stuck.assign(net.num_balancers(), false);
+  // Drawn on either schedule, the overlay is the same: the draw visits
+  // plans, never ids.
+  const SimFaults dense_faults =
+      fault::draw_sim_faults(net, dense, mixed_fault_plan(), 19);
+  const SimFaults sparse_faults =
+      fault::draw_sim_faults(net, sparse, mixed_fault_plan(), 19);
+  ASSERT_GT(dense_faults.tokens_lost, 0u);
+  EXPECT_EQ(sparse_faults.lost_before_hop.size(), n);
+  EXPECT_EQ(sparse_faults.lost_before_hop, dense_faults.lost_before_hop);
+  EXPECT_EQ(sparse_faults.stuck, dense_faults.stuck);
+  EXPECT_EQ(sparse_faults.tokens_lost, dense_faults.tokens_lost);
+  EXPECT_EQ(sparse_faults.tokens_not_issued, dense_faults.tokens_not_issued);
+  EXPECT_EQ(sparse_faults.balancers_stuck, dense_faults.balancers_stuck);
+  EXPECT_EQ(sparse_faults.processes_crashed, dense_faults.processes_crashed);
 
-  SimArena arena;
-  for (const auto& [name, run] : entry_points(arena, none)) {
-    Trace want = run(dense);
-    ASSERT_EQ(want.size(), n) << name;
+  SimArena dense_arena;
+  SimArena sparse_arena;
+  const auto dense_runs = entry_points(dense_arena, dense_faults);
+  const auto sparse_runs = entry_points(sparse_arena, sparse_faults);
+  for (std::size_t k = 0; k < dense_runs.size(); ++k) {
+    const std::string& name = dense_runs[k].first;
+    Trace want = dense_runs[k].second(dense);
+    if (name.ends_with("(faults)")) {
+      ASSERT_FALSE(want.empty()) << name;
+      ASSERT_LT(want.size(), n) << name;
+    } else {
+      ASSERT_EQ(want.size(), n) << name;
+    }
     for (TokenRecord& r : want) r.token = sparse_id(r.token);
-    EXPECT_EQ(run(sparse), want) << name;
+    EXPECT_EQ(sparse_runs[k].second(sparse), want) << name;
   }
   // The step log names the schedule's token ids.
   std::vector<Step> want = simulate_recorded(dense).steps;

@@ -149,43 +149,65 @@ void BM_ReferenceEngineTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceEngineTraversal)->Arg(8)->Arg(32);
 
-// Width-specialized wave traversal (core/wave.hpp): W tokens enter as
-// one wave and cross the network level-by-level over the constexpr-width
-// slot tables. Items are steps, directly comparable to the scalar
-// traversal benches above.
-template <std::uint32_t W>
+/// One full wave on a uniform network through the kernels the simulator's
+/// wave body runs (core/wave.hpp): plan i enters on source i, step_wave
+/// advances every plan once per balancer level, then step_wave_counters
+/// counts them.
+class FullWave {
+ public:
+  explicit FullWave(const CompiledNetwork& net)
+      : net_(net),
+        depth_(WavePlan(net).depth()),
+        plans_(net.fan_in()),
+        wire_(net.fan_in()),
+        values_(net.fan_in()) {
+    for (std::uint32_t i = 0; i < net.fan_in(); ++i) plans_[i] = i;
+  }
+
+  void run(CompiledState& state) {
+    for (std::uint32_t i = 0; i < net_.fan_in(); ++i) {
+      wire_[i] = net_.source_wire(i);
+      ++state.source_count[i];
+    }
+    for (std::uint32_t l = 0; l < depth_; ++l) {
+      step_wave(net_, state, plans_, wire_);
+    }
+    step_wave_counters(net_, state, plans_, wire_,
+                       [this](std::size_t k, Value v) { values_[k] = v; });
+    benchmark::DoNotOptimize(values_.data());
+  }
+
+ private:
+  const CompiledNetwork& net_;
+  std::uint32_t depth_;
+  std::vector<std::uint32_t> plans_;
+  std::vector<WireIndex> wire_;
+  std::vector<Value> values_;
+};
+
+// Level-synchronous wave traversal: W tokens enter as one wave and cross
+// B(W) level by level through the simulator's wave kernels. Items are
+// steps, directly comparable to the scalar traversal benches above.
 void BM_WaveEngineTraversal(benchmark::State& state) {
-  const Network topo = make_bitonic(W);
+  const auto width = static_cast<std::uint32_t>(state.range(0));
+  const Network topo = make_bitonic(width);
   const std::size_t hops = hops_per_token(topo);
   const CompiledNetwork compiled(topo);
-  const WavePlan plan(compiled);
-  const auto waves = WidthWaves<W>::try_build(plan);
   CompiledState cstate(compiled);
-  std::array<TokenCursor, W> wave{};
-  std::array<Value, W> values{};
+  FullWave wave(compiled);
   std::uint64_t tokens = 0;
   for (auto _ : state) {
     if (tokens >= kTraversalBatch) {
       tokens = 0;
       cstate.reset();
     }
-    for (std::uint32_t i = 0; i < W; ++i) {
-      wave[i] = TokenCursor{waves->entry_slot(i), i};
-      ++cstate.source_count[i];
-    }
-    for (std::uint32_t l = 0; l < waves->depth(); ++l) {
-      waves->step_level(l, cstate, wave);
-    }
-    waves->step_counters(cstate, wave, values);
-    benchmark::DoNotOptimize(values);
-    tokens += W;
+    wave.run(cstate);
+    tokens += width;
   }
-  state.SetItemsProcessed(state.iterations() * W * hops);
+  state.SetItemsProcessed(state.iterations() * width * hops);
   state.SetLabel("steps/sec (items); hops/token=" + std::to_string(hops));
 }
-BENCHMARK_TEMPLATE(BM_WaveEngineTraversal, 8);
-BENCHMARK_TEMPLATE(BM_WaveEngineTraversal, 32);
-BENCHMARK_TEMPLATE(BM_WaveEngineTraversal, 64);
+BENCHMARK(BM_WaveEngineTraversal)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_SimulateRandomWorkload(benchmark::State& state) {
   const Network topo = make_bitonic(8);
@@ -362,19 +384,25 @@ struct TraversalRates {
   std::size_t hops = 0;
   double ref_tokens_per_sec = 0.0;
   double fast_tokens_per_sec = 0.0;
+  double wave_tokens_per_sec = 0.0;
 
   double ref_steps_per_sec() const { return ref_tokens_per_sec * hops; }
   double fast_steps_per_sec() const { return fast_tokens_per_sec * hops; }
+  double wave_steps_per_sec() const { return wave_tokens_per_sec * hops; }
   double speedup() const { return fast_tokens_per_sec / ref_tokens_per_sec; }
+  double wave_speedup() const {
+    return wave_tokens_per_sec / fast_tokens_per_sec;
+  }
 };
 
-/// Reference graph walk vs compiled fast path on bitonic B(width).
+/// Reference graph walk vs compiled fast path vs the simulator's wave
+/// kernels (full waves of `width` tokens, FullWave) on bitonic B(width).
 ///
-/// The two sides are measured in short alternating rounds and each side
+/// The three sides are measured in short alternating rounds and each side
 /// keeps its best rate. On a shared machine a load spike inside one
-/// side's window would otherwise skew the ratio arbitrarily; max-of-rates
+/// side's window would otherwise skew the ratios arbitrarily; max-of-rates
 /// (the classic min-of-times estimator) converges on the undisturbed
-/// cost of each side, which is the quantity the speedup claim is about.
+/// cost of each side, which is the quantity the speedup claims are about.
 TraversalRates measure_traversal(std::uint32_t width, double min_seconds) {
   constexpr int kRounds = 4;
   const Network topo = make_bitonic(width);
@@ -382,6 +410,9 @@ TraversalRates measure_traversal(std::uint32_t width, double min_seconds) {
   TraversalRates r;
   r.hops = hops_per_token(topo);
   NetworkState fast_engine(topo);
+  const CompiledNetwork compiled(topo);
+  CompiledState wave_state(compiled);
+  FullWave wave(compiled);
   const double round_seconds = min_seconds / kRounds;
   for (int round = 0; round < kRounds; ++round) {
     r.ref_tokens_per_sec = std::max(
@@ -402,49 +433,12 @@ TraversalRates measure_traversal(std::uint32_t width, double min_seconds) {
             benchmark::DoNotOptimize(fast_engine.shepherd(t, t, t & src_mask));
           }
         }));
-  }
-  return r;
-}
-
-struct WaveRates {
-  std::size_t hops = 0;
-  double tokens_per_sec = 0.0;
-
-  double steps_per_sec() const { return tokens_per_sec * hops; }
-};
-
-/// Width-specialized wave traversal rate on bitonic B(W): full waves of W
-/// tokens through the constexpr-width slot tables. Same batch size and
-/// max-of-rounds noise defense as measure_traversal, so the
-/// wave-vs-compiled ratio is apples to apples.
-template <std::uint32_t W>
-WaveRates measure_wave(double min_seconds) {
-  constexpr int kRounds = 4;
-  const Network topo = make_bitonic(W);
-  const CompiledNetwork compiled(topo);
-  const WavePlan plan(compiled);
-  const auto waves = WidthWaves<W>::try_build(plan);
-  WaveRates r;
-  r.hops = hops_per_token(topo);
-  CompiledState cstate(compiled);
-  std::array<TokenCursor, W> wave{};
-  std::array<Value, W> values{};
-  const double round_seconds = min_seconds / kRounds;
-  for (int round = 0; round < kRounds; ++round) {
-    r.tokens_per_sec = std::max(
-        r.tokens_per_sec,
+    r.wave_tokens_per_sec = std::max(
+        r.wave_tokens_per_sec,
         cn::bench::measure_rate(kTraversalBatch, round_seconds, [&] {
-          cstate.reset();
-          for (std::uint32_t b = 0; b < kTraversalBatch / W; ++b) {
-            for (std::uint32_t i = 0; i < W; ++i) {
-              wave[i] = TokenCursor{waves->entry_slot(i), i};
-              ++cstate.source_count[i];
-            }
-            for (std::uint32_t l = 0; l < waves->depth(); ++l) {
-              waves->step_level(l, cstate, wave);
-            }
-            waves->step_counters(cstate, wave, values);
-            benchmark::DoNotOptimize(values);
+          wave_state.reset();
+          for (std::uint32_t b = 0; b < kTraversalBatch / width; ++b) {
+            wave.run(wave_state);
           }
         }));
   }
@@ -978,17 +972,15 @@ std::string json_traversal(std::uint32_t width, const TraversalRates& r) {
   return os.str();
 }
 
-std::string json_wave(std::uint32_t width, const WaveRates& r,
-                      const TraversalRates& t) {
+std::string json_wave(std::uint32_t width, const TraversalRates& t) {
   std::ostringstream os;
   os << std::setprecision(6);
   os << "  \"wave_bitonic" << width << "\": {\n"
-     << "    \"hops_per_token\": " << r.hops << ",\n"
-     << "    \"tokens_per_sec\": " << r.tokens_per_sec << ",\n"
-     << "    \"ns_per_token\": " << 1e9 / r.tokens_per_sec << ",\n"
-     << "    \"steps_per_sec\": " << r.steps_per_sec() << ",\n"
-     << "    \"speedup_vs_compiled\": "
-     << r.tokens_per_sec / t.fast_tokens_per_sec << "\n"
+     << "    \"hops_per_token\": " << t.hops << ",\n"
+     << "    \"tokens_per_sec\": " << t.wave_tokens_per_sec << ",\n"
+     << "    \"ns_per_token\": " << 1e9 / t.wave_tokens_per_sec << ",\n"
+     << "    \"steps_per_sec\": " << t.wave_steps_per_sec() << ",\n"
+     << "    \"speedup_vs_compiled\": " << t.wave_speedup() << "\n"
      << "  }";
   return os.str();
 }
@@ -1115,9 +1107,6 @@ int json_main(const CliArgs& args) {
   const TraversalRates t8 = measure_traversal(8, min_seconds);
   const TraversalRates t32 = measure_traversal(32, min_seconds);
   const TraversalRates t64 = measure_traversal(64, min_seconds);
-  const WaveRates w8 = measure_wave<8>(min_seconds);
-  const WaveRates w32 = measure_wave<32>(min_seconds);
-  const WaveRates w64 = measure_wave<64>(min_seconds);
   const InterpreterRates interp = measure_interpreter(min_seconds);
   const TrialRates trials = measure_trials(min_seconds);
   const AnalyzerRates an = measure_analyzer(min_seconds);
@@ -1142,9 +1131,9 @@ int json_main(const CliArgs& args) {
      << json_traversal(8, t8) << ",\n"
      << json_traversal(32, t32) << ",\n"
      << json_traversal(64, t64) << ",\n"
-     << json_wave(8, w8, t8) << ",\n"
-     << json_wave(32, w32, t32) << ",\n"
-     << json_wave(64, w64, t64) << ",\n"
+     << json_wave(8, t8) << ",\n"
+     << json_wave(32, t32) << ",\n"
+     << json_wave(64, t64) << ",\n"
      << json_interpreter(interp) << ",\n"
      << "  \"engine_bitonic8\": {\n"
      << "    \"trials_per_sec_fresh_context\": " << trials.fresh_per_sec
@@ -1193,14 +1182,14 @@ int json_main(const CliArgs& args) {
             << "traversal B(64): reference " << t64.ref_steps_per_sec() / 1e6
             << "M steps/s, compiled " << t64.fast_steps_per_sec() / 1e6
             << "M steps/s (" << t64.speedup() << "x)\n"
-            << "wave B(8):       " << w8.steps_per_sec() / 1e6
-            << "M steps/s (" << w8.tokens_per_sec / t8.fast_tokens_per_sec
+            << "wave B(8):       " << t8.wave_steps_per_sec() / 1e6
+            << "M steps/s (" << t8.wave_speedup()
             << "x vs compiled)\n"
-            << "wave B(32):      " << w32.steps_per_sec() / 1e6
-            << "M steps/s (" << w32.tokens_per_sec / t32.fast_tokens_per_sec
+            << "wave B(32):      " << t32.wave_steps_per_sec() / 1e6
+            << "M steps/s (" << t32.wave_speedup()
             << "x vs compiled)\n"
-            << "wave B(64):      " << w64.steps_per_sec() / 1e6
-            << "M steps/s (" << w64.tokens_per_sec / t64.fast_tokens_per_sec
+            << "wave B(64):      " << t64.wave_steps_per_sec() / 1e6
+            << "M steps/s (" << t64.wave_speedup()
             << "x vs compiled)\n"
             << "interpreter B(8): scalar " << interp.scalar_steps_per_sec / 1e6
             << "M steps/s (" << 1e9 / interp.scalar_steps_per_sec

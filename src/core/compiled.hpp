@@ -24,10 +24,10 @@
 // per-source entry counts — the x_i history variables are reconstructed
 // from upstream throughput rather than counted per hop (see the member
 // comments). It has a reset() that rewinds to the freshly-constructed
-// state
-// without releasing capacity. One CompiledNetwork serves any number of
-// CompiledStates; a sweep worker keeps one of each per network and resets
-// between trials instead of reallocating.
+// state without releasing capacity. One CompiledNetwork serves any number
+// of CompiledStates; the simulator's arena (sim/simulator.hpp) keeps one
+// of each per network and resets the state between trials instead of
+// reallocating.
 //
 // Semantics are untouched: these tables are a re-indexing of exactly the
 // information NetworkState::step() used to re-derive per step, and
@@ -169,8 +169,9 @@ class CompiledNetwork {
 };
 
 /// The dynamic half of an execution over a CompiledNetwork: exactly the
-/// vectors NetworkState mutates per step, exposed as a plain data arena so
-/// the sweeper can keep one per worker and reset() it between trials.
+/// vectors NetworkState mutates per step, exposed as a plain data arena
+/// that the simulator's hop (step_token, core/wave.hpp) steps directly and
+/// resets between trials.
 class CompiledState {
  public:
   explicit CompiledState(const CompiledNetwork& compiled);
@@ -185,8 +186,8 @@ class CompiledState {
 
   friend bool operator==(const CompiledState&, const CompiledState&) = default;
 
-  // Data members are public by design: NetworkState indexes them directly
-  // on the hot path.
+  // Data members are public by design: NetworkState and the hop index them
+  // directly on the hot path.
   //
   // This is deliberately the MINIMAL state a step needs to touch — one
   // 64-bit increment per balancer hop, one counter bump per exit. The
@@ -205,6 +206,9 @@ class CompiledState {
   //     its next value encodes how many tokens it has counted;
   //   * network totals: entered = sum of source_count, exited = sum of the
   //     per-sink exit counts.
+  //
+  // Under a fault overlay the simulator never advances a stuck balancer's
+  // bal_through, so its position stays at port 0: the wedged toggle.
   std::vector<std::uint64_t> bal_through;   ///< Tokens through each balancer.
   std::vector<Value> counter_next;          ///< Next value per sink counter.
   std::vector<std::uint64_t> source_count;  ///< Tokens entered per input wire.

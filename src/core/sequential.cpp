@@ -99,29 +99,6 @@ Step NetworkState::step(TokenId token) {
   return st;
 }
 
-bool NetworkState::step_fast(TokenId token) {
-  if (recording_) return step(token).kind == Step::Kind::kCounter;
-  TokenState& ts = token_ref(token);
-  if (!ts.entered || ts.finished) {
-    throw std::logic_error("NetworkState::step: token not in flight");
-  }
-  const CompiledNetwork& net = *compiled_;
-  const CompiledNetwork::Route route = net.route(ts.wire);
-  if (!route.is_sink) {
-    const PortIndex out_port =
-        net.port_of(route, state_.bal_through[route.node]++);
-    ts.wire = net.out_wire_at(route.out_base + out_port);
-    return false;
-  }
-  const std::uint32_t sink = route.node;
-  const Value v = state_.counter_next[sink];
-  state_.counter_next[sink] += net.fan_out();
-  --in_flight_;
-  ts.finished = true;
-  ts.value = v;
-  return true;
-}
-
 Value NetworkState::traverse(TokenId token) {
   if (recording_) {
     while (!token_ref(token).finished) step(token);

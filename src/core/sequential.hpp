@@ -4,8 +4,11 @@
 // NetworkState holds the dynamic part of an execution: balancer round-robin
 // positions, counter values, and in-flight token positions. Callers control
 // the interleaving completely by choosing which token to step next; this is
-// exactly the power the paper's adversary has, and it is what the timed
-// simulator (src/sim) and the proof reconstructions build on.
+// exactly the power the paper's adversary has, and it is what the proof
+// reconstructions (core/split, core/verify) build on. The timed simulator
+// (src/sim) keeps no per-token table: it steps the bare CompiledState
+// through the hop of core/wave.hpp, and its tests replay its step order
+// on a NetworkState to check it.
 //
 // Routing is delegated to the flat tables of core/compiled.hpp: one
 // CompiledNetwork is built per Network (either privately by the
@@ -84,12 +87,6 @@ class NetworkState {
   /// transition or the final counter transition) and returns the step.
   /// Throws std::logic_error if the token is unknown or already done.
   Step step(TokenId token);
-
-  /// Fast-path step: identical state evolution to step() but skips
-  /// materializing the Step record. Returns true when the token crossed
-  /// its counter (finished). Falls back to step() while recording so the
-  /// log stays complete.
-  bool step_fast(TokenId token);
 
   /// Steps the token to completion; returns the value it received.
   Value traverse(TokenId token);

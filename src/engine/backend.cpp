@@ -139,6 +139,36 @@ RunResult run_backend(const RunSpec& spec, RunContext& ctx) {
         out.report = analyze(out.trace);
       }
     }
+    // Fault-injected runs get the degradation report appended (and an
+    // all-operations-lost run is classified as a fault casualty, not a
+    // silent empty success). Gated on `enabled`, not `active()`, so a
+    // p=0 point of a degradation curve still reports its zero rates —
+    // while default (disabled) runs emit byte-identical metrics. It runs
+    // inside the try, so whatever a replayed record does to the analysis
+    // comes back as an error result.
+    if (out.ok() && spec.fault.enabled && spec.record_trace) {
+      const std::uint64_t completed =
+          streaming ? ctx.degradation.records() : out.trace.size();
+      if (completed == 0) {
+        out.error = "fault injection removed every completed operation";
+        out.error_kind = ErrorKind::kFaultInjected;
+      } else {
+        const Network* net =
+            spec.net != nullptr ? spec.net : out.owned_net.get();
+        const std::uint32_t fan_out = net != nullptr ? net->fan_out() : 0;
+        const fault::Degradation deg =
+            streaming ? ctx.degradation.result(fan_out)
+                      : fault::degradation(out.trace, fan_out);
+        out.metrics["counting_violation"] = deg.counting_violation;
+        out.metrics["smoothness_gap"] = deg.smoothness_gap;
+        out.metrics["smoothness_violation"] = deg.smoothness_violation;
+        const bool any = deg.counting_violation > 0.0 ||
+                         deg.smoothness_violation > 0.0 ||
+                         !out.report.linearizable() ||
+                         !out.report.sequentially_consistent();
+        out.metrics["any_violation"] = any ? 1.0 : 0.0;
+      }
+    }
   } catch (const std::exception& e) {
     out = RunResult{};
     out.backend = spec.backend;
@@ -157,34 +187,6 @@ RunResult run_backend(const RunSpec& spec, RunContext& ctx) {
   }
   if (out.ok()) out.error_kind = ErrorKind::kNone;
 
-  // Fault-injected runs get the degradation report appended (and an
-  // all-operations-lost run is classified as a fault casualty, not a
-  // silent empty success). Gated on `enabled`, not `active()`, so a
-  // p=0 point of a degradation curve still reports its zero rates —
-  // while default (disabled) runs emit byte-identical metrics.
-  if (out.ok() && spec.fault.enabled && spec.record_trace) {
-    const std::uint64_t completed =
-        streaming ? ctx.degradation.records() : out.trace.size();
-    if (completed == 0) {
-      out.error = "fault injection removed every completed operation";
-      out.error_kind = ErrorKind::kFaultInjected;
-    } else {
-      const Network* net =
-          spec.net != nullptr ? spec.net : out.owned_net.get();
-      const std::uint32_t fan_out = net != nullptr ? net->fan_out() : 0;
-      const fault::Degradation deg =
-          streaming ? ctx.degradation.result(fan_out)
-                    : fault::degradation(out.trace, fan_out);
-      out.metrics["counting_violation"] = deg.counting_violation;
-      out.metrics["smoothness_gap"] = deg.smoothness_gap;
-      out.metrics["smoothness_violation"] = deg.smoothness_violation;
-      const bool any = deg.counting_violation > 0.0 ||
-                       deg.smoothness_violation > 0.0 ||
-                       !out.report.linearizable() ||
-                       !out.report.sequentially_consistent();
-      out.metrics["any_violation"] = any ? 1.0 : 0.0;
-    }
-  }
   // Recorded runs persist the collected trace; a failed write is a
   // backend failure, not a silent success with a missing file.
   if (out.ok() && !spec.record_path.empty()) {

@@ -83,72 +83,87 @@ SimFaults draw_sim_faults(const Network& net, const TimedExecution& exec,
 }
 
 Degradation degradation(const Trace& trace, std::uint32_t fan_out) {
-  Degradation d;
-  if (trace.empty()) return d;
-
-  std::vector<Value> values;
-  values.reserve(trace.size());
-  std::uint32_t max_sink = 0;
-  for (const TokenRecord& rec : trace) {
-    values.push_back(rec.value);
-    max_sink = std::max(max_sink, rec.sink);
-  }
-  std::sort(values.begin(), values.end());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != static_cast<Value>(i)) {
-      d.counting_violation = 1.0;
-      break;
-    }
-  }
-
-  // Per-sink exit counts over every sink of the network: a sink no
-  // (surviving) token exited through counts as zero, which is exactly
-  // the imbalance a stuck balancer or heavy loss produces.
-  const std::uint32_t sinks = std::max(fan_out, max_sink + 1);
-  std::vector<std::uint64_t> counts(sinks, 0);
-  for (const TokenRecord& rec : trace) ++counts[rec.sink];
-  const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
-  d.smoothness_gap = static_cast<double>(*hi - *lo);
-  d.smoothness_violation = d.smoothness_gap > 1.0 ? 1.0 : 0.0;
-  return d;
+  DegradationAccumulator acc;
+  acc.on_records(trace);
+  return acc.result(fan_out);
 }
 
-void DegradationAccumulator::on_record(const TokenRecord& record) {
-  ++records_;
-  if (record.value >= value_seen_.size()) {
-    value_seen_.resize(static_cast<std::size_t>(record.value) + 1, false);
+void DegradationAccumulator::add_rare_value(Value v) {
+  if (v < dense_limit()) {
+    value_seen_.resize(static_cast<std::size_t>(v) + 1, false);
+    value_seen_[v] = true;
+  } else {
+    value_spill_.push_back(v);
   }
-  if (value_seen_[record.value]) duplicate_value_ = true;
-  value_seen_[record.value] = true;
-  if (records_ == 1 || record.value > max_value_) max_value_ = record.value;
-  if (record.sink >= sink_counts_.size()) {
-    sink_counts_.resize(static_cast<std::size_t>(record.sink) + 1, 0);
+}
+
+void DegradationAccumulator::add_rare_sink(std::uint32_t sink) {
+  if (sink < dense_limit()) {
+    sink_counts_.resize(std::size_t{sink} + 1, 0);
+    ++sink_counts_[sink];
+  } else {
+    sink_spill_.push_back(sink);
   }
-  ++sink_counts_[record.sink];
 }
 
 void DegradationAccumulator::reset() {
   records_ = 0;
   duplicate_value_ = false;
-  max_value_ = 0;
   value_seen_.clear();
+  value_spill_.clear();
   sink_counts_.clear();
+  sink_spill_.clear();
 }
 
 Degradation DegradationAccumulator::result(std::uint32_t fan_out) const {
   Degradation d;
   if (records_ == 0) return d;
+
   // The sorted values equal {0..n-1} iff there is no duplicate and every
-  // value is below n (n distinct values in [0, n) cover the range).
-  if (duplicate_value_ || max_value_ >= records_) d.counting_violation = 1.0;
-  const std::size_t sinks =
-      std::max<std::size_t>(fan_out, sink_counts_.size());
+  // value is below n (n distinct values in [0, n) cover the range). A
+  // spilled value repeats if another spilled copy or its bitmap bit (set
+  // after it spilled) exists.
+  std::vector<Value> values = value_spill_;
+  std::sort(values.begin(), values.end());
+  Value max_value = value_seen_.empty() ? 0 : value_seen_.size() - 1;
+  if (!values.empty()) max_value = std::max(max_value, values.back());
+  bool violation = duplicate_value_ || max_value >= records_;
+  for (std::size_t i = 0; i < values.size() && !violation; ++i) {
+    const Value v = values[i];
+    violation = (i > 0 && values[i - 1] == v) ||
+                (v < value_seen_.size() && value_seen_[v]);
+  }
+  if (violation) d.counting_violation = 1.0;
+
+  // Per-sink exit counts over every sink of the network: a sink no
+  // (surviving) token exited through counts as zero, which is exactly
+  // the imbalance a stuck balancer or heavy loss produces. The sinks are
+  // [0, max(fan_out, largest sink + 1)), counted in 64 bits. A spilled
+  // record adds to its sink's dense count when the dense array has since
+  // grown past it.
+  std::vector<std::uint32_t> sinks = sink_spill_;
+  std::sort(sinks.begin(), sinks.end());
   std::uint64_t lo = ~0ull, hi = 0;
-  for (std::size_t j = 0; j < sinks; ++j) {
-    const std::uint64_t c = j < sink_counts_.size() ? sink_counts_[j] : 0;
+  const auto take = [&](std::uint64_t c) {
     lo = std::min(lo, c);
     hi = std::max(hi, c);
+  };
+  auto it = sinks.begin();
+  for (std::size_t j = 0; j < sink_counts_.size(); ++j) {
+    std::uint64_t c = sink_counts_[j];
+    for (; it != sinks.end() && *it == j; ++it) ++c;
+    take(c);
   }
+  std::uint64_t sparse = 0;  // Distinct sinks past the dense array.
+  while (it != sinks.end()) {
+    const auto run = std::upper_bound(it, sinks.end(), *it);
+    take(static_cast<std::uint64_t>(run - it));
+    ++sparse;
+    it = run;
+  }
+  std::uint64_t range = std::max<std::uint64_t>(fan_out, sink_counts_.size());
+  if (!sinks.empty()) range = std::max(range, std::uint64_t{sinks.back()} + 1);
+  if (sink_counts_.size() + sparse < range) take(0);
   d.smoothness_gap = static_cast<double>(hi - lo);
   d.smoothness_violation = d.smoothness_gap > 1.0 ? 1.0 : 0.0;
   return d;

@@ -174,18 +174,37 @@ struct Degradation {
 
 /// Computes the degradation report of a trace. `fan_out` is the number
 /// of sinks (pass 0 for single-counter baselines: the smoothness gap is
-/// then over the sinks that appear in the trace).
+/// then over the sinks that appear in the trace). The sink range is
+/// computed in 64 bits, and memory is bounded by the number of records,
+/// however large the sink ids and values (DegradationAccumulator).
 Degradation degradation(const Trace& trace, std::uint32_t fan_out);
 
 /// Streaming equivalent of degradation(): accumulates per-record and
 /// produces the identical report from result(fan_out), in any record
-/// order. Memory is O(sinks) + O(max value)/8 bits — the value bitmap is
-/// what detects gaps and duplicates without materializing the trace, and
-/// for a counting network max value stays within fan_out * tokens even
-/// under heavy skew.
+/// order. Memory is O(records), never sized by a record's value or sink:
+/// a value bitmap (which detects gaps and duplicates without
+/// materializing the trace) and a per-sink count array each cover the ids
+/// below about twice the records seen so far, and the rare larger ids
+/// spill into side lists that result() sorts and reconciles. A counting
+/// network hands out values below fan_out * tokens, so in practice
+/// nearly every record lands in the dense arrays; a hostile replayed
+/// record (sink 0xFFFFFFFF, value 2^64 - 1) costs one list entry.
 class DegradationAccumulator final : public TraceSink {
  public:
-  void on_record(const TokenRecord& record) override;
+  void on_record(const TokenRecord& record) override {
+    ++records_;
+    if (record.value < value_seen_.size()) {
+      duplicate_value_ |= value_seen_[record.value];
+      value_seen_[record.value] = true;
+    } else {
+      add_rare_value(record.value);
+    }
+    if (record.sink < sink_counts_.size()) {
+      ++sink_counts_[record.sink];
+    } else {
+      add_rare_sink(record.sink);
+    }
+  }
   void on_records(std::span<const TokenRecord> records) override {
     for (const TokenRecord& r : records) on_record(r);
   }
@@ -199,11 +218,21 @@ class DegradationAccumulator final : public TraceSink {
   Degradation result(std::uint32_t fan_out) const;
 
  private:
+  /// Ids below this bound go to the dense arrays: twice the records seen,
+  /// plus room for the sinks of any practical network and the first
+  /// values of a stream.
+  std::uint64_t dense_limit() const noexcept { return 2 * records_ + 1024; }
+  void add_rare_value(Value v);
+  void add_rare_sink(std::uint32_t sink);
+
   std::uint64_t records_ = 0;
-  bool duplicate_value_ = false;
-  Value max_value_ = 0;
+  bool duplicate_value_ = false;  ///< A value repeated in the bitmap.
+  /// One flag per value, sized to the largest value that went dense.
   std::vector<bool> value_seen_;
+  std::vector<Value> value_spill_;  ///< Values past the bitmap on arrival.
+  /// Records per sink, sized to the largest sink that went dense.
   std::vector<std::uint64_t> sink_counts_;
+  std::vector<std::uint32_t> sink_spill_;  ///< One entry per spilled record.
 };
 
 }  // namespace cn::fault

@@ -28,12 +28,13 @@ constexpr std::size_t kWaveChunk = 4096;
 /// sequence number.
 constexpr std::uint32_t kNoSeq = std::numeric_limits<std::uint32_t>::max();
 
-/// Compile-time overlay policies of the interpreter bodies. Every
-/// overlay check sits behind `if constexpr (Overlay::kFaulted)`, so the
-/// pristine instantiation compiles to the overlay-free loop over the
-/// NetworkState / wave kernels.
+/// Compile-time overlay policies of the interpreter bodies. Every drop
+/// check sits behind `if constexpr (Overlay::kFaulted)`, and the pristine
+/// stuck set is the constant NeverStuck, so the pristine instantiation
+/// compiles to the overlay-free loop over the hop and the wave kernels.
 struct Pristine {
   static constexpr bool kFaulted = false;
+  NeverStuck stuck() const noexcept { return {}; }
 };
 
 struct Faulted {
@@ -45,6 +46,14 @@ struct Faulted {
   std::uint32_t doom(std::uint32_t i) const noexcept {
     return i < faults.lost_before_hop.size() ? faults.lost_before_hop[i]
                                              : kCompletes;
+  }
+
+  /// The hop's stuck set: a balancer past the end of `faults.stuck` is
+  /// not stuck, just as a plan past the end of lost_before_hop completes.
+  auto stuck() const noexcept {
+    return [&stuck = faults.stuck](NodeIndex b) {
+      return b < stuck.size() && stuck[b];
+    };
   }
 };
 
@@ -60,6 +69,26 @@ std::string reserved_id_error(const TimedExecution& exec) {
     }
   }
   return {};
+}
+
+/// The Step that the hop is about to take for `plan`'s token on `wire`,
+/// read off the route and the state before the hop moves them.
+Step next_step(const CompiledNetwork& cnet, const CompiledState& state,
+               WireIndex wire, const TokenPlan& plan) {
+  const CompiledNetwork::Route& r = cnet.route(wire);
+  Step st;
+  st.process = plan.process;
+  st.token = plan.token;
+  st.node = r.node;
+  if (r.is_sink) {
+    st.kind = Step::Kind::kCounter;
+    st.value = state.counter_next[r.node];
+  } else {
+    st.kind = Step::Kind::kBalancer;
+    st.in_port = static_cast<PortIndex>(r.in_slot - cnet.in_offset(r.node));
+    st.out_port = cnet.port_of(r, state.bal_through[r.node]);
+  }
+  return st;
 }
 
 /// The record of plan `i`'s token, which counted `v`.
@@ -365,6 +394,7 @@ struct SimArena::Scratch {
   /// Per-token state is indexed by plan, never by token id: its size is
   /// the schedule's, however large the ids.
   std::vector<TokenRecord> records;  ///< Collect mode, per plan.
+  std::vector<WireIndex> wire_of;    ///< Current wire per plan.
   /// Scalar mode, per process, indexed by its StepOrder stream: the
   /// in-flight token's plan, and (streaming) its first_seq and issue
   /// slot — the only per-token state that must survive from entry to
@@ -373,7 +403,6 @@ struct SimArena::Scratch {
   std::vector<std::uint64_t> first_seq_of_stream;
   std::vector<std::uint64_t> pos_of_stream;
   IssueWindowBuffer window;  ///< Ring reused across calls.
-  std::vector<WireIndex> wire_of;  ///< Current wire per plan.
   // --- wave mode ---------------------------------------------------------
   /// The chunk's steps by level: kWaveChunk (plan, seq offset) entries,
   /// stored as the plans of every bucket, then their seq offsets, so a
@@ -386,40 +415,6 @@ struct SimArena::Scratch {
   /// >= 1), so a per-process slot would be overwritten too early.
   std::vector<std::uint64_t> first_seq_of_plan;
   std::vector<std::uint64_t> pos_of_plan;
-  // --- fault overlay -----------------------------------------------------
-  /// Explicit round-robin position per balancer: a stuck balancer freezes
-  /// its position, which CompiledState's throughput encoding cannot
-  /// express.
-  std::vector<PortIndex> balancer_pos;
-  std::vector<Value> counter_next;          ///< Next value per sink.
-
-  void reset_overlay(const CompiledNetwork& cnet) {
-    balancer_pos.assign(cnet.num_balancers(), 0);
-    counter_next.resize(cnet.fan_out());
-    for (std::uint32_t j = 0; j < cnet.fan_out(); ++j) counter_next[j] = j;
-  }
-
-  /// The overlay's step, shared by both interpreter bodies: advances the
-  /// token on `wire` across one node of the compiled routes. A balancer
-  /// hop leaves through the explicit position, advancing it unless the
-  /// balancer is stuck; a counter crossing stores the counted value in
-  /// `v` and returns true.
-  bool overlay_step(const CompiledNetwork& cnet, const std::vector<bool>& stuck,
-                    WireIndex& wire, Value& v) {
-    const CompiledNetwork::Route& r = cnet.route(wire);
-    if (r.is_sink) {
-      v = counter_next[r.node];
-      counter_next[r.node] += cnet.fan_out();
-      return true;
-    }
-    const PortIndex out = balancer_pos[r.node];
-    if (!stuck[r.node]) {
-      balancer_pos[r.node] =
-          static_cast<PortIndex>((out + 1) % cnet.balancer_fan_out(r.node));
-    }
-    wire = cnet.out_wire_at(r.out_base + out);
-    return false;
-  }
 };
 
 SimArena::SimArena() : scratch_(std::make_unique<Scratch>()) {}
@@ -427,17 +422,7 @@ SimArena::~SimArena() = default;
 SimArena::SimArena(SimArena&&) noexcept = default;
 SimArena& SimArena::operator=(SimArena&&) noexcept = default;
 
-void SimArena::acquire_wave(const Network& net) {
-  acquire(net);
-  if (wave_plan_ == nullptr || &wave_plan_->compiled() != compiled_.get()) {
-    wave_plan_ = std::make_unique<WavePlan>(*compiled_);
-    wave_state_ = std::make_unique<CompiledState>(*compiled_);
-  } else {
-    wave_state_->reset();
-  }
-}
-
-NetworkState& SimArena::acquire(const Network& net) {
+void SimArena::acquire(const Network& net) {
   // Cached by address; the shape check catches the (unlikely) case of a
   // different Network later living at the same address. Identical name
   // and shape means an identical construction, hence identical tables.
@@ -447,12 +432,19 @@ NetworkState& SimArena::acquire(const Network& net) {
       compiled_->fan_in() == net.fan_in() &&
       compiled_->fan_out() == net.fan_out()) {
     state_->reset();
-    return *state_;
+    return;
   }
-  compiled_ = std::make_shared<const CompiledNetwork>(net);
-  state_ = std::make_unique<NetworkState>(compiled_);
+  compiled_ = std::make_unique<const CompiledNetwork>(net);
+  state_ = std::make_unique<CompiledState>(*compiled_);
+  wave_plan_.reset();
   net_ = &net;
-  return *state_;
+}
+
+const WavePlan& SimArena::wave_plan() {
+  if (wave_plan_ == nullptr) {
+    wave_plan_ = std::make_unique<WavePlan>(*compiled_);
+  }
+  return *wave_plan_;
 }
 
 /// The interpreter bodies: one per execution model, each instantiated
@@ -501,9 +493,9 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   if (!result.error.empty()) return result;
 
   const Network& net = *exec.net;
-  NetworkState& state = arena.acquire(net);
-  state.set_recording(record_steps);
+  arena.acquire(net);
   const CompiledNetwork& cnet = *arena.compiled_;
+  CompiledState& state = *arena.state_;
   SimArena::Scratch& scr = *arena.scratch_;
   result.error = reserved_id_error(exec);
   if (!result.error.empty()) return result;
@@ -529,11 +521,9 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
     scr.pos_of_stream.assign(streams, 0);
     scr.window.reset(*sink, /*deferred=*/false);
   }
-  if constexpr (Overlay::kFaulted) {
-    scr.wire_of.assign(exec.plans.size(), kInvalidWire);
-    scr.reset_overlay(cnet);
-  }
+  scr.wire_of.assign(exec.plans.size(), kInvalidWire);
   const std::size_t stride = exec.stride();
+  std::vector<Step> log;  // simulate_recorded's, kept only on success
 
   std::uint64_t seq = 0;
   while (scr.steps.remaining() != 0) {
@@ -551,6 +541,7 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
         continue;
       }
     }
+    WireIndex& wire = scr.wire_of[ev.plan];
     if (ev.hop == 0) {
       std::uint32_t& slot = scr.in_flight_of_stream[stream];
       if (slot != kNoPlan) {
@@ -562,13 +553,8 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
         return result;
       }
       slot = ev.plan;
-      if constexpr (Overlay::kFaulted) {
-        scr.wire_of[ev.plan] = cnet.source_wire(plan.source);
-      } else {
-        // NetworkState knows the token by its plan index; the step log
-        // is mapped back to token ids at the end.
-        state.enter(ev.plan, plan.process, plan.source);
-      }
+      wire = cnet.source_wire(plan.source);
+      ++state.source_count[plan.source];
       if (sink == nullptr) {
         scr.records[ev.plan].first_seq = seq;
       } else {
@@ -576,15 +562,9 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
         scr.pos_of_stream[stream] = scr.window.open();
       }
     }
+    if (record_steps) log.push_back(next_step(cnet, state, wire, plan));
     Value v = 0;
-    bool finished = false;
-    if constexpr (Overlay::kFaulted) {
-      finished =
-          scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[ev.plan], v);
-    } else {
-      finished = state.step_fast(ev.plan);
-      if (finished) v = state.value(ev.plan);
-    }
+    const bool finished = step_token(cnet, state, wire, v, ov.stuck());
     ++seq;
     if (finished) {
       scr.in_flight_of_stream[stream] = kNoPlan;
@@ -613,10 +593,7 @@ SimulationResult SimInterpreter::scalar(const TimedExecution& exec,
   }
 
   finish(exec, scr, ov, sink, result);
-  if (record_steps) {
-    result.steps = state.log();
-    for (Step& s : result.steps) s.token = exec.plans[s.token].token;
-  }
+  result.steps = std::move(log);
   return result;
 }
 
@@ -629,9 +606,10 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   if (!result.error.empty()) return result;
 
   const Network& net = *exec.net;
-  arena.acquire_wave(net);
+  arena.acquire(net);
+  const WavePlan& wave_plan = arena.wave_plan();
   const std::uint32_t d = net.depth();
-  if (!arena.wave_plan_->uniform() || arena.wave_plan_->depth() != d) {
+  if (!wave_plan.uniform() || wave_plan.depth() != d) {
     // The scalar interpreter is the executable spec, including its
     // dynamic non-uniformity errors (and any sink prefix emitted before
     // the error): run it wholesale.
@@ -661,9 +639,8 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   scr.wire_of.assign(plans, kInvalidWire);
 
   const CompiledNetwork& cnet = *arena.compiled_;
-  CompiledState& cstate = *arena.wave_state_;
+  CompiledState& state = *arena.state_;
   const std::uint32_t fan_out = cnet.fan_out();
-  if constexpr (Overlay::kFaulted) scr.reset_overlay(cnet);
 
   // One bucket per level (= hop, for a uniform network) of `cap` entries.
   const std::size_t levels = std::size_t{d} + 1;
@@ -679,7 +656,7 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   const auto enter = [&](std::uint32_t plan, std::uint64_t seq) {
     const std::uint32_t source = exec.plans[plan].source;
     scr.wire_of[plan] = cnet.source_wire(source);
-    ++cstate.source_count[source];
+    ++state.source_count[source];
     if (sink == nullptr) {
       scr.records[plan].first_seq = seq;
     } else {
@@ -727,10 +704,10 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
       const std::uint32_t* const seqs = seq_at + lvl * cap;
       size[lvl] = 0;
       if constexpr (Overlay::kFaulted) {
-        // Step by step through the overlay step. A drop resolves its
-        // issue slot; emission eligibility is reconciled at the next
-        // deferred drain, so call order against other levels is
-        // immaterial.
+        // Token by token through the hop, which skips stuck toggles. A
+        // drop resolves its issue slot; emission eligibility is
+        // reconciled at the next deferred drain, so call order against
+        // other levels is immaterial.
         for (std::size_t k = 0; k < level_plans.size(); ++k) {
           const std::uint32_t plan = level_plans[k];
           if (seqs[k] == kNoSeq) {
@@ -739,7 +716,7 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
           }
           if (lvl == 0) enter(plan, base + seqs[k]);
           Value v = 0;
-          if (scr.overlay_step(cnet, ov.faults.stuck, scr.wire_of[plan], v)) {
+          if (step_token(cnet, state, scr.wire_of[plan], v, ov.stuck())) {
             leave(plan, v, base + seqs[k]);
           }
         }
@@ -750,9 +727,9 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
           }
         }
         if (lvl < d) {
-          step_wave(cnet, cstate, level_plans, scr.wire_of);
+          step_wave(cnet, state, level_plans, scr.wire_of);
         } else {
-          step_wave_counters(cnet, cstate, level_plans, scr.wire_of,
+          step_wave_counters(cnet, state, level_plans, scr.wire_of,
                              [&](std::size_t k, Value v) {
                                leave(level_plans[k], v, base + seqs[k]);
                              });

@@ -1,22 +1,26 @@
-// Discrete-event simulator: plays a TimedExecution on the sequential
-// engine, in (time, rank) order, producing the trace of values.
+// Discrete-event simulator: plays a TimedExecution on the compiled
+// network state, in (time, rank) order, producing the trace of values.
 //
 // The simulator IS the paper's execution model: the adversary fixes when
 // every token crosses every layer; the balancer round-robin semantics
 // then determine routing and values deterministically.
 //
-// The hot path is non-recording: tokens advance through the compiled
-// routing tables (NetworkState::step_fast) without materializing Step
-// records, and in-flight tokens are tracked in a vector with one slot per
-// process that has a token (never sized by the largest process id)
-// instead of a std::map. Per-token state is indexed by the token's plan,
-// never by its id. The (time, rank, token, hop) step order comes
-// from a merge of per-process step streams: a process's tokens never
-// overlap in the step sequence (Section 2.2, rule 3), so each stream is
-// already sorted, and the merge holds one pending step per process, not
-// per token. Callers that want the full step log use simulate_recorded().
-// Repeated simulations of the same network should share a SimArena: it
-// caches the compiled tables and reuses every per-trial buffer.
+// The network state is one CompiledState per arena (core/compiled.hpp):
+// a balancer's state is the number of tokens through it, whose residue
+// mod the fan-out is the paper's toggle, and a counter's is its next
+// value. Every interpreter body advances a token through the one hop of
+// core/wave.hpp (step_token) over that state; the token's only state is
+// its current wire, indexed by the token's plan, never by its id. The
+// hot path materializes no Step records; simulate_recorded() builds its
+// step log from the route and state each hop is about to read. In-flight
+// tokens are tracked in a vector with one slot per process that has a
+// token (never sized by the largest process id). The (time, rank, token,
+// hop) step order comes from a merge of per-process step streams: a
+// process's tokens never overlap in the step sequence (Section 2.2, rule
+// 3), so each stream is already sorted, and the merge holds one pending
+// step per process, not per token. Repeated simulations of the same
+// network should share a SimArena: it caches the compiled tables and
+// reuses every per-trial buffer.
 //
 // Fault overlays. The overloads taking a SimFaults interpret the SAME
 // execution under an overlay that edits its step sequence, deliberately
@@ -31,12 +35,13 @@
 //
 // There is one interpreter body per execution model (scalar step by
 // step, level-synchronous waves), both fed by the same producer of the
-// step order, and each a template on a compile-time overlay policy: the pristine instantiation keeps the compiled kernels and
-// contains no overlay check at all; the faulted one steps every token
-// through one shared helper over the compiled routes with explicit
-// per-balancer positions. With an empty overlay the faulted overloads
-// are byte-identical to the pristine ones (the zero-fault identity,
-// guarded by tests/fault_test.cpp and tests/wave_test.cpp).
+// step order, and each a template on a compile-time overlay policy. The
+// pristine instantiation contains no overlay check at all; the faulted
+// one drops doomed tokens and tells the hop which balancers are stuck (a
+// stuck balancer's through count never advances). With an empty overlay
+// the faulted overloads are byte-identical to the pristine ones (the
+// zero-fault identity, guarded by tests/fault_test.cpp and
+// tests/wave_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -70,6 +75,8 @@ struct SimFaults {
   /// process's later tokens).
   std::vector<std::uint32_t> lost_before_hop;
   /// Indexed by balancer: true = toggle wedged at its initial position.
+  /// A balancer past the end is not stuck, so the default overlay is
+  /// empty.
   std::vector<bool> stuck;
 
   std::uint64_t tokens_lost = 0;       ///< Entered but vanished.
@@ -96,13 +103,13 @@ struct SimulationResult {
   bool ok() const noexcept { return error.empty(); }
 };
 
-/// Reusable simulation arena: the compiled routing tables plus every
-/// buffer simulate() needs per call (network state, per-process step
-/// streams, token records, per-process in-flight slots). Keep one per worker thread and
-/// pass it to simulate() so back-to-back trials on the same network stop
-/// reallocating.
+/// Reusable simulation arena: the compiled routing tables, the one
+/// network state every interpreter body steps, and every buffer simulate()
+/// needs per call (per-process step streams, token records, per-process
+/// in-flight slots). Keep one per worker thread and pass it to simulate()
+/// so back-to-back trials on the same network stop reallocating.
 ///
-/// The compiled tables are cached by network address (plus a shape/name
+/// The compiled tables are cached by network address (plus a shape
 /// check): reusing one arena across *different* Network objects is safe
 /// but recompiles on every switch.
 class SimArena {
@@ -114,26 +121,22 @@ class SimArena {
   SimArena(const SimArena&) = delete;
   SimArena& operator=(const SimArena&) = delete;
 
-  /// A reset NetworkState over `net`: compiles and caches the flat
-  /// routing tables on first use, recompiling only when `net` changes.
-  NetworkState& acquire(const Network& net);
-
  private:
   friend struct SimInterpreter;
   struct Scratch;
 
-  /// acquire() plus the level structure of the compiled tables, cached
-  /// alongside them, and a reset wave-mode state arena.
-  void acquire_wave(const Network& net);
+  /// Compiles and caches the flat routing tables of `net` on first use,
+  /// recompiling only when `net` changes, and resets the state over them.
+  void acquire(const Network& net);
+
+  /// The level structure of the cached tables: built when a wave body
+  /// first asks for it, and rebuilt with the tables.
+  const WavePlan& wave_plan();
 
   const Network* net_ = nullptr;
-  std::shared_ptr<const CompiledNetwork> compiled_;
-  std::unique_ptr<NetworkState> state_;
-  /// Wave-mode caches: the level structure of compiled_ and a dedicated
-  /// CompiledState (the wave interpreter mutates raw compiled state; the
-  /// scalar NetworkState above stays untouched). Rebuilt with compiled_.
+  std::unique_ptr<const CompiledNetwork> compiled_;
+  std::unique_ptr<CompiledState> state_;  ///< Over compiled_.
   std::unique_ptr<WavePlan> wave_plan_;
-  std::unique_ptr<CompiledState> wave_state_;
   std::unique_ptr<Scratch> scratch_;
 };
 

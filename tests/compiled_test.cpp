@@ -154,48 +154,6 @@ TEST(CompiledDifferential, FusedShepherdMatchesReference) {
   expect_same_observables(fast, ref);
 }
 
-TEST(CompiledDifferential, StepFastMatchesStep) {
-  // Two compiled engines, identical schedule: one advances with step(),
-  // the other with the non-materializing step_fast(). Final observables
-  // and values must coincide.
-  const Network net = make_periodic(8);
-  NetworkState a(net);
-  NetworkState b(net);
-  Xoshiro256 rng_a(51);
-  Xoshiro256 rng_b(51);
-  const auto drive = [&net](NetworkState& st, Xoshiro256& rng, bool fast) {
-    std::vector<TokenId> live;
-    TokenId next = 0;
-    while (next < 80 || !live.empty()) {
-      if (next < 80 && (live.empty() || rng.below(2) == 0)) {
-        st.enter(next, next % 6, static_cast<std::uint32_t>(
-                                     rng.below(net.fan_in())));
-        live.push_back(next);
-        ++next;
-      } else {
-        const std::size_t k = rng.below(live.size());
-        const TokenId t = live[k];
-        const bool finished = fast ? st.step_fast(t)
-                                   : st.step(t).kind == Step::Kind::kCounter;
-        if (finished) {
-          live[k] = live.back();
-          live.pop_back();
-        }
-      }
-    }
-  };
-  drive(a, rng_a, /*fast=*/false);
-  drive(b, rng_b, /*fast=*/true);
-  for (TokenId t = 0; t < 80; ++t) EXPECT_EQ(a.value(t), b.value(t));
-  EXPECT_EQ(a.total_exited(), b.total_exited());
-  for (NodeIndex bal = 0; bal < net.num_balancers(); ++bal) {
-    EXPECT_EQ(a.balancer_position(bal), b.balancer_position(bal));
-  }
-  for (std::uint32_t j = 0; j < net.fan_out(); ++j) {
-    EXPECT_EQ(a.counter_next(j), b.counter_next(j));
-  }
-}
-
 TEST(CompiledDifferential, ErrorStringsMatchReference) {
   const Network net = make_bitonic(4);
   NetworkState fast(net);

@@ -517,6 +517,52 @@ TEST(EngineReplay, RecordThenReplayReproducesTheReport) {
   std::remove(path.c_str());
 }
 
+/// A replayed file may carry any sink and value (TraceReader checks
+/// neither), and a faulted replay runs both degradation analyzers on
+/// them. Each lone-record file must report what the formula gives in
+/// 64-bit arithmetic, collected and streamed: replay has no network, so
+/// the sinks are [0, sink + 1).
+TEST(EngineReplay, HostileSinksAndValuesReportTheFormula) {
+  struct Hostile {
+    std::uint32_t sink;
+    Value value;
+    double counting;  ///< Values {v} are {0} only for v = 0.
+    double gap;       ///< 1 when sinks below `sink` count zero.
+  };
+  const Hostile cases[] = {
+      {0xFFFFFFFFu, 0, 0.0, 1.0},
+      {0xFFFFFFFEu, 0, 0.0, 1.0},
+      {0, ~Value{0}, 1.0, 0.0},
+      {0, Value{1} << 40, 1.0, 0.0},
+  };
+  const std::string path = testing::TempDir() + "hostile.trace";
+  for (const Hostile& h : cases) {
+    TokenRecord rec;
+    rec.sink = h.sink;
+    rec.value = h.value;
+    rec.t_out = 1.0;
+    rec.last_seq = 1;
+    ASSERT_EQ(write_trace_file(path, Trace{rec}), "");
+    for (const bool keep : {true, false}) {
+      engine::RunSpec spec;
+      spec.backend = "replay";
+      spec.replay_path = path;
+      spec.keep_trace = keep;
+      spec.fault.enabled = true;
+      const std::string what = "sink " + std::to_string(h.sink) + " value " +
+                               std::to_string(h.value) +
+                               (keep ? " collect" : " stream");
+      const engine::RunResult res = engine::run_backend(spec);
+      ASSERT_TRUE(res.ok()) << what << ": " << res.error;
+      EXPECT_EQ(res.metric("counting_violation"), h.counting) << what;
+      EXPECT_EQ(res.metric("smoothness_gap"), h.gap) << what;
+      EXPECT_EQ(res.metric("smoothness_violation"), 0.0) << what;
+      EXPECT_EQ(res.metric("any_violation"), h.counting) << what;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(EngineBackends, ServiceBackendCountsAndReportsLatency) {
   engine::RunSpec spec;
   spec.backend = "service";

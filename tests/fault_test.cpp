@@ -25,6 +25,7 @@
 #include "msg/service.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
+#include "trace/sink.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -211,6 +212,56 @@ TEST(FaultedSim, EmptyOverlayMatchesSimulate) {
       EXPECT_EQ(faulted.trace[i].first_seq, ref.trace[i].first_seq);
       EXPECT_EQ(faulted.trace[i].last_seq, ref.trace[i].last_seq);
     }
+  }
+}
+
+/// A default SimFaults is empty: its stuck set and its doom list are
+/// shorter than the network and the schedule, and a balancer or plan past
+/// their ends is neither stuck nor doomed. All four faulted entry points
+/// then match their pristine twins, collected and streamed: on B(8), and
+/// on a non-uniform network, which the wave body hands to the scalar body
+/// (whose error and partial emission must match too).
+TEST(FaultedSim, DefaultOverlayMatchesPristineTwins) {
+  const SimFaults none;
+  ASSERT_TRUE(none.empty());
+  const auto streamed = [](const auto& run) {
+    CollectSink sink;
+    SimulationResult res = run(sink);
+    res.trace = sink.trace();
+    return res;
+  };
+  const auto expect_same = [](const SimulationResult& want,
+                              const SimulationResult& got,
+                              const std::string& what) {
+    EXPECT_EQ(got.error, want.error) << what;
+    EXPECT_EQ(got.trace, want.trace) << what;
+  };
+  for (const Network& net : {make_bitonic(8), make_brick_wall(4, 3)}) {
+    WorkloadSpec wl;
+    wl.processes = 6;
+    wl.tokens_per_process = 8;
+    wl.c_max = 7.0;
+    Xoshiro256 rng(3);
+    const TimedExecution exec = generate_workload(net, wl, rng);
+    SimArena arena;
+    const std::string what = net.name();
+    expect_same(simulate(exec, arena), simulate(exec, none, arena),
+                what + " simulate");
+    expect_same(simulate_wave(exec, arena), simulate_wave(exec, none, arena),
+                what + " simulate_wave");
+    expect_same(
+        streamed([&](TraceSink& s) { return simulate_stream(exec, arena, s); }),
+        streamed([&](TraceSink& s) {
+          return simulate_stream(exec, none, arena, s);
+        }),
+        what + " simulate_stream");
+    expect_same(streamed([&](TraceSink& s) {
+                  return simulate_wave_stream(exec, arena, s);
+                }),
+                streamed([&](TraceSink& s) {
+                  return simulate_wave_stream(exec, none, arena, s);
+                }),
+                what + " simulate_wave_stream");
   }
 }
 

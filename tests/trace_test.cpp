@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -643,6 +644,98 @@ TEST(DegradationAccumulator, MatchesBatchOnFaultedTrace) {
     EXPECT_DOUBLE_EQ(inc.smoothness_violation, batch.smoothness_violation)
         << "seed " << seed;
     EXPECT_EQ(acc.records(), sim.trace.size());
+  }
+}
+
+/// The degradation formula, evaluated over a map in 64-bit arithmetic:
+/// sorted values must be {0..n-1}; the smoothness gap runs over the sinks
+/// [0, max(fan_out, largest sink + 1)), each absent sink counting zero.
+fault::Degradation degradation_formula(const Trace& trace,
+                                       std::uint32_t fan_out) {
+  fault::Degradation d;
+  if (trace.empty()) return d;
+  std::vector<Value> values;
+  std::map<std::uint64_t, std::uint64_t> counts;
+  std::uint64_t largest_sink = 0;
+  for (const TokenRecord& r : trace) {
+    values.push_back(r.value);
+    ++counts[r.sink];
+    largest_sink = std::max<std::uint64_t>(largest_sink, r.sink);
+  }
+  std::sort(values.begin(), values.end());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != i) d.counting_violation = 1.0;
+  }
+  const std::uint64_t sinks =
+      std::max<std::uint64_t>(fan_out, largest_sink + 1);
+  std::uint64_t lo = counts.size() < sinks ? 0 : ~0ull, hi = 0;
+  for (const auto& [sink, c] : counts) {
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  }
+  d.smoothness_gap = static_cast<double>(hi - lo);
+  d.smoothness_violation = d.smoothness_gap > 1.0 ? 1.0 : 0.0;
+  return d;
+}
+
+void expect_formula(const Trace& trace, std::uint32_t fan_out,
+                    const std::string& what) {
+  const fault::Degradation want = degradation_formula(trace, fan_out);
+  fault::DegradationAccumulator acc;
+  acc.on_records(trace);
+  for (const fault::Degradation& got :
+       {acc.result(fan_out), fault::degradation(trace, fan_out)}) {
+    EXPECT_EQ(got.counting_violation, want.counting_violation) << what;
+    EXPECT_EQ(got.smoothness_gap, want.smoothness_gap) << what;
+    EXPECT_EQ(got.smoothness_violation, want.smoothness_violation) << what;
+  }
+}
+
+/// Ids far past the record count go to the side lists, whatever their
+/// size, and come back exact: a value or sink that spilled early and
+/// reappears once the dense arrays cover it is reconciled with them.
+TEST(DegradationAccumulator, MatchesTheFormulaOnSparseIds) {
+  const auto record = [](Value value, std::uint32_t sink) {
+    TokenRecord r;
+    r.value = value;
+    r.sink = sink;
+    return r;
+  };
+  // 1500 spills at the first record, then the bitmap grows past it and
+  // sets its bit again: a duplicate only the reconciliation sees (the
+  // largest value, 1500, is below the 1502 records).
+  Trace dup;
+  dup.push_back(record(1500, 1500));
+  for (Value v = 0; v <= 1500; ++v) {
+    dup.push_back(record(v, static_cast<std::uint32_t>(v % 2 == 0 ? 1500 : 7)));
+  }
+  expect_formula(dup, 8, "spilled duplicate");
+  dup.back().value = 1501;  // now exactly {0..1501}
+  expect_formula(dup, 8, "spilled value, no duplicate");
+  fault::DegradationAccumulator acc;
+  acc.on_records(dup);
+  EXPECT_EQ(acc.result(8).counting_violation, 0.0);
+
+  Xoshiro256 rng(0x5A11);
+  const std::uint64_t huge[] = {0xFFFFFFFFull, 0xFFFFFFFEull, 1ull << 40,
+                                ~0ull, 5000};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(trial % 3 == 0 ? 3000 : 40);
+    Trace trace;
+    for (std::size_t i = 0; i < n; ++i) {
+      Value v = i;
+      std::uint64_t sink = i % 8;
+      if (rng.below(8) == 0) v = huge[rng.below(5)];
+      if (rng.below(8) == 0) v = rng.below(n + 2);  // duplicates and gaps
+      if (rng.below(8) == 0) sink = huge[rng.below(5)] & 0xFFFFFFFFull;
+      if (rng.below(16) == 0) sink = 1000 + rng.below(3000);
+      trace.push_back(record(v, static_cast<std::uint32_t>(sink)));
+    }
+    for (std::size_t i = trace.size(); i > 1; --i) {
+      std::swap(trace[i - 1], trace[rng.below(i)]);
+    }
+    expect_formula(trace, trial % 2 == 0 ? 8 : 0,
+                   "trial " + std::to_string(trial));
   }
 }
 

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -47,17 +46,22 @@ TEST(WavePlan, LevelsBitonic8) {
   const WavePlan plan(compiled);
   ASSERT_TRUE(plan.uniform());
   EXPECT_EQ(plan.depth(), net.depth());
-  // Level 0 is exactly the source wires, in ascending wire order.
-  ASSERT_EQ(plan.wires_at(0).size(), 8u);
+  // Level 0 is exactly the source wires.
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(plan.level_of_wire(compiled.source_wire(i)), 0u);
   }
-  // Every level of B(8) has full width; counters sit at level depth.
-  for (std::uint32_t l = 0; l <= plan.depth(); ++l) {
-    EXPECT_EQ(plan.wires_at(l).size(), 8u) << "level " << l;
+  // Every level of B(8) has full width; the counters' wires, and only
+  // they, sit at level depth.
+  std::vector<std::uint32_t> width(plan.depth() + 1, 0);
+  for (WireIndex w = 0; w < compiled.num_wires(); ++w) {
+    const std::uint32_t level = plan.level_of_wire(w);
+    ASSERT_LE(level, plan.depth()) << "wire " << w;
+    ++width[level];
+    EXPECT_EQ(compiled.route(w).is_sink != 0, level == plan.depth())
+        << "wire " << w;
   }
-  for (const WireIndex w : plan.wires_at(plan.depth())) {
-    EXPECT_TRUE(compiled.route(w).is_sink);
+  for (std::uint32_t l = 0; l <= plan.depth(); ++l) {
+    EXPECT_EQ(width[l], 8u) << "level " << l;
   }
 }
 
@@ -67,7 +71,11 @@ TEST(WavePlan, CountingTreeIsUniform) {
   const WavePlan plan(compiled);
   EXPECT_TRUE(plan.uniform());
   EXPECT_EQ(plan.depth(), net.depth());
-  EXPECT_EQ(plan.wires_at(0).size(), 1u);  // one source
+  std::uint32_t at_level_0 = 0;
+  for (WireIndex w = 0; w < compiled.num_wires(); ++w) {
+    at_level_0 += plan.level_of_wire(w) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(at_level_0, 1u);  // one source
 }
 
 TEST(WavePlan, BrickWallIsNotUniform) {
@@ -167,99 +175,6 @@ TEST(GenericWave, HandlesNonPowerOfTwoFanOut) {
       EXPECT_EQ(values[i], scalar.value(ids[i]));
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// WidthWaves<W>: the specialized tables are a re-indexing of the generic
-// ones — identical values, identical CompiledState.
-// ---------------------------------------------------------------------
-
-template <std::uint32_t W>
-void run_width_differential(const Network& net, std::uint32_t rounds) {
-  const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  ASSERT_TRUE(plan.uniform());
-  const auto waves = WidthWaves<W>::try_build(plan);
-  ASSERT_NE(waves, nullptr);
-  EXPECT_EQ(waves->depth(), plan.depth());
-  // Slot-to-wire cross-check at the entry level.
-  for (std::uint32_t i = 0; i < W; ++i) {
-    EXPECT_EQ(waves->wire_of_slot(0, waves->entry_slot(i)),
-              compiled.source_wire(i));
-  }
-
-  CompiledState generic_state(compiled);
-  CompiledState spec_state(compiled);
-  Xoshiro256 rng(99);
-  for (std::uint32_t round = 0; round < rounds; ++round) {
-    // A random subset of sources, random order: partial waves too.
-    std::vector<std::uint32_t> sources;
-    for (std::uint32_t i = 0; i < W; ++i) {
-      if (rng.below(4) != 0) sources.push_back(i);
-    }
-    for (std::size_t i = sources.size(); i > 1; --i) {
-      std::swap(sources[i - 1], sources[rng.below(i)]);
-    }
-    const auto n = static_cast<std::uint32_t>(sources.size());
-    std::vector<std::uint32_t> tokens(n);
-    std::vector<WireIndex> generic_wire(n);
-    std::vector<TokenCursor> spec_wave(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tokens[i] = i;
-      generic_wire[i] = compiled.source_wire(sources[i]);
-      spec_wave[i] = TokenCursor{waves->entry_slot(sources[i]), i};
-    }
-    for (std::uint32_t l = 0; l < plan.depth(); ++l) {
-      step_wave(compiled, generic_state, tokens, generic_wire);
-      waves->step_level(l, spec_state, spec_wave);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        EXPECT_EQ(waves->wire_of_slot(l + 1, spec_wave[i].wire),
-                  generic_wire[i])
-            << "round " << round << " level " << l << " cursor " << i;
-      }
-    }
-    std::vector<Value> generic_values(n), spec_values(n);
-    step_wave_counters(compiled, generic_state, tokens, generic_wire,
-                       [&](std::size_t k, Value v) { generic_values[k] = v; });
-    waves->step_counters(spec_state, spec_wave, spec_values);
-    EXPECT_EQ(generic_values, spec_values) << "round " << round;
-    EXPECT_EQ(generic_state, spec_state) << "round " << round;
-  }
-}
-
-TEST(WidthWaves, MatchesGenericBitonic8) {
-  run_width_differential<8>(make_bitonic(8), 12);
-}
-
-TEST(WidthWaves, MatchesGenericPeriodic8) {
-  run_width_differential<8>(make_periodic(8), 12);
-}
-
-TEST(WidthWaves, MatchesGenericBitonic32) {
-  run_width_differential<32>(make_bitonic(32), 6);
-}
-
-TEST(WidthWaves, MatchesGenericBitonic64) {
-  run_width_differential<64>(make_bitonic(64), 4);
-}
-
-TEST(WidthWaves, RejectsWrongShape) {
-  const Network b32 = make_bitonic(32);
-  const CompiledNetwork c32(b32);
-  const WavePlan p32(c32);
-  EXPECT_EQ(WidthWaves<8>::try_build(p32), nullptr);  // wrong width
-
-  const Network b8 = make_bitonic(8);
-  const CompiledNetwork c8(b8);
-  const WavePlan p8(c8);
-  EXPECT_EQ(WidthWaves<32>::try_build(p8), nullptr);
-
-  // Counting tree: levels narrower than the sink width, (1,2) balancers.
-  const Network tree = make_counting_tree(8);
-  const CompiledNetwork ctree(tree);
-  const WavePlan ptree(ctree);
-  ASSERT_TRUE(ptree.uniform());
-  EXPECT_EQ(WidthWaves<8>::try_build(ptree), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -363,6 +278,26 @@ TEST(SimulateWave, NonUniformFallsBackToScalarError) {
   const SimulationResult wave = simulate_wave(exec, arena);
   EXPECT_EQ(scalar.error, wave.error);
   EXPECT_FALSE(wave.ok());
+}
+
+// One arena across networks: the level plan is rebuilt with the tables,
+// so a non-uniform network after a uniform one of the same depth still
+// falls back to the scalar body.
+TEST(SimulateWave, ArenaSwitchRebuildsTheLevelPlan) {
+  const Network uniform = make_bitonic(4);
+  const Network brick = make_brick_wall(4, 3);
+  ASSERT_EQ(uniform.depth(), brick.depth());
+  TimedExecution first;
+  first.net = &uniform;
+  add_uniform_plan(first, 0, 0, 0, 0.0, 1.0);
+  TimedExecution second;
+  second.net = &brick;
+  add_uniform_plan(second, 0, 0, 0, 0.0, 1.0);
+  SimArena arena;
+  ASSERT_TRUE(simulate_wave(first, arena).ok());
+  const SimulationResult wave = simulate_wave(second, arena);
+  EXPECT_FALSE(wave.ok());
+  EXPECT_EQ(wave.error, simulate(second).error);
 }
 
 TEST(SimulateWave, ReservedTokenIdError) {

@@ -5,12 +5,15 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/constructions.hpp"
 #include "engine/backend.hpp"
+#include "fault/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing.hpp"
 #include "sim/workload.hpp"
+#include "trace/sink.hpp"
 
 namespace cn {
 namespace {
@@ -236,6 +239,90 @@ TEST(Workload, SchedulesAndRecordsMatchPinnedValues) {
     hash_trace(res.trace, records);
     EXPECT_EQ(schedule.value(), b.schedule) << b.backend;
     EXPECT_EQ(records.value(), b.records) << b.backend;
+  }
+}
+
+fault::FaultPlan sim_fault_plan(double loss, double stuck, double crash) {
+  fault::FaultPlan plan;
+  plan.enabled = true;
+  plan.p_token_loss = loss;
+  plan.p_stuck_balancer = stuck;
+  plan.p_process_crash = crash;
+  return plan;
+}
+
+void hash_steps(const std::vector<Step>& steps, Fnv1a& h) {
+  h.add(steps.size());
+  for (const Step& s : steps) {
+    h.add(static_cast<std::uint64_t>(s.kind));
+    h.add(s.process);
+    h.add(s.token);
+    h.add(s.node);
+    h.add(s.in_port);
+    h.add(s.out_port);
+    h.add(s.value);
+  }
+}
+
+/// Every interpreter body steps through one hop, so the scalar-vs-wave
+/// twins cannot see a change to it, nor to the stuck path or the step
+/// log built from it; these constants can. Per network: the records of
+/// the four faulted entry points (collected, then streamed) under a mixed
+/// plan and under a stuck-heavy one, and simulate_recorded's step log,
+/// over seeds 1-2.
+TEST(Workload, FaultedRecordsAndStepLogsMatchPinnedValues) {
+  struct Pinned {
+    Network net;
+    std::uint64_t mixed;   ///< Loss 0.2, stuck 0.2, crash 0.15.
+    std::uint64_t stuck;   ///< Stuck 0.6 alone.
+    std::uint64_t steps;   ///< simulate_recorded's step log.
+  };
+  const Pinned pinned[] = {
+      {make_bitonic(8), 0x15E4710CA51EC655ULL, 0x9AA3BC12AE8E87D5ULL,
+       0x66479B103CA4F345ULL},
+      {make_periodic(8), 0x8ACF012365B76005ULL, 0x927DA16D5E9AAEC5ULL,
+       0x81D65CD285E29FE5ULL},
+      {make_bitonic(64), 0x8BC99FF26DB7890DULL, 0x1305966ED63C025DULL,
+       0xE393F77151E26835ULL},
+      {make_counting_tree(8), 0x96791AD3C9CF6E35ULL, 0x8DCFE4240E1F2145ULL,
+       0x652A99FBBFFE8E25ULL},
+  };
+  const fault::FaultPlan plans[] = {sim_fault_plan(0.2, 0.2, 0.15),
+                                    sim_fault_plan(0.0, 0.6, 0.0)};
+  for (const Pinned& p : pinned) {
+    Fnv1a faulted[2], steps;
+    SimArena arena;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      WorkloadSpec spec;
+      spec.processes = 8;
+      spec.tokens_per_process = 24;
+      spec.c_max = 7.0;
+      Xoshiro256 rng(seed);
+      const TimedExecution exec = generate_workload(p.net, spec, rng);
+      for (int k = 0; k < 2; ++k) {
+        const SimFaults faults =
+            fault::draw_sim_faults(p.net, exec, plans[k], seed);
+        for (const bool wave : {false, true}) {
+          const SimulationResult collected =
+              wave ? simulate_wave(exec, faults, arena)
+                   : simulate(exec, faults, arena);
+          ASSERT_TRUE(collected.ok()) << collected.error;
+          hash_trace(collected.trace, faulted[k]);
+          CollectSink sink;
+          const SimulationResult streamed =
+              wave ? simulate_wave_stream(exec, faults, arena, sink)
+                   : simulate_stream(exec, faults, arena, sink);
+          ASSERT_TRUE(streamed.ok()) << streamed.error;
+          hash_trace(sink.trace(), faulted[k]);
+        }
+      }
+      const SimulationResult recorded = simulate_recorded(exec);
+      ASSERT_TRUE(recorded.ok()) << recorded.error;
+      hash_steps(recorded.steps, steps);
+    }
+    EXPECT_EQ(faulted[0].value(), p.mixed) << p.net.name();
+    EXPECT_EQ(faulted[1].value(), p.stuck) << p.net.name();
+    EXPECT_EQ(steps.value(), p.steps) << p.net.name();
   }
 }
 

@@ -747,8 +747,8 @@ std::string json_elastic(const ElasticResult& r) {
        << fmt_double(es.f_nl_bound, 4) << ",\"f_nsc\":"
        << fmt_double(es.f_nsc, 4) << ",\"f_nsc_bound\":"
        << fmt_double(es.f_nsc_bound, 4) << ",\"p50_us\":"
-       << fmt_double(us(es.p50_ns), 3) << ",\"p99_us\":"
-       << fmt_double(us(es.p99_ns), 3) << "}";
+       << fmt_double(us(es.latency.p50()), 3) << ",\"p99_us\":"
+       << fmt_double(us(es.latency.p99()), 3) << "}";
   }
   os << "]}";
   return os.str();
@@ -891,7 +891,7 @@ int main(int argc, char** argv) {
                     std::to_string(es.completed), es.ok() ? "yes" : "NO",
                     fmt_double(es.f_nl, 4), fmt_double(es.f_nl_bound, 4),
                     fmt_double(es.f_nsc, 4), fmt_double(es.f_nsc_bound, 4),
-                    fmt_double(us(es.p99_ns), 1)});
+                    fmt_double(us(es.latency.p99()), 1)});
       }
       et.print(std::cout);
       std::cout << "\nNote: the Cor 5.12/5.13 columns are ADVERSARIAL lower "

@@ -153,12 +153,9 @@ RunResult run_backend(const RunSpec& spec, RunContext& ctx) {
         out.error = "fault injection removed every completed operation";
         out.error_kind = ErrorKind::kFaultInjected;
       } else {
-        const Network* net =
-            spec.net != nullptr ? spec.net : out.owned_net.get();
-        const std::uint32_t fan_out = net != nullptr ? net->fan_out() : 0;
         const fault::Degradation deg =
-            streaming ? ctx.degradation.result(fan_out)
-                      : fault::degradation(out.trace, fan_out);
+            streaming ? ctx.degradation.result(out.sink_range)
+                      : fault::degradation(out.trace, out.sink_range);
         out.metrics["counting_violation"] = deg.counting_violation;
         out.metrics["smoothness_gap"] = deg.smoothness_gap;
         out.metrics["smoothness_violation"] = deg.smoothness_violation;
@@ -190,7 +187,8 @@ RunResult run_backend(const RunSpec& spec, RunContext& ctx) {
   // Recorded runs persist the collected trace; a failed write is a
   // backend failure, not a silent success with a missing file.
   if (out.ok() && !spec.record_path.empty()) {
-    if (std::string werr = write_trace_file(spec.record_path, out.trace);
+    if (std::string werr =
+            write_trace_file(spec.record_path, out.trace, out.sink_range);
         !werr.empty()) {
       out.error = "trace record failed: " + werr;
       out.error_kind = ErrorKind::kBackendError;

@@ -97,11 +97,12 @@ bool reject(RunResult& out, std::string error) {
   return true;
 }
 
-/// Resolves the spec's network into `out`; null, with a spec-invalid
-/// error, when the spec names no usable network.
+/// Resolves the spec's network (and, as the sink range, its fan-out) into
+/// `out`; null, with a spec-invalid error, when it names no usable one.
 const Network* resolve(const RunSpec& spec, RunResult& out) {
   const Network* net = resolve_network(spec, out.owned_net, out.error);
   if (net == nullptr) out.error_kind = ErrorKind::kSpecInvalid;
+  out.sink_range = net != nullptr ? net->fan_out() : 0;
   return net;
 }
 
@@ -645,6 +646,9 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
   std::string err = resize_plan_error(resize_plan, cfg.elastic);
   if (err.empty()) err = service::validate(cfg);
   if (reject(out, std::move(err))) return out;
+  // A classic shard's records carry the flattened sink s * w + u; an
+  // elastic epoch's carry the full network's sinks.
+  if (!cfg.elastic.enabled) out.sink_range *= cfg.shards;
   // Collecting mode still records through a sink; the service only
   // knows the streaming interface.
   CollectSink collect;
@@ -736,16 +740,15 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
     const service::ClientStats& cs = c->stats();
     agg.completed += cs.completed;
     agg.rejected += cs.rejected;
-    agg.dropped += cs.dropped;
-    agg.timed_out += cs.timed_out;
     agg.retries += cs.retries;
   }
   client_objs.clear();  // Every slot has resolved by now (post-stop).
   // A run where EVERY request blew its deadline is a failure with its
   // own taxonomy entry: sweeps classify client timeouts as
-  // deadline_exceeded instead of lumping them into backend_error.
+  // deadline_exceeded instead of lumping them into backend_error. The
+  // service counts the clients' timed-out requests.
   if (spec.service_policy.deadline_ns > 0 && agg.completed == 0 &&
-      agg.timed_out > 0) {
+      st.timed_out > 0) {
     out.error = "every client request exceeded its deadline";
     out.error_kind = ErrorKind::kDeadlineExceeded;
     return out;
@@ -839,6 +842,7 @@ RunResult produce_replay(const RunSpec& spec, RunContext&, TraceSink* sink) {
     return out;
   }
   out.trace = std::move(rd.trace);
+  out.sink_range = rd.sink_range;
   out.metrics["replayed_records"] = static_cast<double>(out.trace.size());
   if (sink != nullptr) return stream_collected(std::move(out), *sink);
   return out;

@@ -71,6 +71,10 @@ struct RunResult {
   /// lives here so exec/trace stay valid for the result's lifetime.
   std::shared_ptr<const Network> owned_net;
 
+  /// The run's records name sinks in [0, sink_range); 0 when it has no
+  /// fixed sink set (single counters, a version-1 trace file).
+  std::uint32_t sink_range = 0;
+
   bool ok() const noexcept { return error.empty(); }
 
   double metric(const std::string& key, double fallback = 0.0) const {

@@ -1,5 +1,6 @@
 #include "service/client.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -12,6 +13,14 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The outcome a completion slot's value means (0: still pending).
+SubmitStatus status_of(std::uint64_t v) noexcept {
+  if (v == 0) return SubmitStatus::kTimedOut;
+  if (v == kDroppedSignal) return SubmitStatus::kDropped;
+  if (v == kRejectedSignal) return SubmitStatus::kRejected;
+  return SubmitStatus::kCompleted;
 }
 
 }  // namespace
@@ -80,180 +89,142 @@ PolicyClient::PolicyClient(CountingService& svc, const SubmitPolicy& policy,
     : svc_(svc),
       policy_(policy),
       id_(id),
-      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
-      slot_(std::make_unique<Slot>(0)) {}
+      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {}
 
-PolicyClient::Slot* PolicyClient::acquire_slot() {
-  // Reclaim orphans whose stores arrived since the timeout; the front of
-  // the deque is the oldest lease, so one check per submit keeps the
-  // list bounded by the number of still-outstanding timeouts.
+PolicyClient::Slot* PolicyClient::acquire_slots(std::uint32_t n) {
+  // Reclaim orphans whose stores all arrived since the timeout; the
+  // front of the deque is the oldest lease, so one check per submit
+  // keeps the list bounded by the number of still-outstanding timeouts.
   while (!orphans_.empty() &&
-         orphans_.front()->load(std::memory_order_acquire) != 0) {
+         std::all_of(orphans_.front().slots.get(),
+                     orphans_.front().slots.get() + orphans_.front().n,
+                     [](const Slot& s) {
+                       return s.load(std::memory_order_acquire) != 0;
+                     })) {
     orphans_.pop_front();
   }
-  slot_->store(0, std::memory_order_relaxed);
-  return slot_.get();
+  if (capacity_ < n) {
+    slots_ = std::make_unique<Slot[]>(n);
+    capacity_ = n;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    slots_[i].store(0, std::memory_order_relaxed);
+  }
+  return slots_.get();
 }
 
-SubmitReport PolicyClient::submit(std::uint64_t arrival_ns) {
-  SubmitReport rep;
-  const std::uint64_t t0 = now_ns();
-  const std::uint64_t deadline =
-      policy_.deadline_ns > 0 ? t0 + policy_.deadline_ns : 0;
-  Slot* slot = acquire_slot();
+void PolicyClient::orphan_slots(std::uint32_t n) {
+  // The deadline expired while requests were in flight: the service may
+  // still store into their slots, so lease the array out and move on.
+  orphans_.push_back({std::move(slots_), n});
+  capacity_ = 0;
+}
 
-  std::uint32_t attempt = 0;
-  while (!svc_.try_submit(id_, arrival_ns, slot)) {
+template <typename Attempt>
+SubmitStatus PolicyClient::admit(std::uint64_t deadline, std::uint32_t& retries,
+                                 Attempt&& attempt) {
+  std::uint32_t tries = 0;
+  SubmitStatus status = SubmitStatus::kCompleted;
+  while (!attempt()) {
     if (deadline > 0 && now_ns() >= deadline) {
-      rep.status = SubmitStatus::kTimedOut;
-      rep.retries = attempt;
-      ++stats_.timed_out;
-      stats_.retries += attempt;
-      svc_.count_timeout();
-      return rep;  // Never accepted: the slot stays clean for reuse.
+      status = SubmitStatus::kTimedOut;
+      break;
     }
-    if (policy_.max_retries > 0 && attempt >= policy_.max_retries) {
-      rep.status = SubmitStatus::kRejected;
-      rep.retries = attempt;
-      ++stats_.rejected;
-      stats_.retries += attempt;
-      return rep;
+    if (policy_.max_retries > 0 && tries >= policy_.max_retries) {
+      status = SubmitStatus::kRejected;
+      break;
     }
-    const std::uint64_t b = backoff_ns(policy_, attempt, rng_);
+    const std::uint64_t b = backoff_ns(policy_, tries, rng_);
     if (b > 0) {
       stats_.backoff_ns_total += b;
       std::this_thread::sleep_for(std::chrono::nanoseconds(b));
     } else {
       std::this_thread::yield();
     }
-    ++attempt;
+    ++tries;
   }
-  rep.retries = attempt;
-  stats_.retries += attempt;
-
-  const std::uint64_t v =
-      wait_done(*slot, deadline, policy_, &svc_.completion_event());
-  if (v == 0) {
-    // Deadline expired while the request is still in flight: the service
-    // may store into the slot later, so lease it out and move on.
-    orphans_.push_back(std::move(slot_));
-    slot_ = std::make_unique<Slot>(0);
-    rep.status = SubmitStatus::kTimedOut;
-    ++stats_.timed_out;
-    svc_.count_timeout();
-    return rep;
-  }
-  if (v == kDroppedSignal) {
-    rep.status = SubmitStatus::kDropped;
-    ++stats_.dropped;
-    return rep;
-  }
-  rep.status = SubmitStatus::kCompleted;
-  rep.value = v - 1;
-  ++stats_.completed;
-  return rep;
+  retries = tries;
+  stats_.retries += tries;
+  return status;
 }
 
-PolicyClient::Slot* PolicyClient::acquire_batch_slots(std::uint32_t n) {
-  while (!batch_orphans_.empty()) {
-    const OrphanBatch& ob = batch_orphans_.front();
-    bool resolved = true;
-    for (std::uint32_t i = 0; i < ob.n; ++i) {
-      if (ob.slots[i].load(std::memory_order_acquire) == 0) {
-        resolved = false;
-        break;
-      }
-    }
-    if (!resolved) break;
-    batch_orphans_.pop_front();
+void PolicyClient::count(SubmitStatus status, std::uint32_t n) {
+  switch (status) {
+    case SubmitStatus::kCompleted: stats_.completed += n; return;
+    case SubmitStatus::kDropped: stats_.dropped += n; return;
+    case SubmitStatus::kRejected: stats_.rejected += n; return;
+    case SubmitStatus::kTimedOut:
+      // The service counts the same requests.
+      stats_.timed_out += n;
+      svc_.count_timeout(n);
+      return;
   }
-  if (batch_capacity_ < n) {
-    batch_slots_ = std::make_unique<Slot[]>(n);
-    batch_capacity_ = n;
+}
+
+SubmitReport PolicyClient::submit(std::uint64_t arrival_ns) {
+  SubmitReport rep;
+  const std::uint64_t deadline_at =
+      policy_.deadline_ns > 0 ? now_ns() + policy_.deadline_ns : 0;
+  Slot* slot = acquire_slots(1);
+  // A request never accepted leaves its slot clean for reuse.
+  rep.status = admit(deadline_at, rep.retries, [&] {
+    return svc_.try_submit(id_, arrival_ns, slot);
+  });
+  if (rep.status == SubmitStatus::kCompleted) {
+    const std::uint64_t v =
+        wait_done(*slot, deadline_at, policy_, &svc_.completion_event());
+    rep.status = status_of(v);
+    if (rep.status == SubmitStatus::kCompleted) rep.value = v - 1;
+    if (rep.status == SubmitStatus::kTimedOut) orphan_slots(1);
   }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    batch_slots_[i].store(0, std::memory_order_relaxed);
-  }
-  return batch_slots_.get();
+  count(rep.status, 1);
+  return rep;
 }
 
 BatchReport PolicyClient::submit_batch(std::uint64_t arrival_ns,
                                        std::uint32_t n) {
   BatchReport rep;
   if (n == 0) return rep;
-  const std::uint64_t t0 = now_ns();
-  const std::uint64_t deadline =
-      policy_.deadline_ns > 0 ? t0 + policy_.deadline_ns : 0;
-  Slot* slots = acquire_batch_slots(n);
+  const std::uint64_t deadline_at =
+      policy_.deadline_ns > 0 ? now_ns() + policy_.deadline_ns : 0;
+  Slot* slots = acquire_slots(n);
 
   // A fully shed (or admission-closed) batch drew no tickets and left
   // no slot stored — retry it whole, on the single path's backoff
   // schedule. Any partial acceptance commits the batch: its tickets
   // exist, so the outcome is whatever the slots resolve to.
   CountingService::BatchResult res;
-  std::uint32_t attempt = 0;
-  for (;;) {
+  const SubmitStatus admitted = admit(deadline_at, rep.retries, [&] {
     res = svc_.submit_batch(id_, arrival_ns, slots, n);
-    if (res.accepted + res.rejected > 0) break;
-    if (deadline > 0 && now_ns() >= deadline) {
-      rep.timed_out = n;
-      rep.retries = attempt;
-      stats_.timed_out += n;
-      stats_.retries += attempt;
-      svc_.count_timeout();
-      return rep;  // Never accepted: the slots stay clean for reuse.
-    }
-    if (policy_.max_retries > 0 && attempt >= policy_.max_retries) {
-      rep.rejected = n;
-      rep.retries = attempt;
-      stats_.rejected += n;
-      stats_.retries += attempt;
-      return rep;
-    }
-    const std::uint64_t b = backoff_ns(policy_, attempt, rng_);
-    if (b > 0) {
-      stats_.backoff_ns_total += b;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(b));
-    } else {
-      std::this_thread::yield();
-    }
-    ++attempt;
+    return res.accepted + res.rejected > 0;
+  });
+  if (admitted != SubmitStatus::kCompleted) {
+    // Never accepted: the slots stay clean for reuse.
+    (admitted == SubmitStatus::kTimedOut ? rep.timed_out : rep.rejected) = n;
+    count(admitted, n);
+    return rep;
   }
-  rep.retries = attempt;
-  stats_.retries += attempt;
 
-  bool any_timeout = false;
   rep.values.reserve(res.accepted);
   for (std::uint32_t i = 0; i < n; ++i) {
+    // Once the shared deadline expires, the remaining waits degrade to
+    // one load each — the loop still classifies every slot whose store
+    // already arrived.
     const std::uint64_t v =
-        wait_done(slots[i], deadline, policy_, &svc_.completion_event());
-    if (v == 0) {
-      // Once the shared deadline expires, the remaining waits degrade
-      // to one load each — the loop still classifies every slot whose
-      // store already arrived.
-      any_timeout = true;
-      ++rep.timed_out;
-      ++stats_.timed_out;
-    } else if (v == kDroppedSignal) {
-      ++rep.dropped;
-      ++stats_.dropped;
-    } else if (v == kRejectedSignal) {
-      ++rep.rejected;
-      ++stats_.rejected;
-    } else {
-      ++rep.completed;
-      ++stats_.completed;
-      rep.values.push_back(v - 1);
+        wait_done(slots[i], deadline_at, policy_, &svc_.completion_event());
+    const SubmitStatus status = status_of(v);
+    count(status, 1);
+    switch (status) {
+      case SubmitStatus::kCompleted:
+        ++rep.completed;
+        rep.values.push_back(v - 1);
+        break;
+      case SubmitStatus::kDropped: ++rep.dropped; break;
+      case SubmitStatus::kRejected: ++rep.rejected; break;
+      case SubmitStatus::kTimedOut: ++rep.timed_out; break;
     }
   }
-  if (any_timeout) {
-    svc_.count_timeout();
-    OrphanBatch ob;
-    ob.slots = std::move(batch_slots_);
-    ob.n = n;
-    batch_orphans_.push_back(std::move(ob));
-    batch_capacity_ = 0;
-  }
+  if (rep.timed_out > 0) orphan_slots(n);
   return rep;
 }
 

@@ -56,16 +56,6 @@ enum class SubmitStatus : std::uint8_t {
   kTimedOut,       ///< Deadline expired (submitting or waiting).
 };
 
-inline const char* submit_status_name(SubmitStatus s) noexcept {
-  switch (s) {
-    case SubmitStatus::kCompleted: return "completed";
-    case SubmitStatus::kDropped: return "dropped";
-    case SubmitStatus::kRejected: return "rejected";
-    case SubmitStatus::kTimedOut: return "timed_out";
-  }
-  return "unknown";
-}
-
 struct SubmitReport {
   SubmitStatus status = SubmitStatus::kCompleted;
   std::uint64_t value = 0;   ///< Valid when status == kCompleted.
@@ -141,27 +131,33 @@ class PolicyClient {
  private:
   using Slot = std::atomic<std::uint64_t>;
 
-  /// A timed-out batch's slots, leased out until every element's store
-  /// arrives.
-  struct OrphanBatch {
+  /// Timed-out slots, leased out until every element's store arrives.
+  struct Orphan {
     std::unique_ptr<Slot[]> slots;
     std::uint32_t n = 0;
   };
 
-  Slot* acquire_slot();
-  Slot* acquire_batch_slots(std::uint32_t n);
+  /// n clean completion slots (a single submit takes one).
+  Slot* acquire_slots(std::uint32_t n);
+  /// Leases the current n slots out as an orphan.
+  void orphan_slots(std::uint32_t n);
+  /// Calls `attempt` (true once the service took the submit) on the
+  /// policy's backoff schedule, counting the retries: kCompleted once it
+  /// succeeds, kTimedOut past the deadline, kRejected out of retries.
+  template <typename Attempt>
+  SubmitStatus admit(std::uint64_t deadline, std::uint32_t& retries,
+                     Attempt&& attempt);
+  /// The one place outcomes are counted: n requests ended with `status`.
+  void count(SubmitStatus status, std::uint32_t n);
 
   CountingService& svc_;
   SubmitPolicy policy_;
   std::uint32_t id_;
   Xoshiro256 rng_;
   ClientStats stats_;
-  std::unique_ptr<Slot> slot_;              ///< Current (reusable) slot.
-  std::deque<std::unique_ptr<Slot>> orphans_;  ///< Timed-out, still leased
-                                               ///< to the service.
-  std::unique_ptr<Slot[]> batch_slots_;     ///< Current batch slot array.
-  std::uint32_t batch_capacity_ = 0;
-  std::deque<OrphanBatch> batch_orphans_;
+  std::unique_ptr<Slot[]> slots_;  ///< Current (reusable) slot array.
+  std::uint32_t capacity_ = 0;
+  std::deque<Orphan> orphans_;
 };
 
 }  // namespace cn::service

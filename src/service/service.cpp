@@ -22,7 +22,33 @@ std::uint64_t now_ns() {
           .count());
 }
 
+/// The Lemma 3.1 identity over a ledger: every dispensed ticket either
+/// completed or is an accounted hole.
+ResidueAudit residue_audit(const ServiceCounts& c, bool gap_free) {
+  ResidueAudit a;
+  a.tickets = c.submitted + c.rejected;
+  a.completed = c.completed;
+  a.holes = a.tickets > a.completed ? a.tickets - a.completed : 0;
+  a.accounted = c.rejected + c.dropped + c.crash_lost + c.abandoned;
+  a.gap_free = gap_free;
+  a.exact = a.holes == a.accounted;
+  return a;
+}
+
 }  // namespace
+
+ServiceCounts& ServiceCounts::operator+=(const ServiceCounts& other) noexcept {
+  using C = ServiceCounts;
+  for (std::uint64_t C::*sum :
+       {&C::submitted, &C::rejected, &C::shed, &C::completed, &C::dropped,
+        &C::crash_lost, &C::abandoned, &C::crashes, &C::respawns,
+        &C::wedge_detections, &C::batches, &C::ingress_batches,
+        &C::ingress_cells, &C::stalls}) {
+    this->*sum += other.*sum;
+  }
+  max_batch_seen = std::max(max_batch_seen, other.max_batch_seen);
+  return *this;
+}
 
 std::string validate(const ServiceConfig& cfg) {
   if (cfg.net == nullptr) return "service: net must be set";
@@ -126,7 +152,7 @@ CountingService::~CountingService() { stop(); }
 
 void CountingService::install_epoch(std::uint32_t level) {
   auto ep = std::make_shared<TopologyEpoch>();
-  ep->index = next_epoch_index_++;
+  ep->index = epoch_stats_.size();  // One entry per retired epoch.
   ep->level = level;
   // Every shard is (network, feed order, sink labels); the mode decides
   // only what they are. Shard s serves residue class s (Lemma 3.1).
@@ -197,22 +223,44 @@ void CountingService::start() {
   }
 }
 
-bool CountingService::over_watermark(TopologyEpoch& ep, std::uint32_t shard) {
-  ShardRuntime& rt = *ep.runtimes[shard];
-  const double cap = static_cast<double>(ep.queues[shard]->capacity());
-  const std::size_t depth = ep.queues[shard]->approx_size();
-  if (rt.shedding.load(std::memory_order_relaxed)) {
-    // Hysteresis: stay closed until the depth falls below low.
+bool CountingService::shed_if_over(TopologyEpoch& ep, std::uint32_t runs,
+                                   std::uint32_t n) {
+  if (!(cfg_.shed_high_watermark > 0.0)) return false;
+  const std::uint64_t next = tickets_.load(std::memory_order_relaxed);
+  bool over = false;
+  for (std::uint32_t j = 0; j < runs; ++j) {
+    // Hysteresis: a shard whose depth reached the high watermark sheds
+    // until its depth falls to the low one.
+    const std::uint32_t s = ep.map.shard_of(next + j);
+    const double cap = static_cast<double>(ep.queues[s]->capacity());
+    const std::size_t depth = ep.queues[s]->approx_size();
+    std::atomic<bool>& shedding = ep.runtimes[s]->shedding;
+    const bool was = shedding.load(std::memory_order_relaxed);
     const bool shed =
-        depth > static_cast<std::size_t>(cap * cfg_.shed_low_watermark);
-    if (!shed) rt.shedding.store(false, std::memory_order_relaxed);
-    return shed;
+        was ? depth > static_cast<std::size_t>(cap * cfg_.shed_low_watermark)
+            : depth >= std::max<std::size_t>(
+                           static_cast<std::size_t>(
+                               cap * cfg_.shed_high_watermark),
+                           1);
+    if (shed != was) shedding.store(shed, std::memory_order_relaxed);
+    over = over || shed;
   }
-  const bool shed =
-      depth >= std::max<std::size_t>(
-                   static_cast<std::size_t>(cap * cfg_.shed_high_watermark), 1);
-  if (shed) rt.shedding.store(true, std::memory_order_relaxed);
-  return shed;
+  if (over) ep.shed.fetch_add(n, std::memory_order_relaxed);
+  return over;
+}
+
+bool CountingService::push_run(TopologyEpoch& ep, const Request& run) {
+  const std::uint32_t s = ep.map.shard_of(run.ticket);
+  if (!ep.queues[s]->try_push(run)) {
+    // The run's tickets are burned: their residue slots will never be
+    // served, so a rejection under load shows up as a counting-property
+    // hole — that is deliberate (overload degrades the guarantee and we
+    // measure it).
+    ep.rejected.fetch_add(run.count, std::memory_order_relaxed);
+    return false;
+  }
+  ep.runtimes[s]->idle.notify_if_waiters();
+  return true;
 }
 
 bool CountingService::try_submit(std::uint32_t client,
@@ -235,43 +283,26 @@ bool CountingService::try_submit(std::uint32_t client,
   // Admission control: predict the target shard from the next ticket and
   // check its watermark BEFORE drawing a ticket. A shed therefore burns
   // nothing — no ticket, no residue hole — unlike the queue-full
-  // rejection below, which is the watermark race's accounted backstop.
-  if (cfg_.shed_high_watermark > 0.0 &&
-      over_watermark(
-          ep, ep.map.shard_of(tickets_.load(std::memory_order_relaxed)))) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    ep.shed.fetch_add(1, std::memory_order_relaxed);
-    pending_submits_.fetch_sub(1, std::memory_order_release);
-    return false;
+  // rejection in push_run, which is the watermark race's accounted
+  // backstop.
+  bool queued = false;
+  if (!shed_if_over(ep, 1, 1)) {
+    Request req;
+    req.ticket = tickets_.fetch_add(1, std::memory_order_relaxed);
+    req.arrival_ns = arrival_ns;
+    req.client = client;
+    req.done = done;
+    if (cfg_.record) {
+      // Lock-free seq draw: the shared counter makes seqs globally
+      // unique and every record's last_seq (drawn at completion) greater
+      // than its first_seq. A rejection simply burns its seq — the
+      // contract needs monotone keys, not dense ones.
+      req.first_seq = events_.fetch_add(1, std::memory_order_relaxed);
+    }
+    queued = push_run(ep, req);
   }
-  const std::uint64_t ticket =
-      tickets_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t shard = ep.map.shard_of(ticket);
-  Request req;
-  req.ticket = ticket;
-  req.arrival_ns = arrival_ns;
-  req.client = client;
-  req.done = done;
-  if (cfg_.record) {
-    // Lock-free seq draw: the shared counter makes seqs globally unique
-    // and every record's last_seq (drawn at completion) greater than its
-    // first_seq. A rejection below simply burns its seq — the contract
-    // needs monotone keys, not dense ones.
-    req.first_seq = events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!ep.queues[shard]->try_push(req)) {
-    // The ticket is burned: its residue slot will never be served, so a
-    // rejection under load shows up as a counting-property hole — that
-    // is deliberate (overload degrades the guarantee and we measure it).
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    ep.rejected.fetch_add(1, std::memory_order_relaxed);
-    pending_submits_.fetch_sub(1, std::memory_order_release);
-    return false;
-  }
-  ep.accepted.fetch_add(1, std::memory_order_relaxed);
-  ep.runtimes[shard]->idle.notify_if_waiters();
   pending_submits_.fetch_sub(1, std::memory_order_release);
-  return true;
+  return queued;
 }
 
 CountingService::BatchResult CountingService::submit_batch(
@@ -294,23 +325,11 @@ CountingService::BatchResult CountingService::submit_batch(
   const std::uint32_t runs = n < nsh ? n : nsh;
   // Admission is all-or-nothing and precedes the ticket draw: a shed
   // batch burns NO residue slot. Every target shard (the batch touches
-  // min(n, shards) residue classes) must be under its watermark. Each
-  // gate is evaluated — no short circuit — so every target's hysteresis
-  // state advances exactly as on the single path.
-  if (cfg_.shed_high_watermark > 0.0) {
-    const std::uint64_t t_pred = tickets_.load(std::memory_order_relaxed);
-    bool shed_batch = false;
-    for (std::uint32_t j = 0; j < runs; ++j) {
-      shed_batch = over_watermark(ep, ep.map.shard_of(t_pred + j)) ||
-                   shed_batch;
-    }
-    if (shed_batch) {
-      shed_.fetch_add(n, std::memory_order_relaxed);
-      ep.shed.fetch_add(n, std::memory_order_relaxed);
-      pending_submits_.fetch_sub(1, std::memory_order_release);
-      res.shed = n;
-      return res;
-    }
+  // min(n, shards) residue classes) must be under its watermark.
+  if (shed_if_over(ep, runs, n)) {
+    pending_submits_.fetch_sub(1, std::memory_order_release);
+    res.shed = n;
+    return res;
   }
   // ONE dispenser RMW for the whole batch. The contiguous range
   // [t0, t0 + n) splits by residue class into `runs` arithmetic
@@ -319,7 +338,7 @@ CountingService::BatchResult CountingService::submit_batch(
   const std::uint64_t t0 = tickets_.fetch_add(n, std::memory_order_relaxed);
   std::uint64_t e0 = 0;
   if (cfg_.record) e0 = events_.fetch_add(n, std::memory_order_relaxed);
-  ingress_batches_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t cells = 0;
   for (std::uint32_t j = 0; j < runs; ++j) {
     Request cell;
     cell.ticket = t0 + j;
@@ -329,26 +348,20 @@ CountingService::BatchResult CountingService::submit_batch(
     cell.count = (n - j + nsh - 1) / nsh;  // ceil((n - j) / nsh)
     cell.stride = nsh;
     cell.done = slots != nullptr ? slots + j : nullptr;
-    const std::uint32_t s = ep.map.shard_of(cell.ticket);
-    if (ep.queues[s]->try_push(cell)) {
+    if (push_run(ep, cell)) {
       res.accepted += cell.count;
-      ep.accepted.fetch_add(cell.count, std::memory_order_relaxed);
-      ingress_cells_.fetch_add(1, std::memory_order_relaxed);
-      ep.runtimes[s]->idle.notify_if_waiters();
+      ++cells;
     } else {
-      // The run's tickets are burned (accounted holes); its slots are
-      // resolved HERE so a batch client never waits on a refused run.
+      // The run's slots are resolved HERE so a batch client never waits
+      // on a refused run.
       res.rejected += cell.count;
-      rejected_.fetch_add(cell.count, std::memory_order_relaxed);
-      ep.rejected.fetch_add(cell.count, std::memory_order_relaxed);
-      if (cell.done != nullptr) {
-        for (std::uint32_t i = 0; i < cell.count; ++i) {
-          (cell.done + static_cast<std::uint64_t>(i) * cell.stride)
-              ->store(kRejectedSignal, std::memory_order_release);
-        }
+      for (std::uint32_t i = 0; i < cell.count; ++i) {
+        cell.signal(i, kRejectedSignal);
       }
     }
   }
+  ep.ingress_batches.fetch_add(1, std::memory_order_relaxed);
+  ep.ingress_cells.fetch_add(cells, std::memory_order_relaxed);
   pending_submits_.fetch_sub(1, std::memory_order_release);
   return res;
 }
@@ -375,13 +388,20 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   std::vector<Value> values(cfg_.max_batch);
   bool draining = false;
   std::uint32_t idle_rounds = 0;
-  // Idle park backstop: notify_if_waiters on the submit path skips the
-  // wake RMW entirely when the worker is awake, which leaves a rare
-  // store-buffer window where a push lands unseen right as the worker
-  // parks. The timed park turns that missed wake into a bounded-latency
-  // blip instead of a hang.
+  // The idle park is timed, but no known liveness property depends on
+  // the timeout: a push is seen by the re-check or wakes the park (the
+  // fences in EventCount; see util/eventcount.hpp), and the fence and
+  // stop() notify_all every parked worker after raising their flags.
+  // The backstop stays until an interleaving explorer has checked the
+  // protocol with untimed parks.
   constexpr std::uint32_t kIdleYields = 16;
   constexpr std::uint64_t kIdleParkNs = 200'000;
+  // Every stall the worker takes — a chaos window or drawn thread
+  // faults — sleeps here and is counted here.
+  const auto stall = [&rt](std::uint64_t times, std::uint64_t ns) {
+    rt.stalls.fetch_add(times, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(ns * times));
+  };
 
   for (;;) {
     rt.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -393,9 +413,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
     std::uint64_t cap = cfg_.max_batch;
     if (rt.stall_window_end > 0) {
       if (processed < rt.stall_window_end) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(rt.stall_window_ns));
-        rt.stalls.fetch_add(1, std::memory_order_relaxed);
+        stall(1, rt.stall_window_ns);
         cap = std::min(cap, rt.stall_window_end - processed);
       } else {
         rt.stall_window_end = 0;
@@ -417,13 +435,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           std::uint64_t lost = 0;
           while (lost < e.lose) {
             if (rt.carry_pos < rt.carry.count) {
-              const std::uint64_t off =
-                  static_cast<std::uint64_t>(rt.carry_pos) * rt.carry.stride;
-              if (rt.carry.done != nullptr) {
-                (rt.carry.done + off)
-                    ->store(kDroppedSignal, std::memory_order_release);
-              }
-              ++rt.carry_pos;
+              rt.carry.signal(rt.carry_pos++, kDroppedSignal);
               ++lost;
             } else if (queue.try_pop(rt.carry)) {
               rt.carry_pos = 0;
@@ -493,10 +505,9 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         continue;
       }
       // Park on the shard eventcount. The recheck between prepare and
-      // commit closes the race with a push (the submitter's
-      // notify_if_waiters sees the registration); the timed backstop
-      // covers the notify's skipped-RMW window (comment above) and a
-      // fence/stop flag set between the recheck and the park.
+      // commit closes the race with a push (either the recheck sees the
+      // push or the submitter's notify_if_waiters sees the
+      // registration), and with a fence/stop flag (its notify_all).
       const std::uint32_t key = rt.idle.prepare_wait();
       if (queue.approx_size() > 0 ||
           stopping_.load(std::memory_order_acquire) ||
@@ -530,11 +541,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           batch[k++] = batch[i];
         }
       }
-      if (stall_draws > 0) {
-        rt.stalls.fetch_add(stall_draws, std::memory_order_relaxed);
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(cfg_.fault.stall_ns * stall_draws));
-      }
+      if (stall_draws > 0) stall(stall_draws, cfg_.fault.stall_ns);
     }
 
     std::uint64_t completion_ns = 0;
@@ -621,26 +628,20 @@ void CountingService::supervisor_loop() {
             // persistent state (fault stream, chaos cursor).
             ep->workers[s].join();
             rt.crashed.store(false, std::memory_order_release);
-            rt.exited.store(false, std::memory_order_release);
-            respawns_.fetch_add(1, std::memory_order_relaxed);
-            ep->workers[s] = std::thread([this, ep, s] {
-              worker_loop(ep, s);
-            });
-          } else if (ep->queues[s]->approx_size() > 0) {
+            respawn(*ep, s);
+          } else {
+            // Wedged-but-alive (e.g. a chaos stall window): a stale
+            // heartbeat with work queued. A thread cannot be safely
+            // killed, so this is detection — the count and the heartbeat
+            // age surface in health()/stats.
             const std::uint64_t beat =
                 rt.last_beat_ns.load(std::memory_order_relaxed);
-            if (now > beat && now - beat > kWedgeTimeoutNs) {
-              // Wedged-but-alive (e.g. a chaos stall window): a thread
-              // cannot be safely killed, so this is detection — the
-              // count and the heartbeat age surface in health()/stats.
-              if (!rt.wedged.exchange(true, std::memory_order_relaxed)) {
-                wedge_detections_.fetch_add(1, std::memory_order_relaxed);
-              }
-            } else {
-              rt.wedged.store(false, std::memory_order_relaxed);
+            const bool wedged = ep->queues[s]->approx_size() > 0 &&
+                                now > beat && now - beat > kWedgeTimeoutNs;
+            if (!rt.wedged.exchange(wedged, std::memory_order_relaxed) &&
+                wedged) {
+              ++rt.wedge_detections;
             }
-          } else {
-            rt.wedged.store(false, std::memory_order_relaxed);
           }
         }
         // Adaptive elastic controller: split on sustained queue
@@ -686,6 +687,59 @@ void CountingService::supervisor_loop() {
   }
 }
 
+void CountingService::respawn(TopologyEpoch& ep, std::uint32_t s) {
+  ep.runtimes[s]->exited.store(false, std::memory_order_release);
+  ++ep.runtimes[s]->respawns;
+  ep.workers[s] = std::thread([this, &ep, s] { worker_loop(&ep, s); });
+}
+
+EpochStats CountingService::tally(const TopologyEpoch& ep) const {
+  EpochStats es;
+  es.index = ep.index;
+  es.level = ep.level;
+  es.shards = static_cast<std::uint32_t>(ep.runtimes.size());
+  es.base = ep.map.base;
+  es.f_nl_bound = f_nl_bound(ep.level);
+  es.f_nsc_bound = f_nsc_bound(ep.level);
+  // Mid-run the reads race the writers. Reading the shards before the
+  // dispenser keeps a snapshot's completions within its submits: every
+  // completed ticket was drawn, and not rejected, before it was read.
+  for (const auto& rt : ep.runtimes) {
+    const std::uint64_t done_here =
+        rt->completed.load(std::memory_order_relaxed);
+    es.shard_completed.push_back(done_here);
+    es.completed += done_here;
+    es.dropped += rt->dropped.load(std::memory_order_relaxed);
+    es.crash_lost += rt->crash_lost.load(std::memory_order_relaxed);
+    es.crashes += rt->crashes.load(std::memory_order_relaxed);
+    es.batches += rt->batches.load(std::memory_order_relaxed);
+    es.stalls += rt->stalls.load(std::memory_order_relaxed);
+    es.max_batch_seen = std::max(
+        es.max_batch_seen, rt->max_batch.load(std::memory_order_relaxed));
+    es.respawns += rt->respawns;
+    es.wedge_detections += rt->wedge_detections;
+  }
+  es.shed = ep.shed.load(std::memory_order_relaxed);
+  es.ingress_batches = ep.ingress_batches.load(std::memory_order_relaxed);
+  es.ingress_cells = ep.ingress_cells.load(std::memory_order_relaxed);
+  es.rejected = ep.rejected.load(std::memory_order_relaxed);
+  es.tickets = tickets_.load(std::memory_order_relaxed) - ep.map.base;
+  es.submitted = es.tickets > es.rejected ? es.tickets - es.rejected : 0;
+  return es;
+}
+
+const CountingService::TopologyEpoch* CountingService::live_epoch() const {
+  return epoch_ && epoch_stats_.size() <= epoch_->index ? epoch_.get()
+                                                        : nullptr;
+}
+
+ServiceCounts CountingService::ledger() const {
+  ServiceCounts sum;
+  for (const EpochStats& es : epoch_stats_) sum += es;
+  if (const TopologyEpoch* live = live_epoch()) sum += tally(*live);
+  return sum;
+}
+
 void CountingService::retire_epoch() {
   if (!epoch_) return;
   TopologyEpoch& ep = *epoch_;
@@ -699,9 +753,9 @@ void CountingService::retire_epoch() {
   while (pending_submits_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
-  // 2. Flag retirement; every worker drains its queue and exits. Wake
-  //    parked idle workers so the fence doesn't wait out their timed
-  //    backstop.
+  // 2. Flag retirement; every worker drains its queue and exits. A
+  //    worker whose park re-check missed the flag registered before this
+  //    notify_all's epoch bump, so the bump wakes it.
   ep.retiring.store(true, std::memory_order_release);
   for (auto& rt : ep.runtimes) rt->idle.notify_all();
   // 3. Heal-and-join: respawn crashed workers so their queues drain (the
@@ -716,10 +770,7 @@ void CountingService::retire_epoch() {
         ep.workers[s].join();
         rt.crashed.store(false, std::memory_order_release);
         if (cfg_.supervise && ep.queues[s]->approx_size() > 0) {
-          rt.exited.store(false, std::memory_order_release);
-          respawns_.fetch_add(1, std::memory_order_relaxed);
-          TopologyEpoch* raw = &ep;
-          ep.workers[s] = std::thread([this, raw, s] { worker_loop(raw, s); });
+          respawn(ep, s);
           all_exited = false;
         }
         // else: stays dead (exited already true); scavenged below.
@@ -733,6 +784,9 @@ void CountingService::retire_epoch() {
   for (std::thread& w : ep.workers) {
     if (w.joinable()) w.join();
   }
+  // The workers are joined, so the runtimes' counts are final: they,
+  // the epoch's atomics and its ticket range become its ledger.
+  EpochStats es = tally(ep);
   // 4. Scavenge requests stranded on dead, never-respawned shards:
   //    signal their clients — a completion slot must NEVER hang — and
   //    account each as an `abandoned` residue hole. Element-wise: a
@@ -742,12 +796,8 @@ void CountingService::retire_epoch() {
     bool scavenged = false;
     const auto scavenge_run = [&](const Request& c, std::uint32_t from) {
       for (std::uint32_t i = from; i < c.count; ++i) {
-        if (c.done != nullptr) {
-          (c.done + static_cast<std::uint64_t>(i) * c.stride)
-              ->store(kDroppedSignal, std::memory_order_release);
-        }
-        ep.abandoned.fetch_add(1, std::memory_order_relaxed);
-        abandoned_.fetch_add(1, std::memory_order_relaxed);
+        c.signal(i, kDroppedSignal);
+        ++es.abandoned;
         scavenged = true;
       }
     };
@@ -761,50 +811,18 @@ void CountingService::retire_epoch() {
     if (scavenged) done_ec_.notify_all();
   }
 
-  // --- per-epoch accounting (the Lemma 3.1 audit at the fence) ---------
-  EpochStats es;
-  es.index = ep.index;
-  es.level = ep.level;
-  es.shards = static_cast<std::uint32_t>(ep.runtimes.size());
-  es.base = ep.map.base;
-  es.tickets = tickets_.load(std::memory_order_relaxed) - ep.map.base;
-  es.accepted = ep.accepted.load(std::memory_order_relaxed);
-  es.rejected = ep.rejected.load(std::memory_order_relaxed);
-  es.shed = ep.shed.load(std::memory_order_relaxed);
-  es.abandoned = ep.abandoned.load(std::memory_order_relaxed);
-  es.f_nl_bound = f_nl_bound(ep.level);
-  es.f_nsc_bound = f_nsc_bound(ep.level);
-  LatencyHistogram epoch_latency;
+  // --- the per-epoch audit (Lemma 3.1 at the fence) --------------------
   es.gap_free = true;
-  es.shard_completed.reserve(ep.runtimes.size());
-  std::uint64_t max_batch_seen = 0;
   for (std::size_t s = 0; s < ep.runtimes.size(); ++s) {
-    const ShardRuntime& rt = *ep.runtimes[s];
-    const std::uint64_t done_here =
-        rt.completed.load(std::memory_order_relaxed);
-    es.completed += done_here;
-    es.dropped += rt.dropped.load(std::memory_order_relaxed);
-    es.crash_lost += rt.crash_lost.load(std::memory_order_relaxed);
-    acc_.crashes += rt.crashes.load(std::memory_order_relaxed);
-    acc_.batches += rt.batches.load(std::memory_order_relaxed);
-    acc_.stalls += rt.stalls.load(std::memory_order_relaxed);
-    max_batch_seen =
-        std::max(max_batch_seen, rt.max_batch.load(std::memory_order_relaxed));
-    es.shard_completed.push_back(done_here);
-    epoch_latency.merge(rt.latency);
+    es.latency.merge(ep.runtimes[s]->latency);
     // Gap-freedom per residue class: a shard network's quiescent total
     // is exactly how many local values 0..total-1 it handed out, so
     // total == completed(shard) means the class's completed global
     // values are contiguous multiples-plus-residue with precisely the
     // accounted tickets missing.
-    if (ep.nets[s]->total() != done_here) es.gap_free = false;
+    if (ep.nets[s]->total() != es.shard_completed[s]) es.gap_free = false;
   }
-  const std::uint64_t holes =
-      es.tickets > es.completed ? es.tickets - es.completed : 0;
-  es.audit_exact =
-      holes == es.rejected + es.dropped + es.crash_lost + es.abandoned;
-  es.p50_ns = epoch_latency.p50();
-  es.p99_ns = epoch_latency.p99();
+  es.audit_exact = residue_audit(es, es.gap_free).exact;
   if (cfg_.record) {
     // The epoch's record stream ends here: the workers are joined, so
     // their single-writer lanes are quiescent. Sort each by the issue
@@ -832,15 +850,6 @@ void CountingService::retire_epoch() {
     }
     epoch_sc_->reset();
   }
-
-  acc_.completed += es.completed;
-  acc_.dropped += es.dropped;
-  acc_.crash_lost += es.crash_lost;
-  if (max_batch_seen > acc_.max_batch_seen) {
-    acc_.max_batch_seen = max_batch_seen;
-  }
-  acc_.latency.merge(epoch_latency);
-  acc_.shard_completed = es.shard_completed;  // Final epoch's view wins.
   epoch_stats_.push_back(std::move(es));
   // The epoch object itself stays alive (epoch_) until the next install
   // or destruction — shard_total() reads its quiescent network totals.
@@ -862,14 +871,8 @@ std::string CountingService::resize(std::uint32_t level) {
   TopologyEpoch* cur = epoch_ptr_.load(std::memory_order_relaxed);
   if (cur == nullptr) return "service: no live epoch";
   if (cur->level == level) return {};  // No-op.
-  const std::uint32_t old_level = cur->level;
   retire_epoch();
   install_epoch(level);
-  if (level > old_level) {
-    ++acc_.splits;
-  } else {
-    ++acc_.merges;
-  }
   last_resize_ns_ = now_ns();
   return {};
 }
@@ -878,7 +881,6 @@ ServiceHealth CountingService::health() const {
   std::lock_guard<std::mutex> lock(fence_mu_);
   ServiceHealth h;
   const std::uint64_t now = now_ns();
-  h.crashes = acc_.crashes;
   if (epoch_) {
     const TopologyEpoch& ep = *epoch_;
     h.level = ep.level;
@@ -896,53 +898,60 @@ ServiceHealth CountingService::health() const {
       sh.completed = rt.completed.load(std::memory_order_relaxed);
       sh.shedding = rt.shedding.load(std::memory_order_relaxed);
       sh.crashed = rt.crashed.load(std::memory_order_relaxed);
-      h.crashes += rt.crashes.load(std::memory_order_relaxed);
     }
   }
-  const std::uint64_t tickets = tickets_.load(std::memory_order_relaxed);
-  h.rejected = rejected_.load(std::memory_order_relaxed);
-  h.submitted = tickets > h.rejected ? tickets - h.rejected : 0;
-  h.shed = shed_.load(std::memory_order_relaxed);
-  h.respawns = respawns_.load(std::memory_order_relaxed);
+  // After the gauges, so their completions stay within the submits.
+  static_cast<ServiceCounts&>(h) = ledger();
   return h;
 }
 
 std::vector<EpochStats> CountingService::epoch_history() const {
   std::lock_guard<std::mutex> lock(fence_mu_);
-  return epoch_stats_;
+  std::vector<EpochStats> epochs = epoch_stats_;
+  if (const TopologyEpoch* live = live_epoch()) epochs.push_back(tally(*live));
+  return epochs;
+}
+
+ServiceStats CountingService::stats() const {
+  const std::vector<EpochStats> epochs = epoch_history();
+  ServiceStats st;
+  st.timed_out = timed_out_.load(std::memory_order_relaxed);
+  if (epochs.empty()) return st;  // Never started.
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    const EpochStats& es = epochs[i];
+    st += es;
+    st.latency.merge(es.latency);
+    // Consecutive epochs differ in level (a no-op resize installs none).
+    if (i > 0) ++(es.level > epochs[i - 1].level ? st.splits : st.merges);
+  }
+  st.epochs = epochs.size();
+  st.final_level = epochs.back().level;
+  st.shard_completed = epochs.back().shard_completed;
+  st.mean_batch = st.batches > 0 ? static_cast<double>(st.completed) /
+                                       static_cast<double>(st.batches)
+                                 : 0.0;
+  return st;
 }
 
 std::uint64_t CountingService::shard_total(std::uint32_t shard) const {
   std::lock_guard<std::mutex> lock(fence_mu_);
   // Only a retired epoch's shard networks may be read: its fence joined
-  // their single writers (epoch_stats_ gains an entry per retired epoch).
-  if (!epoch_ || epoch_stats_.size() <= epoch_->index ||
-      shard >= epoch_->nets.size()) {
+  // their single writers.
+  if (!epoch_ || live_epoch() != nullptr || shard >= epoch_->nets.size()) {
     return 0;
   }
   return epoch_->nets[shard]->total();
 }
 
 ResidueAudit CountingService::audit() const {
-  ResidueAudit a;
-  a.tickets = stats_.submitted + stats_.rejected;
-  a.completed = stats_.completed;
-  a.holes = a.tickets > a.completed ? a.tickets - a.completed : 0;
-  a.accounted = stats_.rejected + stats_.dropped + stats_.crash_lost +
-                stats_.abandoned;
-  a.exact = a.holes == a.accounted;
-  // Gap-freedom across every epoch: each epoch's check ran at its fence
-  // while the shard networks were quiescent (see retire_epoch), and the
-  // epochs' ticket ranges tile the global value space.
   std::lock_guard<std::mutex> lock(fence_mu_);
-  a.gap_free = !epoch_stats_.empty();
-  std::uint64_t sum = 0;
-  for (const EpochStats& es : epoch_stats_) {
-    if (!es.gap_free) a.gap_free = false;
-    sum += es.completed;
-  }
-  if (sum != stats_.completed) a.gap_free = false;
-  return a;
+  // Gap-freedom was checked at each epoch's fence, on quiescent shard
+  // networks (see retire_epoch); a live epoch has had no fence yet.
+  const bool gap_free =
+      !epoch_stats_.empty() && live_epoch() == nullptr &&
+      std::all_of(epoch_stats_.begin(), epoch_stats_.end(),
+                  [](const EpochStats& es) { return es.gap_free; });
+  return residue_audit(ledger(), gap_free);
 }
 
 void CountingService::stop() {
@@ -961,38 +970,6 @@ void CountingService::stop() {
   {
     std::lock_guard<std::mutex> lock(fence_mu_);
     retire_epoch();
-
-    stats_ = ServiceStats{};
-    const std::uint64_t tickets = tickets_.load(std::memory_order_relaxed);
-    stats_.rejected = rejected_.load(std::memory_order_relaxed);
-    stats_.submitted = tickets - stats_.rejected;
-    stats_.shed = shed_.load(std::memory_order_relaxed);
-    stats_.timed_out = timed_out_.load(std::memory_order_relaxed);
-    stats_.respawns = respawns_.load(std::memory_order_relaxed);
-    stats_.wedge_detections =
-        wedge_detections_.load(std::memory_order_relaxed);
-    stats_.abandoned = abandoned_.load(std::memory_order_relaxed);
-    stats_.completed = acc_.completed;
-    stats_.dropped = acc_.dropped;
-    stats_.crash_lost = acc_.crash_lost;
-    stats_.crashes = acc_.crashes;
-    stats_.batches = acc_.batches;
-    stats_.stalls = acc_.stalls;
-    stats_.max_batch_seen = acc_.max_batch_seen;
-    stats_.ingress_batches =
-        ingress_batches_.load(std::memory_order_relaxed);
-    stats_.ingress_cells = ingress_cells_.load(std::memory_order_relaxed);
-    stats_.splits = acc_.splits;
-    stats_.merges = acc_.merges;
-    stats_.epochs = epoch_stats_.size();
-    stats_.final_level =
-        epoch_stats_.empty() ? 0 : epoch_stats_.back().level;
-    stats_.shard_completed = acc_.shard_completed;
-    stats_.latency = acc_.latency;
-    stats_.mean_batch =
-        stats_.batches > 0 ? static_cast<double>(stats_.completed) /
-                                 static_cast<double>(stats_.batches)
-                           : 0.0;
   }
   // Final wake: any client still parked on a completion slot has had
   // that slot resolved by the fence above (value, drop, or scavenge).

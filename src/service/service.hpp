@@ -48,6 +48,14 @@
 //               signalled kDroppedSignal (a client can never hang on a
 //               dead shard), and counted as `abandoned` holes.
 //
+// The ledger: each count lives in one place while its epoch runs — the
+// shard's ShardRuntime (worker-side counts, respawns, wedges), the live
+// TopologyEpoch (submitter-side counts), the dispenser (tickets), or the
+// fence (scavenged requests) — and becomes the epoch's EpochStats at its
+// fence. stats(), health(), audit() and epoch_history() are sums over
+// the retired epochs plus the live one; splits and merges are read off
+// the epoch levels. Client-reported timeouts are the one run-wide count.
+//
 // Determinism: with a deterministic submission schedule (e.g. one
 // closed-loop submitter) and a chaos plan, every accounting field of
 // ServiceStats is replayable — deterministic_fingerprint() serializes
@@ -84,7 +92,7 @@
 // (util/eventcount.hpp) instead of sleep-polling. Workers notify a
 // service-wide completion eventcount once per drained batch; submitters
 // notify a per-shard eventcount only when its worker is actually parked
-// (zero RMWs on the hot path — workers back that up with a timed park).
+// (a fence and a load on the hot path, no RMW).
 //
 // Tracing: when constructed with a TraceSink the service emits one
 // TokenRecord per completed request. The recording path is LOCK-FREE:
@@ -164,8 +172,14 @@ struct Request {
   /// Completion slot: the worker stores value + 1 (0 = still pending),
   /// or kDroppedSignal when the request was fault-abandoned. May be
   /// null for fire-and-forget submission. For a run, element j's slot
-  /// is done + j (when non-null).
+  /// is done + j * stride (when non-null).
   std::atomic<std::uint64_t>* done = nullptr;
+
+  /// Stores `v` into element j's completion slot, if there is one.
+  void signal(std::uint32_t j, std::uint64_t v) const noexcept {
+    if (done == nullptr) return;
+    done[std::uint64_t{j} * stride].store(v, std::memory_order_release);
+  }
 };
 
 /// Stored to Request::done when a fault abandoned the request.
@@ -194,8 +208,9 @@ inline double f_nsc_bound(std::uint32_t ell) noexcept {
   return p / (2.0 - p);
 }
 
-/// Aggregate counters, valid after stop().
-struct ServiceStats {
+/// The service's ledger of counts: one epoch's, or, added up over the
+/// epochs with +=, the run's (see "The ledger" above).
+struct ServiceCounts {
   std::uint64_t submitted = 0;   ///< Accepted submits (queued tickets).
   std::uint64_t rejected = 0;    ///< Queue-full refusals; each burns its
                                  ///< ticket, leaving a residue hole.
@@ -205,17 +220,13 @@ struct ServiceStats {
   std::uint64_t completed = 0;   ///< Requests that received a value.
   std::uint64_t dropped = 0;     ///< Fault-abandoned requests.
   std::uint64_t crash_lost = 0;  ///< Tickets taken down by worker crashes.
-  std::uint64_t abandoned = 0;   ///< Queued requests scavenged at stop()
+  std::uint64_t abandoned = 0;   ///< Queued requests scavenged at a fence
                                  ///< (dead shard, supervision off).
-  std::uint64_t timed_out = 0;   ///< Client-reported deadline expiries
-                                 ///< (count_timeout); informational — a
-                                 ///< timed-out request still completes.
   std::uint64_t crashes = 0;     ///< Chaos worker crashes taken.
   std::uint64_t respawns = 0;    ///< Supervisor worker relaunches.
   std::uint64_t wedge_detections = 0;  ///< Stale-heartbeat observations.
   std::uint64_t batches = 0;     ///< increment_batch calls issued.
-  std::uint64_t max_batch_seen = 0;
-  double mean_batch = 0.0;       ///< completed / batches.
+  std::uint64_t max_batch_seen = 0;  ///< Largest batch (a max, not a sum).
   /// Ingress shape (informational, NOT in the deterministic
   /// fingerprint — single vs batched submission must fingerprint
   /// identically): submit_batch calls accepted, and the queue cells
@@ -223,6 +234,18 @@ struct ServiceStats {
   std::uint64_t ingress_batches = 0;
   std::uint64_t ingress_cells = 0;
   std::uint64_t stalls = 0;      ///< Injected worker stalls taken.
+
+  ServiceCounts& operator+=(const ServiceCounts& other) noexcept;
+};
+
+/// The run's ledger: the sum over the epochs lived so far, plus what only
+/// the run has. Complete after stop(); before it, the live epoch adds its
+/// counts but not its latency, which its workers still write.
+struct ServiceStats : ServiceCounts {
+  /// Client-reported deadline expiries, one per request (count_timeout);
+  /// informational — a timed-out request still completes.
+  std::uint64_t timed_out = 0;
+  double mean_batch = 0.0;       ///< completed / batches.
   std::uint64_t splits = 0;      ///< Epoch transitions to a deeper level.
   std::uint64_t merges = 0;      ///< Epoch transitions to a shallower one.
   std::uint64_t epochs = 1;      ///< Topology epochs lived (>= 1).
@@ -233,29 +256,20 @@ struct ServiceStats {
   LatencyHistogram latency;      ///< Submit-to-completion, all epochs.
 };
 
-/// One retired topology epoch's accounting, recorded at its quiescence
-/// fence (or at stop() for the final epoch). The per-epoch residue
-/// audit is Lemma 3.1 applied to the epoch's rebased ticket range
-/// [base, base + tickets): ok() means the epoch's completed global
-/// values are exactly that range minus the accounted holes — the
-/// acceptance gate `audit_exact && gap_free` across every boundary.
-struct EpochStats {
+/// One topology epoch's ledger, recorded at its quiescence fence (or at
+/// stop() for the final epoch). The per-epoch residue audit is Lemma 3.1
+/// applied to the epoch's rebased ticket range [base, base + tickets):
+/// ok() means the epoch's completed global values are exactly that range
+/// minus the accounted holes — the acceptance gate `audit_exact &&
+/// gap_free` across every boundary.
+struct EpochStats : ServiceCounts {
   std::uint64_t index = 0;
   std::uint32_t level = 0;       ///< Split level (2^level shards).
   std::uint32_t shards = 1;
   std::uint64_t base = 0;        ///< First ticket / global value.
   std::uint64_t tickets = 0;     ///< Dispensed during the epoch.
-  std::uint64_t accepted = 0;    ///< Queued (tickets minus rejections).
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t crash_lost = 0;
-  std::uint64_t abandoned = 0;   ///< Scavenged at the fence.
   bool audit_exact = false;      ///< holes == accounted, this epoch.
   bool gap_free = false;         ///< Every shard total == completions.
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p99_ns = 0;
   /// Streaming consistency over the epoch's records (record mode only;
   /// -1 when not recording) vs the Cor 5.12/5.13 adversarial lower
   /// bounds at this epoch's split level.
@@ -264,6 +278,7 @@ struct EpochStats {
   double f_nl_bound = 0.0;
   double f_nsc_bound = 0.0;
   std::vector<std::uint64_t> shard_completed;
+  LatencyHistogram latency;      ///< The epoch's merged worker histograms.
   bool ok() const noexcept { return audit_exact && gap_free; }
 };
 
@@ -275,7 +290,7 @@ struct EpochStats {
 /// produce byte-identical fingerprints; the chaos tests enforce it.
 std::string deterministic_fingerprint(const ServiceStats& stats);
 
-/// Mid-run health snapshot (pollable from any thread while the service
+/// Live gauges of one shard (pollable from any thread while the service
 /// runs — every field is read from relaxed atomics).
 struct ShardHealth {
   std::uint64_t queue_depth = 0;
@@ -287,22 +302,19 @@ struct ShardHealth {
   bool crashed = false;             ///< Dead and not (yet) respawned.
 };
 
-struct ServiceHealth {
+/// Mid-run snapshot: the run's ledger so far (the same sum stats()
+/// takes, without latency) and the live epoch's shard gauges.
+struct ServiceHealth : ServiceCounts {
   std::vector<ShardHealth> shards;
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t respawns = 0;
   std::uint32_t level = 0;   ///< Current epoch's split level.
   std::uint64_t epoch = 0;   ///< Current epoch index.
 };
 
-/// Quiescent residue accounting (the Lemma 3.1 audit), valid after
-/// stop(). `holes` counts tickets that never produced a value; `exact`
-/// says the stats accounted every one of them; `gap_free` says each
-/// shard's network total matches its completion count (local values are
-/// contiguous 0..total-1 by the counting property, so together these
+/// Quiescent residue accounting (the Lemma 3.1 audit) of a ledger, valid
+/// after stop(). `holes` counts tickets that never produced a value;
+/// `exact` says the ledger accounted every one of them; `gap_free` says
+/// each shard's network total matches its completion count (local values
+/// are contiguous 0..total-1 by the counting property, so together these
 /// imply the completed global values are exactly the residue classes
 /// minus the accounted holes).
 struct ResidueAudit {
@@ -380,14 +392,15 @@ class CountingService {
   /// to wait_done to park instead of sleep-polling.
   EventCount& completion_event() noexcept { return done_ec_; }
 
-  /// Client-side deadline expiry report (folded into stats().timed_out).
-  void count_timeout() noexcept {
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
+  /// Client-side deadline expiry report: `requests` timed out (folded
+  /// into stats().timed_out).
+  void count_timeout(std::uint64_t requests) noexcept {
+    timed_out_.fetch_add(requests, std::memory_order_relaxed);
   }
 
   /// Stops accepting, drains every queue, joins the supervisor and the
-  /// workers, scavenges requests stranded on dead shards, and merges
-  /// per-worker stats. Idempotent.
+  /// workers, scavenges requests stranded on dead shards, and retires
+  /// the final epoch into the ledger. Idempotent.
   void stop();
 
   /// Elastic resharding: drains the current epoch to its quiescence
@@ -405,19 +418,20 @@ class CountingService {
     return level_.load(std::memory_order_relaxed);
   }
 
-  /// Retired-epoch accounting, one entry per epoch lived so far (the
-  /// live epoch is appended at its fence / at stop()). Snapshot —
-  /// callable at any time.
+  /// One entry per epoch lived so far. Snapshot — callable at any time;
+  /// before stop() the last entry is the live epoch's counts so far (no
+  /// audit, latency or F_nl yet: those are taken at its fence).
   std::vector<EpochStats> epoch_history() const;
 
-  /// Valid after stop().
-  const ServiceStats& stats() const noexcept { return stats_; }
+  /// The sum of epoch_history(). Complete after stop(); a snapshot
+  /// before it.
+  ServiceStats stats() const;
 
   /// Mid-run snapshot; also valid (and quiescent) after stop().
   ServiceHealth health() const;
 
-  /// The Lemma 3.1 residue audit, across every epoch. Valid after
-  /// stop().
+  /// The Lemma 3.1 residue audit of stats(), gap-free when every epoch's
+  /// fence found it so. Valid after stop().
   ResidueAudit audit() const;
 
   /// Shard count of the live epoch.
@@ -439,6 +453,7 @@ class CountingService {
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> last_beat_ns{0};
     std::atomic<std::uint64_t> processed{0};
+    /// Ledger counts, written only by the shard's current worker.
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> crash_lost{0};
@@ -446,6 +461,9 @@ class CountingService {
     std::atomic<std::uint64_t> max_batch{0};
     std::atomic<std::uint64_t> stalls{0};
     std::atomic<std::uint64_t> crashes{0};
+    /// Ledger counts written and read only under fence_mu_.
+    std::uint64_t respawns = 0;
+    std::uint64_t wedge_detections = 0;
     std::atomic<bool> crashed{false};
     std::atomic<bool> shedding{false};
     std::atomic<bool> wedged{false};  ///< Debounce wedge detection.
@@ -453,8 +471,7 @@ class CountingService {
     std::atomic<bool> exited{false};  ///< Set on EVERY worker return.
 
     /// Idle-worker park/unpark: submitters notify_if_waiters after a
-    /// push; the worker parks with a timed backstop when its queue runs
-    /// dry (covering the notify's skipped-RMW missed-wake window).
+    /// push; the worker parks when its queue runs dry.
     EventCount idle;
 
     // Worker-only persistent state (see struct comment).
@@ -505,27 +522,38 @@ class CountingService {
     std::vector<std::unique_ptr<BoundedQueue<Request>>> queues;
     std::vector<std::unique_ptr<ShardRuntime>> runtimes;
     std::vector<std::thread> workers;
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected{0};
+    /// The epoch's submitter-side ledger counts (many writers).
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> abandoned{0};
-    std::atomic<bool> retiring{false};
+    std::atomic<std::uint64_t> ingress_batches{0};
+    std::atomic<std::uint64_t> ingress_cells{0};
+    alignas(kCacheLineSize) std::atomic<bool> retiring{false};
   };
 
-  /// Admission watermark of one target shard, with hysteresis: once its
-  /// queue depth reaches the high watermark the shard sheds until the
-  /// depth falls to the low one. Advances the shard's shedding state;
-  /// true means shed. Requires cfg_.shed_high_watermark > 0.
-  bool over_watermark(TopologyEpoch& ep, std::uint32_t shard);
+  /// Admission for n requests about to draw the next n tickets, which
+  /// land on `runs` shards: true, with the n counted as shed, when any
+  /// target is over its watermark (every target's hysteresis advances).
+  bool shed_if_over(TopologyEpoch& ep, std::uint32_t runs, std::uint32_t n);
+  /// Queues a run of drawn tickets and wakes its shard's parked worker;
+  /// false, with the run counted as rejected, when the queue is full.
+  bool push_run(TopologyEpoch& ep, const Request& run);
   void worker_loop(TopologyEpoch* epoch, std::uint32_t shard);
   void supervisor_loop();
+  // The rest require fence_mu_.
+  /// Starts a successor on crashed shard `s`, whose worker was joined.
+  void respawn(TopologyEpoch& ep, std::uint32_t s);
+  /// `ep`'s ledger counts as its runtimes and atomics hold them now.
+  EpochStats tally(const TopologyEpoch& ep) const;
+  /// The live epoch; null before start() and once it has retired.
+  const TopologyEpoch* live_epoch() const;
+  /// The retired epochs' sum plus the live epoch's tally.
+  ServiceCounts ledger() const;
   /// Builds + launches an epoch at `level` and opens admission. The only
-  /// place the mode shapes a shard. Requires fence_mu_.
+  /// place the mode shapes a shard.
   void install_epoch(std::uint32_t level);
   /// The quiescence fence: closes admission, retires the live epoch
-  /// (drain, heal, join, scavenge), records its EpochStats, and folds
-  /// its counters into the run accumulators. Requires fence_mu_; does
-  /// NOT reopen admission.
+  /// (drain, heal, join, scavenge) and records its EpochStats. Does NOT
+  /// reopen admission.
   void retire_epoch();
 
   ServiceConfig cfg_;
@@ -539,36 +567,25 @@ class CountingService {
   std::atomic<TopologyEpoch*> epoch_ptr_{nullptr};
   std::atomic<std::uint32_t> level_{0};
   std::atomic<std::uint32_t> nshards_{0};
-  std::uint64_t next_epoch_index_ = 0;
 
   /// Serializes epoch transitions, supervisor sweeps, and health
   /// snapshots against each other. The supervisor try_locks so a long
   /// fence never blocks its exit.
   mutable std::mutex fence_mu_;
-  std::vector<EpochStats> epoch_stats_;  ///< Guarded by fence_mu_.
+  std::vector<EpochStats> epoch_stats_;  ///< Retired epochs (fence_mu_).
 
   /// Controller state (supervisor thread only).
   std::uint32_t split_streak_ = 0;
   std::uint32_t merge_streak_ = 0;
   std::uint64_t last_resize_ns_ = 0;
 
-  /// Run accumulators folded at each fence (fence_mu_).
-  ServiceStats acc_;
-
   std::thread supervisor_;
 
   /// Next ticket; its low bits route. fetch_add is the ONLY cross-shard
   /// synchronization on the un-recorded fast path.
   alignas(kCacheLineSize) std::atomic<std::uint64_t> tickets_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> rejected_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> shed_{0};
   alignas(kCacheLineSize) std::atomic<std::uint64_t> timed_out_{0};
   alignas(kCacheLineSize) std::atomic<std::uint64_t> pending_submits_{0};
-  std::atomic<std::uint64_t> respawns_{0};
-  std::atomic<std::uint64_t> wedge_detections_{0};
-  std::atomic<std::uint64_t> abandoned_{0};
-  std::atomic<std::uint64_t> ingress_batches_{0};
-  std::atomic<std::uint64_t> ingress_cells_{0};
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stopping_{false};
   bool started_ = false;
@@ -592,8 +609,6 @@ class CountingService {
   alignas(kCacheLineSize) std::atomic<std::uint64_t> events_{0};
   std::unique_ptr<StreamingConsistency> epoch_sc_;
   std::unique_ptr<TeeSink> tee_;
-
-  ServiceStats stats_;
 };
 
 }  // namespace cn::service

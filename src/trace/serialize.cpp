@@ -75,7 +75,7 @@ std::string decode_record(const unsigned char (&buf)[kTraceRecordBytes],
 
 }  // namespace
 
-TraceWriter::TraceWriter(const std::string& path)
+TraceWriter::TraceWriter(const std::string& path, std::uint32_t sink_range)
     : out_(path, std::ios::binary | std::ios::trunc), path_(path) {
   if (!out_) {
     error_ = "cannot open trace file for writing: " + path;
@@ -84,6 +84,7 @@ TraceWriter::TraceWriter(const std::string& path)
   unsigned char header[kTraceHeaderBytes];
   std::memcpy(header, kTraceMagic, sizeof(kTraceMagic));
   put_u64(header + 8, 0);  // Count patched in finish().
+  put_u64(header + 16, sink_range);
   out_.write(reinterpret_cast<const char*>(header), sizeof(header));
   if (!out_) error_ = "failed writing trace header: " + path;
 }
@@ -120,9 +121,14 @@ TraceReader::TraceReader(const std::string& path)
   in_.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(in_.tellg());
   in_.seekg(0);
-  unsigned char header[kTraceHeaderBytes];
-  if (file_size < sizeof(header) ||
-      !in_.read(reinterpret_cast<char*>(header), sizeof(header))) {
+  // A version-1 header is the first 16 bytes of a version-2 one.
+  unsigned char header[kTraceHeaderBytes] = {};
+  const auto read_header = [&](std::size_t from, std::size_t to) {
+    return file_size >= to &&
+           in_.read(reinterpret_cast<char*>(header + from),
+                    static_cast<std::streamsize>(to - from));
+  };
+  if (!read_header(0, kTraceHeaderBytesV1)) {
     error_ = "trace file too short for a header: " + path;
     return;
   }
@@ -130,13 +136,25 @@ TraceReader::TraceReader(const std::string& path)
     error_ = "bad trace magic (not a CNTRACE file): " + path;
     return;
   }
-  if (header[7] != kTraceMagic[7]) {
+  const bool v1 = header[7] == '1';
+  if (!v1 && header[7] != kTraceMagic[7]) {
     error_ = "unsupported trace version: " + path;
     return;
   }
+  const std::size_t header_bytes = v1 ? kTraceHeaderBytesV1
+                                      : kTraceHeaderBytes;
+  if (!read_header(kTraceHeaderBytesV1, header_bytes)) {
+    error_ = "trace file too short for a header: " + path;
+    return;
+  }
+  if (get_u64(header + 16) > std::numeric_limits<std::uint32_t>::max()) {
+    error_ = "trace sink range wider than 32 bits: " + path;
+    return;
+  }
+  sink_range_ = static_cast<std::uint32_t>(get_u64(header + 16));
   count_ = get_u64(header + 8);
   // Sized check via division (a forged count cannot overflow a multiply).
-  const std::uint64_t payload = file_size - kTraceHeaderBytes;
+  const std::uint64_t payload = file_size - header_bytes;
   if (payload % kTraceRecordBytes != 0 ||
       payload / kTraceRecordBytes != count_) {
     error_ = "trace file " + path + " is truncated or has trailing bytes";
@@ -163,8 +181,9 @@ bool TraceReader::next(TokenRecord& out) {
   return true;
 }
 
-std::string write_trace_file(const std::string& path, const Trace& trace) {
-  TraceWriter writer(path);
+std::string write_trace_file(const std::string& path, const Trace& trace,
+                             std::uint32_t sink_range) {
+  TraceWriter writer(path, sink_range);
   for (const TokenRecord& r : trace) writer.on_record(r);
   writer.finish();
   return writer.error();
@@ -177,6 +196,7 @@ ReadTraceResult read_trace_file(const std::string& path) {
     result.error = reader.error();
     return result;
   }
+  result.sink_range = reader.sink_range();
   result.trace.reserve(reader.count());
   TokenRecord rec;
   while (reader.next(rec)) result.trace.push_back(rec);

@@ -30,16 +30,19 @@
 // preceded notify_*() is visible. The condition itself needs no
 // stronger ordering than its natural release/acquire pair.
 //
-// notify_if_waiters() is the zero-overhead variant for hot producers
-// (e.g. one notify per enqueued request): it skips even the RMW when no
-// waiter is registered. The skip re-opens a store-buffer window — the
-// producer's condition write may still be in flight when it reads a
-// stale waiter count of zero — so callers pair it with a TIMED park
-// (see commit_wait's deadline) that bounds the cost of the
-// astronomically rare missed wake instead of risking a hang. The
-// service's idle workers park with a sub-millisecond backstop for
-// exactly this reason; completion waiters get the always-RMW notify
-// (amortized once per worker batch) and need no backstop at all.
+// notify_if_waiters() is the cheap variant for hot producers (e.g. one
+// notify per enqueued request): it only LOADS the word, and skips the
+// RMW when no waiter is registered. That opens a store-buffer window —
+// the producer reads a stale zero count while the waiter re-checks a
+// stale condition — which two seq_cst fences close. The producer writes
+// the condition, then fences (F_p) and loads the count; the waiter
+// registers (RMW), then fences (F_w) and re-checks. Seq_cst fences are
+// totally ordered: if F_p comes first, the re-check sees the condition;
+// if F_w does, the load sees the registration (or a later value, which
+// only a waiter that is already awake leaves) and the producer
+// notifies. The waiter needs its own fence because in C++20 a seq_cst
+// RMW does not order the acquire or relaxed re-check after it (on x86
+// the locked RMW does). No wake-up depends on commit_wait()'s deadline.
 //
 // On Linux commit_wait() parks in the kernel via the futex syscall on
 // the epoch half-word (with FUTEX_WAIT's relative timeout for
@@ -74,12 +77,12 @@ class EventCount {
 
   /// Registers this thread as a waiter and returns the wait key (the
   /// current epoch). MUST be balanced by exactly one cancel_wait() or
-  /// commit_wait(). The RMW is the waiter's full barrier: the condition
-  /// check between prepare and commit happens after the registration is
-  /// globally visible.
+  /// commit_wait(). The fence orders the condition check that follows
+  /// after the registration (F_w in the header comment).
   std::uint32_t prepare_wait() noexcept {
     const std::uint64_t prev =
         state_.fetch_add(kWaiterInc, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     return static_cast<std::uint32_t>(prev & kEpochMask);
   }
 
@@ -121,11 +124,11 @@ class EventCount {
   void notify_one() noexcept { notify(false); }
   void notify_all() noexcept { notify(true); }
 
-  /// Hot-path notify: does NOTHING (not even an RMW) when no waiter is
-  /// registered. Callers must bound the resulting (rare) missed-wake
-  /// window with a timed park on the waiting side.
+  /// Hot-path notify: a fence (F_p in the header comment) and a load,
+  /// and no RMW when no waiter is registered.
   void notify_if_waiters() noexcept {
-    if ((state_.load(std::memory_order_seq_cst) & kWaiterMask) != 0) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if ((state_.load(std::memory_order_relaxed) & kWaiterMask) != 0) {
       notify(true);
     }
   }

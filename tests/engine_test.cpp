@@ -10,6 +10,7 @@
 #include "core/constructions.hpp"
 #include "engine/engine.hpp"
 #include "fault/chaos.hpp"
+#include "fault/fault.hpp"
 #include "trace/consistency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workload.hpp"
@@ -514,6 +515,86 @@ TEST(EngineReplay, RecordThenReplayReproducesTheReport) {
             recorded.report.non_linearizable);
   EXPECT_EQ(replayed.report.non_sequentially_consistent,
             recorded.report.non_sequentially_consistent);
+  std::remove(path.c_str());
+}
+
+/// A faulted run's smoothness gap spans every sink the run can reach,
+/// also the ones no record names (a stuck balancer can starve a sink).
+/// The trace file carries that range, so a replay reports the gap of the
+/// run that recorded it, collected and streamed.
+TEST(EngineReplay, FaultedReplayKeepsTheRecordedSinkRange) {
+  const std::string path = testing::TempDir() + "faulted_record.trace";
+  std::uint32_t starved = 0;  ///< Seeds whose gap counts an unnamed sink.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    engine::RunSpec spec;
+    spec.network = "bitonic";
+    spec.width = 8;
+    spec.seed = seed;
+    spec.fault.enabled = true;
+    spec.fault.p_stuck_balancer = 0.5;
+    engine::RunSpec streamed = spec;
+    streamed.keep_trace = false;
+    spec.record_path = path;
+    const engine::RunResult recorded = engine::run_backend(spec);
+    ASSERT_TRUE(recorded.ok()) << recorded.error;
+    const double gap = recorded.metric("smoothness_gap", -1.0);
+    if (fault::degradation(recorded.trace, 0).smoothness_gap != gap) {
+      ++starved;
+    }
+    EXPECT_EQ(engine::run_backend(streamed).metric("smoothness_gap", -1.0),
+              gap)
+        << "seed " << seed;
+    for (const bool keep : {true, false}) {
+      engine::RunSpec replay;
+      replay.backend = "replay";
+      replay.replay_path = path;
+      replay.keep_trace = keep;
+      replay.fault.enabled = true;
+      const engine::RunResult replayed = engine::run_backend(replay);
+      ASSERT_TRUE(replayed.ok()) << replayed.error;
+      EXPECT_EQ(replayed.sink_range, 8u);
+      EXPECT_EQ(replayed.metric("smoothness_gap", -1.0), gap)
+          << "seed " << seed << (keep ? " collect" : " stream");
+    }
+  }
+  EXPECT_GT(starved, 0u) << "no seed starves a sink: the range is untested";
+  std::remove(path.c_str());
+}
+
+/// A classic service's records carry the flattened sink s * w + u, so
+/// its runs (and their replays) span shards * w sinks; an elastic
+/// service's records carry the network's own sinks.
+TEST(EngineReplay, ServiceSinkRangeIsItsRecordedSinks) {
+  const std::string path = testing::TempDir() + "service_record.trace";
+  engine::RunSpec spec;
+  spec.backend = "service";
+  spec.network = "bitonic";
+  spec.width = 4;
+  spec.threads = 2;
+  spec.ops_per_thread = 50;
+  spec.service.shards = 3;
+  spec.fault.enabled = true;  // inert: asks for the degradation report
+  spec.record_path = path;
+  const engine::RunResult recorded = engine::run_backend(spec);
+  ASSERT_TRUE(recorded.ok()) << recorded.error;
+  EXPECT_EQ(recorded.sink_range, 12u);
+  engine::RunSpec replay;
+  replay.backend = "replay";
+  replay.replay_path = path;
+  replay.fault.enabled = true;
+  const engine::RunResult replayed = engine::run_backend(replay);
+  ASSERT_TRUE(replayed.ok()) << replayed.error;
+  EXPECT_EQ(replayed.sink_range, 12u);
+  EXPECT_EQ(replayed.metric("smoothness_gap", -1.0),
+            recorded.metric("smoothness_gap", -1.0));
+
+  engine::RunSpec elastic = spec;
+  elastic.record_path.clear();
+  elastic.service.elastic.enabled = true;
+  elastic.service.elastic.max_level = 1;
+  const engine::RunResult el = engine::run_backend(elastic);
+  ASSERT_TRUE(el.ok()) << el.error;
+  EXPECT_EQ(el.sink_range, 4u);
   std::remove(path.c_str());
 }
 

@@ -486,8 +486,11 @@ TEST(CountingService, DeterministicFingerprintIsReproducible) {
   const std::string a = one_run();
   const std::string b = one_run();
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("crashes=1"), std::string::npos) << a;
-  EXPECT_NE(a.find("crash_lost=3"), std::string::npos) << a;
+  // Pinned: any change to how a count is kept shows here.
+  EXPECT_EQ(a,
+            "submitted=1500;rejected=0;shed=0;completed=1497;dropped=0;"
+            "crash_lost=3;abandoned=0;crashes=1;respawns=1;"
+            "shard_completed=[497,500,500]");
 }
 
 TEST(ChaosPlan, RandomScheduleIsSeedDeterministic) {
@@ -802,6 +805,8 @@ TEST(PolicyClient, DeadlineExpiresAgainstDeadShardWithoutHanging) {
   // requests sit on a dead queue forever. The deadline client must come
   // back with kTimedOut, and stop()'s scavenge must resolve the orphan
   // slots so the accounting closes (abandoned picks up the stragglers).
+  // A batch against the dead shard times out element by element, and
+  // the service counts those requests exactly as the client does.
   const Network net = make_bitonic(4);
   ServiceConfig cfg = small_config(net, 1);
   cfg.supervise = false;
@@ -819,13 +824,15 @@ TEST(PolicyClient, DeadlineExpiresAgainstDeadShardWithoutHanging) {
     if (r.status == service::SubmitStatus::kCompleted) ++completed;
     if (r.status == service::SubmitStatus::kTimedOut) ++timed_out;
   }
+  const service::BatchReport batch = client.submit_batch(8, 4);
+  EXPECT_EQ(batch.timed_out, 4u);
   svc.stop();
   EXPECT_EQ(completed, 3u);
   EXPECT_GE(timed_out, 1u);
   EXPECT_EQ(client.stats().completed, completed);
-  EXPECT_EQ(client.stats().timed_out, timed_out);
+  EXPECT_EQ(client.stats().timed_out, timed_out + batch.timed_out);
   const ServiceStats& st = svc.stats();
-  EXPECT_EQ(st.timed_out, timed_out);
+  EXPECT_EQ(st.timed_out, client.stats().timed_out);
   EXPECT_EQ(st.crashes, 1u);
   EXPECT_EQ(st.respawns, 0u) << "unsupervised: no respawn";
   EXPECT_EQ(st.completed + st.abandoned, st.submitted);
@@ -1072,7 +1079,12 @@ TEST(CountingService, FingerprintIdenticalAcrossIngressModes) {
     EXPECT_EQ(svc.stats().completed, 1200u);
     return service::deterministic_fingerprint(svc.stats());
   };
-  EXPECT_EQ(run(1), run(4));
+  const std::string singles = run(1);
+  EXPECT_EQ(singles, run(4));
+  EXPECT_EQ(singles,
+            "submitted=1200;rejected=0;shed=0;completed=1200;dropped=0;"
+            "crash_lost=0;abandoned=0;crashes=0;respawns=0;"
+            "shard_completed=[400,400,400]");
 }
 
 TEST(PolicyClient, StopScavengeWakesParkedBatchClients) {
@@ -1371,6 +1383,124 @@ TEST(ElasticService, ResizeRefusalsAreReasoned) {
   svc.stop();
   EXPECT_EQ(svc.stats().epochs, 1u) << "refusals and no-ops burn no epoch";
   EXPECT_TRUE(svc.audit().ok());
+}
+
+// --- the ledger ---
+
+/// The ledger's summed counts as one row, field by field (every field
+/// but max_batch_seen, a max).
+std::vector<std::uint64_t> ledger_row(const service::ServiceCounts& c) {
+  return {c.submitted, c.rejected,  c.shed,       c.completed,
+          c.dropped,   c.crash_lost, c.abandoned, c.crashes,
+          c.respawns,  c.wedge_detections, c.batches, c.ingress_batches,
+          c.ingress_cells, c.stalls};
+}
+
+/// After stop(): stats() is the field-by-field sum of epoch_history()
+/// (the largest batch a max), audit() agrees with the per-epoch audits,
+/// health() reports the same counts, and splits/merges are the rises and
+/// falls of the epoch levels.
+void expect_reports_sum_the_epochs(const CountingService& svc) {
+  const ServiceStats st = svc.stats();
+  const std::vector<service::EpochStats> epochs = svc.epoch_history();
+  ASSERT_FALSE(epochs.empty());
+  std::vector<std::uint64_t> sum(ledger_row(st).size(), 0);
+  std::uint64_t max_batch = 0;
+  std::uint64_t tickets = 0, holes = 0, accounted = 0, latencies = 0;
+  std::uint64_t splits = 0, merges = 0;
+  bool exact = true, gap_free = true;
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    const service::EpochStats& es = epochs[i];
+    const std::vector<std::uint64_t> row = ledger_row(es);
+    for (std::size_t f = 0; f < row.size(); ++f) sum[f] += row[f];
+    max_batch = std::max(max_batch, es.max_batch_seen);
+    EXPECT_EQ(es.tickets, es.submitted + es.rejected) << "epoch " << i;
+    EXPECT_TRUE(es.ok()) << "epoch " << i;
+    tickets += es.tickets;
+    holes += es.tickets - es.completed;
+    accounted += es.rejected + es.dropped + es.crash_lost + es.abandoned;
+    latencies += es.latency.count();
+    exact = exact && es.audit_exact;
+    gap_free = gap_free && es.gap_free;
+    if (i > 0 && es.level > epochs[i - 1].level) ++splits;
+    if (i > 0 && es.level < epochs[i - 1].level) ++merges;
+  }
+  EXPECT_EQ(ledger_row(st), sum);
+  EXPECT_EQ(st.max_batch_seen, max_batch);
+  EXPECT_EQ(st.epochs, epochs.size());
+  EXPECT_EQ(st.final_level, epochs.back().level);
+  EXPECT_EQ(st.shard_completed, epochs.back().shard_completed);
+  EXPECT_EQ(st.latency.count(), latencies);
+  EXPECT_EQ(st.latency.count(), st.completed);
+  EXPECT_EQ(st.splits, splits);
+  EXPECT_EQ(st.merges, merges);
+
+  const service::ResidueAudit audit = svc.audit();
+  EXPECT_EQ(audit.tickets, tickets);
+  EXPECT_EQ(audit.completed, st.completed);
+  EXPECT_EQ(audit.holes, holes);
+  EXPECT_EQ(audit.accounted, accounted);
+  EXPECT_EQ(audit.exact, exact);
+  EXPECT_EQ(audit.gap_free, gap_free);
+  EXPECT_TRUE(audit.ok());
+
+  const service::ServiceHealth h = svc.health();
+  EXPECT_EQ(ledger_row(h), ledger_row(st));
+  EXPECT_EQ(h.max_batch_seen, st.max_batch_seen);
+  EXPECT_EQ(h.level, st.final_level);
+  EXPECT_EQ(h.epoch + 1, st.epochs);
+}
+
+TEST(CountingService, ReportsAreSumsOverTheEpochs) {
+  const Network net = make_bitonic(8);
+  {
+    SCOPED_TRACE("classic, chaos crashes and thread faults");
+    ServiceConfig cfg = small_config(net, 3);
+    cfg.seed = 17;
+    cfg.fault.enabled = true;
+    cfg.fault.p_thread_abandon = 0.05;
+    cfg.fault.p_thread_stall = 0.02;
+    cfg.fault.stall_ns = 1'000;
+    cfg.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                                .shard = 0, .at_ops = 40, .lose = 2});
+    cfg.chaos.events.push_back({.kind = fault::ChaosKind::kWorkerCrash,
+                                .shard = 2, .at_ops = 70, .lose = 3});
+    CountingService svc(cfg);
+    svc.start();
+    drive(svc, 2, 300);
+    // Mid-run the live epoch is the history's last entry.
+    EXPECT_EQ(svc.epoch_history().size(), 1u);
+    svc.stop();
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.crashes, 2u);
+    EXPECT_EQ(st.crash_lost, 5u);
+    EXPECT_GT(st.dropped, 0u);
+    EXPECT_GT(st.stalls, 0u);
+    expect_reports_sum_the_epochs(svc);
+  }
+  {
+    SCOPED_TRACE("elastic, forced resizes, batched and single ingress");
+    ServiceConfig cfg = elastic_config(net, 2);
+    cfg.fault.enabled = true;
+    cfg.fault.p_thread_abandon = 0.02;
+    CountingService svc(cfg);
+    svc.start();
+    for (const std::uint32_t level : {1u, 2u, 0u, 2u, 1u}) {
+      drive(svc, 2, 60);
+      std::atomic<std::uint64_t> slots[8] = {};
+      while (!svc.submit_batch(0, 0, slots, 8).admitted()) {
+        std::this_thread::yield();
+      }
+      ASSERT_EQ(svc.resize(level), "");
+    }
+    EXPECT_EQ(svc.epoch_history().size(), 6u);
+    svc.stop();
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.splits, 3u);
+    EXPECT_EQ(st.merges, 2u);
+    EXPECT_EQ(st.ingress_batches, 5u);
+    expect_reports_sum_the_epochs(svc);
+  }
 }
 
 }  // namespace

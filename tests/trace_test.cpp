@@ -519,10 +519,12 @@ ReadTraceResult read_bytes(const std::string& bytes, const std::string& name) {
   return rd;
 }
 
-/// Overwrites the little-endian u64 field at `offset` of record `index`.
+/// Overwrites the little-endian u64 field at `offset` of record `index`
+/// of a version-1 file (the golden trace is one).
 void put_field(std::string& bytes, std::size_t index, std::size_t offset,
                std::uint64_t v) {
-  const std::size_t at = kTraceHeaderBytes + index * kTraceRecordBytes + offset;
+  const std::size_t at =
+      kTraceHeaderBytesV1 + index * kTraceRecordBytes + offset;
   for (std::size_t b = 0; b < 8; ++b) {
     bytes[at + b] = static_cast<char>(v >> (8 * b));
   }
@@ -530,7 +532,8 @@ void put_field(std::string& bytes, std::size_t index, std::size_t offset,
 
 std::uint64_t get_field(const std::string& bytes, std::size_t index,
                         std::size_t offset) {
-  const std::size_t at = kTraceHeaderBytes + index * kTraceRecordBytes + offset;
+  const std::size_t at =
+      kTraceHeaderBytesV1 + index * kTraceRecordBytes + offset;
   std::uint64_t v = 0;
   for (std::size_t b = 0; b < 8; ++b) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + b]))
@@ -542,6 +545,37 @@ std::uint64_t get_field(const std::string& bytes, std::size_t index,
 /// Record field offsets of the CNTRACE1 layout.
 constexpr std::size_t kTokenAt = 0, kProcessAt = 8, kTInAt = 32, kTOutAt = 40,
                       kFirstSeqAt = 48, kLastSeqAt = 56;
+
+/// A version-2 file carries the run's sink range; a version-1 file (the
+/// golden trace) still reads, with range 0; a range wider than 32 bits
+/// and an unknown version are rejected.
+TEST(TraceSerialize, SinkRangeRoundTripsAndVersionOneReadsAsZero) {
+  const Trace trace = tie_heavy_trace(3, 4, 5);
+  const std::string path = temp_path("range.trace");
+  ASSERT_EQ(write_trace_file(path, trace, 24), "");
+  const ReadTraceResult rd = read_trace_file(path);
+  ASSERT_TRUE(rd.ok()) << rd.error;
+  EXPECT_EQ(rd.sink_range, 24u);
+  EXPECT_EQ(rd.trace.size(), trace.size());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+
+  const ReadTraceResult golden = read_bytes(golden_bytes(), "v1.trace");
+  ASSERT_TRUE(golden.ok()) << golden.error;
+  EXPECT_EQ(golden.sink_range, 0u);
+  EXPECT_EQ(golden.trace.size(), 12u);
+
+  std::string wide = bytes;
+  wide[20] = 1;  // range |= 2^32
+  EXPECT_NE(read_bytes(wide, "wide.trace").error.find("sink range"),
+            std::string::npos);
+  std::string v3 = bytes;
+  v3[7] = '3';
+  EXPECT_NE(read_bytes(v3, "v3.trace").error.find("unsupported trace version"),
+            std::string::npos);
+}
 
 /// A record no producer writes is rejected, naming its index.
 TEST(TraceSerialize, CorruptRecordsAreRejectedByIndex) {
@@ -587,13 +621,13 @@ TEST(TraceSerialize, CorruptRecordsAreRejectedByIndex) {
 /// streaming checker agrees with the batch one on them.
 TEST(TraceSerialize, ByteFlipsNeverCrash) {
   const std::string golden = golden_bytes();
-  ASSERT_GT(golden.size(), kTraceHeaderBytes);
-  const std::size_t payload = golden.size() - kTraceHeaderBytes;
+  ASSERT_GT(golden.size(), kTraceHeaderBytesV1);
+  const std::size_t payload = golden.size() - kTraceHeaderBytesV1;
   std::size_t rejected = 0;
   for (std::uint64_t seed = 1; seed <= 512; ++seed) {
     Xoshiro256 rng(seed);
     std::string bytes = golden;
-    const std::size_t at = kTraceHeaderBytes + rng.below(payload);
+    const std::size_t at = kTraceHeaderBytesV1 + rng.below(payload);
     bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.below(255)));
     const ReadTraceResult rd = read_bytes(bytes, "flipped.trace");
     if (!rd.ok()) {

@@ -54,7 +54,7 @@ class CompiledNetwork {
   struct Route {
     NodeIndex node = 0;          ///< Balancer index, or sink index.
     std::uint32_t in_slot = 0;   ///< in_offset(node) + in_port.
-    std::uint32_t out_base = 0;  ///< out_offset(node).
+    std::uint32_t out_base = 0;  ///< out_wires_ index of (node, 0).
     PortIndex rr_mask = 0;       ///< fan_out - 1 if pow2, else kNoMask.
     std::uint8_t is_sink = 0;
   };
@@ -133,24 +133,13 @@ class CompiledNetwork {
     return bal_fan_out_[b];
   }
 
-  /// Offset of balancer b's ports in the flat history arrays
-  /// (CompiledState::in_counts / out_counts).
+  /// Flat in-slot of balancer b's port 0: a route's in_port is
+  /// in_slot - in_offset(node), as NetworkState::step and the simulator's
+  /// step log recover it.
   std::uint32_t in_offset(NodeIndex b) const noexcept { return in_offset_[b]; }
-  std::uint32_t out_offset(NodeIndex b) const noexcept {
-    return out_offset_[b];
-  }
-  /// Bounds-checked variants for the NetworkState accessors (which must
+  /// Bounds-checked variant for the NetworkState accessors (which must
   /// keep throwing std::out_of_range on bad balancer indices).
   std::uint32_t in_offset_checked(NodeIndex b) const { return in_offset_.at(b); }
-  std::uint32_t out_offset_checked(NodeIndex b) const {
-    return out_offset_.at(b);
-  }
-  std::uint32_t total_in_ports() const noexcept {
-    return in_offset_[num_balancers_];
-  }
-  std::uint32_t total_out_ports() const noexcept {
-    return out_offset_[num_balancers_];
-  }
 
  private:
   const Network* net_;

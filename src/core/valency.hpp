@@ -97,8 +97,6 @@ class SplitAnalysis {
     return depth_ + 1 - split_layer_abs(ell);
   }
 
-  std::uint32_t network_depth() const noexcept { return depth_; }
-
  private:
   std::uint32_t depth_ = 0;
   bool applicable_ = true;

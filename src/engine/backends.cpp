@@ -387,9 +387,6 @@ TimedExecution build_optimizer(const RunSpec& spec, const Network& net,
   os.c_min = spec.c_min;
   os.c_max = spec.c_max;
   os.local_delay_min = spec.local_delay_min;
-  os.objective = spec.opt_objective_nonlin
-                     ? OptimizerSpec::Objective::kMaxNonLin
-                     : OptimizerSpec::Objective::kMaxNonSC;
   os.iterations = spec.opt_iterations;
   os.restarts = spec.opt_restarts;
   os.seed = spec.seed;
@@ -427,7 +424,6 @@ RunResult produce_msg(const RunSpec& spec, RunContext& ctx, TraceSink* sink) {
   ms.c_max = spec.c_max;
   ms.extreme_latencies = spec.extreme_delays;
   ms.local_delay = spec.local_delay_min;
-  ms.result_latency = spec.result_latency;
   ms.seed = spec.seed;
   ms.slow_process_zero = spec.slow_process_zero;
   ms.fault = spec.fault;

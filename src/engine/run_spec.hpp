@@ -67,7 +67,6 @@ struct RunSpec {
   double horizon = 400.0;       ///< Simulated-time horizon per process.
 
   // --- "msg" backend ---------------------------------------------------
-  double result_latency = 0.1;
   bool slow_process_zero = false;
 
   // --- "concurrent" + baseline-counter backends (real threads) --------
@@ -116,7 +115,6 @@ struct RunSpec {
   // --- "optimizer" backend (annealed schedule adversary) --------------
   std::uint32_t opt_iterations = 1500;
   std::uint32_t opt_restarts = 4;
-  bool opt_objective_nonlin = false;  ///< Default objective is max F_nsc.
 
   // --- streaming trace pipeline ---------------------------------------
   /// When false, the engine runs the backend against a streaming

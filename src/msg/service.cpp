@@ -9,6 +9,9 @@ namespace cn::msg {
 
 namespace {
 
+/// Counter -> client reply latency.
+constexpr double kResultLatency = 0.1;
+
 /// Mutable per-run state shared by the actor handlers.
 struct RunState {
   const Network* net = nullptr;
@@ -121,8 +124,7 @@ std::string validate(const MsgRunSpec& spec) {
   if (spec.c_min > spec.c_max) {
     return "spec invalid: c_min > c_max (inverted latency envelope)";
   }
-  if (spec.c_min < 0.0 || spec.result_latency < 0.0 ||
-      spec.local_delay < 0.0) {
+  if (spec.c_min < 0.0 || spec.local_delay < 0.0) {
     return "spec invalid: negative latency";
   }
   return {};
@@ -234,7 +236,7 @@ MsgRunResult run_message_passing_with(const Network& net,
       Payload reply = env.payload;
       reply.kind = Payload::Kind::kResult;
       reply.value = v;
-      st.kernel.send(env.payload.client, reply, st.spec->result_latency);
+      st.kernel.send(env.payload.client, reply, kResultLatency);
     }));
   }
 

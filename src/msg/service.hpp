@@ -23,7 +23,6 @@ struct MsgRunSpec {
   bool extreme_latencies = true; ///< Draw from {c_min, c_max} only.
   double local_delay = 0.0;      ///< Client think time between operations
                                  ///< (the C_L knob of Theorem 4.1).
-  double result_latency = 0.1;   ///< Counter -> client reply latency.
   std::uint64_t seed = 1;
   /// When true, every message carrying a token of process 0 takes c_max
   /// while all other tokens travel at c_min — the heterogeneous

@@ -22,7 +22,7 @@ struct Genome {
 struct Evaluated {
   TimedExecution exec;
   ConsistencyReport report;
-  double score = -1.0;      ///< Primary objective: the fraction.
+  double score = -1.0;      ///< Primary objective: F_nsc.
   double magnitude = 0.0;   ///< Dense secondary: total inversion depth.
 
   /// Scalar objective for annealing: the dense magnitude term is scaled
@@ -34,51 +34,23 @@ struct Evaluated {
   }
 };
 
-/// Dense guidance for the hill climber: how "deep" the inversions are,
-/// not just how many tokens are flagged. For SC, sums per process how far
-/// each value falls below the process's running maximum; for
-/// linearizability, how far below the maximum completed-before value.
-double inversion_magnitude(const Trace& trace,
-                           OptimizerSpec::Objective objective) {
+/// Dense guidance for the hill climber: how "deep" the SC inversions are,
+/// not just how many tokens are flagged. Sums per process how far each
+/// value falls below the process's running maximum.
+double inversion_magnitude(const Trace& trace) {
+  std::map<ProcessId, std::vector<const TokenRecord*>> per;
+  for (const TokenRecord& r : trace) per[r.process].push_back(&r);
   double total = 0.0;
-  if (objective == OptimizerSpec::Objective::kMaxNonSC) {
-    std::map<ProcessId, std::vector<const TokenRecord*>> per;
-    for (const TokenRecord& r : trace) per[r.process].push_back(&r);
-    for (auto& [p, recs] : per) {
-      std::sort(recs.begin(), recs.end(),
-                [](const TokenRecord* a, const TokenRecord* b) {
-                  return a->first_seq < b->first_seq;
-                });
-      double prefix_max = -1.0;
-      for (const TokenRecord* r : recs) {
-        const auto v = static_cast<double>(r->value);
-        if (prefix_max > v) total += prefix_max - v;
-        prefix_max = std::max(prefix_max, v);
-      }
-    }
-  } else {
-    std::vector<const TokenRecord*> starts, ends;
-    for (const TokenRecord& r : trace) {
-      starts.push_back(&r);
-      ends.push_back(&r);
-    }
-    std::sort(starts.begin(), starts.end(),
+  for (auto& [p, recs] : per) {
+    std::sort(recs.begin(), recs.end(),
               [](const TokenRecord* a, const TokenRecord* b) {
                 return a->first_seq < b->first_seq;
               });
-    std::sort(ends.begin(), ends.end(),
-              [](const TokenRecord* a, const TokenRecord* b) {
-                return a->last_seq < b->last_seq;
-              });
-    std::size_t e = 0;
-    double max_done = -1.0;
-    for (const TokenRecord* r : starts) {
-      while (e < ends.size() && ends[e]->last_seq < r->first_seq) {
-        max_done = std::max(max_done, static_cast<double>(ends[e]->value));
-        ++e;
-      }
+    double prefix_max = -1.0;
+    for (const TokenRecord* r : recs) {
       const auto v = static_cast<double>(r->value);
-      if (max_done > v) total += max_done - v;
+      if (prefix_max > v) total += prefix_max - v;
+      prefix_max = std::max(prefix_max, v);
     }
   }
   return total;
@@ -130,10 +102,8 @@ OptimizerResult optimize_schedule(const Network& net,
     const SimulationResult sim = simulate(ev.exec);
     if (!sim.ok()) return ev;  // score -1: infeasible
     ev.report = analyze(sim.trace);
-    ev.score = spec.objective == OptimizerSpec::Objective::kMaxNonSC
-                   ? ev.report.f_nsc
-                   : ev.report.f_nl;
-    ev.magnitude = inversion_magnitude(sim.trace, spec.objective);
+    ev.score = ev.report.f_nsc;
+    ev.magnitude = inversion_magnitude(sim.trace);
     return ev;
   };
 

@@ -1,5 +1,5 @@
 // Search-based schedule adversary: hill climbing over per-hop delay
-// choices and entry slacks, maximizing an inconsistency fraction subject
+// choices and entry slacks, maximizing the non-SC fraction F_nsc subject
 // to the wire-delay envelope [c_min, c_max] and a local-delay floor.
 //
 // The paper leaves the tightness of its bounds open (Open Problems 4 and
@@ -23,9 +23,6 @@ struct OptimizerSpec {
   double c_min = 1.0;
   double c_max = 4.0;
   double local_delay_min = 0.0;  ///< C_L floor every schedule must honor.
-
-  enum class Objective { kMaxNonSC, kMaxNonLin };
-  Objective objective = Objective::kMaxNonSC;
 
   std::uint32_t iterations = 1500;  ///< Mutations per restart.
   std::uint32_t restarts = 4;

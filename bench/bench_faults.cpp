@@ -69,7 +69,7 @@ std::vector<double> parse_probs(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) probs.push_back(std::strtod(item.c_str(), nullptr));
+    if (!item.empty()) probs.push_back(parse_double("probs", item));
   }
   return probs;
 }

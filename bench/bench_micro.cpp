@@ -73,7 +73,7 @@ class FullWave {
  public:
   explicit FullWave(const CompiledNetwork& net)
       : net_(net),
-        depth_(WavePlan(net).depth()),
+        depth_(net.network().depth()),
         plans_(net.fan_in()),
         wire_(net.fan_in()),
         values_(net.fan_in()) {

@@ -32,7 +32,7 @@ void row(TablePrinter& t, const Network& net, const std::string& sd_formula,
              sp_formula,
              yes_no(sa.applicable() && sa.continuously_complete()),
              yes_no(sa.applicable() && sa.continuously_uniformly_splittable()),
-             yes_no(is_uniform(net))});
+             yes_no(net.uniform())});
 }
 
 }  // namespace

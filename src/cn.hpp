@@ -1,7 +1,7 @@
 // Umbrella header for the counting-networks library.
 //
 // Layering (each layer depends only on those above it):
-//   util        — RNG, stats, tables, CLI, spin barrier
+//   util        — RNG, tables, CLI, spin barrier
 //   core        — topology, constructions, sequential semantics, analysis
 //   sim         — timed executions, simulator, consistency, adversaries
 //   msg         — message-passing substrate (actors + latencies)
@@ -14,7 +14,6 @@
 #include "util/cli.hpp"             // IWYU pragma: export
 #include "util/rng.hpp"             // IWYU pragma: export
 #include "util/spin_barrier.hpp"    // IWYU pragma: export
-#include "util/stats.hpp"           // IWYU pragma: export
 #include "util/table.hpp"           // IWYU pragma: export
 
 #include "core/builder.hpp"         // IWYU pragma: export

@@ -1,10 +1,10 @@
 #include "core/split.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/compiled.hpp"
 #include "core/sequential.hpp"
 #include "core/verify.hpp"
 
@@ -80,24 +80,10 @@ std::vector<std::vector<std::uint32_t>> record_entry_order(
 
 }  // namespace
 
-SplitPlan::SplitPlan(const Network& net) : net_(&net) { build(); }
-
-SplitPlan::SplitPlan(const CompiledNetwork& compiled)
-    : net_(&compiled.network()) {
-  build();
-}
-
-void SplitPlan::build() {
-  const Network& net = *net_;
+SplitPlan::SplitPlan(const Network& net) : net_(&net) {
+  const auto valencies = output_valencies(net);
+  balancer_valency_ = balancer_valencies(valencies);
   const std::size_t words = (net.fan_out() + 63) / 64;
-  valencies_ = output_valencies(net);
-  balancer_valency_.assign(net.num_balancers(), SinkSet(words, 0));
-  for (NodeIndex b = 0; b < net.num_balancers(); ++b) {
-    for (const SinkSet& pv : valencies_[b]) {
-      for (std::size_t i = 0; i < words; ++i) balancer_valency_[b][i] |= pv[i];
-    }
-  }
-
   SinkSet all(words, 0);
   for (std::uint32_t j = 0; j < net.fan_out(); ++j) {
     all[j / 64] |= 1ull << (j % 64);
@@ -106,114 +92,71 @@ void SplitPlan::build() {
   level_groups_.push_back({all});
   level_split_layer_.push_back(0);  // Index 0 unused.
 
-  auto fail = [&](const std::string& why) {
-    certified_ = max_level_ > 0;  // Earlier levels stay usable.
-    if (reason_.empty()) reason_ = why;
-  };
-
-  for (;;) {
-    // Leaves: a single-sink group has no balancers left to split on.
-    bool any_singleton = false;
+  // Splits every group of the current level at its split layer into the
+  // next level's `next`, all at one absolute `layer`; returns why it
+  // cannot (empty on success). All groups of a uniform network split at
+  // the same layer, and certification requires it: the service retires
+  // and spawns whole levels at once.
+  const auto split_groups = [&](std::vector<LevelGroup>& next,
+                                std::uint32_t& layer) -> std::string {
+    const std::string at = " at level " + std::to_string(max_level_ + 1);
     for (const LevelGroup& g : groups) {
-      if (sinkset_count(g.sinks) <= 1) any_singleton = true;
-    }
-    if (any_singleton) break;
-
-    // Split every group of the current level; all groups of a uniform
-    // network split at the same absolute layer, and certification
-    // requires it (the service retires/spawns whole levels at once).
-    std::vector<LevelGroup> next;
-    next.reserve(groups.size() * 2);
-    std::uint32_t layer_of_level = 0;
-    bool ok = true;
-    for (const LevelGroup& g : groups) {
-      // Least totally-ordering layer of this group's subnetwork: a
-      // balancer belongs to the subnetwork iff its valency is contained
-      // in the group's sinks (SplitAnalysis's membership rule).
-      std::uint32_t split_layer = 0;
-      std::vector<NodeIndex> members;
-      for (std::uint32_t abs = g.start_layer;
-           abs <= net.depth() && split_layer == 0; ++abs) {
-        std::vector<NodeIndex> layer_members;
-        bool ordering = true;
-        for (const NodeIndex b : net.layer(abs)) {
-          if (!sinkset_subset(balancer_valency_[b], g.sinks)) continue;
-          layer_members.push_back(b);
-          if (!is_totally_ordering(valencies_[b])) ordering = false;
-        }
-        if (layer_members.empty() || !ordering) continue;
-        split_layer = abs;
-        members = std::move(layer_members);
+      const std::optional<SplitLevel> level = find_split_level(
+          net, valencies, balancer_valency_, g.sinks, g.start_layer);
+      if (!level) return "no totally ordering layer" + at;
+      if (layer == 0) layer = level->split_layer_abs;
+      if (layer != level->split_layer_abs) {
+        return "groups split at different layers" + at;
       }
-      if (split_layer == 0) {
-        fail("no totally ordering layer below level " +
-             std::to_string(max_level_ + 1));
-        ok = false;
-        break;
-      }
-      if (layer_of_level == 0) {
-        layer_of_level = split_layer;
-      } else if (layer_of_level != split_layer) {
-        fail("groups of level " + std::to_string(max_level_ + 1) +
-             " split at different layers");
-        ok = false;
-        break;
-      }
-
       // Props 5.6-5.10 certification: every split-layer balancer is
       // complete (valency == the whole group) and uniformly splittable
       // (equal-size port valencies), and binary so the level doubles.
-      SinkSet low(balancer_valency_[members[0]].size(), 0);
-      SinkSet high = low;
-      for (const NodeIndex b : members) {
-        if (balancer_valency_[b] != g.sinks) {
-          fail("split layer balancer not complete at level " +
-               std::to_string(max_level_ + 1));
-          ok = false;
-          break;
-        }
-        const std::vector<SinkSet>& pv = valencies_[b];
-        if (pv.size() != 2) {
-          fail("non-binary balancer at a split layer");
-          ok = false;
-          break;
-        }
-        if (sinkset_count(pv[0]) != sinkset_count(pv[1])) {
-          fail("split layer not uniformly splittable at level " +
-               std::to_string(max_level_ + 1));
-          ok = false;
-          break;
-        }
+      if (!level->complete) return "split layer not complete" + at;
+      if (!level->uniformly_splittable) {
+        return "split layer not uniformly splittable" + at;
+      }
+      SinkSet low(words, 0);
+      SinkSet high(words, 0);
+      for (const NodeIndex b : level->split_layer_balancers) {
+        const std::vector<SinkSet>& pv = valencies[b];
+        if (pv.size() != 2) return "non-binary split layer balancer" + at;
         // The ≺-smaller port valency joins the low group.
         const bool zero_low = sinkset_precedes(pv[0], pv[1]);
         const SinkSet& lo = zero_low ? pv[0] : pv[1];
         const SinkSet& hi = zero_low ? pv[1] : pv[0];
-        for (std::size_t i = 0; i < lo.size(); ++i) {
+        for (std::size_t i = 0; i < words; ++i) {
           low[i] |= lo[i];
           high[i] |= hi[i];
         }
       }
-      if (!ok) break;
       if (sinkset_intersects(low, high) ||
           sinkset_count(low) != sinkset_count(high) ||
           sinkset_count(low) + sinkset_count(high) !=
               sinkset_count(g.sinks)) {
-        fail("split layer ports do not halve the group");
-        ok = false;
-        break;
+        return "split layer ports do not halve the group" + at;
       }
-      next.push_back(LevelGroup{low, split_layer + 1});
-      next.push_back(LevelGroup{high, split_layer + 1});
+      next.push_back(LevelGroup{std::move(low), layer + 1});
+      next.push_back(LevelGroup{std::move(high), layer + 1});
     }
-    if (!ok) break;
+    return {};
+  };
 
+  // Descend until the groups are single sinks, which have no balancers
+  // left to split on.
+  while (std::none_of(groups.begin(), groups.end(), [](const LevelGroup& g) {
+    return sinkset_count(g.sinks) <= 1;
+  })) {
+    std::vector<LevelGroup> next;
+    std::uint32_t layer = 0;
+    reason_ = split_groups(next, layer);
+    if (!reason_.empty()) break;  // Earlier levels stay usable.
     std::sort(next.begin(), next.end(),
               [](const LevelGroup& a, const LevelGroup& b) {
                 return sinkset_min(a.sinks) < sinkset_min(b.sinks);
               });
     groups = std::move(next);
     ++max_level_;
-    level_split_layer_.push_back(layer_of_level);
+    level_split_layer_.push_back(layer);
     std::vector<SinkSet> sets;
     sets.reserve(groups.size());
     for (const LevelGroup& g : groups) sets.push_back(g.sinks);

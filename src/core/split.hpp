@@ -8,8 +8,9 @@
 // network decomposes into 2^ell INDEPENDENT subnetworks of width
 // w / 2^ell, each a counting network in its own right, serving disjoint
 // sink groups. SplitPlan certifies that decomposition level by level
-// (every group's least totally-ordering layer must be complete and
-// uniformly splittable, exactly the Props 5.6-5.10 machinery) and
+// (every group's split layer, found by the same find_split_level that
+// SplitAnalysis follows, must be complete and uniformly splittable,
+// exactly the Props 5.6-5.10 machinery) and
 // EXTRACTS the 2^ell subnetworks as standalone Network values, with the
 // maps back into the full network (balancers, sinks, entry wires) that
 // the differential tests use.
@@ -54,8 +55,6 @@
 
 namespace cn {
 
-class CompiledNetwork;
-
 /// One extracted subnetwork at some split level, with its embedding
 /// back into the full network.
 struct Subnetwork {
@@ -83,21 +82,19 @@ struct Subnetwork {
 
 /// Certifies continuous uniform splittability and extracts the split
 /// tree's subnetworks. Construction cost is one valency pass plus one
-/// descent over the split tree; extraction allocates fresh Networks.
+/// split-level search (find_split_level) per group of the split tree;
+/// extraction allocates fresh Networks. `net` must outlive the plan.
 class SplitPlan {
  public:
   explicit SplitPlan(const Network& net);
-  /// The service-facing overload: certifies the topology behind an
-  /// already-compiled network (the Network must outlive the plan).
-  explicit SplitPlan(const CompiledNetwork& compiled);
 
   const Network& network() const noexcept { return *net_; }
   std::uint32_t width() const noexcept { return net_->fan_out(); }
 
-  /// True when at least one split level exists and every certified
-  /// split was complete + uniformly splittable (the network is
-  /// continuously uniformly splittable down to max_level()).
-  bool applicable() const noexcept { return max_level_ > 0 && certified_; }
+  /// True when at least one split level is certified: every group's
+  /// split layer down to max_level() was complete + uniformly splittable
+  /// (the network is continuously uniformly splittable down to it).
+  bool applicable() const noexcept { return max_level_ > 0; }
 
   /// Deepest usable split level: extract(ell) is valid for
   /// 0 <= ell <= max_level(). Equals the paper's split number sp(G)
@@ -117,7 +114,8 @@ class SplitPlan {
     return level_split_layer_.at(ell);
   }
 
-  /// Why applicable() is false (empty when it is true).
+  /// Why certification stopped before the groups reached single sinks:
+  /// empty for B(w) and P(w), never empty when applicable() is false.
   const std::string& reason() const noexcept { return reason_; }
 
   /// Sink groups at level ell (2^ell sets, ascending by smallest sink).
@@ -132,15 +130,12 @@ class SplitPlan {
   std::vector<Subnetwork> extract(std::uint32_t ell) const;
 
  private:
-  void build();
   Subnetwork extract_group(const SinkSet& sinks, std::uint32_t ell,
                            std::uint32_t group) const;
 
   const Network* net_;
-  std::vector<std::vector<SinkSet>> valencies_;
   std::vector<SinkSet> balancer_valency_;
   std::uint32_t max_level_ = 0;
-  bool certified_ = true;
   std::string reason_;
   /// level_groups_[ell] = the 2^ell sink groups; [0] = the full set.
   std::vector<std::vector<SinkSet>> level_groups_;

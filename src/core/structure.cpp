@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
+
+#include "core/valency.hpp"
 
 namespace cn {
-
-namespace {
-
-/// Depth of the producer feeding `wire`: 0 for a source, else the
-/// balancer's depth.
-std::uint32_t producer_depth(const Network& net, WireIndex w) {
-  const Endpoint& from = net.wire(w).from;
-  return from.kind == Endpoint::Kind::kSource ? 0
-                                              : net.balancer_depth(from.index);
-}
-
-}  // namespace
-
-bool is_uniform(const Network& net) {
-  // All source->sink paths have equal length iff every wire spans exactly
-  // one layer: each balancer's inputs are produced at depth(b) - 1 and
-  // each sink's wire is produced at depth d(G) (or a source when d = 0).
-  for (NodeIndex b = 0; b < net.num_balancers(); ++b) {
-    const std::uint32_t d = net.balancer_depth(b);
-    for (const WireIndex w : net.balancer(b).in) {
-      if (producer_depth(net, w) != d - 1) return false;
-    }
-  }
-  for (std::uint32_t j = 0; j < net.fan_out(); ++j) {
-    if (producer_depth(net, net.sink_wire(j)) != net.depth()) return false;
-  }
-  return true;
-}
 
 std::uint32_t shallowness(const Network& net) {
   // Shortest source->balancer distance, by layer order (edges only go to
@@ -60,35 +35,11 @@ std::uint32_t shallowness(const Network& net) {
   return s;
 }
 
-std::vector<std::vector<std::uint64_t>> reachable_sinks(const Network& net) {
-  const std::size_t words = (net.fan_out() + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> rs(net.num_balancers(),
-                                             std::vector<std::uint64_t>(words, 0));
-  std::vector<NodeIndex> order(net.num_balancers());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](NodeIndex a, NodeIndex b) {
-    return net.balancer_depth(a) > net.balancer_depth(b);
-  });
-  for (const NodeIndex b : order) {
-    auto& bits = rs[b];
-    for (const WireIndex w : net.balancer(b).out) {
-      const Endpoint& to = net.wire(w).to;
-      if (to.kind == Endpoint::Kind::kSink) {
-        bits[to.index / 64] |= 1ull << (to.index % 64);
-      } else {
-        const auto& succ = rs[to.index];
-        for (std::size_t i = 0; i < words; ++i) bits[i] |= succ[i];
-      }
-    }
-  }
-  return rs;
-}
-
 std::uint32_t influence_radius(const Network& net) {
   // For each pair of output wires (j, k), find the deepest balancer whose
   // valency contains both; the distance from that balancer to output j in
   // a uniform network is d(G) + 1 - depth(balancer) wire hops.
-  const auto rs = reachable_sinks(net);
+  const std::vector<SinkSet> val = balancer_valencies(output_valencies(net));
   std::vector<NodeIndex> order(net.num_balancers());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](NodeIndex a, NodeIndex b) {
@@ -99,8 +50,8 @@ std::uint32_t influence_radius(const Network& net) {
   for (std::uint32_t j = 0; j < w_out; ++j) {
     for (std::uint32_t k = j + 1; k < w_out; ++k) {
       for (const NodeIndex b : order) {
-        const bool has_j = (rs[b][j / 64] >> (j % 64)) & 1;
-        const bool has_k = (rs[b][k / 64] >> (k % 64)) & 1;
+        const bool has_j = (val[b][j / 64] >> (j % 64)) & 1;
+        const bool has_k = (val[b][k / 64] >> (k % 64)) & 1;
         if (has_j && has_k) {
           irad = std::max(irad, net.depth() + 1 - net.balancer_depth(b));
           break;
@@ -112,21 +63,12 @@ std::uint32_t influence_radius(const Network& net) {
 }
 
 bool all_inputs_reach_all_outputs(const Network& net) {
-  const auto rs = reachable_sinks(net);
-  const std::size_t words = (net.fan_out() + 63) / 64;
+  const std::vector<SinkSet> val = balancer_valencies(output_valencies(net));
   for (std::uint32_t i = 0; i < net.fan_in(); ++i) {
     const Endpoint& to = net.wire(net.source_wire(i)).to;
-    std::vector<std::uint64_t> bits(words, 0);
-    if (to.kind == Endpoint::Kind::kSink) {
-      bits[to.index / 64] |= 1ull << (to.index % 64);
-    } else {
-      bits = rs[to.index];
-    }
-    std::uint32_t count = 0;
-    for (const std::uint64_t word : bits) {
-      count += static_cast<std::uint32_t>(__builtin_popcountll(word));
-    }
-    if (count != net.fan_out()) return false;
+    const std::uint32_t reached =
+        to.kind == Endpoint::Kind::kSink ? 1 : sinkset_count(val[to.index]);
+    if (reached != net.fan_out()) return false;
   }
   return true;
 }

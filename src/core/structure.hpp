@@ -1,17 +1,14 @@
 // Structural parameters of balancing networks (paper Section 2.5).
+// Depth, layers and uniformity are computed by Network itself
+// (core/topology.hpp); the influence radius and the reachability check
+// read the valencies of core/valency.hpp.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/topology.hpp"
 
 namespace cn {
-
-/// True iff every node lies on a source->sink path and all source->sink
-/// paths have the same length (paper / LSST99 Definition 2.1). Path length
-/// is counted in balancers traversed.
-bool is_uniform(const Network& net);
 
 /// Shallowness s(G): the length (in balancers) of the shortest path from
 /// an input wire to an output wire. s(G) <= d(G), with equality iff G is
@@ -23,11 +20,6 @@ std::uint32_t shallowness(const Network& net);
 /// least (deepest) common ancestor of j and k to output j. Appears in the
 /// necessary condition c_max/c_min <= d(G)/irad(G) + 1 (MPT97, Thm 3.1).
 std::uint32_t influence_radius(const Network& net);
-
-/// Per-balancer reachability: result[b] is a bitset (one bit per sink) of
-/// the sinks reachable from balancer b; this is the paper's Val(B).
-/// Bit j of word j/64 corresponds to sink j.
-std::vector<std::vector<std::uint64_t>> reachable_sinks(const Network& net);
 
 /// True iff there is a path from every input wire to every output wire —
 /// a property every counting network must have (paper Section 2.5).

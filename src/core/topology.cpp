@@ -127,6 +127,24 @@ void Network::compute_depths() {
   for (NodeIndex b = 0; b < n; ++b) depth_ = std::max(depth_, balancer_depth_[b]);
   layers_.assign(depth_, {});
   for (NodeIndex b = 0; b < n; ++b) layers_[balancer_depth_[b] - 1].push_back(b);
+
+  // Uniform iff every wire spans exactly one layer: each balancer's
+  // inputs are produced at depth(b) - 1 and each sink's wire at depth d(G)
+  // (by a source when d = 0).
+  const auto producer_depth = [&](WireIndex w) {
+    const Endpoint& from = wires_[w].from;
+    return from.kind == Endpoint::Kind::kSource ? 0u
+                                                : balancer_depth_[from.index];
+  };
+  uniform_ = true;
+  for (NodeIndex b = 0; b < n; ++b) {
+    for (const WireIndex w : balancers_[b].in) {
+      uniform_ = uniform_ && producer_depth(w) == balancer_depth_[b] - 1;
+    }
+  }
+  for (const WireIndex w : sink_wires_) {
+    uniform_ = uniform_ && producer_depth(w) == depth_;
+  }
 }
 
 }  // namespace cn

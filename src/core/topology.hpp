@@ -6,10 +6,10 @@
 //   * inner nodes: (f_in, f_out)-balancers.
 //
 // This module stores the static graph plus derived structural data
-// (balancer depths, layers, network depth). Dynamic state (balancer
-// round-robin positions, counter values, in-flight tokens) lives in
-// core/sequential.hpp, and the prominent constructions (bitonic, periodic,
-// counting tree) live in their own translation units.
+// (balancer depths, layers, network depth, uniformity). Dynamic state
+// (balancer round-robin positions, counter values, in-flight tokens) lives
+// in core/sequential.hpp, and the prominent constructions (bitonic,
+// periodic, counting tree) live in their own translation units.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +65,8 @@ struct Balancer {
 /// An immutable, validated balancing-network graph.
 ///
 /// Construct via NetworkBuilder (core/builder.hpp). On construction the
-/// network computes balancer depths, the layer partition, and the network
-/// depth d(G); accessors below are O(1) thereafter.
+/// network computes balancer depths, the layer partition, the network
+/// depth d(G) and uniformity; accessors below are O(1) thereafter.
 class Network {
  public:
   /// Builds from raw parts; validates the graph and computes derived data.
@@ -118,9 +118,10 @@ class Network {
   /// Total number of inner nodes — the paper's "size" of the network.
   std::uint32_t size() const noexcept { return num_balancers(); }
 
-  /// Number of node visits on every source->sink path if the network is
-  /// uniform: d(G) balancers plus the final counter.
-  std::uint32_t path_nodes() const noexcept { return depth_ + 1; }
+  /// True iff all source->sink paths cross the same number of balancers
+  /// (LSST99 Definition 2.1), so that every token crosses exactly d(G)
+  /// balancers and then a counter.
+  bool uniform() const noexcept { return uniform_; }
 
  private:
   void validate() const;
@@ -137,6 +138,7 @@ class Network {
   std::vector<std::uint32_t> balancer_depth_;
   std::vector<std::vector<NodeIndex>> layers_;
   std::uint32_t depth_ = 0;
+  bool uniform_ = false;
 };
 
 }  // namespace cn

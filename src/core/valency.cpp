@@ -76,6 +76,18 @@ std::vector<std::vector<SinkSet>> output_valencies(const Network& net) {
   return val;
 }
 
+std::vector<SinkSet> balancer_valencies(
+    const std::vector<std::vector<SinkSet>>& valencies) {
+  std::vector<SinkSet> val(valencies.size());
+  for (std::size_t b = 0; b < valencies.size(); ++b) {
+    val[b] = valencies[b].front();
+    for (const SinkSet& pv : valencies[b]) {
+      for (std::size_t i = 0; i < pv.size(); ++i) val[b][i] |= pv[i];
+    }
+  }
+  return val;
+}
+
 bool is_univalent(const std::vector<SinkSet>& port_valencies) {
   for (std::size_t j = 0; j < port_valencies.size(); ++j) {
     for (std::size_t k = j + 1; k < port_valencies.size(); ++k) {
@@ -97,81 +109,75 @@ bool is_totally_ordering(const std::vector<SinkSet>& port_valencies) {
   return true;
 }
 
-SplitAnalysis::SplitAnalysis(const Network& net) : depth_(net.depth()) {
-  const auto valencies = output_valencies(net);
-  const std::size_t words = (net.fan_out() + 63) / 64;
-
-  // Valency of a whole balancer: union of its port valencies.
-  auto balancer_valency = [&](NodeIndex b) {
-    SinkSet v(words, 0);
-    for (const SinkSet& pv : valencies[b]) {
-      for (std::size_t i = 0; i < words; ++i) v[i] |= pv[i];
+std::optional<SplitLevel> find_split_level(
+    const Network& net, const std::vector<std::vector<SinkSet>>& valencies,
+    const std::vector<SinkSet>& balancer_val, const SinkSet& sinks,
+    std::uint32_t start_layer) {
+  for (std::uint32_t abs = start_layer; abs <= net.depth(); ++abs) {
+    std::vector<NodeIndex> members;
+    bool ordering = true;
+    for (const NodeIndex b : net.layer(abs)) {
+      if (!sinkset_subset(balancer_val[b], sinks)) continue;
+      members.push_back(b);
+      ordering = ordering && is_totally_ordering(valencies[b]);
     }
-    return v;
-  };
-
-  SinkSet current_sinks(words, 0);
-  for (std::uint32_t j = 0; j < net.fan_out(); ++j) {
-    current_sinks[j / 64] |= 1ull << (j % 64);
-  }
-  std::uint32_t start_layer = 1;
-
-  while (true) {
+    if (members.empty() || !ordering) continue;
     SplitLevel level;
     level.start_layer = start_layer;
-    level.depth = depth_ + 1 - start_layer;
-    level.sinks = current_sinks;
+    level.depth = net.depth() + 1 - start_layer;
+    level.split_depth = abs - start_layer + 1;
+    level.split_layer_abs = abs;
+    level.complete = true;
+    level.uniformly_splittable = true;
+    for (const NodeIndex b : members) {
+      if (balancer_val[b] != sinks) level.complete = false;
+      const std::uint32_t first = sinkset_count(valencies[b][0]);
+      for (const SinkSet& pv : valencies[b]) {
+        if (sinkset_count(pv) != first) level.uniformly_splittable = false;
+      }
+    }
+    level.split_layer_balancers = std::move(members);
+    level.sinks = sinks;
+    return level;
+  }
+  return std::nullopt;
+}
 
-    // Find the least totally ordering layer of this subnetwork. A
-    // balancer belongs to the subnetwork iff its valency is contained in
-    // the subnetwork's sink set.
-    bool found = false;
-    for (std::uint32_t abs = start_layer; abs <= depth_ && !found; ++abs) {
-      std::vector<NodeIndex> members;
-      bool ordering = true;
-      for (const NodeIndex b : net.layer(abs)) {
-        if (!sinkset_subset(balancer_valency(b), current_sinks)) continue;
-        members.push_back(b);
-        if (!is_totally_ordering(valencies[b])) ordering = false;
-      }
-      if (members.empty() || !ordering) continue;
-      found = true;
-      level.split_depth = abs - start_layer + 1;
-      level.split_layer_abs = abs;
-      level.split_layer_balancers = members;
-      level.complete = true;
-      level.uniformly_splittable = true;
-      for (const NodeIndex b : members) {
-        if (balancer_valency(b) != current_sinks) level.complete = false;
-        const std::uint32_t first = sinkset_count(valencies[b][0]);
-        for (const SinkSet& pv : valencies[b]) {
-          if (sinkset_count(pv) != first) level.uniformly_splittable = false;
-        }
-      }
-    }
-    if (!found) {
+SplitAnalysis::SplitAnalysis(const Network& net) : depth_(net.depth()) {
+  const auto valencies = output_valencies(net);
+  const std::vector<SinkSet> balancer_val = balancer_valencies(valencies);
+  SinkSet sinks((net.fan_out() + 63) / 64, 0);
+  for (std::uint32_t j = 0; j < net.fan_out(); ++j) {
+    sinks[j / 64] |= 1ull << (j % 64);
+  }
+  std::uint32_t start_layer = 1;
+  for (;;) {
+    std::optional<SplitLevel> level =
+        find_split_level(net, valencies, balancer_val, sinks, start_layer);
+    if (!level) {
       applicable_ = false;
-      break;
+      return;
     }
-    levels_.push_back(level);
-    if (level.split_layer_abs == depth_) break;  // sd(S) == d(S): last element.
+    levels_.push_back(std::move(*level));
+    const SplitLevel& last = levels_.back();
+    if (last.split_layer_abs == depth_) return;  // sd(S) == d(S): last element.
 
     // Next element: the bottom subnetwork SP2 — the part of the split
     // network serving the highest-ordered port valencies. Its sinks are
     // the union, over split-layer balancers, of the last port's valency
     // under the ≺ order (for (2,2)-balancers: the bottom output).
-    SinkSet next(words, 0);
-    for (const NodeIndex b : levels_.back().split_layer_balancers) {
+    SinkSet next(sinks.size(), 0);
+    for (const NodeIndex b : last.split_layer_balancers) {
       // Pick the port whose valency is ≺-maximal.
       const std::vector<SinkSet>& pv = valencies[b];
       std::size_t best = 0;
       for (std::size_t p = 1; p < pv.size(); ++p) {
         if (sinkset_precedes(pv[best], pv[p])) best = p;
       }
-      for (std::size_t i = 0; i < words; ++i) next[i] |= pv[best][i];
+      for (std::size_t i = 0; i < next.size(); ++i) next[i] |= pv[best][i];
     }
-    current_sinks = next;
-    start_layer = levels_.back().split_layer_abs + 1;
+    sinks = std::move(next);
+    start_layer = last.split_layer_abs + 1;
   }
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/topology.hpp"
@@ -44,11 +45,17 @@ bool sinkset_precedes(const SinkSet& a, const SinkSet& b);
 /// output wire p of balancer b.
 std::vector<std::vector<SinkSet>> output_valencies(const Network& net);
 
+/// Val(b) of every balancer b: the union of its output valencies, given
+/// output_valencies(net).
+std::vector<SinkSet> balancer_valencies(
+    const std::vector<std::vector<SinkSet>>& valencies);
+
 /// Univalence / total-ordering predicates given precomputed valencies.
 bool is_univalent(const std::vector<SinkSet>& port_valencies);
 bool is_totally_ordering(const std::vector<SinkSet>& port_valencies);
 
-/// One element S^(k) of the split sequence.
+/// The split layer of the subnetwork serving one sink group: an element
+/// S^(k) of the split sequence, or a group of SplitPlan's split tree.
 struct SplitLevel {
   std::uint32_t start_layer = 1;   ///< First absolute layer (1-based).
   std::uint32_t depth = 0;         ///< Layers spanned: d(G) - start_layer + 1.
@@ -59,6 +66,16 @@ struct SplitLevel {
   std::vector<NodeIndex> split_layer_balancers;  ///< Members of the split layer.
   SinkSet sinks;                      ///< Sinks served by this subnetwork.
 };
+
+/// The split layer of the subnetwork serving `sinks`, searched from
+/// absolute layer `start_layer` down: the least layer whose members are
+/// all totally ordering, where a member is a balancer whose valency lies
+/// inside `sinks`. `valencies` is output_valencies(net) and `balancer_val`
+/// its balancer_valencies. Empty when no layer qualifies.
+std::optional<SplitLevel> find_split_level(
+    const Network& net, const std::vector<std::vector<SinkSet>>& valencies,
+    const std::vector<SinkSet>& balancer_val, const SinkSet& sinks,
+    std::uint32_t start_layer);
 
 /// Computes the split sequence of a uniform counting network
 /// (paper Propositions 5.6-5.10 machinery).

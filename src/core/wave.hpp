@@ -5,21 +5,22 @@
 // token-by-token. The compiled fast path (core/compiled.hpp) shepherds one
 // token at a time across the flat Route table; the simulator's wave body
 // instead steps every token at one level before any token at the next.
-// This header holds the hop every simulator body takes and the level
-// structure the wave body needs:
+// This header holds the hop every simulator body takes and the wave
+// kernels built on it:
 //
 //   * step_token is THE hop: one token crosses one node of the flat Route
 //     table, over a CompiledState. Every interpreter body of the timed
 //     simulator (sim/simulator.cpp) steps through it — scalar and wave,
 //     pristine and under a fault overlay;
-//   * WavePlan assigns every wire its LEVEL (distance from the input
-//     layer) and certifies the network uniform in the structural sense —
-//     every path from a source to a counter crosses the same number of
-//     nodes, so "all tokens at level l" is well defined;
 //   * step_wave / step_wave_counters loop the hop's balancer half
 //     (cross_balancer) or counter half (cross_counter) over a whole span
 //     of tokens at one level, each token's wire kept in a caller-owned
 //     per-token array (any uniform network, any fan-out).
+//
+// Waves need a uniform network (Network::uniform(), core/topology.hpp):
+// every path from a source to a counter crosses the same number of
+// nodes, so the level of a token after h hops is h, every balancer sits at
+// one level, and "all tokens at level l" is well defined.
 //
 // State is the CompiledState the compiled fast path mutates — one
 // bal_through increment per balancer hop, one counter bump per exit — so
@@ -37,7 +38,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/compiled.hpp"
 #include "core/topology.hpp"
@@ -87,37 +87,6 @@ inline bool step_token(const CompiledNetwork& net, CompiledState& state,
   wire = cross_balancer(net, state, r, !stuck(r.node));
   return false;
 }
-
-/// Level structure of a compiled network: distance of every wire from the
-/// input layer, plus the uniformity certificate that makes waves well
-/// defined. Build once per network (the simulator's arena caches it).
-class WavePlan {
- public:
-  /// Level not reachable from any source wire.
-  static constexpr std::uint32_t kUnleveled = 0xFFFFFFFFu;
-
-  explicit WavePlan(const CompiledNetwork& net);
-
-  /// True when every source-to-counter path has the same length: all
-  /// in-wires of each balancer sit at one level and all counters sit at
-  /// level depth(). Exactly the property the scalar simulator checks
-  /// dynamically ("network is not uniform"); here it is decided once,
-  /// structurally.
-  bool uniform() const noexcept { return uniform_; }
-
-  /// Number of balancer layers (counters are at this level). Valid only
-  /// when uniform().
-  std::uint32_t depth() const noexcept { return depth_; }
-
-  std::uint32_t level_of_wire(WireIndex w) const {
-    return level_of_wire_.at(w);
-  }
-
- private:
-  bool uniform_ = true;
-  std::uint32_t depth_ = 0;
-  std::vector<std::uint32_t> level_of_wire_;
-};
 
 /// Generic wave kernel: advances every token in `tokens` one BALANCER
 /// hop, in span order; wire[t] is token t's wire, updated in place.

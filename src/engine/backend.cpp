@@ -85,8 +85,6 @@ const Network* resolve_network(const RunSpec& spec,
     owned = std::make_shared<Network>(make_periodic(spec.width));
   } else if (spec.network == "counting_tree") {
     owned = std::make_shared<Network>(make_counting_tree(spec.width));
-  } else if (spec.network == "block_cascade") {
-    owned = std::make_shared<Network>(make_block_cascade(spec.width, spec.blocks));
   } else {
     error = "unknown network '" + spec.network + "'";
     return nullptr;

@@ -112,7 +112,7 @@ RunResult run_backend(const RunSpec& spec);
 RunResult run_backend(const RunSpec& spec, RunContext& ctx);
 
 /// Resolves the spec's network: spec.net when non-null, otherwise a
-/// freshly constructed network (by spec.network/width/blocks) returned
+/// freshly constructed network (by spec.network/width) returned
 /// through `owned`. Returns nullptr and sets `error` when the name is
 /// unknown. Backends should use this instead of reading spec.net.
 const Network* resolve_network(const RunSpec& spec,

@@ -26,9 +26,7 @@ struct RunSpec {
   /// by `network`/`width` and owns it for the lifetime of the result.
   const Network* net = nullptr;
   std::string network = "bitonic";  ///< bitonic | periodic | counting_tree
-                                    ///< | block_cascade
   std::uint32_t width = 8;
-  std::uint32_t blocks = 1;         ///< block_cascade only.
 
   // --- Workload shape (closed-loop backends) -------------------------
   std::uint32_t processes = 8;

@@ -45,10 +45,12 @@ namespace cn::fault {
 ///
 ///   simulator / sim_burst / sim_heterogeneous / wave / optimizer:
 ///     p_token_loss, p_stuck_balancer, p_process_crash
-///   msg: those three (loss = dropped message, stuck = frozen actor,
-///     crash = client stops issuing) plus p_msg_duplicate, p_msg_delay
-///   concurrent + baseline counters, service workers: p_thread_stall,
-///     p_thread_abandon
+///   msg: p_token_loss (dropped message), p_process_crash (client stops
+///     issuing), p_msg_duplicate, p_msg_delay; no actor is ever stuck
+///   concurrent + baseline counters (the real-thread closed loop):
+///     p_thread_stall, p_thread_abandon, p_process_crash (a thread stops
+///     issuing)
+///   service workers: p_thread_stall, p_thread_abandon
 ///
 /// A service worker crash is deterministic, not probabilistic: it is a
 /// fault::ChaosPlan event (chaos.hpp), keyed on the worker's

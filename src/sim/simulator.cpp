@@ -436,15 +436,7 @@ void SimArena::acquire(const Network& net) {
   }
   compiled_ = std::make_unique<const CompiledNetwork>(net);
   state_ = std::make_unique<CompiledState>(*compiled_);
-  wave_plan_.reset();
   net_ = &net;
-}
-
-const WavePlan& SimArena::wave_plan() {
-  if (wave_plan_ == nullptr) {
-    wave_plan_ = std::make_unique<WavePlan>(*compiled_);
-  }
-  return *wave_plan_;
 }
 
 /// The interpreter bodies: one per execution model, each instantiated
@@ -606,15 +598,14 @@ SimulationResult SimInterpreter::wave(const TimedExecution& exec,
   if (!result.error.empty()) return result;
 
   const Network& net = *exec.net;
-  arena.acquire(net);
-  const WavePlan& wave_plan = arena.wave_plan();
-  const std::uint32_t d = net.depth();
-  if (!wave_plan.uniform() || wave_plan.depth() != d) {
+  if (!net.uniform()) {
     // The scalar interpreter is the executable spec, including its
     // dynamic non-uniformity errors (and any sink prefix emitted before
     // the error): run it wholesale.
     return scalar(exec, arena, ov, /*record_steps=*/false, sink);
   }
+  arena.acquire(net);
+  const std::uint32_t d = net.depth();
 
   SimArena::Scratch& scr = *arena.scratch_;
   result.error = reserved_id_error(exec);

@@ -57,7 +57,6 @@
 
 namespace cn {
 
-class WavePlan;
 struct SimInterpreter;  ///< The interpreter bodies (simulator.cpp).
 
 /// Hop sentinel of SimFaults::lost_before_hop: the token completes its
@@ -129,14 +128,9 @@ class SimArena {
   /// recompiling only when `net` changes, and resets the state over them.
   void acquire(const Network& net);
 
-  /// The level structure of the cached tables: built when a wave body
-  /// first asks for it, and rebuilt with the tables.
-  const WavePlan& wave_plan();
-
   const Network* net_ = nullptr;
   std::unique_ptr<const CompiledNetwork> compiled_;
   std::unique_ptr<CompiledState> state_;  ///< Over compiled_.
-  std::unique_ptr<WavePlan> wave_plan_;
   std::unique_ptr<Scratch> scratch_;
 };
 
@@ -180,7 +174,7 @@ SimulationResult simulate_stream(const TimedExecution& exec, SimArena& arena,
 /// balancer lives at exactly one level and each bucket keeps the merge's
 /// order; sequence numbers are positions in the order, which is exactly
 /// the scalar seq assignment. Executions the wave path cannot take —
-/// structurally non-uniform networks, schedules with a step-order
+/// non-uniform networks (Network::uniform()), schedules with a step-order
 /// overlap (the merge finds them while building its streams, in
 /// O(tokens)) — fall back to the scalar interpreter wholesale,
 /// reproducing its errors (and any partial sink emission) exactly.

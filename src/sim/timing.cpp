@@ -98,9 +98,4 @@ bool theorem41_premise_holds(const Network& net, const TimingCondition& cond) {
   return net.depth() * (cond.c_max - 2.0 * cond.c_min) < *cond.C_L_at_least;
 }
 
-bool lsst_global_premise_holds(const Network& net, const TimingCondition& cond) {
-  if (!cond.C_g_at_least) return false;
-  return net.depth() * (cond.c_max - 2.0 * cond.c_min) < *cond.C_g_at_least;
-}
-
 }  // namespace cn

@@ -51,8 +51,4 @@ bool satisfies(const TimedExecution& exec, const TimingCondition& cond);
 /// (Theorem 4.1): d(G) * (c_max - 2 c_min) < C_L.
 bool theorem41_premise_holds(const Network& net, const TimingCondition& cond);
 
-/// LSST99's sufficient global condition for linearizability
-/// (Corollary 3.7): d(G) * (c_max - 2 c_min) < C_g.
-bool lsst_global_premise_holds(const Network& net, const TimingCondition& cond);
-
 }  // namespace cn

@@ -92,16 +92,16 @@ TEST(Shapes, RejectsNonPowerOfTwo) {
 
 TEST(Uniformity, AllPaperConstructionsAreUniform) {
   for (const std::uint32_t w : {2u, 4u, 8u, 16u}) {
-    EXPECT_TRUE(is_uniform(make_bitonic(w)));
-    EXPECT_TRUE(is_uniform(make_periodic(w)));
-    EXPECT_TRUE(is_uniform(make_merger(w)));
-    EXPECT_TRUE(is_uniform(make_block(w)));
-    EXPECT_TRUE(is_uniform(make_counting_tree(w)));
+    EXPECT_TRUE(make_bitonic(w).uniform());
+    EXPECT_TRUE(make_periodic(w).uniform());
+    EXPECT_TRUE(make_merger(w).uniform());
+    EXPECT_TRUE(make_block(w).uniform());
+    EXPECT_TRUE(make_counting_tree(w).uniform());
   }
 }
 
 TEST(Uniformity, BrickWallIsNotUniform) {
-  EXPECT_FALSE(is_uniform(make_brick_wall(4, 3)));
+  EXPECT_FALSE(make_brick_wall(4, 3).uniform());
 }
 
 // ---------------------------------------------------------------- counting
@@ -242,7 +242,7 @@ TEST(Counting, KaryTreesCount) {
     const Network net = make_counting_tree_k(w, k);
     EXPECT_EQ(net.fan_in(), 1u);
     EXPECT_EQ(net.fan_out(), w);
-    EXPECT_TRUE(is_uniform(net)) << net.name();
+    EXPECT_TRUE(net.uniform()) << net.name();
     Xoshiro256 trial_rng(w * 131 + k);
     const auto report = check_counting_random(net, trial_rng, 20, 3 * w);
     EXPECT_TRUE(report.ok) << net.name() << ": " << report.failure;

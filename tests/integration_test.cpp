@@ -12,7 +12,7 @@ namespace {
 TEST(Integration, FullPaperPipelineOnBitonic16) {
   // 1. Construction + structure (Sections 2.5-2.6).
   const Network net = make_bitonic(16);
-  ASSERT_TRUE(is_uniform(net));
+  ASSERT_TRUE(net.uniform());
   ASSERT_EQ(net.depth(), 10u);
   ASSERT_EQ(shallowness(net), 10u);
   ASSERT_EQ(influence_radius(net), 4u);

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/compiled.hpp"
 #include "core/constructions.hpp"
 #include "core/sequential.hpp"
 #include "core/split.hpp"
@@ -30,7 +29,7 @@ std::uint32_t lg(std::uint32_t w) {
   return l;
 }
 
-TEST(SplitPlan, BitonicFormulasAndSplitAnalysisAgreement) {
+TEST(SplitPlan, BitonicFormulas) {
   for (std::uint32_t w : {2u, 4u, 8u, 16u, 32u}) {
     const Network net = make_bitonic(w);
     const SplitPlan plan(net);
@@ -39,14 +38,39 @@ TEST(SplitPlan, BitonicFormulasAndSplitAnalysisAgreement) {
     EXPECT_EQ(plan.max_level(), lgw) << "sp(B(" << w << "))";
     EXPECT_EQ(plan.split_depth(), (lgw * lgw - lgw + 2) / 2)
         << "sd(B(" << w << "))";
+  }
+}
 
-    const SplitAnalysis analysis(net);
-    ASSERT_TRUE(analysis.applicable());
-    EXPECT_EQ(plan.max_level(), analysis.split_number());
-    EXPECT_EQ(plan.split_depth(), analysis.split_depth());
-    for (std::uint32_t ell = 1; ell <= plan.max_level(); ++ell) {
-      EXPECT_EQ(plan.split_layer_abs(ell), analysis.split_layer_abs(ell))
-          << "B(" << w << ") level " << ell;
+TEST(SplitPlan, SplitLayersAgreeWithSplitAnalysis) {
+  // The split tree's level-ell layer is the split sequence's ell-th: both
+  // come from find_split_level, the tree on every group and the sequence
+  // on the ≺-maximal one.
+  for (std::uint32_t w = 2; w <= 64; w *= 2) {
+    for (const Network& net : {make_bitonic(w), make_periodic(w)}) {
+      const SplitPlan plan(net);
+      const SplitAnalysis analysis(net);
+      ASSERT_TRUE(plan.applicable()) << net.name() << ": " << plan.reason();
+      ASSERT_TRUE(analysis.applicable()) << net.name();
+      ASSERT_EQ(plan.max_level(), lg(w)) << net.name();
+      ASSERT_EQ(analysis.split_number(), lg(w)) << net.name();
+      for (std::uint32_t ell = 1; ell <= lg(w); ++ell) {
+        EXPECT_EQ(plan.split_layer_abs(ell), analysis.split_layer_abs(ell))
+            << net.name() << " level " << ell;
+      }
+    }
+  }
+}
+
+TEST(SplitPlan, ExtractedPartsAreUniform) {
+  for (std::uint32_t w = 2; w <= 64; w *= 2) {
+    for (const Network& net : {make_bitonic(w), make_periodic(w)}) {
+      const SplitPlan plan(net);
+      ASSERT_TRUE(plan.applicable()) << net.name();
+      for (std::uint32_t ell = 0; ell <= plan.max_level(); ++ell) {
+        for (const Subnetwork& part : plan.extract(ell)) {
+          EXPECT_TRUE(part.net->uniform()) << part.net->name();
+        }
+      }
     }
   }
 }
@@ -60,16 +84,6 @@ TEST(SplitPlan, PeriodicFormulas) {
     EXPECT_EQ(plan.max_level(), lgw) << "sp(P(" << w << "))";
     EXPECT_EQ(plan.split_depth(), lgw * lgw - lgw + 1) << "sd(P(" << w << "))";
   }
-}
-
-TEST(SplitPlan, CompiledOverloadCertifiesTheSameTopology) {
-  const Network net = make_bitonic(8);
-  const CompiledNetwork compiled(net);
-  const SplitPlan plan(compiled);
-  ASSERT_TRUE(plan.applicable());
-  EXPECT_EQ(plan.max_level(), 3u);
-  EXPECT_EQ(plan.split_depth(), 4u);
-  EXPECT_EQ(&plan.network(), &net);
 }
 
 TEST(SplitPlan, CountingTreeIsNotUniformlySplittable) {

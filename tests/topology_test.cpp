@@ -119,9 +119,48 @@ TEST(Topology, NamesArePropagated) {
   EXPECT_EQ(make_counting_tree(4).name(), "counting_tree(4)");
 }
 
-TEST(Topology, PathNodesIsDepthPlusOne) {
-  const Network net = make_bitonic(8);
-  EXPECT_EQ(net.path_nodes(), net.depth() + 1);
+// Uniformity (LSST99 Definition 2.1) at the edges of the depth rule.
+
+TEST(Topology, BalancerFreeNetworkIsUniform) {
+  NetworkBuilder b(2, 2);
+  b.connect_source_to_sink(0, 1);
+  b.connect_source_to_sink(1, 0);
+  const Network net = b.build("wires");
+  EXPECT_EQ(net.depth(), 0u);
+  EXPECT_TRUE(net.uniform());
+}
+
+TEST(Topology, SourceWiredToSinkBesideABalancerIsNotUniform) {
+  // Sink 2 sits at depth 0, sinks 0 and 1 at depth 1.
+  NetworkBuilder b(3, 3);
+  const NodeIndex bal = b.add_balancer(2, 2);
+  b.connect_source_to_balancer(0, bal, 0);
+  b.connect_source_to_balancer(1, bal, 1);
+  b.connect_balancer_to_sink(bal, 0, 0);
+  b.connect_balancer_to_sink(bal, 1, 1);
+  b.connect_source_to_sink(2, 2);
+  EXPECT_FALSE(b.build("bypass").uniform());
+}
+
+TEST(Topology, BalancerFedFromTwoDepthsIsNotUniform) {
+  // The second balancer takes one input from the first (depth 1) and one
+  // from a source (depth 0). Every sink still sits at depth d(G) = 2: the
+  // first balancer's other output passes a (1,1) balancer.
+  NetworkBuilder b(3, 3);
+  const NodeIndex first = b.add_balancer(2, 2);
+  const NodeIndex second = b.add_balancer(2, 2);
+  const NodeIndex pass = b.add_balancer(1, 1);
+  b.connect_source_to_balancer(0, first, 0);
+  b.connect_source_to_balancer(1, first, 1);
+  b.connect_balancer_to_balancer(first, 0, pass, 0);
+  b.connect_balancer_to_balancer(first, 1, second, 0);
+  b.connect_source_to_balancer(2, second, 1);
+  b.connect_balancer_to_sink(pass, 0, 0);
+  b.connect_balancer_to_sink(second, 0, 1);
+  b.connect_balancer_to_sink(second, 1, 2);
+  const Network net = b.build("skewed");
+  EXPECT_EQ(net.depth(), 2u);
+  EXPECT_FALSE(net.uniform());
 }
 
 }  // namespace

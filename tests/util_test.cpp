@@ -1,9 +1,13 @@
 // Tests for the utility layer (src/util): RNG determinism and ranges,
-// statistics, table formatting, CLI parsing, bit helpers, spin barrier.
+// table formatting, CLI parsing, bit helpers, spin barrier.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/bits.hpp"
@@ -12,7 +16,6 @@
 #include "util/residue.hpp"
 #include "util/rng.hpp"
 #include "util/spin_barrier.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace cn {
@@ -116,33 +119,6 @@ TEST(Rng, RoughlyUniform) {
   }
 }
 
-TEST(Stats, SummaryBasics) {
-  const Summary s = summarize({3.0, 1.0, 2.0});
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.p50, 2.0);
-  EXPECT_NEAR(s.stddev, 1.0, 1e-12);
-}
-
-TEST(Stats, EmptyAndSingleton) {
-  const Summary e = summarize({});
-  EXPECT_EQ(e.count, 0u);
-  const Summary one = summarize({5.0});
-  EXPECT_EQ(one.count, 1u);
-  EXPECT_DOUBLE_EQ(one.mean, 5.0);
-  EXPECT_DOUBLE_EQ(one.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(one.p99, 5.0);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> sorted{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 1.0), 10.0);
-}
-
 TEST(Table, AlignsColumns) {
   TablePrinter t({"a", "long_header"});
   t.add_row({"xxxx", "1"});
@@ -182,12 +158,63 @@ TEST(Cli, ParsesAllForms) {
 }
 
 TEST(Cli, BooleanSpellings) {
-  const char* argv[] = {"prog", "--a=false", "--b=0", "--c=no", "--d=true"};
-  CliArgs args(5, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--a=false", "--b=0", "--c=no",
+                        "--d=true", "--e=1",  "--f=yes"};
+  CliArgs args(7, const_cast<char**>(argv));
   EXPECT_FALSE(args.get_bool("a", true));
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_FALSE(args.get_bool("c", true));
   EXPECT_TRUE(args.get_bool("d", false));
+  EXPECT_TRUE(args.get_bool("e", false));
+  EXPECT_TRUE(args.get_bool("f", false));
+}
+
+// A malformed value throws, naming the flag and the value, instead of
+// running with whatever prefix strtoll/strtod could read.
+void expect_rejected(const std::function<void()>& get, const std::string& flag,
+                     const std::string& value) {
+  try {
+    get();
+    ADD_FAILURE() << "--" << flag << " " << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, MalformedValuesThrow) {
+  const char* argv[] = {"prog",          "--trials", "abc",
+                        "--c_max",       "2,5",      "--width=8x",
+                        "--seed=",       "--json",   "maybe",
+                        "--big=99999999999999999999", "--flag=TRUE"};
+  CliArgs args(11, const_cast<char**>(argv));
+  expect_rejected([&] { args.get_int("trials", 0); }, "trials", "abc");
+  expect_rejected([&] { args.get_double("c_max", 0.0); }, "c_max", "2,5");
+  expect_rejected([&] { args.get_int("width", 0); }, "width", "8x");
+  expect_rejected([&] { args.get_int("seed", 0); }, "seed", "");
+  expect_rejected([&] { args.get_double("seed", 0.0); }, "seed", "");
+  expect_rejected([&] { args.get_bool("json", false); }, "json", "maybe");
+  expect_rejected([&] { args.get_int("big", 0); }, "big",
+                  "99999999999999999999");
+  expect_rejected([&] { args.get_bool("flag", false); }, "flag", "TRUE");
+  expect_rejected([] { parse_double("probs", "0.1x"); }, "probs", "0.1x");
+  // An absent flag still reads its fallback; a string read never throws.
+  EXPECT_EQ(args.get_int("absent", 7), 7);
+  EXPECT_EQ(args.get("trials", ""), "abc");
+}
+
+TEST(Cli, WholeValuesParse) {
+  const char* argv[] = {"prog", "--n=-3", "--x=1e-3", "--nan=nan",
+                        "--inf=inf"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 1e-3);
+  // Non-finite delay bounds parse here and are rejected by the spec's
+  // own validation, which names them.
+  EXPECT_TRUE(std::isnan(args.get_double("nan", 0.0)));
+  EXPECT_TRUE(std::isinf(args.get_double("inf", 0.0)));
+  EXPECT_DOUBLE_EQ(parse_double("probs", "0.25"), 0.25);
 }
 
 TEST(SpinBarrier, SynchronizesThreads) {

@@ -37,55 +37,6 @@ namespace cn {
 namespace {
 
 // ---------------------------------------------------------------------
-// WavePlan: level assignment and the uniformity certificate.
-// ---------------------------------------------------------------------
-
-TEST(WavePlan, LevelsBitonic8) {
-  const Network net = make_bitonic(8);
-  const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  ASSERT_TRUE(plan.uniform());
-  EXPECT_EQ(plan.depth(), net.depth());
-  // Level 0 is exactly the source wires.
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(plan.level_of_wire(compiled.source_wire(i)), 0u);
-  }
-  // Every level of B(8) has full width; the counters' wires, and only
-  // they, sit at level depth.
-  std::vector<std::uint32_t> width(plan.depth() + 1, 0);
-  for (WireIndex w = 0; w < compiled.num_wires(); ++w) {
-    const std::uint32_t level = plan.level_of_wire(w);
-    ASSERT_LE(level, plan.depth()) << "wire " << w;
-    ++width[level];
-    EXPECT_EQ(compiled.route(w).is_sink != 0, level == plan.depth())
-        << "wire " << w;
-  }
-  for (std::uint32_t l = 0; l <= plan.depth(); ++l) {
-    EXPECT_EQ(width[l], 8u) << "level " << l;
-  }
-}
-
-TEST(WavePlan, CountingTreeIsUniform) {
-  const Network net = make_counting_tree(8);
-  const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  EXPECT_TRUE(plan.uniform());
-  EXPECT_EQ(plan.depth(), net.depth());
-  std::uint32_t at_level_0 = 0;
-  for (WireIndex w = 0; w < compiled.num_wires(); ++w) {
-    at_level_0 += plan.level_of_wire(w) == 0 ? 1 : 0;
-  }
-  EXPECT_EQ(at_level_0, 1u);  // one source
-}
-
-TEST(WavePlan, BrickWallIsNotUniform) {
-  const Network net = make_brick_wall(4, 3);
-  const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  EXPECT_FALSE(plan.uniform());
-}
-
-// ---------------------------------------------------------------------
 // Generic wave kernels vs the scalar engine, level-major order.
 // ---------------------------------------------------------------------
 
@@ -95,9 +46,8 @@ TEST(WavePlan, BrickWallIsNotUniform) {
 TEST(GenericWave, MatchesScalarLevelMajorStepping) {
   const Network net = make_bitonic(8);
   const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  ASSERT_TRUE(plan.uniform());
-  const std::uint32_t d = plan.depth();
+  ASSERT_TRUE(net.uniform());
+  const std::uint32_t d = net.depth();
 
   NetworkState scalar(net);
   CompiledState wave_state(compiled);
@@ -145,9 +95,8 @@ TEST(GenericWave, MatchesScalarLevelMajorStepping) {
 TEST(GenericWave, HandlesNonPowerOfTwoFanOut) {
   const Network net = make_counting_tree_k(9, 3);
   const CompiledNetwork compiled(net);
-  const WavePlan plan(compiled);
-  ASSERT_TRUE(plan.uniform());
-  const std::uint32_t d = plan.depth();
+  ASSERT_TRUE(net.uniform());
+  const std::uint32_t d = net.depth();
 
   NetworkState scalar(net);
   CompiledState wave_state(compiled);
@@ -280,10 +229,10 @@ TEST(SimulateWave, NonUniformFallsBackToScalarError) {
   EXPECT_FALSE(wave.ok());
 }
 
-// One arena across networks: the level plan is rebuilt with the tables,
-// so a non-uniform network after a uniform one of the same depth still
-// falls back to the scalar body.
-TEST(SimulateWave, ArenaSwitchRebuildsTheLevelPlan) {
+// One arena across networks: uniformity is the network's own, not cached
+// with the arena's tables, so a non-uniform network after a uniform one of
+// the same depth still falls back to the scalar body.
+TEST(SimulateWave, ArenaSwitchToNonUniformFallsBack) {
   const Network uniform = make_bitonic(4);
   const Network brick = make_brick_wall(4, 3);
   ASSERT_EQ(uniform.depth(), brick.depth());

@@ -22,7 +22,7 @@ namespace cn::bench {
 /// otherwise all hardware threads (aggregates are identical either way —
 /// the engine derives per-trial seeds deterministically).
 inline std::uint32_t sweep_threads(const CliArgs& args) {
-  return static_cast<std::uint32_t>(args.get_int("threads", 0));
+  return args.get_uint<std::uint32_t>("threads", 0, kMaxThreadsFlag);
 }
 
 /// RunSpec for the randomized violation search every probe bench uses:

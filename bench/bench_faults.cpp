@@ -119,28 +119,23 @@ int main(int argc, char** argv) {
       engine::RunSpec& spec = sweep.base;
       spec.backend = mode->backend;
       spec.network = args.get("network", "bitonic");
-      spec.width = static_cast<std::uint32_t>(args.get_int("width", 8));
-      spec.processes =
-          static_cast<std::uint32_t>(args.get_int("processes", 8));
-      spec.ops_per_process = static_cast<std::uint32_t>(args.get_int("ops", 4));
+      spec.width = args.get_uint<std::uint32_t>("width", 8);
+      spec.processes = args.get_uint<std::uint32_t>("processes", 8);
+      spec.ops_per_process = args.get_uint<std::uint32_t>("ops", 4);
       spec.c_min = args.get_double("c_min", 1.0);
       spec.c_max = args.get_double("c_max", 2.0);
-      spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+      spec.seed = args.get_uint<std::uint64_t>("seed", 1);
       spec.threads =
-          static_cast<std::uint32_t>(args.get_int("run_threads", 4));
-      spec.ops_per_thread =
-          static_cast<std::uint64_t>(args.get_int("ops_per_thread", 50));
+          args.get_uint<std::uint32_t>("run_threads", 4, kMaxThreadsFlag);
+      spec.ops_per_thread = args.get_uint<std::uint64_t>("ops_per_thread", 50);
       spec.wave_exec = args.get_bool("wave", false);
       spec.fault.enabled = true;
-      spec.fault.seed =
-          static_cast<std::uint64_t>(args.get_int("fault_seed", 0));
+      spec.fault.seed = args.get_uint<std::uint64_t>("fault_seed", 0);
       mode->apply(spec.fault, p);
-      sweep.trials = static_cast<std::uint64_t>(args.get_int("trials", 100));
+      sweep.trials = args.get_uint<std::uint64_t>("trials", 100);
       sweep.threads = cn::bench::sweep_threads(args);
-      sweep.timeout_ms =
-          static_cast<std::uint64_t>(args.get_int("timeout_ms", 0));
-      sweep.max_retries =
-          static_cast<std::uint32_t>(args.get_int("retries", 0));
+      sweep.timeout_ms = args.get_uint<std::uint64_t>("timeout_ms", 0);
+      sweep.max_retries = args.get_uint<std::uint32_t>("retries", 0);
 
       const engine::SweepStats st = engine::sweep_stats(sweep);
       const double counting = rate(st, "counting_violation");

@@ -771,21 +771,19 @@ int main(int argc, char** argv) {
   const bool smoke = args.get_bool("smoke", false);
   const bool json = args.get_bool("json", false);
   const bool faults = !args.get_bool("no-faults", false);
-  const auto width = static_cast<std::uint32_t>(args.get_int("width", 8));
-  const auto clients =
-      static_cast<std::uint32_t>(args.get_int("clients", smoke ? 4 : 8));
-  const auto ops = static_cast<std::uint64_t>(
-      args.get_int("ops", smoke ? 400 : 2000));
-  const auto batch =
-      static_cast<std::uint32_t>(args.get_int("batch", 32));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto width = args.get_uint<std::uint32_t>("width", 8);
+  const auto clients = args.get_uint<std::uint32_t>(
+      "clients", smoke ? 4 : 8, kMaxThreadsFlag);
+  const auto ops = args.get_uint<std::uint64_t>("ops", smoke ? 400 : 2000);
+  const auto batch = args.get_uint<std::uint32_t>("batch", 32);
+  const auto seed = args.get_uint<std::uint64_t>("seed", 1);
 
   std::vector<std::uint32_t> shard_counts;
   {
     std::istringstream ss(args.get("shards", smoke ? "1,2" : "1,2,4"));
     for (std::string tok; std::getline(ss, tok, ',');) {
-      shard_counts.push_back(
-          static_cast<std::uint32_t>(std::stoul(tok)));
+      shard_counts.push_back(static_cast<std::uint32_t>(
+          parse_uint("shards", tok, kMaxThreadsFlag)));
     }
   }
 
@@ -793,10 +791,9 @@ int main(int argc, char** argv) {
 
   // --- ingress mode (E15; exclusive like --soak/--elastic) ------------
   if (args.get_bool("ingress", false)) {
-    const auto client_batch = static_cast<std::uint32_t>(
-        args.get_int("client-batch", 16));
-    const auto ing_shards = static_cast<std::uint32_t>(
-        args.get_int("ingress-shards", shard_counts.back()));
+    const auto client_batch = args.get_uint<std::uint32_t>("client-batch", 16);
+    const auto ing_shards = args.get_uint<std::uint32_t>(
+        "ingress-shards", shard_counts.back(), kMaxThreadsFlag);
     if (!json) {
       std::cout << "E15: batched ingress — " << clients << " clients x "
                 << ops << " ops as submit_batch(" << client_batch << "), "
@@ -833,11 +830,11 @@ int main(int argc, char** argv) {
 
   // --- elastic mode (E14; exclusive like --soak) -----------------------
   if (args.get_bool("elastic", false)) {
-    const auto elastic_ms = static_cast<std::uint64_t>(
-        args.get_int("elastic-ms", smoke ? 3000 : 15000));
+    const auto elastic_ms =
+        args.get_uint<std::uint64_t>("elastic-ms", smoke ? 3000 : 15000);
     const std::uint32_t lg_w = log2_floor(width);
-    auto max_level = static_cast<std::uint32_t>(
-        args.get_int("elastic-max-level", std::min<std::uint32_t>(lg_w, 2)));
+    auto max_level = args.get_uint<std::uint32_t>(
+        "elastic-max-level", std::min<std::uint32_t>(lg_w, 2));
     max_level = std::min(max_level, lg_w);
     const bool controller = !args.get_bool("no-controller", false);
     double base_rate = args.get_double("elastic-rate", 0.0);
@@ -906,10 +903,10 @@ int main(int argc, char** argv) {
 
   // --- soak mode (exclusive: runs instead of the E12 sections) ---------
   if (args.get_bool("soak", false)) {
-    const auto soak_ms = static_cast<std::uint64_t>(
-        args.get_int("soak-ms", smoke ? 4000 : 20000));
-    const auto soak_shards = static_cast<std::uint32_t>(
-        args.get_int("soak-shards", shard_counts.back()));
+    const auto soak_ms =
+        args.get_uint<std::uint64_t>("soak-ms", smoke ? 4000 : 20000);
+    const auto soak_shards = args.get_uint<std::uint32_t>(
+        "soak-shards", shard_counts.back(), kMaxThreadsFlag);
     double base_rate = args.get_double("soak-rate", 0.0);
     if (base_rate <= 0.0) {
       // Quick closed-loop saturation probe; soak offers ~30% of it so

@@ -44,21 +44,21 @@ int main(int argc, char** argv) {
   engine::RunSpec& spec = sweep.base;
   spec.backend = args.get("backend", "simulator");
   spec.network = args.get("network", "bitonic");
-  spec.width = static_cast<std::uint32_t>(args.get_int("width", 8));
-  spec.processes = static_cast<std::uint32_t>(args.get_int("processes", 8));
-  spec.ops_per_process = static_cast<std::uint32_t>(args.get_int("ops", 4));
+  spec.width = args.get_uint<std::uint32_t>("width", 8);
+  spec.processes = args.get_uint<std::uint32_t>("processes", 8);
+  spec.ops_per_process = args.get_uint<std::uint32_t>("ops", 4);
   spec.c_min = args.get_double("c_min", 1.0);
   spec.c_max = args.get_double("c_max", 2.5);
   spec.local_delay_min = args.get_double("local_delay", 0.0);
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  spec.ell = static_cast<std::uint32_t>(args.get_int("ell", 1));
-  spec.threads = static_cast<std::uint32_t>(args.get_int("run_threads", 4));
-  spec.ops_per_thread =
-      static_cast<std::uint64_t>(args.get_int("ops_per_thread", 50));
-  sweep.trials = static_cast<std::uint64_t>(args.get_int("trials", 200));
+  spec.seed = args.get_uint<std::uint64_t>("seed", 1);
+  spec.ell = args.get_uint<std::uint32_t>("ell", 1);
+  spec.threads =
+      args.get_uint<std::uint32_t>("run_threads", 4, kMaxThreadsFlag);
+  spec.ops_per_thread = args.get_uint<std::uint64_t>("ops_per_thread", 50);
+  sweep.trials = args.get_uint<std::uint64_t>("trials", 200);
   sweep.threads = cn::bench::sweep_threads(args);
-  sweep.timeout_ms = static_cast<std::uint64_t>(args.get_int("timeout_ms", 0));
-  sweep.max_retries = static_cast<std::uint32_t>(args.get_int("retries", 0));
+  sweep.timeout_ms = args.get_uint<std::uint64_t>("timeout_ms", 0);
+  sweep.max_retries = args.get_uint<std::uint32_t>("retries", 0);
 
   spec.keep_trace = !args.get_bool("stream", false);
   spec.wave_exec = args.get_bool("wave", false);

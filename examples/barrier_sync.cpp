@@ -49,9 +49,10 @@ class NetworkBarrier {
 int main(int argc, char** argv) {
   using namespace cn;
   const CliArgs args(argc, argv);
-  const auto threads = static_cast<std::uint32_t>(args.get_int("threads", 4));
-  const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 50));
-  const auto width = static_cast<std::uint32_t>(args.get_int("width", 8));
+  const auto threads =
+      args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);
+  const auto rounds = args.get_uint<std::uint64_t>("rounds", 50);
+  const auto width = args.get_uint<std::uint32_t>("width", 8);
 
   const Network topo = make_bitonic(width);
   NetworkBarrier barrier(topo, threads);

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   engine::RunSpec spec;
   spec.backend = "wave";
   spec.network = args.get("network", "bitonic");
-  spec.width = static_cast<std::uint32_t>(args.get_int("width", 8));
-  spec.ell = static_cast<std::uint32_t>(args.get_int("ell", 1));
+  spec.width = args.get_uint<std::uint32_t>("width", 8);
+  spec.ell = args.get_uint<std::uint32_t>("ell", 1);
 
   const engine::RunResult res = engine::run_backend(spec);
   if (!res.ok()) {

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace cn;
   const CliArgs args(argc, argv);
-  const auto width = static_cast<std::uint32_t>(args.get_int("width", 8));
+  const auto width = args.get_uint<std::uint32_t>("width", 8);
   const std::string kind = args.get("network", "all");
 
   auto show = [](const Network& net) {

@@ -6,6 +6,7 @@
 //
 //   ./id_allocator [--width 8] [--threads 4] [--ops 500] [--local-delay-us 0]
 #include <iostream>
+#include <limits>
 #include <map>
 
 #include "concurrent/concurrent_network.hpp"
@@ -18,12 +19,14 @@
 int main(int argc, char** argv) {
   using namespace cn;
   const CliArgs args(argc, argv);
-  const auto width = static_cast<std::uint32_t>(args.get_int("width", 8));
+  const auto width = args.get_uint<std::uint32_t>("width", 8);
   ConcurrentRunSpec spec;
-  spec.threads = static_cast<std::uint32_t>(args.get_int("threads", 4));
-  spec.ops_per_thread = static_cast<std::uint64_t>(args.get_int("ops", 500));
+  spec.threads = args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);
+  spec.ops_per_thread = args.get_uint<std::uint64_t>("ops", 500);
+  constexpr std::uint64_t kMaxDelayUs =
+      std::numeric_limits<std::uint64_t>::max() / 1000;
   spec.local_delay_ns =
-      static_cast<std::uint64_t>(args.get_int("local-delay-us", 0)) * 1000;
+      args.get_uint<std::uint64_t>("local-delay-us", 0, kMaxDelayUs) * 1000;
 
   const Network topo = make_bitonic(width);
   ConcurrentNetwork net(topo);

@@ -16,9 +16,10 @@
 int main(int argc, char** argv) {
   using namespace cn;
   const CliArgs args(argc, argv);
-  const auto width = static_cast<std::uint32_t>(args.get_int("width", 8));
-  const auto threads = static_cast<std::uint32_t>(args.get_int("threads", 4));
-  const auto ops = static_cast<std::uint64_t>(args.get_int("ops", 1000));
+  const auto width = args.get_uint<std::uint32_t>("width", 8);
+  const auto threads =
+      args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);
+  const auto ops = args.get_uint<std::uint64_t>("ops", 1000);
 
   // 1. Build the topology (a plain value type) and instantiate it in
   //    shared memory.

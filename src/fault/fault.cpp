@@ -89,8 +89,13 @@ Degradation degradation(const Trace& trace, std::uint32_t fan_out) {
 }
 
 void DegradationAccumulator::add_rare_value(Value v) {
-  if (v < dense_limit()) {
-    value_seen_.resize(static_cast<std::size_t>(v) + 1, false);
+  max_value_ = std::max(max_value_, v);
+  const std::uint64_t limit = dense_limit();
+  if (v < limit) {
+    // Double the bitmap, or grow it to cover v, staying under the limit.
+    const std::uint64_t size = std::max<std::uint64_t>(
+        v + 1, std::min<std::uint64_t>(2 * value_seen_.size(), limit));
+    value_seen_.resize(static_cast<std::size_t>(size), false);
     value_seen_[v] = true;
   } else {
     value_spill_.push_back(v);
@@ -109,6 +114,7 @@ void DegradationAccumulator::add_rare_sink(std::uint32_t sink) {
 void DegradationAccumulator::reset() {
   records_ = 0;
   duplicate_value_ = false;
+  max_value_ = 0;
   value_seen_.clear();
   value_spill_.clear();
   sink_counts_.clear();
@@ -125,9 +131,7 @@ Degradation DegradationAccumulator::result(std::uint32_t fan_out) const {
   // after it spilled) exists.
   std::vector<Value> values = value_spill_;
   std::sort(values.begin(), values.end());
-  Value max_value = value_seen_.empty() ? 0 : value_seen_.size() - 1;
-  if (!values.empty()) max_value = std::max(max_value, values.back());
-  bool violation = duplicate_value_ || max_value >= records_;
+  bool violation = duplicate_value_ || max_value_ >= records_;
   for (std::size_t i = 0; i < values.size() && !violation; ++i) {
     const Value v = values[i];
     violation = (i > 0 && values[i - 1] == v) ||

@@ -20,6 +20,7 @@
 // the simulate* overloads of sim/simulator.hpp interpret.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -190,7 +191,10 @@ Degradation degradation(const Trace& trace, std::uint32_t fan_out);
 /// spill into side lists that result() sorts and reconciles. A counting
 /// network hands out values below fan_out * tokens, so in practice
 /// nearly every record lands in the dense arrays; a hostile replayed
-/// record (sink 0xFFFFFFFF, value 2^64 - 1) costs one list entry.
+/// record (sink 0xFFFFFFFF, value 2^64 - 1) costs one list entry. The
+/// bitmap grows geometrically (within that bound), so an ascending value
+/// stream resizes it O(log records) times, and may cover values no
+/// record holds: the largest value is kept apart.
 class DegradationAccumulator final : public TraceSink {
  public:
   void on_record(const TokenRecord& record) override {
@@ -198,6 +202,7 @@ class DegradationAccumulator final : public TraceSink {
     if (record.value < value_seen_.size()) {
       duplicate_value_ |= value_seen_[record.value];
       value_seen_[record.value] = true;
+      max_value_ = std::max(max_value_, record.value);
     } else {
       add_rare_value(record.value);
     }
@@ -229,7 +234,9 @@ class DegradationAccumulator final : public TraceSink {
 
   std::uint64_t records_ = 0;
   bool duplicate_value_ = false;  ///< A value repeated in the bitmap.
-  /// One flag per value, sized to the largest value that went dense.
+  Value max_value_ = 0;           ///< The largest value seen (0 if none).
+  /// One flag per value, grown geometrically past the largest value that
+  /// went dense.
   std::vector<bool> value_seen_;
   std::vector<Value> value_spill_;  ///< Values past the bitmap on arrival.
   /// Records per sink, sized to the largest sink that went dense.

@@ -576,8 +576,11 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
       // Lock-free recording: ONE last_seq range draw for the sub-batch
       // (the shared counter keeps every last_seq above its first_seq and
       // all seqs unique), records appended to this shard's single-writer
-      // lane. Abandoned elements emit nothing — an unresolved seq is
-      // simply absent from the merged stream.
+      // lane, which append_issue_ordered keeps in issue order (a request
+      // whose submitter drew its first_seq before another's but pushed
+      // after it lands behind records it precedes). Abandoned elements
+      // emit nothing — an unresolved seq is simply absent from the merged
+      // stream.
       const std::uint64_t ls =
           events_.fetch_add(k, std::memory_order_relaxed);
       for (std::uint32_t i = 0; i < k; ++i) {
@@ -592,7 +595,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         rec.t_out = static_cast<double>(completion_ns);
         rec.first_seq = batch[i].first_seq;
         rec.last_seq = ls + i;
-        rt.lane.push_back(rec);
+        append_issue_ordered(rt.lane, rec);
       }
     }
 
@@ -825,20 +828,16 @@ void CountingService::retire_epoch() {
   es.audit_exact = residue_audit(es, es.gap_free).exact;
   if (cfg_.record) {
     // The epoch's record stream ends here: the workers are joined, so
-    // their single-writer lanes are quiescent. Sort each by the issue
-    // key (a lane is near-sorted — one shard consumes its queue FIFO —
-    // but concurrent submitters can invert the push order of drawn
-    // seqs) and k-way merge into the sink: the merged stream honors the
-    // exact issue-order contract the analyzers require, one epoch at a
-    // time. Seqs that never resolved (rejected, crash-lost, abandoned)
-    // are simply absent. Cross-epoch order holds because the next
-    // epoch's seqs are drawn after this merge.
+    // their single-writer lanes are quiescent, and each is already in
+    // issue order (its worker appended through append_issue_ordered). One
+    // k-way merge into the tee honors the exact issue-order contract the
+    // analyzers require, one epoch at a time. Seqs that never resolved
+    // (rejected, crash-lost, abandoned) are simply absent. Cross-epoch
+    // order holds because the next epoch's seqs are drawn after this
+    // merge.
     std::vector<Trace> lanes;
     lanes.reserve(ep.runtimes.size());
-    for (auto& rt : ep.runtimes) {
-      std::sort(rt->lane.begin(), rt->lane.end(), issue_order_less);
-      lanes.push_back(std::move(rt->lane));
-    }
+    for (auto& rt : ep.runtimes) lanes.push_back(std::move(rt->lane));
     merge_issue_ordered(lanes, *tee_);
     epoch_sc_->finish();
     if (epoch_sc_->total() > 0) {

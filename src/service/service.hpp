@@ -99,13 +99,14 @@
 // first_seq ranges are drawn at submit and last_seqs at completion from
 // one shared atomic event counter (so every record's first_seq precedes
 // its last_seq and seqs are globally unique), and each worker appends
-// its records to a single-writer per-shard lane. At each epoch fence —
-// and at stop() for the final epoch — the lanes are sorted and k-way
-// merged by the issue key into the sink, which therefore sees the exact
-// issue-order contract the live mutex-serialized path used to produce,
-// one epoch at a time. Un-recorded runs (the saturation benchmarks)
-// touch no shared mutable state beyond the queues, the dispenser, and
-// the shard networks.
+// its records to a single-writer per-shard lane, which
+// append_issue_ordered (trace/sink.hpp) keeps in issue order as it fills.
+// At each epoch fence — and at stop() for the final epoch — one k-way
+// merge by the issue key moves the lanes into the sink, which therefore
+// sees the exact issue-order contract the live mutex-serialized path
+// used to produce, one epoch at a time. Un-recorded runs (the saturation
+// benchmarks) touch no shared mutable state beyond the queues, the
+// dispenser, and the shard networks.
 // Epochs (paper Props 5.6-5.10 + Lemma 3.1): shards live in a versioned
 // TopologyEpoch. A classic service is its degenerate single epoch of N
 // full-network shards fed in rotated identity order. When
@@ -490,8 +491,9 @@ class CountingService {
     Request carry{.count = 0};
     std::uint32_t carry_pos = 0;
     /// Lock-free recording lane: the shard's completed TokenRecords in
-    /// local completion order (single-writer — the current worker).
-    /// Sorted + k-way merged into the sink at the epoch fence.
+    /// issue order (single-writer — the current worker, which appends
+    /// through append_issue_ordered). K-way merged into the sink at the
+    /// epoch fence.
     Trace lane;
     LatencyHistogram latency;  ///< Single-writer (the current worker);
                                ///< merged at the epoch's fence.
@@ -601,9 +603,9 @@ class CountingService {
   // Recording path only — LOCK-FREE: events_ is the shared seq
   // dispenser (submit draws first_seq ranges, workers draw last_seqs;
   // one monotone counter makes first < last per record and all seqs
-  // unique). Records accumulate in the per-shard single-writer lanes
-  // and reach tee_ via a sorted k-way merge at each fence, under
-  // fence_mu_. tee_ feeds the per-epoch analyzer epoch_sc_ and the
+  // unique). Records accumulate, in issue order, in the per-shard
+  // single-writer lanes and reach tee_ via a k-way merge at each fence,
+  // under fence_mu_. tee_ feeds the per-epoch analyzer epoch_sc_ and the
   // user's sink; it is never finished — the fence finishes epoch_sc_
   // directly and the caller finishes its own sink.
   alignas(kCacheLineSize) std::atomic<std::uint64_t> events_{0};

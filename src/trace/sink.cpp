@@ -66,4 +66,14 @@ void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink) {
   for (Trace& lane : lanes) lane.clear();
 }
 
+void append_issue_ordered(Trace& lane, const TokenRecord& record) {
+  if (lane.empty() || !issue_order_less(record, lane.back())) {
+    lane.push_back(record);
+    return;
+  }
+  lane.insert(
+      std::upper_bound(lane.begin(), lane.end(), record, issue_order_less),
+      record);
+}
+
 }  // namespace cn

@@ -112,12 +112,24 @@ void feed_issue_order(const Trace& trace, TraceSink& sink);
 void feed_completion_order(const Trace& trace, TraceSink& sink);
 
 /// K-way merges per-producer partial traces — each already sorted by
-/// issue_order_less (true of any single-writer lane whose operations are
-/// recorded as they complete against a shared monotone seq counter, and
-/// of per-thread closed-loop partials) — into one issue-ordered stream,
-/// emitted in bounded on_records() batches. Does not call sink.finish().
-/// Lanes are consumed (left empty) so callers can reuse their capacity.
+/// issue_order_less — into one issue-ordered stream, emitted in bounded
+/// on_records() batches. Does not call sink.finish(). Lanes are consumed
+/// (left empty) so callers can reuse their capacity. A per-thread
+/// closed-loop partial is sorted as it is recorded, since one thread's
+/// operations are sequential. A lane that several submitters feed is
+/// not: a submitter can draw its first_seq before another and push its
+/// request after it. Such a lane stays sorted only if every record goes
+/// in through append_issue_ordered.
 void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink);
+
+/// Appends `record` to `lane`, which is sorted by issue_order_less, and
+/// keeps it sorted. A record that does not precede the lane's last one
+/// (every record, when one thread submits) costs one comparison and a
+/// push_back. One that does is inserted at its place, found by binary
+/// search, after every record it does not precede; that moves the
+/// records behind it, as many as were appended after it while it was
+/// in flight.
+void append_issue_ordered(Trace& lane, const TokenRecord& record);
 
 /// Producer-side reorder window: event-driven producers complete
 /// operations in last_seq order, but the sink contract is issue order.

@@ -14,6 +14,7 @@ void StreamingConsistency::reset() {
   key_token_ = 0;
   has_key_ = false;
   frontier_.clear();
+  head_ = 0;
   max_completed_ = 0;
   any_completed_ = false;
   process_slots_.clear();
@@ -47,7 +48,8 @@ void StreamingConsistency::ingest(const TokenRecord& record) {
   ps.prefix_max =
       ps.any ? std::max(ps.prefix_max, record.value) : record.value;
   ps.any = true;
-  if (frontier_.size() > peak_pending_) peak_pending_ = frontier_.size();
+  const std::size_t pending = frontier_.size() - head_;
+  if (pending > peak_pending_) peak_pending_ = pending;
 }
 
 void StreamingConsistency::check_arrival_order(const TokenRecord& record) {
@@ -66,22 +68,42 @@ void StreamingConsistency::check_arrival_order(const TokenRecord& record) {
 
 void StreamingConsistency::sweep_non_linearizable(const TokenRecord& record) {
   // Fold every frontier entry that completely precedes this record into
-  // the running max. Because arriving first_seqs never decrease, a folded
-  // entry completely precedes every later arrival too, so the single
-  // running max stays exact (see header).
-  while (!frontier_.empty() &&
-         frontier_.front().last_seq < record.first_seq) {
-    const Value v = frontier_.front().value;
+  // the running max: a prefix of the pending run, which is sorted by
+  // last_seq. Because arriving first_seqs never decrease, a folded entry
+  // completely precedes every later arrival too, so the single running
+  // max stays exact (see header).
+  while (head_ < frontier_.size() &&
+         frontier_[head_].last_seq < record.first_seq) {
+    const Value v = frontier_[head_++].value;
     max_completed_ = any_completed_ ? std::max(max_completed_, v) : v;
     any_completed_ = true;
-    std::pop_heap(frontier_.begin(), frontier_.end(), frontier_after);
-    frontier_.pop_back();
   }
   if (any_completed_ && max_completed_ > record.value) {
     nl_.push_back(record.token);
   }
-  frontier_.push_back(Open{record.last_seq, record.value});
-  std::push_heap(frontier_.begin(), frontier_.end(), frontier_after);
+  // Drop the folded prefix once nothing else is left, or once it is at
+  // least half the vector and past a few entries: each live entry is then
+  // moved at most once per fold on average, and a narrow frontier is not
+  // moved on every arrival.
+  constexpr std::size_t kMinCompact = 32;
+  if (head_ == frontier_.size() ||
+      (head_ >= kMinCompact && 2 * head_ >= frontier_.size())) {
+    frontier_.erase(frontier_.begin(),
+                    frontier_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  const Open entry{record.last_seq, record.value};
+  if (frontier_.empty() || frontier_.back().last_seq <= entry.last_seq) {
+    frontier_.push_back(entry);
+    return;
+  }
+  frontier_.insert(
+      std::upper_bound(frontier_.begin() + static_cast<std::ptrdiff_t>(head_),
+                       frontier_.end(), entry,
+                       [](const Open& a, const Open& b) {
+                         return a.last_seq < b.last_seq;
+                       }),
+      entry);
 }
 
 StreamingConsistency::ProcState& StreamingConsistency::proc_state(

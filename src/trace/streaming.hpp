@@ -21,13 +21,18 @@
 //   order every such T' has already arrived when T does (T'.first_seq <=
 //   T'.last_seq < T.first_seq), so the flag is decided AT ARRIVAL from a
 //   running max over completed predecessors. Arrivals not yet known to
-//   completely precede the newest record (the "pending frontier", a
-//   min-heap on last_seq) are exactly the operations whose windows still
+//   completely precede the newest record (the "pending frontier", a run
+//   sorted by last_seq) are exactly the operations whose windows still
 //   overlap the sweep point — bounded by the open-op concurrency, never
 //   the trace length. Folding is monotone: an entry is folded into the
 //   running max only when the sweep point (the arriving first_seq, which
 //   never decreases) passes its last_seq, so the max never includes an
-//   operation that overlaps a later arrival.
+//   operation that overlaps a later arrival. The folded entries are
+//   therefore always a prefix of the run: a head cursor steps over them.
+//   An arrival that ends no earlier than every pending entry is
+//   appended; any other is inserted by binary search, moving the entries
+//   that end after it — O(pending) where a binary heap costs
+//   O(log pending), a trade that DESIGN.md §5d measures.
 //
 //   Sequential consistency. Observation 2.1 reduces SC to a per-process
 //   check: each process's values, in issue order, must be increasing.
@@ -86,12 +91,6 @@ class StreamingConsistency final : public TraceSink {
     Value prefix_max = 0;
   };
 
-  /// Min-heap ordering on last_seq (std::*_heap build max-heaps, so the
-  /// comparator is reversed).
-  static bool frontier_after(const Open& a, const Open& b) noexcept {
-    return a.last_seq > b.last_seq;
-  }
-
   void ingest(const TokenRecord& record);
   void check_arrival_order(const TokenRecord& record);
   void sweep_non_linearizable(const TokenRecord& record);
@@ -106,8 +105,11 @@ class StreamingConsistency final : public TraceSink {
   TokenId key_token_ = 0;
   bool has_key_ = false;
 
-  // Non-linearizability sweep.
-  std::vector<Open> frontier_;  ///< Min-heap on last_seq.
+  // Non-linearizability sweep. The frontier is frontier_[head_, end),
+  // sorted by last_seq; the entries before head_ are folded, and are
+  // dropped once they are at least half the vector.
+  std::vector<Open> frontier_;
+  std::size_t head_ = 0;
   Value max_completed_ = 0;
   bool any_completed_ = false;
 

@@ -10,7 +10,7 @@ namespace cn {
 namespace {
 
 [[noreturn]] void bad_value(const std::string& name, const std::string& value,
-                            const char* expected) {
+                            const std::string& expected) {
   throw std::invalid_argument("--" + name + ": '" + value + "' is not " +
                               expected);
 }
@@ -43,19 +43,6 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t v = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
-    bad_value(name, value, "a 64-bit integer");
-  }
-  return v;
-}
-
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : parse_double(name, it->second);
@@ -75,6 +62,21 @@ double parse_double(const std::string& name, const std::string& value) {
   const double v = std::strtod(value.c_str(), &end);
   if (value.empty() || end != value.c_str() + value.size()) {
     bad_value(name, value, "a number");
+  }
+  return v;
+}
+
+std::uint64_t parse_uint(const std::string& name, const std::string& value,
+                         std::uint64_t max) {
+  // strtoull skips leading space and negates a leading '-', so "-1"
+  // would read as 2^64 - 1: the value must start with a digit.
+  const bool digit = !value.empty() && value[0] >= '0' && value[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = digit ? std::strtoull(value.c_str(), &end, 10) : 0;
+  if (!digit || end != value.c_str() + value.size() || errno == ERANGE ||
+      v > max) {
+    bad_value(name, value, "an integer in [0, " + std::to_string(max) + "]");
   }
   return v;
 }

@@ -390,6 +390,125 @@ TEST(TraceSink, IssueWindowBufferReordersAndReleasesOnDrop) {
   EXPECT_EQ(out.trace().size(), 4u);
 }
 
+/// A lane receives records roughly in issue order, with some arriving
+/// behind many records with higher seqs (a submitter that drew its
+/// first_seq early and pushed late). Some records tie on first_seq, and
+/// some of those on last_seq too, so the token decides; tokens are
+/// shuffled so that token order is not append order.
+Trace late_arrival_lane(std::uint64_t seed, TokenId first_token,
+                        std::size_t n) {
+  Xoshiro256 rng(seed);
+  std::vector<TokenId> tokens(n);
+  for (std::size_t i = 0; i < n; ++i) tokens[i] = first_token + i;
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(tokens[i - 1], tokens[rng.below(i)]);
+  }
+  Trace lane;
+  std::uint64_t cursor = 1000;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t first = cursor;
+    if (rng.below(6) == 0) first -= 1 + rng.below(400);  // Far behind.
+    if (rng.below(4) == 0) first = cursor - rng.below(3);  // Ties.
+    cursor += rng.below(3);
+    const std::uint64_t last = first + 1 + rng.below(2);
+    lane.push_back(rec(tokens[i], static_cast<ProcessId>(rng.below(3)),
+                       rng.below(n), first, last));
+  }
+  // The first record of the lane's history arrives last of all.
+  lane.push_back(rec(first_token + n, 0, 0, 0, 1));
+  return lane;
+}
+
+TEST(TraceSink, AppendIssueOrderedKeepsLanesSortedAndMergesExactly) {
+  std::vector<Trace> lanes(3);
+  Trace all;
+  std::size_t behind = 0;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const Trace arrivals = late_arrival_lane(0x1A7E + l, 10'000 * l, 600);
+    for (const TokenRecord& r : arrivals) {
+      if (!lanes[l].empty() && issue_order_less(r, lanes[l].back())) {
+        ++behind;
+      }
+      append_issue_ordered(lanes[l], r);
+    }
+    // The lane holds exactly its arrivals, sorted by the (total) issue
+    // key.
+    Trace sorted = arrivals;
+    std::sort(sorted.begin(), sorted.end(), issue_order_less);
+    EXPECT_EQ(lanes[l], sorted) << "lane " << l;
+    ASSERT_EQ(lanes[l].front().first_seq, 0u);
+    all.insert(all.end(), arrivals.begin(), arrivals.end());
+  }
+  // Late arrivals were common, and ties on both seqs occurred.
+  EXPECT_GT(behind, 100u);
+  std::size_t seq_ties = 0;
+  for (const Trace& lane : lanes) {
+    for (std::size_t i = 1; i < lane.size(); ++i) {
+      seq_ties += lane[i].first_seq == lane[i - 1].first_seq &&
+                  lane[i].last_seq == lane[i - 1].last_seq;
+    }
+  }
+  EXPECT_GT(seq_ties, 10u);
+
+  CollectSink merged, fed;
+  merge_issue_ordered(lanes, merged);
+  feed_issue_order(all, fed);
+  EXPECT_EQ(merged.trace(), fed.trace());
+  for (const Trace& lane : lanes) EXPECT_TRUE(lane.empty());
+}
+
+/// Streams `trace` through the checker and compares the report with
+/// analyze(), and peak_pending() with its definition: the largest number
+/// of arrivals not yet known to completely precede the newest one.
+/// Returns the peak.
+std::size_t expect_checker_exact(const Trace& trace, const std::string& what) {
+  StreamingConsistency checker;
+  feed_issue_order(trace, checker);
+  checker.finish();
+  expect_reports_equal(checker.report(), analyze(trace), what);
+  Trace sorted = trace;
+  std::sort(sorted.begin(), sorted.end(), issue_order_less);
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    std::size_t pending = 0;
+    for (std::size_t j = 0; j <= i; ++j) {
+      pending += sorted[j].last_seq >= sorted[i].first_seq;
+    }
+    peak = std::max(peak, pending);
+  }
+  EXPECT_EQ(checker.peak_pending(), peak) << what;
+  return peak;
+}
+
+TEST(StreamingConsistency, WideFrontierInsertsAndCompactsExactly) {
+  // first_seqs step by one (with ties) while each operation stays open
+  // for up to 400 seqs, so about 400 operations are pending at a time,
+  // in random last_seq order: most arrivals go into the middle of the
+  // frontier, and its folded head passes the compaction point many
+  // times over.
+  Xoshiro256 rng(0xF407);
+  Trace wide;
+  for (TokenId t = 0; t < 6000; ++t) {
+    const std::uint64_t first = t / 2;
+    wide.push_back(rec(t, static_cast<ProcessId>(rng.below(16)),
+                       rng.below(6000), first, first + rng.below(400)));
+  }
+  EXPECT_GT(expect_checker_exact(wide, "wide frontier"), 150u);
+  EXPECT_FALSE(analyze(wide).non_linearizable.empty());
+
+  // The compaction keeps the live entries. Operation 1 holds the largest
+  // value and is the first live entry when the folded prefix (operations
+  // 2..33, each complete at once) is dropped; operation 40 starts after
+  // it ends, so only operation 1 can flag it.
+  Trace pinned;
+  pinned.push_back(rec(0, 0, 0, 0, 1000));
+  pinned.push_back(rec(1, 1, 1'000'000, 1, 40));
+  for (TokenId t = 2; t < 40; ++t) pinned.push_back(rec(t, t, t, t, t));
+  pinned.push_back(rec(40, 40, 50, 41, 41));
+  expect_checker_exact(pinned, "compaction");
+  EXPECT_EQ(analyze(pinned).non_linearizable, std::vector<TokenId>{40});
+}
+
 TEST(StreamingConsistency, OnRecordAfterFinishThrows) {
   StreamingConsistency checker;
   checker.finish();
@@ -782,6 +901,44 @@ TEST(DegradationAccumulator, CleanTraceReportsNoViolation) {
   EXPECT_LE(d.smoothness_gap, 1.0);
   const fault::Degradation batch = fault::degradation(trace, 8);
   EXPECT_DOUBLE_EQ(d.smoothness_gap, batch.smoothness_gap);
+}
+
+/// The bitmap grows geometrically, so its size says nothing about the
+/// largest value: reading the largest value off it would flag a clean
+/// stream and could miss a gap.
+TEST(DegradationAccumulator, LargestValueIsNotReadOffTheBitmap) {
+  const auto record = [](Value value) {
+    TokenRecord r;
+    r.value = value;
+    return r;
+  };
+  Xoshiro256 rng(0xB17);
+  for (const Value n : {Value{1}, Value{2}, Value{1000}, Value{1500},
+                        Value{3000}, Value{5000}}) {
+    const std::string what = "n = " + std::to_string(n);
+    // 0..n-2 and n: n records, one value out of range.
+    Trace gap;
+    for (Value v = 0; v + 1 < n; ++v) gap.push_back(record(v));
+    gap.push_back(record(n));
+    fault::DegradationAccumulator acc;
+    acc.on_records(gap);
+    EXPECT_EQ(acc.result(8).counting_violation, 1.0) << what;
+    expect_formula(gap, 8, what + " gap");
+
+    // 0..n-1 ascending doubles the bitmap past n (to 1024 for n = 1000),
+    // then in a shuffled order: no violation either way.
+    Trace full;
+    for (Value v = 0; v < n; ++v) full.push_back(record(v));
+    for (int pass = 0; pass < 2; ++pass) {
+      acc.reset();
+      acc.on_records(full);
+      EXPECT_EQ(acc.result(8).counting_violation, 0.0) << what;
+      expect_formula(full, 8, what + " full");
+      for (std::size_t i = full.size(); i > 1; --i) {
+        std::swap(full[i - 1], full[rng.below(i)]);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -149,11 +150,11 @@ TEST(Cli, ParsesAllForms) {
   const char* argv[] = {"prog",     "--alpha=3", "--beta", "7",
                         "--flag",   "--gamma",   "2.5",    "ignored"};
   CliArgs args(8, const_cast<char**>(argv));
-  EXPECT_EQ(args.get_int("alpha", 0), 3);
-  EXPECT_EQ(args.get_int("beta", 0), 7);
+  EXPECT_EQ(args.get_uint<std::uint32_t>("alpha", 0), 3u);
+  EXPECT_EQ(args.get_uint<std::uint32_t>("beta", 0), 7u);
   EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_DOUBLE_EQ(args.get_double("gamma", 0.0), 2.5);
-  EXPECT_EQ(args.get_int("missing", 42), 42);
+  EXPECT_EQ(args.get_uint<std::uint32_t>("missing", 42), 42u);
   EXPECT_FALSE(args.has("ignored"));
 }
 
@@ -170,7 +171,7 @@ TEST(Cli, BooleanSpellings) {
 }
 
 // A malformed value throws, naming the flag and the value, instead of
-// running with whatever prefix strtoll/strtod could read.
+// running with whatever prefix strtoull/strtod could read.
 void expect_rejected(const std::function<void()>& get, const std::string& flag,
                      const std::string& value) {
   try {
@@ -189,26 +190,73 @@ TEST(Cli, MalformedValuesThrow) {
                         "--seed=",       "--json",   "maybe",
                         "--big=99999999999999999999", "--flag=TRUE"};
   CliArgs args(11, const_cast<char**>(argv));
-  expect_rejected([&] { args.get_int("trials", 0); }, "trials", "abc");
+  expect_rejected([&] { args.get_uint<std::uint64_t>("trials", 0); }, "trials",
+                  "abc");
   expect_rejected([&] { args.get_double("c_max", 0.0); }, "c_max", "2,5");
-  expect_rejected([&] { args.get_int("width", 0); }, "width", "8x");
-  expect_rejected([&] { args.get_int("seed", 0); }, "seed", "");
+  expect_rejected([&] { args.get_uint<std::uint32_t>("width", 0); }, "width",
+                  "8x");
+  expect_rejected([&] { args.get_uint<std::uint64_t>("seed", 0); }, "seed", "");
   expect_rejected([&] { args.get_double("seed", 0.0); }, "seed", "");
   expect_rejected([&] { args.get_bool("json", false); }, "json", "maybe");
-  expect_rejected([&] { args.get_int("big", 0); }, "big",
+  expect_rejected([&] { args.get_uint<std::uint64_t>("big", 0); }, "big",
                   "99999999999999999999");
   expect_rejected([&] { args.get_bool("flag", false); }, "flag", "TRUE");
   expect_rejected([] { parse_double("probs", "0.1x"); }, "probs", "0.1x");
   // An absent flag still reads its fallback; a string read never throws.
-  EXPECT_EQ(args.get_int("absent", 7), 7);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("absent", 7), 7u);
   EXPECT_EQ(args.get("trials", ""), "abc");
 }
 
+// An unsigned setting refuses what would wrap: a negative value, or one
+// past the flag's bound (by default the largest value of its type).
+TEST(Cli, UnsignedValuesAreBounded) {
+  const char* argv[] = {"prog",
+                        "--trials",
+                        "-1",
+                        "--neg=-18446744073709551615",
+                        "--threads=1025",
+                        "--clients=1024",
+                        "--width=4294967296",
+                        "--wide=4294967295",
+                        "--zero=0",
+                        "--bad=7x"};
+  CliArgs args(10, const_cast<char**>(argv));
+  expect_rejected([&] { args.get_uint<std::uint64_t>("trials", 200); },
+                  "trials", "-1");
+  // strtoull alone would read this as 1.
+  expect_rejected([&] { args.get_uint<std::uint64_t>("neg", 0); }, "neg",
+                  "-18446744073709551615");
+  expect_rejected(
+      [&] { args.get_uint<std::uint32_t>("threads", 0, kMaxThreadsFlag); },
+      "threads", "1025");
+  EXPECT_EQ(args.get_uint<std::uint32_t>("clients", 0, kMaxThreadsFlag),
+            kMaxThreadsFlag);
+  expect_rejected([&] { args.get_uint<std::uint32_t>("width", 8); }, "width",
+                  "4294967296");
+  EXPECT_EQ(args.get_uint<std::uint32_t>("wide", 8), 4294967295u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("zero", 5), 0u);
+  expect_rejected([&] { args.get_uint<std::uint32_t>("bad", 0); }, "bad",
+                  "7x");
+  EXPECT_EQ(args.get_uint<std::uint32_t>("absent", 9, 3), 9u);
+  // A list entry takes the same check.
+  expect_rejected([] { parse_uint("shards", "-1", kMaxThreadsFlag); },
+                  "shards", "-1");
+  EXPECT_EQ(parse_uint("shards", "4", kMaxThreadsFlag), 4u);
+  // The message names the accepted range.
+  try {
+    args.get_uint<std::uint32_t>("threads", 0, kMaxThreadsFlag);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[0, 1024]"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, WholeValuesParse) {
-  const char* argv[] = {"prog", "--n=-3", "--x=1e-3", "--nan=nan",
-                        "--inf=inf"};
+  const char* argv[] = {"prog", "--n=18446744073709551615", "--x=1e-3",
+                        "--nan=nan", "--inf=inf"};
   CliArgs args(5, const_cast<char**>(argv));
-  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("n", 0),
+            std::numeric_limits<std::uint64_t>::max());
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 1e-3);
   // Non-finite delay bounds parse here and are rejected by the spec's
   // own validation, which names them.

@@ -25,53 +25,6 @@ inline std::uint32_t sweep_threads(const CliArgs& args) {
   return args.get_uint<std::uint32_t>("threads", 0, kMaxThreadsFlag);
 }
 
-/// RunSpec for the randomized violation search every probe bench uses:
-/// the "simulator" backend with the closed-loop extreme-delay workload.
-inline engine::RunSpec random_search_spec(const Network& net, double c_min,
-                                          double c_max, std::uint64_t seed,
-                                          double local_delay_min = 0.0,
-                                          std::uint32_t processes = 8,
-                                          std::uint32_t tokens_per_process = 4) {
-  engine::RunSpec spec;
-  spec.backend = "simulator";
-  spec.net = &net;
-  spec.processes = processes;
-  spec.ops_per_process = tokens_per_process;
-  spec.c_min = c_min;
-  spec.c_max = c_max;
-  spec.local_delay_min = local_delay_min;
-  spec.seed = seed;
-  return spec;
-}
-
-/// Runs `trials` random workloads through the engine sweeper and counts
-/// executions violating linearizability / sequential consistency.
-inline engine::SweepStats search_violations(const engine::RunSpec& base,
-                                            std::uint64_t trials,
-                                            std::uint32_t threads = 0) {
-  engine::SweepSpec sweep;
-  sweep.base = base;
-  sweep.trials = trials;
-  sweep.threads = threads;
-  return engine::sweep_stats(sweep);
-}
-
-/// Single adversarial wave run through the engine's "wave" backend.
-inline engine::RunResult run_wave(const Network& net, std::uint32_t ell,
-                                  double c_min = 1.0, double wave_c_max = 0.0,
-                                  bool distinct_processes = false,
-                                  double wave3_extra_delay = 0.0) {
-  engine::RunSpec spec;
-  spec.backend = "wave";
-  spec.net = &net;
-  spec.ell = ell;
-  spec.c_min = c_min;
-  spec.wave_c_max = wave_c_max;
-  spec.distinct_processes = distinct_processes;
-  spec.wave3_extra_delay = wave3_extra_delay;
-  return engine::run_backend(spec);
-}
-
 inline std::string yes_no(bool b) { return b ? "yes" : "no"; }
 
 /// Compiler barrier that makes `value` observable, so the work producing

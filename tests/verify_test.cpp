@@ -60,9 +60,18 @@ TEST(Quiescence, PassesAfterDrain) {
   EXPECT_TRUE(check_quiescent_step_property(state).ok);
 }
 
+// A 0/1 input vector on which the four-block cascade of width 32 is
+// 1-smooth but not ordered: it smooths without counting, a gap random
+// input vectors rarely hit. The periodic network P(32), five blocks,
+// counts it.
+const std::vector<std::uint64_t> kCascade32Refutation{
+    1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1,
+    1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1};
+
 TEST(CheckCounting, PassesForCountingNetwork) {
   const std::vector<std::uint64_t> counts{5, 0, 2, 7};
   EXPECT_TRUE(check_counting(make_bitonic(4), counts).ok);
+  EXPECT_TRUE(check_counting(make_periodic(32), kCascade32Refutation).ok);
 }
 
 TEST(CheckCounting, FailsForNonCountingNetwork) {
@@ -70,6 +79,9 @@ TEST(CheckCounting, FailsForNonCountingNetwork) {
   const Network net = make_brick_wall(4, 1);
   const std::vector<std::uint64_t> counts{4, 0, 0, 0};
   EXPECT_FALSE(check_counting(net, counts).ok);
+  const Network cascade = make_block_cascade(32, 4);
+  EXPECT_EQ(smoothness(cascade, kCascade32Refutation), 1u);
+  EXPECT_FALSE(check_counting(cascade, kCascade32Refutation).ok);
 }
 
 TEST(CheckCountingRandom, IsDeterministicPerSeed) {

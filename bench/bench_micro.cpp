@@ -3,7 +3,7 @@
 // graph-walking reference), the simulator's wave kernels and whole
 // interpreter, engine trials, the batch vs streaming analyzers, streaming
 // sweeps, real-thread batched traversal, the service shard kernel, the
-// service's batched ingress, and the adversary's set-up.
+// service's batched ingress and its start-up, and the adversary's set-up.
 //
 //   bench_micro [--min-seconds=S] [--out=FILE]
 //               [--check [--baseline=FILE] [--check_tolerance=T]]
@@ -544,6 +544,56 @@ std::string json_service_ingress(const ServiceIngressRates& r) {
   return os.str();
 }
 
+/// Start-up cost of the service at two queue capacities: construct,
+/// start() and stop() of an idle 2-shard B(8) service. The queues are
+/// zeroed rings that construction does not write, so no part of the
+/// cycle walks the cells; what still grows with the capacity is the
+/// allocator mapping and unmapping the larger ring. Alternating rounds,
+/// min of times. Absolute times only: not gated by --check.
+struct ServiceStartRates {
+  static constexpr std::array<std::uint32_t, 2> kCapacities{4096, 65536};
+  std::array<double, 2> us_per_cycle{};
+};
+
+ServiceStartRates measure_service_start(double min_seconds) {
+  constexpr int kRounds = 4;
+  const Network topo = make_bitonic(8);
+  ServiceStartRates r;
+  const double round_seconds =
+      min_seconds / (kRounds * r.kCapacities.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < r.kCapacities.size(); ++i) {
+      service::ServiceConfig cfg;
+      cfg.shards = 2;
+      cfg.queue_capacity = r.kCapacities[i];
+      cfg.net = &topo;
+      cfg.seed = 7;
+      const double us =
+          1e6 / cn::bench::measure_rate(1, round_seconds, [&] {
+            service::CountingService svc(cfg);
+            svc.start();
+            svc.stop();
+          });
+      r.us_per_cycle[i] = round == 0 ? us : std::min(r.us_per_cycle[i], us);
+    }
+  }
+  return r;
+}
+
+std::string json_service_start(const ServiceStartRates& r) {
+  std::ostringstream os;
+  os << std::setprecision(6);
+  os << "  \"service_start\": {\n"
+     << "    \"shards\": 2,\n";
+  for (std::size_t i = 0; i < r.kCapacities.size(); ++i) {
+    os << "    \"capacity_" << r.kCapacities[i] << "\": {\n"
+       << "      \"us_per_cycle\": " << r.us_per_cycle[i] << "\n"
+       << "    }" << (i + 1 < r.kCapacities.size() ? "," : "") << "\n";
+  }
+  os << "  }";
+  return os.str();
+}
+
 struct StreamingSweepRates {
   double collect_per_sec = 0.0;
   double stream_per_sec = 0.0;
@@ -934,6 +984,7 @@ int run(const CliArgs& args) {
   const ConcurrentBatchRates cb32 = measure_concurrent_batch(32, min_seconds);
   const ShardBatchRates sb = measure_shard_batch(min_seconds);
   const ServiceIngressRates si = measure_service_ingress(min_seconds);
+  const ServiceStartRates st = measure_service_start(min_seconds);
   const ConstructionRates cr = measure_construction(min_seconds);
 
   std::ostringstream os;
@@ -980,6 +1031,7 @@ int run(const CliArgs& args) {
      << json_concurrent_batch(32, cb32) << ",\n"
      << json_shard_batch(sb) << ",\n"
      << json_service_ingress(si) << ",\n"
+     << json_service_start(st) << ",\n"
      << json_construction(cr) << "\n"
      << "}\n";
 

@@ -98,7 +98,7 @@ ConcurrentRunResult closed_loop(const ConcurrentRunSpec& spec,
   result.error = validate(spec);
   if (!result.ok()) return result;
   const bool faulted = spec.fault.active();
-  std::vector<Trace> partial(spec.threads);
+  std::vector<RecordLane> partial(spec.threads);
   std::vector<Tally> tallies(spec.threads);
   std::vector<std::uint8_t> crashed(spec.threads, 0);
   SpinBarrier barrier(spec.threads);
@@ -117,8 +117,7 @@ ConcurrentRunResult closed_loop(const ConcurrentRunSpec& spec,
           faults.flip(spec.fault.p_process_crash)) {
         crash_at = faults.pick(0, spec.ops_per_thread - 1);
       }
-      Trace& mine = partial[t];
-      mine.reserve(spec.ops_per_thread);
+      RecordLane& mine = partial[t];
       Tally tally;
       barrier.arrive_and_wait();
       for (std::uint64_t k = 0; k < spec.ops_per_thread; ++k) {
@@ -136,10 +135,12 @@ ConcurrentRunResult closed_loop(const ConcurrentRunSpec& spec,
   for (std::thread& w : workers) w.join();
   const auto t_end = Clock::now();
   std::uint64_t completed_ops = 0;
-  for (const Trace& p : partial) completed_ops += p.size();
+  for (const RecordLane& p : partial) completed_ops += p.size();
   if (sink == nullptr) {
-    for (Trace& p : partial) {
-      result.trace.insert(result.trace.end(), p.begin(), p.end());
+    for (const RecordLane& p : partial) {
+      for (const Trace& block : p.blocks()) {
+        result.trace.insert(result.trace.end(), block.begin(), block.end());
+      }
     }
   } else {
     // Buffering per thread during the run is deliberate: a shared locked

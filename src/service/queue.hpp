@@ -6,6 +6,15 @@
 // write before the matching read (release/acquire on the cell, not on a
 // global lock).
 //
+// A cell stores its sequence RELATIVE to its own index i: stored =
+// seq - i. Vyukov's initial seq[i] = i then reads 0, so a zeroed ring is
+// an empty queue. The ring comes from calloc and construction writes
+// nothing: its pages fault in (already zero) as the cursors first reach
+// them, instead of all at once when the queue is built. The stored value
+// of a cell whose position is pos is pos's lap base (pos - i) when free
+// and that base + 1 when full; a pop hands the cell to the next lap by
+// storing base + capacity.
+//
 // The service uses one queue per shard: clients of any thread push
 // (multi-producer) and that shard's single worker pops (the
 // multi-consumer side is unused but free). try_push fails when the queue
@@ -16,7 +25,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "util/cacheline.hpp"
 
@@ -24,19 +36,23 @@ namespace cn::service {
 
 template <typename T>
 class BoundedQueue {
+  // calloc's zero bytes must already be valid cells: no constructor runs
+  // on the ring, and no destructor either.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "BoundedQueue items live in calloc'd memory");
+
  public:
   /// Capacity is rounded up to a power of two (minimum 2).
   explicit BoundedQueue(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap *= 2;
-    cells_ = std::vector<Cell>(cap);
+    cells_.reset(static_cast<Cell*>(std::calloc(cap, sizeof(Cell))));
+    if (!cells_) throw std::bad_alloc();
     mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
   }
 
-  std::size_t capacity() const noexcept { return cells_.size(); }
+  std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Racy occupancy estimate (tail - head as last observed): exact at
   /// quiescence, off by at most the in-flight operation count under
@@ -53,14 +69,15 @@ class BoundedQueue {
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      const std::size_t lap = pos & ~mask_;
+      const std::size_t seq = seq_of(cell).load(std::memory_order_acquire);
       const auto diff = static_cast<std::intptr_t>(seq) -
-                        static_cast<std::intptr_t>(pos);
+                        static_cast<std::intptr_t>(lap);
       if (diff == 0) {
         if (tail_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
           cell.item = item;
-          cell.seq.store(pos + 1, std::memory_order_release);
+          seq_of(cell).store(lap + 1, std::memory_order_release);
           return true;
         }
       } else if (diff < 0) {
@@ -76,14 +93,15 @@ class BoundedQueue {
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      const std::size_t lap = pos & ~mask_;
+      const std::size_t seq = seq_of(cell).load(std::memory_order_acquire);
       const auto diff = static_cast<std::intptr_t>(seq) -
-                        static_cast<std::intptr_t>(pos + 1);
+                        static_cast<std::intptr_t>(lap + 1);
       if (diff == 0) {
         if (head_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
           out = cell.item;
-          cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+          seq_of(cell).store(lap + mask_ + 1, std::memory_order_release);
           return true;
         }
       } else if (diff < 0) {
@@ -96,11 +114,21 @@ class BoundedQueue {
 
  private:
   struct Cell {
-    std::atomic<std::size_t> seq{0};
-    T item{};
+    std::size_t seq;  ///< Relative sequence; accessed only via seq_of.
+    T item;
+  };
+  static_assert(alignof(Cell) >=
+                std::atomic_ref<std::size_t>::required_alignment);
+
+  static std::atomic_ref<std::size_t> seq_of(Cell& cell) noexcept {
+    return std::atomic_ref<std::size_t>(cell.seq);
+  }
+
+  struct FreeRing {
+    void operator()(Cell* ring) const noexcept { std::free(ring); }
   };
 
-  std::vector<Cell> cells_;
+  std::unique_ptr<Cell[], FreeRing> cells_;
   std::size_t mask_ = 0;
   alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};  ///< Producers.
   alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};  ///< Consumer.

@@ -346,7 +346,6 @@ CountingService::BatchResult CountingService::submit_batch(
     cell.arrival_ns = arrival_ns;
     cell.client = client;
     cell.count = (n - j + nsh - 1) / nsh;  // ceil((n - j) / nsh)
-    cell.stride = nsh;
     cell.done = slots != nullptr ? slots + j : nullptr;
     if (push_run(ep, cell)) {
       res.accepted += cell.count;
@@ -356,7 +355,7 @@ CountingService::BatchResult CountingService::submit_batch(
       // on a refused run.
       res.rejected += cell.count;
       for (std::uint32_t i = 0; i < cell.count; ++i) {
-        cell.signal(i, kRejectedSignal);
+        cell.signal(i, nsh, kRejectedSignal);
       }
     }
   }
@@ -435,7 +434,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           std::uint64_t lost = 0;
           while (lost < e.lose) {
             if (rt.carry_pos < rt.carry.count) {
-              rt.carry.signal(rt.carry_pos++, kDroppedSignal);
+              rt.carry.signal(rt.carry_pos++, ep.map.shards, kDroppedSignal);
               ++lost;
             } else if (queue.try_pop(rt.carry)) {
               rt.carry_pos = 0;
@@ -465,7 +464,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
 
     // --- batch formation: expand queue cells element-wise -------------
     // A cell carries a run of `count` requests striding by the epoch's
-    // shard count; formation caps at `cap` ELEMENTS (chaos triggers and
+    // shard count N; formation caps at `cap` ELEMENTS (chaos triggers and
     // max_batch count requests, not cells), carrying a partially
     // consumed cell to the next iteration — or to a respawned
     // successor, which resumes it exactly where this worker left off.
@@ -478,14 +477,13 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
       const Request& c = rt.carry;
       while (n < cap && rt.carry_pos < c.count) {
         const std::uint64_t off =
-            static_cast<std::uint64_t>(rt.carry_pos) * c.stride;
+            static_cast<std::uint64_t>(rt.carry_pos) * ep.map.shards;
         Request& r = batch[n++];
         r.ticket = c.ticket + off;
         r.first_seq = c.first_seq + off;
         r.arrival_ns = c.arrival_ns;
         r.client = c.client;
         r.count = 1;
-        r.stride = 1;
         r.done = c.done != nullptr ? c.done + off : nullptr;
         ++rt.carry_pos;
       }
@@ -799,7 +797,7 @@ void CountingService::retire_epoch() {
     bool scavenged = false;
     const auto scavenge_run = [&](const Request& c, std::uint32_t from) {
       for (std::uint32_t i = from; i < c.count; ++i) {
-        c.signal(i, kDroppedSignal);
+        c.signal(i, ep.map.shards, kDroppedSignal);
         ++es.abandoned;
         scavenged = true;
       }
@@ -835,7 +833,7 @@ void CountingService::retire_epoch() {
     // (rejected, crash-lost, abandoned) are simply absent. Cross-epoch
     // order holds because the next epoch's seqs are drawn after this
     // merge.
-    std::vector<Trace> lanes;
+    std::vector<RecordLane> lanes;
     lanes.reserve(ep.runtimes.size());
     for (auto& rt : ep.runtimes) lanes.push_back(std::move(rt->lane));
     merge_issue_ordered(lanes, *tee_);

@@ -81,12 +81,16 @@
 // splits it arithmetically into per-shard residue runs — the tickets
 // {t0, t0+1, ..., t0+n-1} that land on shard s form an arithmetic
 // sequence with stride N, so each shard receives at most ONE queue cell
-// per batch, carrying {first ticket, count, stride}. Queue traffic and
+// per batch, carrying {first ticket, count}; N is the epoch's shard
+// count, which every reader of the cell has at hand. Queue traffic and
 // dispenser RMWs drop from O(requests) to O(batches) while the residue
 // accounting stays exactly as auditable as n single submits: a batch IS
 // n consecutive tickets. Admission (watermarks + accepting) is checked
 // once per batch BEFORE the draw, so sheds still burn no residue slot;
-// a per-shard queue-full rejection burns exactly that shard's run.
+// a per-shard queue-full rejection burns exactly that shard's run. The
+// queues' rings are zeroed memory that construction does not write
+// (service/queue.hpp), so starting the service or an epoch costs
+// nothing per queue cell.
 //
 // Waiting: completion slots and idle workers park on EventCounts
 // (util/eventcount.hpp) instead of sleep-polling. Workers notify a
@@ -101,8 +105,10 @@
 // its last_seq and seqs are globally unique), and each worker appends
 // its records to a single-writer per-shard lane, which
 // append_issue_ordered (trace/sink.hpp) keeps in issue order as it fills.
-// At each epoch fence — and at stop() for the final epoch — one k-way
-// merge by the issue key moves the lanes into the sink, which therefore
+// A lane is a RecordLane that grows in fixed-size blocks, so an append
+// never copies the records before it. At each epoch fence — and at
+// stop() for the final epoch — one k-way merge by the issue key moves
+// the lanes into the sink, which therefore
 // sees the exact issue-order contract the live mutex-serialized path
 // used to produce, one epoch at a time. Un-recorded runs (the saturation
 // benchmarks) touch no shared mutable state beyond the queues, the
@@ -156,28 +162,30 @@ namespace cn::service {
 
 /// One queued counter request — or, on the batched ingress path, a RUN
 /// of `count` requests from one submit_batch whose tickets (and, when
-/// recording, first_seqs) form an arithmetic sequence with the given
-/// stride (the epoch's shard count: consecutive batch tickets landing on
-/// one shard differ by exactly N). Element j of the run is the request
-/// {ticket + j*stride, first_seq + j*stride, done + j*stride}: the
-/// submitter's slot array is indexed by BATCH position (slot i belongs
-/// to ticket t0 + i), so a run's slots stride through it exactly like
-/// its tickets. A classic try_submit is the count == 1 case.
+/// recording, first_seqs) form an arithmetic sequence whose stride is the
+/// epoch's shard count: consecutive batch tickets landing on one shard
+/// differ by exactly N. Element j of the run is the request
+/// {ticket + j*N, first_seq + j*N, done + j*N}: the submitter's slot
+/// array is indexed by BATCH position (slot i belongs to ticket t0 + i),
+/// so a run's slots stride through it exactly like its tickets. A classic
+/// try_submit is the count == 1 case. The stride is not stored: every
+/// reader has the epoch at hand, so a queue cell stays 48 bytes.
 struct Request {
   std::uint64_t ticket = 0;      ///< Global ticket (token id, route key).
   std::uint64_t first_seq = 0;   ///< Drawn at submit when recording.
   std::uint64_t arrival_ns = 0;  ///< Client-side arrival timestamp.
   std::uint32_t client = 0;      ///< Submitting client (trace process).
   std::uint32_t count = 1;       ///< Run length (1 = single submit).
-  std::uint32_t stride = 1;      ///< Ticket/seq step between elements.
   /// Completion slot: the worker stores value + 1 (0 = still pending),
   /// or kDroppedSignal when the request was fault-abandoned. May be
   /// null for fire-and-forget submission. For a run, element j's slot
-  /// is done + j * stride (when non-null).
+  /// is done + j * N (when non-null).
   std::atomic<std::uint64_t>* done = nullptr;
 
-  /// Stores `v` into element j's completion slot, if there is one.
-  void signal(std::uint32_t j, std::uint64_t v) const noexcept {
+  /// Stores `v` into element j's completion slot, if there is one, for a
+  /// run striding by `stride` (its epoch's shard count).
+  void signal(std::uint32_t j, std::uint32_t stride,
+              std::uint64_t v) const noexcept {
     if (done == nullptr) return;
     done[std::uint64_t{j} * stride].store(v, std::memory_order_release);
   }
@@ -492,9 +500,10 @@ class CountingService {
     std::uint32_t carry_pos = 0;
     /// Lock-free recording lane: the shard's completed TokenRecords in
     /// issue order (single-writer — the current worker, which appends
-    /// through append_issue_ordered). K-way merged into the sink at the
-    /// epoch fence.
-    Trace lane;
+    /// through append_issue_ordered). It grows block by block, so an
+    /// append never copies earlier records. K-way merged into the sink
+    /// at the epoch fence.
+    RecordLane lane;
     LatencyHistogram latency;  ///< Single-writer (the current worker);
                                ///< merged at the epoch's fence.
   };
@@ -572,8 +581,9 @@ class CountingService {
 
   /// Serializes epoch transitions, supervisor sweeps, and health
   /// snapshots against each other. The supervisor try_locks so a long
-  /// fence never blocks its exit.
-  mutable std::mutex fence_mu_;
+  /// fence never blocks its exit. Its own cache line: the supervisor
+  /// writes it every poll, and every submit reads epoch_ptr_.
+  alignas(kCacheLineSize) mutable std::mutex fence_mu_;
   std::vector<EpochStats> epoch_stats_;  ///< Retired epochs (fence_mu_).
 
   /// Controller state (supervisor thread only).

@@ -111,25 +111,70 @@ bool completion_order_less(const TokenRecord& a, const TokenRecord& b) noexcept;
 void feed_issue_order(const Trace& trace, TraceSink& sink);
 void feed_completion_order(const Trace& trace, TraceSink& sink);
 
-/// K-way merges per-producer partial traces — each already sorted by
+/// A lane of records kept in fixed-size blocks of kBlock records, each
+/// block reserved whole when the lane first reaches it: an append never
+/// copies, moves or double-holds the records already stored, and a
+/// record stays where it was stored unless a late record is inserted in
+/// front of it. Every block is full but the last, so record i is slot
+/// i % kBlock of block i / kBlock. The service's per-shard lanes and the
+/// concurrent harness's per-thread partials are RecordLanes, so their
+/// recording memory is paid block by block as it fills, with no growth
+/// spike.
+class RecordLane {
+ public:
+  static constexpr std::size_t kBlock = 1024;  ///< 64 KiB of records.
+
+  void push_back(const TokenRecord& record) {
+    if (blocks_.empty() || blocks_.back().size() == kBlock) {
+      Trace block;
+      block.reserve(kBlock);  // Before it joins: no block is ever empty.
+      blocks_.push_back(std::move(block));
+    }
+    blocks_.back().push_back(record);
+  }
+
+  bool empty() const noexcept { return blocks_.empty(); }
+  std::size_t size() const noexcept {
+    return empty() ? 0 : (blocks_.size() - 1) * kBlock + blocks_.back().size();
+  }
+  TokenRecord& operator[](std::size_t i) {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+  const TokenRecord& operator[](std::size_t i) const {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+  const TokenRecord& front() const { return blocks_.front().front(); }
+  const TokenRecord& back() const { return blocks_.back().back(); }
+
+  /// The records in order, as contiguous non-empty blocks.
+  const std::vector<Trace>& blocks() const noexcept { return blocks_; }
+
+  /// Empties the lane and frees its blocks.
+  void clear() noexcept { blocks_.clear(); }
+
+ private:
+  std::vector<Trace> blocks_;
+};
+
+/// K-way merges per-producer lanes — each already sorted by
 /// issue_order_less — into one issue-ordered stream, emitted in bounded
-/// on_records() batches. Does not call sink.finish(). Lanes are consumed
-/// (left empty) so callers can reuse their capacity. A per-thread
-/// closed-loop partial is sorted as it is recorded, since one thread's
-/// operations are sequential. A lane that several submitters feed is
-/// not: a submitter can draw its first_seq before another and push its
-/// request after it. Such a lane stays sorted only if every record goes
-/// in through append_issue_ordered.
-void merge_issue_ordered(std::vector<Trace>& lanes, TraceSink& sink);
+/// on_records() batches. Does not call sink.finish(). Each lane is walked
+/// block by block, and consumed (left empty). A per-thread closed-loop
+/// partial is sorted as it is recorded, since one thread's operations
+/// are sequential. A lane that several submitters feed is not: a
+/// submitter can draw its first_seq before another and push its request
+/// after it. Such a lane stays sorted only if every record goes in
+/// through append_issue_ordered.
+void merge_issue_ordered(std::vector<RecordLane>& lanes, TraceSink& sink);
 
 /// Appends `record` to `lane`, which is sorted by issue_order_less, and
 /// keeps it sorted. A record that does not precede the lane's last one
 /// (every record, when one thread submits) costs one comparison and a
 /// push_back. One that does is inserted at its place, found by binary
 /// search, after every record it does not precede; that moves the
-/// records behind it, as many as were appended after it while it was
-/// in flight.
-void append_issue_ordered(Trace& lane, const TokenRecord& record);
+/// records behind it, and only those, one slot back — as many as were
+/// appended after it while it was in flight.
+void append_issue_ordered(RecordLane& lane, const TokenRecord& record);
 
 /// Producer-side reorder window: event-driven producers complete
 /// operations in last_seq order, but the sink contract is issue order.

@@ -7,6 +7,7 @@
 #include "core/sequential.hpp"
 #include "core/topology.hpp"
 #include "core/verify.hpp"
+#include "counting_certificate.hpp"
 #include "util/rng.hpp"
 
 namespace cn {
@@ -110,6 +111,8 @@ TEST(LayeredBuilder, WideBalancerSpanningAllLines) {
   const Network net = b.finish("wide");
   Xoshiro256 rng(63);
   EXPECT_TRUE(check_counting_random(net, rng, 20, 10).ok);
+  const VerifyReport box = check_counting_exhaustive(net, 4);  // 5^6 vectors
+  EXPECT_TRUE(box.ok) << box.failure;
 }
 
 TEST(LayeredBuilder, RejectsDuplicateLine) {

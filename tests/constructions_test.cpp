@@ -4,12 +4,16 @@
 // small inputs and randomized larger ones).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/constructions.hpp"
 #include "core/structure.hpp"
 #include "core/sequential.hpp"
 #include "core/verify.hpp"
+#include "counting_certificate.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -127,6 +131,16 @@ TEST_P(CountingNetworkTest, CountsOnRandomInputVectors) {
   EXPECT_TRUE(report.ok) << net.name() << ": " << report.failure;
 }
 
+TEST_P(CountingNetworkTest, CountsOnEveryInputVectorInABox) {
+  // The widest box that sweeps in about a second: [0, 4]^w up to w = 4,
+  // [0, 3]^8 and the 0/1 vectors at w = 16 (2^16 vectors each).
+  const Network net = build();
+  const std::uint32_t w = net.fan_in();
+  const std::uint64_t m = w <= 4 ? 4 : w == 8 ? 3 : 1;
+  const auto report = check_counting_exhaustive(net, m);
+  EXPECT_TRUE(report.ok) << net.name() << ": " << report.failure;
+}
+
 TEST_P(CountingNetworkTest, CountsOnStructuredInputVectors) {
   const Network net = build();
   const std::uint32_t w_in = net.fan_in();
@@ -166,37 +180,33 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Counting, ExhaustiveSmallBitonic) {
   // All input vectors with entries in [0, 4] for w = 4: 5^4 = 625 cases.
-  const Network net = make_bitonic(4);
-  std::vector<std::uint64_t> v(4);
-  for (v[0] = 0; v[0] <= 4; ++v[0]) {
-    for (v[1] = 0; v[1] <= 4; ++v[1]) {
-      for (v[2] = 0; v[2] <= 4; ++v[2]) {
-        for (v[3] = 0; v[3] <= 4; ++v[3]) {
-          const auto report = check_counting(net, v);
-          ASSERT_TRUE(report.ok)
-              << "input (" << v[0] << "," << v[1] << "," << v[2] << "," << v[3]
-              << "): " << report.failure;
-        }
-      }
-    }
-  }
+  const auto report = check_counting_exhaustive(make_bitonic(4), 4);
+  EXPECT_TRUE(report.ok) << report.failure;
 }
 
 TEST(Counting, ExhaustiveSmallPeriodic) {
-  const Network net = make_periodic(4);
-  std::vector<std::uint64_t> v(4);
-  for (v[0] = 0; v[0] <= 4; ++v[0]) {
-    for (v[1] = 0; v[1] <= 4; ++v[1]) {
-      for (v[2] = 0; v[2] <= 4; ++v[2]) {
-        for (v[3] = 0; v[3] <= 4; ++v[3]) {
-          const auto report = check_counting(net, v);
-          ASSERT_TRUE(report.ok)
-              << "input (" << v[0] << "," << v[1] << "," << v[2] << "," << v[3]
-              << "): " << report.failure;
-        }
-      }
-    }
+  const auto report = check_counting_exhaustive(make_periodic(4), 4);
+  EXPECT_TRUE(report.ok) << report.failure;
+}
+
+TEST(Counting, ExhaustiveCertificateRefutesShortBlockCascades) {
+  // A cascade of fewer than lg w blocks does not count, yet random draws
+  // pass block_cascade(16, 3) for most seeds; every 0/1 vector does not.
+  for (const auto& [w, stages, m] :
+       std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>>{
+           {16, 3, 1}, {8, 2, 3}}) {
+    const Network net = make_block_cascade(w, stages);
+    const auto report = check_counting_exhaustive(net, m);
+    EXPECT_FALSE(report.ok) << net.name();
+    EXPECT_NE(report.failure.find("input ("), std::string::npos)
+        << report.failure;
   }
+  // The full cascade counts, and a box past 2^16 vectors is refused.
+  EXPECT_TRUE(check_counting_exhaustive(make_block_cascade(8, 3), 3).ok);
+  EXPECT_THROW(check_counting_exhaustive(make_bitonic(16), 2),
+               std::invalid_argument);
+  EXPECT_THROW(check_counting_exhaustive(make_bitonic(8), 4),
+               std::invalid_argument);
 }
 
 TEST(Counting, SingleBlockIsNotACountingNetwork) {
@@ -246,6 +256,9 @@ TEST(Counting, KaryTreesCount) {
     Xoshiro256 trial_rng(w * 131 + k);
     const auto report = check_counting_random(net, trial_rng, 20, 3 * w);
     EXPECT_TRUE(report.ok) << net.name() << ": " << report.failure;
+    // One input wire: every count up to 3w is 3w + 1 vectors.
+    const auto every = check_counting_exhaustive(net, 3 * w);
+    EXPECT_TRUE(every.ok) << net.name() << ": " << every.failure;
   }
 }
 

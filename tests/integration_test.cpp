@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cn.hpp"
+#include "counting_certificate.hpp"
 
 namespace cn {
 namespace {
@@ -20,6 +21,8 @@ TEST(Integration, FullPaperPipelineOnBitonic16) {
   // 2. It counts (Section 2.2).
   Xoshiro256 rng(0x17);
   ASSERT_TRUE(check_counting_random(net, rng, 10, 9).ok);
+  const VerifyReport every_01 = check_counting_exhaustive(net, 1);
+  ASSERT_TRUE(every_01.ok) << every_01.failure;
 
   // 3. Split structure (Section 5.3).
   const SplitAnalysis split(net);

@@ -39,16 +39,29 @@ using service::ServiceStats;
 // --- BoundedQueue ---
 
 TEST(BoundedQueue, FifoSingleThread) {
-  BoundedQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99)) << "full queue must reject";
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
+  // Three full laps: every cell's relative sequence wraps past its lap
+  // base twice, and a fresh (zeroed) ring must read as empty, not full.
+  for (const std::size_t cap : {std::size_t{2}, std::size_t{8}}) {
+    BoundedQueue<int> q(cap);
+    EXPECT_EQ(q.capacity(), cap);
+    int v = -1;
+    int next = 0;
+    for (int lap = 0; lap < 3; ++lap) {
+      EXPECT_FALSE(q.try_pop(v)) << "cap " << cap << " lap " << lap;
+      EXPECT_EQ(q.approx_size(), 0u);
+      const int first = next;
+      for (std::size_t i = 0; i < cap; ++i) {
+        EXPECT_TRUE(q.try_push(next++)) << "cap " << cap << " lap " << lap;
+      }
+      EXPECT_EQ(q.approx_size(), cap);
+      EXPECT_FALSE(q.try_push(99)) << "full queue must reject";
+      for (std::size_t i = 0; i < cap; ++i) {
+        ASSERT_TRUE(q.try_pop(v));
+        EXPECT_EQ(v, first + static_cast<int>(i));
+      }
+      EXPECT_FALSE(q.try_pop(v)) << "empty queue must report empty";
+    }
   }
-  EXPECT_FALSE(q.try_pop(v)) << "empty queue must report empty";
 }
 
 TEST(BoundedQueue, CapacityRoundsUpToPowerOfTwo) {
@@ -59,30 +72,39 @@ TEST(BoundedQueue, CapacityRoundsUpToPowerOfTwo) {
 }
 
 TEST(BoundedQueue, ManyProducersOneConsumerDeliverEverything) {
-  BoundedQueue<std::uint64_t> q(1024);
-  constexpr std::uint32_t kProducers = 4;
-  constexpr std::uint64_t kEach = 2000;
-  std::vector<std::thread> producers;
-  for (std::uint32_t t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kEach; ++i) {
-        while (!q.try_push(t * kEach + i)) std::this_thread::yield();
-      }
-    });
-  }
-  std::vector<std::uint64_t> got;
-  got.reserve(kProducers * kEach);
-  std::uint64_t v = 0;
-  while (got.size() < kProducers * kEach) {
-    if (q.try_pop(v)) {
-      got.push_back(v);
-    } else {
-      std::this_thread::yield();
+  // At capacity 8 the ring laps 2,500 times under contention.
+  for (const std::size_t cap : {std::size_t{8}, std::size_t{1024}}) {
+    BoundedQueue<std::uint64_t> q(cap);
+    constexpr std::uint32_t kProducers = 4;
+    constexpr std::uint64_t kEach = 5000;
+    std::vector<std::thread> producers;
+    for (std::uint32_t t = 0; t < kProducers; ++t) {
+      producers.emplace_back([&, t] {
+        for (std::uint64_t i = 0; i < kEach; ++i) {
+          while (!q.try_push(t * kEach + i)) std::this_thread::yield();
+        }
+      });
     }
+    std::vector<std::uint64_t> got;
+    got.reserve(kProducers * kEach);
+    std::uint64_t v = 0;
+    while (got.size() < kProducers * kEach) {
+      if (q.try_pop(v)) {
+        got.push_back(v);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    for (auto& p : producers) p.join();
+    // Each producer's items arrive in its push order.
+    std::vector<std::uint64_t> next(kProducers, 0);
+    for (const std::uint64_t x : got) {
+      ASSERT_EQ(x % kEach, next[x / kEach]++) << "cap " << cap;
+    }
+    std::sort(got.begin(), got.end());
+    for (std::uint64_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], i);
+    EXPECT_FALSE(q.try_pop(v));
   }
-  for (auto& p : producers) p.join();
-  std::sort(got.begin(), got.end());
-  for (std::uint64_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], i);
 }
 
 // --- LatencyHistogram ---

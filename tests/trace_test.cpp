@@ -419,42 +419,75 @@ Trace late_arrival_lane(std::uint64_t seed, TokenId first_token,
   return lane;
 }
 
+/// A lane's records in order, as one Trace.
+Trace flat(const RecordLane& lane) {
+  Trace out;
+  for (const Trace& block : lane.blocks()) {
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  return out;
+}
+
 TEST(TraceSink, AppendIssueOrderedKeepsLanesSortedAndMergesExactly) {
-  std::vector<Trace> lanes(3);
+  // 10,000 records a lane: ten blocks, so some late arrivals land in an
+  // earlier block than the slot their append opens.
+  constexpr std::size_t kPerLane = 10'000;
+  constexpr std::size_t kBlock = RecordLane::kBlock;
+  std::vector<RecordLane> lanes(3);
   Trace all;
   std::size_t behind = 0;
+  std::size_t across_blocks = 0;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const Trace arrivals = late_arrival_lane(0x1A7E + l, 10'000 * l, 600);
+    const Trace arrivals =
+        late_arrival_lane(0x1A7E + l, 100'000 * l, kPerLane);
+    RecordLane& lane = lanes[l];
     for (const TokenRecord& r : arrivals) {
-      if (!lanes[l].empty() && issue_order_less(r, lanes[l].back())) {
+      if (!lane.empty() && issue_order_less(r, lane.back())) {
         ++behind;
+        const std::size_t open_block = lane.size() / kBlock * kBlock;
+        across_blocks +=
+            open_block > 0 && issue_order_less(r, lane[open_block - 1]);
       }
-      append_issue_ordered(lanes[l], r);
+      append_issue_ordered(lane, r);
     }
     // The lane holds exactly its arrivals, sorted by the (total) issue
     // key.
     Trace sorted = arrivals;
     std::sort(sorted.begin(), sorted.end(), issue_order_less);
-    EXPECT_EQ(lanes[l], sorted) << "lane " << l;
+    EXPECT_EQ(flat(lane), sorted) << "lane " << l;
     ASSERT_EQ(lanes[l].front().first_seq, 0u);
     all.insert(all.end(), arrivals.begin(), arrivals.end());
   }
-  // Late arrivals were common, and ties on both seqs occurred.
-  EXPECT_GT(behind, 100u);
+  // Late arrivals were common, some crossed a block boundary, and ties
+  // on both seqs occurred.
+  EXPECT_GT(behind, 1000u);
+  EXPECT_GT(across_blocks, 100u);
   std::size_t seq_ties = 0;
-  for (const Trace& lane : lanes) {
+  for (const RecordLane& lane : lanes) {
     for (std::size_t i = 1; i < lane.size(); ++i) {
       seq_ties += lane[i].first_seq == lane[i - 1].first_seq &&
                   lane[i].last_seq == lane[i - 1].last_seq;
     }
   }
-  EXPECT_GT(seq_ties, 10u);
+  EXPECT_GT(seq_ties, 100u);
 
   CollectSink merged, fed;
   merge_issue_ordered(lanes, merged);
   feed_issue_order(all, fed);
   EXPECT_EQ(merged.trace(), fed.trace());
-  for (const Trace& lane : lanes) EXPECT_TRUE(lane.empty());
+  for (const RecordLane& lane : lanes) EXPECT_TRUE(lane.empty());
+}
+
+TEST(TraceSink, InOrderAppendsNeverMoveAStoredRecord) {
+  RecordLane lane;
+  append_issue_ordered(lane, rec(0, 0, 0, 0, 1));
+  const TokenRecord* first = &lane.front();
+  for (TokenId t = 1; t <= 100'000; ++t) {
+    append_issue_ordered(lane, rec(t, 0, t, 2 * t, 2 * t + 1));
+  }
+  ASSERT_EQ(lane.size(), 100'001u);
+  EXPECT_EQ(&lane.front(), first);
+  EXPECT_EQ(first->token, 0u);
 }
 
 /// Streams `trace` through the checker and compares the report with

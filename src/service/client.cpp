@@ -4,6 +4,10 @@
 #include <chrono>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace cn::service {
 
 namespace {
@@ -43,17 +47,31 @@ std::uint64_t backoff_ns(const SubmitPolicy& policy, std::uint32_t attempt,
                                     (lo + (1.0 - lo) * u));
 }
 
+std::uint32_t thread_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {  // 0: this thread.
+    return static_cast<std::uint32_t>(CPU_COUNT(&set));
+  }
+#endif
+  return 0;
+}
+
 std::uint64_t wait_done(const std::atomic<std::uint64_t>& done,
                         std::uint64_t deadline_at_ns,
                         const SubmitPolicy& policy, EventCount* ec) {
-  // Three gears — pure spin (cheap for the common fast completion),
-  // yields, then timed parks — every width a policy knob, the schedule
-  // the pure wait_step_ns. With the service's completion eventcount the
-  // park gear wakes on the worker's notify instead of sleeping out its
-  // period, so low-load latency is no longer quantized by the park
-  // width; the deadline bounds each park either way.
+  // Three gears — pure spin (cheap for a fast completion on another
+  // CPU), yields, then timed parks — every width a policy knob, the
+  // schedule the pure spin_can_pay and wait_step_ns. A thread confined to
+  // one CPU skips the spin: a worker that shares the CPU cannot store the
+  // slot while the client spins, and a yield lets it run. With the
+  // service's completion
+  // eventcount the park gear wakes on the worker's notify instead of
+  // sleeping out its period, so low-load latency is no longer quantized
+  // by the park width; the deadline bounds each park either way.
+  thread_local const bool spin = spin_can_pay(thread_cpus());
   std::uint64_t v = 0;
-  for (std::uint32_t s = 0; s < policy.spin_limit; ++s) {
+  for (std::uint32_t s = 0; spin && s < policy.spin_limit; ++s) {
     if ((v = done.load(std::memory_order_acquire)) != 0) return v;
   }
   std::uint64_t round = 0;

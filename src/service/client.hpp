@@ -1,5 +1,5 @@
 // Resilient service clients: bounded retries with seeded exponential
-// backoff, per-request deadlines, and a spin-then-yield completion wait
+// backoff, per-request deadlines, and a spin-yield-park completion wait
 // that can never hang — the client-side half of the self-healing
 // service.
 //
@@ -14,13 +14,15 @@
 //     (backoff_ns is a pure function of (policy, attempt, rng state)),
 //     so resilience experiments replay like everything else.
 //   * unbounded wait: a request queued to a crashed shard completes only
-//     after recovery (or never, unsupervised). wait_done spins briefly,
+//     after recovery (or never, unsupervised). wait_done spins briefly
+//     (not on a thread that may run on one CPU only; see spin_can_pay),
 //     then yields, then PARKS on the service's completion eventcount
 //     (falling back to timed sleeps without one), checking the deadline
 //     throughout; a timed-out client walks away with kTimedOut instead
-//     of hanging. Every gear width is a SubmitPolicy knob, and the gear
-//     engaged at each round is the pure function wait_step_ns — the
-//     schedule is testable without a clock.
+//     of hanging. Every gear width is a SubmitPolicy knob, and
+//     both the spin decision (spin_can_pay) and the gear engaged at each
+//     round (wait_step_ns) are pure functions — the schedule is testable
+//     without a clock.
 //
 // Deadline waits create a lifetime hazard the PolicyClient solves: a
 // worker may store into the completion slot AFTER the client gave up, so
@@ -81,13 +83,30 @@ inline std::uint64_t wait_step_ns(const SubmitPolicy& policy,
   return round < policy.yield_limit ? 0 : policy.park_ns;
 }
 
+/// Whether wait_done's spin gear runs for a thread whose affinity mask
+/// allows `cpus` CPUs (0: the mask could not be read). A spin ends a wait
+/// only if the worker stores the slot while the spin runs, so only if the
+/// worker runs on another CPU at that time. A thread confined to one CPU
+/// skips it: in a process pinned to one CPU (perfbench pins its client
+/// threads and the service threads they start to one) the worker shares
+/// that CPU and cannot store while the client spins, and the yield gear
+/// lets it run. Any other thread spins as it always did. Pure, so a test
+/// pins the rule without a clock.
+inline bool spin_can_pay(std::uint32_t cpus) noexcept { return cpus != 1; }
+
+/// How many CPUs the calling thread's affinity mask allows; 0 where the
+/// mask cannot be read (or off Linux).
+std::uint32_t thread_cpus();
+
 /// Waits on a completion slot with an absolute deadline (steady-clock
 /// ns; 0 = wait forever), shaped by the policy's spin/yield/park knobs
-/// (see wait_step_ns). When `ec` is the service's completion eventcount
-/// the park gear blocks in the kernel and wakes on the worker's
-/// notify; without one it degrades to timed sleeps. Returns the raw
-/// slot value (value + 1, kDroppedSignal, or kRejectedSignal), or 0 on
-/// timeout.
+/// (see wait_step_ns). The spin of spin_limit loads runs only where
+/// spin_can_pay(thread_cpus()), read once per thread at its first wait
+/// (a thread that narrows its mask later keeps that reading). When `ec`
+/// is the service's completion eventcount the park gear blocks in the
+/// kernel and wakes on the worker's notify; without one it degrades to
+/// timed sleeps. Returns the raw slot value (value + 1, kDroppedSignal,
+/// or kRejectedSignal), or 0 on timeout.
 std::uint64_t wait_done(const std::atomic<std::uint64_t>& done,
                         std::uint64_t deadline_at_ns,
                         const SubmitPolicy& policy,

@@ -53,9 +53,12 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
 
   // --- self-healing knobs ---------------------------------------------
-  /// Run the supervisor (heartbeats, crash respawn, wedge detection;
-  /// it polls every 50 µs). Off = a crashed worker stays dead and stop()
-  /// scavenges its queue — the control for every recovery experiment.
+  /// Run the supervisor (heartbeats, crash respawn, wedge detection). A
+  /// crash wakes it at once; otherwise it sweeps every 50 µs while the
+  /// elastic controller samples or some worker's heartbeat is over 1 ms
+  /// old, and every 2.5 ms otherwise (supervisor_period_ns). Off = a
+  /// crashed worker stays dead and stop() scavenges its queue — the
+  /// control for every recovery experiment.
   bool supervise = true;
   /// Admission watermarks as fractions of queue_capacity: shed new
   /// arrivals at >= high, resume below low. high <= 0 disables shedding.
@@ -88,12 +91,12 @@ struct SubmitPolicy {
   double jitter = 0.5;
   /// Per-request deadline measured from the submit call; 0 = none.
   std::uint64_t deadline_ns = 0;
-  /// Completion-wait shape, fully policy-configurable: `spin_limit`
-  /// pure spins, then `yield_limit` yield rounds, then timed parks of
-  /// `park_ns` each (on the service's completion eventcount when one is
-  /// passed, plain sleeps otherwise). The deadline is checked every
-  /// round and bounds each park, so the wait NEVER outlives a deadline
-  /// on a dead shard.
+  /// Completion-wait shape: `spin_limit` pure spins, then `yield_limit`
+  /// yield rounds, then timed parks of `park_ns` each (on the service's
+  /// completion eventcount when one is passed, plain sleeps otherwise).
+  /// A thread whose affinity mask allows one CPU only skips the spins
+  /// (spin_can_pay). The deadline is checked every round and bounds each
+  /// park, so the wait NEVER outlives a deadline on a dead shard.
   std::uint32_t spin_limit = 512;
   std::uint32_t yield_limit = 64;
   std::uint64_t park_ns = 50'000;

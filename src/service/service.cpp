@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 
 namespace cn::service {
 
 namespace {
-
-/// Supervisor poll period.
-constexpr std::uint64_t kSupervisorPollNs = 50'000;
-/// A worker whose heartbeat has not advanced for this long while its
-/// queue is non-empty counts as wedged (health + wedge_detections).
-constexpr std::uint64_t kWedgeTimeoutNs = 5'000'000;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -426,11 +421,11 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           // The crash takes exactly `lose` in-flight tickets with it:
           // consume-and-abandon them ELEMENT-wise (accounted residue
           // holes), the carry run first — a partially consumed cell is
-          // in flight exactly like a popped single — then die. The
-          // supervisor will join this thread and respawn the shard (the
-          // successor resumes the surviving carry tail); on shutdown
-          // the wait is cut short so a thirsty crash can never wedge
-          // stop().
+          // in flight exactly like a popped single — then die, waking
+          // the supervisor, which joins this thread and respawns the
+          // shard (the successor resumes the surviving carry tail); on
+          // shutdown the wait is cut short so a thirsty crash can never
+          // wedge stop().
           std::uint64_t lost = 0;
           while (lost < e.lose) {
             if (rt.carry_pos < rt.carry.count) {
@@ -450,6 +445,7 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
           rt.crashes.fetch_add(1, std::memory_order_relaxed);
           rt.exited.store(true, std::memory_order_release);
           rt.crashed.store(true, std::memory_order_release);
+          supervisor_ec_.notify_all();
           return;
         }
         // Stall window begins at this exact point.
@@ -604,16 +600,27 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
 }
 
 void CountingService::supervisor_loop() {
+  const bool controller = cfg_.elastic.enabled && cfg_.elastic.controller;
   for (;;) {
+    // Registered before the sweep reads anything: a crash or stop() that
+    // lands during the sweep bumps the key, so the wait after it returns
+    // at once (the eventcount protocol, util/eventcount.hpp).
+    const std::uint32_t key = supervisor_ec_.prepare_wait();
+    supervisor_sweeps_.fetch_add(1, std::memory_order_relaxed);
     // One FINAL sweep after observing stopping_: a crash that raced the
     // shutdown still gets its respawn, so the successor drains the queue
     // and no accepted ticket is silently stranded.
     const bool final_pass = stopping_.load(std::memory_order_acquire);
     std::uint32_t resize_target = 0;
     bool want_resize = false;
+    // A fence in progress (or a report such as health()) holds the lock;
+    // skipping a sweep is safe — a fence does its own heal-and-join —
+    // but the skipped sweep saw nothing, not even the crash that may have
+    // woken it, so it assumes the stalest heartbeat and the next sweep
+    // comes at the fast period.
+    std::uint64_t stalest = std::numeric_limits<std::uint64_t>::max();
     if (fence_mu_.try_lock()) {
-      // A fence in progress owns the epoch; skipping a sweep is safe —
-      // the fence does its own heal-and-join.
+      stalest = 0;
       TopologyEpoch* ep = epoch_ptr_.load(std::memory_order_acquire);
       const std::uint64_t now = now_ns();
       double depth_sum = 0.0;
@@ -621,7 +628,8 @@ void CountingService::supervisor_loop() {
         for (std::uint32_t s = 0;
              s < static_cast<std::uint32_t>(ep->runtimes.size()); ++s) {
           ShardRuntime& rt = *ep->runtimes[s];
-          depth_sum += static_cast<double>(ep->queues[s]->approx_size()) /
+          const std::size_t depth = ep->queues[s]->approx_size();
+          depth_sum += static_cast<double>(depth) /
                        static_cast<double>(ep->queues[s]->capacity());
           if (rt.crashed.load(std::memory_order_acquire)) {
             // The dead worker set `crashed` as its last act; joining it
@@ -637,18 +645,19 @@ void CountingService::supervisor_loop() {
             // age surface in health()/stats.
             const std::uint64_t beat =
                 rt.last_beat_ns.load(std::memory_order_relaxed);
-            const bool wedged = ep->queues[s]->approx_size() > 0 &&
-                                now > beat && now - beat > kWedgeTimeoutNs;
+            const std::uint64_t age = now > beat ? now - beat : 0;
+            const bool wedged = depth > 0 && age > kWedgeTimeoutNs;
             if (!rt.wedged.exchange(wedged, std::memory_order_relaxed) &&
                 wedged) {
               ++rt.wedge_detections;
             }
+            stalest = std::max(stalest, age);
           }
         }
         // Adaptive elastic controller: split on sustained queue
         // pressure, merge when drained, with hysteresis (breach_polls)
         // and a cooldown between transitions.
-        if (cfg_.elastic.enabled && cfg_.elastic.controller && !final_pass &&
+        if (controller && !final_pass &&
             !ep->retiring.load(std::memory_order_relaxed)) {
           const double frac =
               depth_sum / static_cast<double>(ep->runtimes.size());
@@ -683,8 +692,13 @@ void CountingService::supervisor_loop() {
       merge_streak_ = 0;
       resize(resize_target);  // Takes fence_mu_ itself.
     }
-    if (final_pass) return;
-    std::this_thread::sleep_for(std::chrono::nanoseconds(kSupervisorPollNs));
+    if (final_pass) {
+      supervisor_ec_.cancel_wait();
+      return;
+    }
+    const std::uint64_t t = now_ns();
+    supervisor_ec_.commit_wait(
+        key, t + supervisor_period_ns(controller, stalest), t);
   }
 }
 
@@ -899,6 +913,7 @@ ServiceHealth CountingService::health() const {
   }
   // After the gauges, so their completions stay within the submits.
   static_cast<ServiceCounts&>(h) = ledger();
+  h.supervisor_sweeps = supervisor_sweeps_.load(std::memory_order_relaxed);
   return h;
 }
 
@@ -960,9 +975,11 @@ void CountingService::stop() {
     std::this_thread::yield();
   }
   stopping_.store(true, std::memory_order_release);
-  // The supervisor exits after one final sweep (and any in-flight
-  // controller resize completes first); joining it before the fence
-  // means no new worker threads appear underneath the joins below.
+  // The notify ends the supervisor's sleep at once; it exits after one
+  // final sweep (and any in-flight controller resize completes first).
+  // Joining it before the fence means no new worker threads appear
+  // underneath the joins below.
+  supervisor_ec_.notify_all();
   if (supervisor_.joinable()) supervisor_.join();
   {
     std::lock_guard<std::mutex> lock(fence_mu_);

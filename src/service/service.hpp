@@ -30,15 +30,20 @@
 //               Queue-full rejection (the watermark race's backstop)
 //               still burns its ticket and is accounted as a hole.
 //   supervisor  each worker bumps a heartbeat every loop iteration; the
-//               supervisor polls, joins-and-respawns workers that died
-//               (deterministic chaos crashes) and counts workers whose
-//               heartbeat is stale while their queue is non-empty as
-//               wedge detections (visible in health(); a stalled worker
-//               cannot be safely killed, but its window ends and the
-//               heartbeat age quantifies it). Respawn reuses the shard's
-//               persistent state — fault stream, chaos cursor, feed
-//               cursor — so a recovered execution replays the dead
-//               worker's exact logical continuation.
+//               supervisor sweeps the shards, joins-and-respawns workers
+//               that died (deterministic chaos crashes) and counts
+//               workers whose heartbeat is stale while their queue is
+//               non-empty as wedge detections (visible in health(); a
+//               stalled worker cannot be safely killed, but its window
+//               ends and the heartbeat age quantifies it). Respawn
+//               reuses the shard's persistent state — fault stream,
+//               chaos cursor, feed cursor — so a recovered execution
+//               replays the dead worker's exact logical continuation.
+//               Between sweeps it sleeps on an eventcount: a crashing
+//               worker and stop() wake it, and its timed period is
+//               supervisor_period_ns — 50 µs while the elastic
+//               controller samples or a shard is suspect (its heartbeat
+//               over 1 ms old), 2.5 ms otherwise.
 //   chaos       a fault::ChaosPlan (ServiceConfig::chaos) triggers
 //               crashes and stall windows at exact processed-request
 //               counts. Batch formation never straddles a trigger, so
@@ -317,6 +322,9 @@ struct ServiceHealth : ServiceCounts {
   std::vector<ShardHealth> shards;
   std::uint32_t level = 0;   ///< Current epoch's split level.
   std::uint64_t epoch = 0;   ///< Current epoch index.
+  /// Supervisor passes so far, one per wake (a live gauge of its wake
+  /// rate, not a ledger count: it follows the clock, not the schedule).
+  std::uint64_t supervisor_sweeps = 0;
 };
 
 /// Quiescent residue accounting (the Lemma 3.1 audit) of a ledger, valid
@@ -336,6 +344,37 @@ struct ResidueAudit {
   bool exact = false;            ///< holes == accounted.
   bool ok() const noexcept { return gap_free && exact; }
 };
+
+/// A worker whose heartbeat has not advanced for this long while its
+/// queue is non-empty counts as wedged (health + wedge_detections).
+inline constexpr std::uint64_t kWedgeTimeoutNs = 5'000'000;
+/// The supervisor's fast period: the elastic controller's sampling rate
+/// (breach_polls counts samples taken at it), and the resolution at which
+/// a suspect shard's wedge is timed.
+inline constexpr std::uint64_t kSupervisorPollNs = 50'000;
+/// Its period while nothing needs watching. Each wake takes the CPU from
+/// a worker on a one-CPU host, so it is long: half the wedge timeout.
+inline constexpr std::uint64_t kSupervisorIdleNs = kWedgeTimeoutNs / 2;
+/// A shard is suspect once its worker's heartbeat is this old. A stall
+/// turns suspect within one idle period after this age, 1-3.5 ms after
+/// its last beat, and is then polled fast before it can be a wedge.
+inline constexpr std::uint64_t kSuspectAgeNs = 1'000'000;
+static_assert(kSuspectAgeNs + kSupervisorIdleNs + kSupervisorPollNs <
+              kWedgeTimeoutNs);
+
+/// How long the supervisor sleeps after a sweep: the fast period while
+/// the elastic controller samples or the stalest heartbeat the sweep saw
+/// is older than kSuspectAgeNs, the idle one otherwise. Queue depth does
+/// not enter: a stall may begin on an empty queue and have work arrive
+/// mid-stall, and a healthy worker beats at least once per 200 µs idle
+/// park. A crash or stop() ends the sleep at once, so neither respawn nor
+/// shutdown waits for it. Pure, so a test pins it without a clock.
+inline std::uint64_t supervisor_period_ns(
+    bool controller, std::uint64_t stalest_beat_age_ns) noexcept {
+  return controller || stalest_beat_age_ns > kSuspectAgeNs
+             ? kSupervisorPollNs
+             : kSupervisorIdleNs;
+}
 
 class CountingService {
  public:
@@ -590,7 +629,13 @@ class CountingService {
   std::uint32_t split_streak_ = 0;
   std::uint32_t merge_streak_ = 0;
   std::uint64_t last_resize_ns_ = 0;
+  /// Written by the supervisor alone, read by health().
+  std::atomic<std::uint64_t> supervisor_sweeps_{0};
 
+  /// The supervisor sleeps on it between sweeps; a crashing worker and
+  /// stop() notify it. Its own cache line: the supervisor RMWs it twice
+  /// a sweep.
+  alignas(kCacheLineSize) EventCount supervisor_ec_;
   std::thread supervisor_;
 
   /// Next ticket; its low bits route. fetch_add is the ONLY cross-shard

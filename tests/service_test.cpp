@@ -5,6 +5,7 @@
 // contract (StreamingConsistency attaches live and must see zero
 // violations at quiescence).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -515,6 +516,123 @@ TEST(CountingService, DeterministicFingerprintIsReproducible) {
             "shard_completed=[497,500,500]");
 }
 
+TEST(Supervisor, PeriodIsFastOnlyWhileSomethingNeedsWatching) {
+  // supervisor_period_ns is the supervisor's whole timing rule, pure in
+  // its inputs: whether the elastic controller samples, and the stalest
+  // heartbeat age the sweep saw. No queue depth enters it, so a stall
+  // that begins on an empty queue turns the fast period on by age alone.
+  using service::kSupervisorIdleNs;
+  using service::kSupervisorPollNs;
+  using service::kSuspectAgeNs;
+  using service::kWedgeTimeoutNs;
+  using service::supervisor_period_ns;
+  EXPECT_EQ(kSupervisorIdleNs, kWedgeTimeoutNs / 2);
+  EXPECT_EQ(kSupervisorPollNs, 50'000u);
+  EXPECT_EQ(supervisor_period_ns(false, 0), kSupervisorIdleNs);
+  EXPECT_EQ(supervisor_period_ns(false, kSuspectAgeNs), kSupervisorIdleNs);
+  EXPECT_EQ(supervisor_period_ns(false, kSuspectAgeNs + 1), kSupervisorPollNs);
+  EXPECT_EQ(supervisor_period_ns(false, ~std::uint64_t{0}), kSupervisorPollNs)
+      << "a skipped sweep assumes the stalest heartbeat";
+  // The controller counts breach_polls in samples at the fast period.
+  EXPECT_EQ(supervisor_period_ns(true, 0), kSupervisorPollNs);
+  EXPECT_EQ(supervisor_period_ns(true, kWedgeTimeoutNs), kSupervisorPollNs);
+  // A stall turns suspect within one idle period of kSuspectAgeNs, and
+  // the fast poll then times the wedge threshold.
+  EXPECT_LT(kSuspectAgeNs + kSupervisorIdleNs + kSupervisorPollNs,
+            kWedgeTimeoutNs);
+}
+
+TEST(Supervisor, StallWindowPastTheTimeoutIsDetectedAsAWedge) {
+  // Three 8 ms stalled batches on one shard with work queued: each
+  // outlasts kWedgeTimeoutNs (the worker beats before each batch), so
+  // the supervisor must count at least one wedge.
+  const Network net = make_bitonic(4);
+  ServiceConfig cfg = small_config(net, 1);
+  cfg.max_batch = 1;
+  cfg.chaos.events.push_back({.kind = fault::ChaosKind::kStallWindow,
+                              .shard = 0,
+                              .at_ops = 0,
+                              .duration_ops = 3,
+                              .stall_ns = 8'000'000});
+  CountingService svc(cfg);
+  svc.start();
+  constexpr std::uint32_t kRequests = 8;
+  std::atomic<std::uint64_t> done[kRequests] = {};
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(svc.try_submit(0, i, &done[i]));
+  }
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    EXPECT_NE(service::wait_done(done[i], 0, service::SubmitPolicy{},
+                                 &svc.completion_event()),
+              0u);
+  }
+  EXPECT_GE(svc.stats().wedge_detections, 1u);
+  svc.stop();
+  EXPECT_EQ(svc.stats().completed, kRequests);
+  EXPECT_TRUE(svc.audit().ok());
+}
+
+TEST(Supervisor, WorkArrivingMidStallIsDetectedAsAWedge) {
+  // Each 7 ms stall here begins on an EMPTY queue — at start, or right
+  // after the previous request completes — and its one request arrives
+  // 5.2 ms in, when the heartbeat is already past kWedgeTimeoutNs, so
+  // the wedge lasts about 1.8 ms. A host that delays the client or the
+  // worker by milliseconds can make a request land just as its stall
+  // ends, with no wedge, so the four rounds must count one between them.
+  constexpr std::uint32_t kRounds = 4;
+  constexpr auto kArrival = std::chrono::microseconds(5'200);
+  const Network net = make_bitonic(4);
+  ServiceConfig cfg = small_config(net, 1);
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    cfg.chaos.events.push_back({.kind = fault::ChaosKind::kStallWindow,
+                                .shard = 0,
+                                .at_ops = r,
+                                .duration_ops = 1,
+                                .stall_ns = 7'000'000});
+  }
+  CountingService svc(cfg);
+  auto stall_began = std::chrono::steady_clock::now();
+  svc.start();
+  std::atomic<std::uint64_t> done[kRounds] = {};
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    std::this_thread::sleep_until(stall_began + kArrival);
+    ASSERT_TRUE(svc.try_submit(0, r, &done[r]));
+    EXPECT_NE(service::wait_done(done[r], 0, service::SubmitPolicy{},
+                                 &svc.completion_event()),
+              0u);
+    // The worker began the next stall as it completed this request.
+    stall_began = std::chrono::steady_clock::now();
+  }
+  EXPECT_GE(svc.stats().wedge_detections, 1u);
+  svc.stop();
+  EXPECT_EQ(svc.stats().completed, kRounds);
+  EXPECT_TRUE(svc.audit().ok());
+}
+
+TEST(Supervisor, IdleServiceSweepsAtTheSlowPeriod) {
+  // An idle, supervised, non-elastic service has nothing to watch: its
+  // workers beat at least once per 200 µs park, and the supervisor
+  // sweeps every kSupervisorIdleNs (about 40 in 100 ms; a flat 50 µs
+  // poll sweeps about 950). The bound is five times the idle rate over
+  // the window as measured, so a window the host stretches cannot fail
+  // it.
+  const Network net = make_bitonic(8);
+  CountingService svc(small_config(net, 2));
+  svc.start();
+  while (svc.health().supervisor_sweeps == 0) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t before = svc.health().supervisor_sweeps;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t sweeps = svc.health().supervisor_sweeps - before;
+  const auto elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  EXPECT_LE(sweeps, 2 + elapsed_ns / (service::kSupervisorIdleNs / 5))
+      << "over " << elapsed_ns << " ns";
+  svc.stop();
+}
+
 TEST(ChaosPlan, RandomScheduleIsSeedDeterministic) {
   fault::ChaosMix mix;
   mix.crashes = 2;
@@ -645,6 +763,34 @@ TEST(SubmitPolicy, WaitStepScheduleIsPureAndPolicyShaped) {
   EXPECT_EQ(service::wait_step_ns(p, 0), 10'000u);
   p.park_ns = 123;
   EXPECT_EQ(service::wait_step_ns(p, 99), 123u);
+}
+
+TEST(SubmitPolicy, SpinRunsUnlessTheThreadHasOneCpu) {
+  // spin_can_pay is the whole spin decision, pure in the CPU count of the
+  // thread's affinity mask: one CPU skips the spin, anything else
+  // (including an unreadable mask, 0) spins as before.
+  EXPECT_FALSE(service::spin_can_pay(1));
+  EXPECT_TRUE(service::spin_can_pay(2));
+  EXPECT_TRUE(service::spin_can_pay(64));
+  EXPECT_TRUE(service::spin_can_pay(0));
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(service::thread_cpus(),
+            static_cast<std::uint32_t>(CPU_COUNT(&mask)));
+  // A thread pinned to one CPU (as perfbench pins every service thread
+  // and client) reads one.
+  std::thread([&mask] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    EXPECT_EQ(service::thread_cpus(), 1u);
+  }).join();
 }
 
 TEST(SubmitPolicy, WaitDoneHonorsDeadline) {

@@ -930,7 +930,8 @@ int check_against_baseline(const std::string& current,
     }
     if (!ratio) continue;
     const double floor = base_value * (1.0 - tolerance);
-    if (it->second < floor) {
+    // Written so that a NaN ratio fails.
+    if (!(it->second >= floor)) {
       std::cerr << "bench_micro --check: FAIL " << key << ": " << it->second
                 << " < " << floor << " (baseline " << base_value << " - "
                 << tolerance * 100.0 << "%)\n";
@@ -963,7 +964,8 @@ int run(const CliArgs& args) {
 #endif
   const double min_seconds = args.get_double("min-seconds", 0.5);
   const double tolerance = args.get_double("check_tolerance", 0.15);
-  if (args.has("check") && (tolerance < 0.0 || tolerance >= 1.0)) {
+  // Written so that a NaN tolerance is refused.
+  if (args.has("check") && !(tolerance >= 0.0 && tolerance < 1.0)) {
     std::cerr << "bench_micro --check: check_tolerance must be a "
                  "fraction in [0, 1), got "
               << tolerance << "\n";

@@ -635,8 +635,6 @@ ElasticResult run_elastic(const Network& net, std::uint32_t max_level,
   cfg.shed_high_watermark = 0.90;
   cfg.shed_low_watermark = 0.50;
   cfg.elastic.enabled = true;
-  cfg.elastic.initial_level = 0;
-  cfg.elastic.min_level = 0;
   cfg.elastic.max_level = max_level;
   cfg.elastic.controller = controller;
   cfg.elastic.split_queue_frac = 0.35;
@@ -766,6 +764,15 @@ std::string json_latency(const LatencyRow& row) {
   return os.str();
 }
 
+/// Whether the offered rate `rate` given to --`flag` is usable: finite
+/// and not negative (0 asks for a saturation probe). Says why not.
+bool rate_ok(const char* flag, double rate) {
+  if (std::isfinite(rate) && rate >= 0.0) return true;
+  std::cerr << "bench_service: --" << flag
+            << " must be a finite rate >= 0 (0 probes), got " << rate << "\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -841,7 +848,8 @@ int main(int argc, char** argv) {
     max_level = std::min(max_level, lg_w);
     const bool controller = !args.get_bool("no-controller", false);
     double base_rate = args.get_double("elastic-rate", 0.0);
-    if (base_rate <= 0.0) {
+    if (!rate_ok("elastic-rate", base_rate)) return 2;
+    if (base_rate == 0.0) {
       // Saturation probe at level 0 (one shard, recorded — the elastic
       // run records too); the diurnal peak reaches 1.6x base, so base
       // at ~45% of the single-shard rate makes the peak oversubscribe
@@ -911,7 +919,8 @@ int main(int argc, char** argv) {
     const auto soak_shards = args.get_uint<std::uint32_t>(
         "soak-shards", shard_counts.back(), kMaxThreadsFlag);
     double base_rate = args.get_double("soak-rate", 0.0);
-    if (base_rate <= 0.0) {
+    if (!rate_ok("soak-rate", base_rate)) return 2;
+    if (base_rate == 0.0) {
       // Quick closed-loop saturation probe; soak offers ~30% of it so
       // the steady phase leaves headroom for the diurnal peak (1.7x)
       // and the chaos bursts to push the service into shedding.

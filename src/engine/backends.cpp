@@ -190,10 +190,23 @@ std::string envelope_error(double c_min, double c_max) {
   return {};
 }
 
+/// Why a builder cannot use a local-delay (C_L) bound; empty when it can.
+/// The wording is sim_heterogeneous's.
+std::string local_delay_error(double delay) {
+  if (!std::isfinite(delay)) return "spec invalid: non-finite local delay";
+  if (delay < 0.0) return "spec invalid: negative local delay";
+  return {};
+}
+
 /// simulator: the randomized closed-loop workload generator.
 TimedExecution build_simulator(const RunSpec& spec, const Network& net,
                                RunResult& out) {
   out.error = envelope_error(spec.c_min, spec.c_max);
+  if (out.ok()) out.error = local_delay_error(spec.local_delay_min);
+  // A negative local_delay_max means "unset"; anything else is a bound.
+  if (out.ok() && !(spec.local_delay_max < 0.0)) {
+    out.error = local_delay_error(spec.local_delay_max);
+  }
   if (!out.ok()) return {};
   WorkloadSpec wl;
   wl.processes = spec.processes;
@@ -380,6 +393,7 @@ TimedExecution build_wave(const RunSpec& spec, const Network& net,
 TimedExecution build_optimizer(const RunSpec& spec, const Network& net,
                                RunResult& out) {
   out.error = envelope_error(spec.c_min, spec.c_max);
+  if (out.ok()) out.error = local_delay_error(spec.local_delay_min);
   if (!out.ok()) return {};
   OptimizerSpec os;
   os.processes = spec.processes;
@@ -603,24 +617,9 @@ std::uint64_t to_ns(Clock::time_point t) {
 // sinks — into the engine sink, so the streaming analyzers attach to
 // the service exactly as to any other backend.
 // ---------------------------------------------------------------------
-/// Why a forced resize schedule cannot run under `elastic`; empty when
-/// it can (or when there is no schedule).
-std::string resize_plan_error(const std::vector<std::uint32_t>& plan,
-                              const service::ElasticConfig& elastic) {
-  if (plan.empty()) return {};
-  if (!elastic.enabled) {
-    return "spec invalid: service_resize_plan requires "
-           "service.elastic.enabled";
-  }
-  for (const std::uint32_t level : plan) {
-    if (level < elastic.min_level || level > elastic.max_level) {
-      return "spec invalid: resize plan level " + std::to_string(level) +
-             " outside [" + std::to_string(elastic.min_level) + ", " +
-             std::to_string(elastic.max_level) + "]";
-    }
-  }
-  return {};
-}
+/// The clients' submit policy: a shed or queue-full refusal is retried
+/// until the service takes it, with no deadline, so every op completes.
+constexpr service::SubmitPolicy kServicePolicy{.max_retries = 0};
 
 RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
   RunResult out;
@@ -638,10 +637,7 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
   cfg.fault = spec.fault;
   cfg.seed = spec.seed;
   cfg.record = spec.record_trace;
-  const std::vector<std::uint32_t>& resize_plan = spec.service_resize_plan;
-  std::string err = resize_plan_error(resize_plan, cfg.elastic);
-  if (err.empty()) err = service::validate(cfg);
-  if (reject(out, std::move(err))) return out;
+  if (reject(out, service::validate(cfg))) return out;
   // A classic shard's records carry the flattened sink s * w + u; an
   // elastic epoch's carry the full network's sinks.
   if (!cfg.elastic.enabled) out.sink_range *= cfg.shards;
@@ -652,50 +648,20 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
       cfg.record ? (sink != nullptr ? sink : &collect) : nullptr;
   service::CountingService svc(cfg, out_sink);
   svc.start();
-  // Resilient closed-loop clients: policy-bounded retries with seeded
-  // backoff and (optionally) per-request deadlines replace the old
-  // bare retry-forever/spin-forever loop, so a crashed or saturated
-  // shard can slow clients down but never hang them.
+  // Closed-loop PolicyClients: a refusal backs off (seeded) and
+  // retries, and a request queued to a crashed shard completes once the
+  // supervisor respawns its worker.
   SpinBarrier barrier(spec.threads);
-  // Clients are allocated OUTSIDE their threads and destroyed only
-  // after svc.stop(): a timed-out request's completion slot stays
-  // leased to the service until its store arrives (possibly during
-  // the shutdown scavenge), so the slots must outlive the workers.
+  // The clients live outside their threads: their stats are summed
+  // after the run.
   std::vector<std::unique_ptr<service::PolicyClient>> client_objs;
   client_objs.reserve(spec.threads);
   for (std::uint32_t t = 0; t < spec.threads; ++t) {
     client_objs.push_back(std::make_unique<service::PolicyClient>(
-        svc, spec.service_policy, t, spec.seed));
+        svc, kServicePolicy, t, spec.seed));
   }
   std::vector<std::thread> clients;
   clients.reserve(spec.threads);
-  // Forced resize schedule: entry k fires once (k+1)/(n+1) of the
-  // run's submissions have been accepted; entries the load never
-  // reaches are applied at the end, so the planned epoch transitions
-  // always happen.
-  std::atomic<bool> clients_done{false};
-  std::thread resizer;
-  if (!resize_plan.empty()) {
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(spec.threads) * spec.ops_per_thread;
-    resizer = std::thread([&svc, &clients_done, &resize_plan, total] {
-      std::size_t next = 0;
-      while (next < resize_plan.size()) {
-        if (clients_done.load(std::memory_order_acquire)) break;
-        const std::uint64_t threshold =
-            total * (next + 1) / (resize_plan.size() + 1);
-        if (svc.health().submitted >= threshold) {
-          svc.resize(resize_plan[next]);
-          ++next;
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      for (; next < resize_plan.size(); ++next) {
-        svc.resize(resize_plan[next]);
-      }
-    });
-  }
   const std::uint32_t client_batch =
       std::max<std::uint32_t>(1, spec.service_client_batch);
   const auto t_start = Clock::now();
@@ -724,8 +690,6 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
     });
   }
   for (std::thread& c : clients) c.join();
-  clients_done.store(true, std::memory_order_release);
-  if (resizer.joinable()) resizer.join();
   svc.stop();
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - t_start).count();
@@ -734,20 +698,8 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
   service::ClientStats agg;
   for (const auto& c : client_objs) {
     const service::ClientStats& cs = c->stats();
-    agg.completed += cs.completed;
     agg.rejected += cs.rejected;
     agg.retries += cs.retries;
-  }
-  client_objs.clear();  // Every slot has resolved by now (post-stop).
-  // A run where EVERY request blew its deadline is a failure with its
-  // own taxonomy entry: sweeps classify client timeouts as
-  // deadline_exceeded instead of lumping them into backend_error. The
-  // service counts the clients' timed-out requests.
-  if (spec.service_policy.deadline_ns > 0 && agg.completed == 0 &&
-      st.timed_out > 0) {
-    out.error = "every client request exceeded its deadline";
-    out.error_kind = ErrorKind::kDeadlineExceeded;
-    return out;
   }
   const service::ResidueAudit audit = svc.audit();
   out.metrics["total_ops"] = static_cast<double>(st.completed);
@@ -788,30 +740,6 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
       static_cast<double>(st.ingress_batches);
   out.metrics["ingress_cells"] =
       static_cast<double>(st.ingress_cells);
-  if (cfg.elastic.enabled) {
-    // Epoch-transition telemetry: every retired epoch carries its own
-    // Lemma 3.1 audit; epochs_ok == 1 means audit_exact && gap_free
-    // held across EVERY boundary, the elastic acceptance gate.
-    out.metrics["epochs"] = static_cast<double>(st.epochs);
-    out.metrics["splits"] = static_cast<double>(st.splits);
-    out.metrics["merges"] = static_cast<double>(st.merges);
-    out.metrics["final_level"] = static_cast<double>(st.final_level);
-    bool epochs_ok = true;
-    double worst_f_nl = 0.0;
-    double worst_excess = 0.0;
-    for (const service::EpochStats& es : svc.epoch_history()) {
-      if (!es.ok()) epochs_ok = false;
-      if (es.f_nl > worst_f_nl) worst_f_nl = es.f_nl;
-      if (es.f_nl >= 0.0 && es.f_nl - es.f_nl_bound > worst_excess) {
-        worst_excess = es.f_nl - es.f_nl_bound;
-      }
-    }
-    out.metrics["epochs_ok"] = epochs_ok ? 1.0 : 0.0;
-    if (cfg.record) {
-      out.metrics["max_epoch_f_nl"] = worst_f_nl;
-      out.metrics["max_f_nl_over_bound"] = worst_excess;
-    }
-  }
   if (spec.fault.enabled) {
     out.metrics["fault_stalls"] = static_cast<double>(st.stalls);
     out.metrics["fault_tokens_abandoned"] =

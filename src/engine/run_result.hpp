@@ -27,11 +27,6 @@ enum class ErrorKind : std::uint8_t {
   kTimeout,        ///< The sweep watchdog abandoned the trial.
   kFaultInjected,  ///< Injected faults destroyed the trial (e.g. every
                    ///< operation was lost).
-  kDeadlineExceeded,  ///< Every client request blew its per-request
-                      ///< deadline (service backend): the trial produced
-                      ///< no completions, but the spec is retryable —
-                      ///< distinct from a watchdog kTimeout (the trial
-                      ///< itself finished) and from kBackendError.
 };
 
 /// Stable taxonomy key used in JSON and reports ("spec_invalid", ...).
@@ -42,7 +37,6 @@ inline const char* error_kind_name(ErrorKind kind) noexcept {
     case ErrorKind::kBackendError: return "backend_error";
     case ErrorKind::kTimeout: return "timeout";
     case ErrorKind::kFaultInjected: return "fault_injected";
-    case ErrorKind::kDeadlineExceeded: return "deadline_exceeded";
   }
   return "unknown";
 }

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/topology.hpp"
 #include "fault/fault.hpp"
@@ -91,24 +90,16 @@ struct RunSpec {
   /// queues, supervision, watermarks, elastic width, chaos schedule.
   /// The engine owns four of its fields and ignores their values here:
   /// `net`, `fault`, `seed` and `record` come from net/network, fault,
-  /// seed and record_trace, like every other backend's.
+  /// seed and record_trace, like every other backend's. The backend's
+  /// clients retry a shed or queue-full refusal until the service takes
+  /// it, with no deadline, so a closed-loop run completes every op.
   service::ServiceConfig service;
-  /// Client submit policy: retries, backoff, deadline, wait gears.
-  /// max_retries = 0 retries shed/queue-full refusals until the deadline
-  /// (or forever without one), so closed-loop runs complete every op.
-  service::SubmitPolicy service_policy{.max_retries = 0};
   /// Requests per client submission: 1 = classic try_submit singles,
   /// >1 = PolicyClient::submit_batch rides the batched ingress (one
   /// ticket-range draw + at most min(batch, shards) queue cells per
   /// call). Accounting is identical either way (Lemma 3.1 splits the
   /// range residue-exactly); throughput is not — that is the point.
   std::uint32_t service_client_batch = 1;
-  /// Forced resize schedule of split levels (e.g. {1, 2, 1, 0}); needs
-  /// service.elastic.enabled and every level in [min_level, max_level].
-  /// The backend applies the k-th entry once roughly (k+1)/(n+1) of the
-  /// run's submissions have been accepted, guaranteeing the epoch
-  /// transitions happen regardless of controller pressure.
-  std::vector<std::uint32_t> service_resize_plan;
 
   // --- "optimizer" backend (annealed schedule adversary) --------------
   std::uint32_t opt_iterations = 1500;

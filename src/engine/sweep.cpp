@@ -16,7 +16,7 @@ namespace cn::engine {
 
 namespace {
 
-/// Compact per-trial record kept when full results are not requested.
+/// Compact per-trial record: what the reduction needs of a RunResult.
 struct TrialSummary {
   bool ok = false;
   bool non_lin = false;
@@ -113,10 +113,10 @@ std::uint64_t retry_seed(std::uint64_t base_seed, std::uint64_t trial,
   return mix.next();
 }
 
-SweepOutcome sweep(const SweepSpec& spec) {
-  SweepOutcome out;
-  out.stats.trials = spec.trials;
-  if (spec.trials == 0) return out;
+SweepStats sweep_stats(const SweepSpec& spec) {
+  SweepStats st;
+  st.trials = spec.trials;
+  if (spec.trials == 0) return st;
 
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t workers = std::min<std::uint64_t>(
@@ -142,7 +142,6 @@ SweepOutcome sweep(const SweepSpec& spec) {
   }
 
   std::vector<TrialSlot> summaries(spec.trials);
-  if (spec.keep_results) out.results.resize(spec.trials);
 
   const auto t_start = std::chrono::steady_clock::now();
   std::atomic<std::uint64_t> next_trial{0};
@@ -168,11 +167,8 @@ SweepOutcome sweep(const SweepSpec& spec) {
         }
         ++attempt;
       }
-      // Results referencing the sweep-owned network must keep it alive.
-      if (sweep_net != nullptr) r.owned_net = sweep_net;
       summaries[t].summary = summarize(r);
       summaries[t].summary.attempts = attempt;
-      if (spec.keep_results) out.results[t] = std::move(r);
     }
   };
   if (workers <= 1) {
@@ -183,13 +179,12 @@ SweepOutcome sweep(const SweepSpec& spec) {
     for (std::uint32_t w = 0; w < workers; ++w) pool.emplace_back(work);
     for (std::thread& th : pool) th.join();
   }
-  out.stats.wall_sec = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t_start)
-                           .count();
+  st.wall_sec = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t_start)
+                   .count();
 
   // Serial reduction in trial order: every aggregate (including the
   // floating-point sums) is independent of the worker count.
-  SweepStats& st = out.stats;
   for (std::uint64_t t = 0; t < spec.trials; ++t) {
     const TrialSummary& s = summaries[t].summary;
     if (s.attempts > 0) {
@@ -215,9 +210,7 @@ SweepOutcome sweep(const SweepSpec& spec) {
     st.total_tokens += s.tokens;
     for (const auto& [key, value] : s.metrics) st.metric_sums[key] += value;
   }
-  return out;
+  return st;
 }
-
-SweepStats sweep_stats(const SweepSpec& spec) { return sweep(spec).stats; }
 
 }  // namespace cn::engine

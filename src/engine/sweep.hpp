@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "engine/run_result.hpp"
 #include "engine/run_spec.hpp"
@@ -21,10 +20,6 @@ struct SweepSpec {
   /// Sweeper worker threads. 0 = hardware concurrency. Aggregates are
   /// deterministic regardless of this value.
   std::uint32_t threads = 0;
-  /// Keep every per-trial RunResult (in trial order) in the outcome.
-  /// Costs memory proportional to trials x trace size; leave off for
-  /// large sweeps that only need the aggregates.
-  bool keep_results = false;
 
   /// Per-trial wall-clock watchdog, in milliseconds. 0 disables it (the
   /// default: trials run inline on the worker and reuse its arena).
@@ -77,12 +72,6 @@ struct SweepStats {
   double wall_sec = 0.0;  ///< Wall time; EXCLUDED from reports/JSON.
 };
 
-struct SweepOutcome {
-  SweepStats stats;
-  /// Per-trial results in trial order; filled only when keep_results.
-  std::vector<RunResult> results;
-};
-
 /// Deterministic per-trial seed: a SplitMix64 hash of the base seed and
 /// the trial index. Identical at any thread count, well spread even for
 /// consecutive base seeds.
@@ -98,9 +87,6 @@ std::uint64_t retry_seed(std::uint64_t base_seed, std::uint64_t trial,
 /// Runs the sweep. Trials are distributed over `threads` workers; the
 /// reduction into SweepStats happens serially in trial order afterwards,
 /// which is what makes the aggregate thread-count independent.
-SweepOutcome sweep(const SweepSpec& spec);
-
-/// Convenience: sweep and return just the stats.
 SweepStats sweep_stats(const SweepSpec& spec);
 
 }  // namespace cn::engine

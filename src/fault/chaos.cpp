@@ -74,7 +74,6 @@ ChaosPlan ChaosPlan::random(std::uint64_t seed, std::uint32_t shards,
     e.kind = ChaosKind::kWorkerCrash;
     e.shard = static_cast<std::uint32_t>(rng.range(0, shards - 1));
     e.at_ops = draw_slot(e.shard);
-    e.lose = mix.crash_lose_max > 0 ? rng.range(0, mix.crash_lose_max) : 0;
     plan.events.push_back(e);
   }
   for (std::uint32_t i = 0; i < mix.stall_windows; ++i) {

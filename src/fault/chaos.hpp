@@ -74,7 +74,6 @@ struct ChaosMix {
   std::uint32_t crashes = 1;
   std::uint32_t stall_windows = 1;
   std::uint32_t bursts = 1;
-  std::uint64_t crash_lose_max = 0;   ///< Upper bound on per-crash loss.
   std::uint64_t stall_ns = 200000;    ///< 0.2 ms per stalled batch.
   std::uint64_t window_ops = 256;     ///< Stall-window length.
   std::uint64_t burst_ops = 512;      ///< Burst length (submissions).
@@ -97,7 +96,8 @@ struct ChaosPlan {
   /// trigger points drawn uniformly over [horizon_ops/8, horizon_ops)
   /// and shards drawn uniformly — deterministic in (seed, shards,
   /// horizon_ops, mix). Events never overlap on a shard: triggers are
-  /// spaced at least `mix.window_ops` apart per shard.
+  /// spaced at least `mix.window_ops` apart per shard. Its crashes lose
+  /// no tickets (`lose` 0); a lossy crash is a hand-built event.
   static ChaosPlan random(std::uint64_t seed, std::uint32_t shards,
                           std::uint64_t horizon_ops, const ChaosMix& mix);
 

@@ -85,9 +85,8 @@ struct FaultPlan {
   /// twice (at-least-once delivery).
   double p_msg_duplicate = 0.0;
   /// Per-message probability that the latency blows through the
-  /// [c_min, c_max] envelope by msg_delay_factor.
+  /// [c_min, c_max] envelope, 8x (msg/service.cpp's kMsgDelayFactor).
   double p_msg_delay = 0.0;
-  double msg_delay_factor = 8.0;
 
   // --- real-thread faults ---------------------------------------------
   /// Per-operation probability that the thread stalls for stall_ns at a

@@ -11,6 +11,8 @@ namespace {
 
 /// Counter -> client reply latency.
 constexpr double kResultLatency = 0.1;
+/// How far a p_msg_delay fault stretches a message's latency.
+constexpr double kMsgDelayFactor = 8.0;
 
 /// Mutable per-run state shared by the actor handlers.
 struct RunState {
@@ -103,7 +105,7 @@ struct RunState {
     }
     if (faults.flip(p_delay)) {
       ++delayed_messages;
-      latency *= spec->fault.msg_delay_factor;
+      latency *= kMsgDelayFactor;
     }
     kernel.send(to, payload, latency);
     if (faults.flip(p_dup)) {
@@ -124,9 +126,11 @@ std::string validate(const MsgRunSpec& spec) {
   if (spec.c_min > spec.c_max) {
     return "spec invalid: c_min > c_max (inverted latency envelope)";
   }
-  if (spec.c_min < 0.0 || spec.local_delay < 0.0) {
-    return "spec invalid: negative latency";
+  if (spec.c_min < 0.0) return "spec invalid: negative latency";
+  if (!std::isfinite(spec.local_delay)) {
+    return "spec invalid: non-finite local delay";
   }
+  if (spec.local_delay < 0.0) return "spec invalid: negative local delay";
   return {};
 }
 

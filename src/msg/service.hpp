@@ -33,8 +33,8 @@ struct MsgRunSpec {
   /// Message-level fault injection (fault/fault.hpp). The kernel reads
   /// p_token_loss (a token-carrying message is dropped — the token
   /// vanishes and its client's loop halts), p_msg_duplicate
-  /// (at-least-once delivery), p_msg_delay / msg_delay_factor (latency
-  /// escapes the [c_min, c_max] envelope), and p_process_crash (the
+  /// (at-least-once delivery), p_msg_delay (latency escapes the
+  /// [c_min, c_max] envelope 8x), and p_process_crash (the
   /// client stops issuing after a uniformly chosen operation). Fault
   /// decisions come from a dedicated stream derived from (fault.seed,
   /// seed): a disabled plan leaves the run byte-identical.

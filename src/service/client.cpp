@@ -29,22 +29,16 @@ SubmitStatus status_of(std::uint64_t v) noexcept {
 
 }  // namespace
 
-std::uint64_t backoff_ns(const SubmitPolicy& policy, std::uint32_t attempt,
-                         Xoshiro256& rng) {
-  // min(base << attempt, max), shift-capped so attempt 64+ cannot wrap.
-  std::uint64_t b = policy.backoff_base_ns;
-  if (b == 0) return 0;
-  if (attempt >= 63 || (b << attempt) >> attempt != b) {
-    b = policy.backoff_max_ns;
-  } else {
-    b = std::min(b << attempt, policy.backoff_max_ns);
-  }
-  if (policy.jitter <= 0.0) return b;  // No draw: schedules without
-                                       // jitter consume no randomness.
-  const double lo = 1.0 - std::min(policy.jitter, 1.0);
+std::uint64_t backoff_ns(std::uint32_t attempt, Xoshiro256& rng) {
+  // min(base << attempt, max), doubling only until the cap, so no
+  // attempt count can overflow the shift. Jitter ½: the sleep is drawn
+  // uniformly from [b / 2, b].
+  std::uint64_t b = kBackoffBaseNs;
+  for (std::uint32_t i = 0; i < attempt && b < kBackoffMaxNs; ++i) b <<= 1;
+  b = std::min(b, kBackoffMaxNs);
   const double u = rng.unit();
   return static_cast<std::uint64_t>(static_cast<double>(b) *
-                                    (lo + (1.0 - lo) * u));
+                                    (0.5 + 0.5 * u));
 }
 
 std::uint32_t thread_cpus() {
@@ -152,13 +146,9 @@ SubmitStatus PolicyClient::admit(std::uint64_t deadline, std::uint32_t& retries,
       status = SubmitStatus::kRejected;
       break;
     }
-    const std::uint64_t b = backoff_ns(policy_, tries, rng_);
-    if (b > 0) {
-      stats_.backoff_ns_total += b;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(b));
-    } else {
-      std::this_thread::yield();
-    }
+    const std::uint64_t b = backoff_ns(tries, rng_);
+    stats_.backoff_ns_total += b;
+    std::this_thread::sleep_for(std::chrono::nanoseconds(b));
     ++tries;
   }
   retries = tries;

@@ -8,11 +8,11 @@
 //
 //   * unbounded retry: a saturated or shedding service turns the naive
 //     `while (!try_submit()) yield()` loop into a spin storm. The
-//     SubmitPolicy bounds the attempts and spaces them with exponential
-//     backoff whose jitter is drawn from the CLIENT's seeded rng — two
-//     runs with the same seed produce the identical retry schedule
-//     (backoff_ns is a pure function of (policy, attempt, rng state)),
-//     so resilience experiments replay like everything else.
+//     SubmitPolicy bounds the attempts, and exponential backoff spaces
+//     them, its jitter drawn from the CLIENT's seeded rng — two runs
+//     with the same seed produce the identical retry schedule
+//     (backoff_ns is a pure function of (attempt, rng state)), so
+//     resilience experiments replay like everything else.
 //   * unbounded wait: a request queued to a crashed shard completes only
 //     after recovery (or never, unsupervised). wait_done spins briefly
 //     (not on a thread that may run on one CPU only; see spin_can_pay),
@@ -45,11 +45,16 @@
 
 namespace cn::service {
 
-/// The backoff before retry `attempt` (0-based): min(base << attempt,
-/// max), jittered from `rng`. Pure in (policy, attempt, rng state) —
-/// the determinism the backoff-schedule tests pin down.
-std::uint64_t backoff_ns(const SubmitPolicy& policy, std::uint32_t attempt,
-                         Xoshiro256& rng);
+/// The backoff before a client's first retry, and the cap its doubling
+/// stops at.
+inline constexpr std::uint64_t kBackoffBaseNs = 2'000;
+inline constexpr std::uint64_t kBackoffMaxNs = 1'000'000;
+
+/// The backoff before retry `attempt` (0-based): b = min(kBackoffBaseNs
+/// << attempt, kBackoffMaxNs), drawn uniformly from [b / 2, b] with one
+/// `rng` draw. Pure in (attempt, rng state) — the determinism the
+/// backoff-schedule tests pin down.
+std::uint64_t backoff_ns(std::uint32_t attempt, Xoshiro256& rng);
 
 enum class SubmitStatus : std::uint8_t {
   kCompleted = 0,  ///< Value received.

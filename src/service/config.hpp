@@ -19,14 +19,14 @@ namespace cn::service {
 
 /// Live split/merge resharding (paper Props 5.6-5.10). The base
 /// topology must be continuously uniformly splittable AND pass
-/// verify_extraction up to max_level — validate() certifies both.
+/// verify_extraction up to max_level — validate() certifies both. The
+/// service starts at level 0 (one shard), which is also the floor of
+/// resize() and the controller.
 struct ElasticConfig {
   bool enabled = false;
-  std::uint32_t initial_level = 0;  ///< 2^level shards at start().
-  std::uint32_t min_level = 0;      ///< Controller / resize floor.
   /// Controller / resize ceiling; must be <= operational_max_level of
-  /// the base topology (0 with min_level 0 means "level 0 only", which
-  /// still exercises the epoch machinery via explicit resize(0)).
+  /// the base topology (0 means "level 0 only", which still exercises
+  /// the epoch machinery via explicit resize(0)).
   std::uint32_t max_level = 0;
   /// Adaptive controller: the supervisor samples mean queue depth (as a
   /// fraction of capacity) each poll and resizes after `breach_polls`
@@ -83,12 +83,6 @@ struct SubmitPolicy {
   /// Re-submission attempts after a shed/reject before giving up
   /// (kRejected). 0 = retry until the deadline (or forever without one).
   std::uint32_t max_retries = 16;
-  std::uint64_t backoff_base_ns = 2'000;    ///< First backoff.
-  std::uint64_t backoff_max_ns = 1'000'000;  ///< Exponential cap.
-  /// Fraction of each backoff that is randomized: the sleep is drawn
-  /// uniformly from [(1 - jitter) * b, b]. 0 = fully deterministic
-  /// spacing (and no rng draw, mirroring FaultStream::flip's p<=0 rule).
-  double jitter = 0.5;
   /// Per-request deadline measured from the submit call; 0 = none.
   std::uint64_t deadline_ns = 0;
   /// Completion-wait shape: `spin_limit` pure spins, then `yield_limit`

@@ -62,9 +62,6 @@ std::string validate(const ServiceConfig& cfg) {
   }
   if (cfg.elastic.enabled) {
     const ElasticConfig& e = cfg.elastic;
-    if (e.min_level > e.initial_level || e.initial_level > e.max_level) {
-      return "service: elastic levels must satisfy min <= initial <= max";
-    }
     if (e.max_level > 0) {
       const SplitPlan plan(*cfg.net);
       if (!plan.applicable()) {
@@ -211,7 +208,7 @@ void CountingService::start() {
   started_ = true;
   {
     std::lock_guard<std::mutex> lock(fence_mu_);
-    install_epoch(cfg_.elastic.enabled ? cfg_.elastic.initial_level : 0);
+    install_epoch(0);
   }
   if (cfg_.supervise) {
     supervisor_ = std::thread([this] { supervisor_loop(); });
@@ -679,7 +676,7 @@ void CountingService::supervisor_loop() {
             resize_target = level + 1;
             want_resize = true;
           } else if (cooled && merge_streak_ >= cfg_.elastic.breach_polls &&
-                     level > cfg_.elastic.min_level) {
+                     level > 0) {
             resize_target = level - 1;
             want_resize = true;
           }
@@ -869,9 +866,8 @@ void CountingService::retire_epoch() {
 std::string CountingService::resize(std::uint32_t level) {
   if (!cfg_.elastic.enabled) return "service: elastic mode is off";
   if (!started_) return "service: not started";
-  if (level < cfg_.elastic.min_level || level > cfg_.elastic.max_level) {
-    return "service: level " + std::to_string(level) +
-           " outside [" + std::to_string(cfg_.elastic.min_level) + ", " +
+  if (level > cfg_.elastic.max_level) {
+    return "service: level " + std::to_string(level) + " outside [0, " +
            std::to_string(cfg_.elastic.max_level) + "]";
   }
   std::lock_guard<std::mutex> lock(fence_mu_);

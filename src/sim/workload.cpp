@@ -4,6 +4,13 @@
 
 namespace cn {
 
+namespace {
+
+/// The latest a process's first entry may be staggered to.
+constexpr double kInitialStagger = 4.0;
+
+}  // namespace
+
 TimedExecution generate_workload(const Network& net, const WorkloadSpec& spec,
                                  Xoshiro256& caller_rng) {
   TimedExecution exec;
@@ -26,7 +33,7 @@ TimedExecution generate_workload(const Network& net, const WorkloadSpec& spec,
   TokenId next_token = 0;
   for (ProcessId p = 0; p < spec.processes; ++p) {
     const std::uint32_t source = p % net.fan_in();
-    double t = rng.uniform(0.0, spec.initial_stagger);
+    double t = rng.uniform(0.0, kInitialStagger);
     for (std::uint32_t k = 0; k < spec.tokens_per_process; ++k) {
       // Random tie-break among simultaneous steps, but strictly
       // increasing within a process so that back-to-back tokens

@@ -24,13 +24,11 @@ struct WorkloadSpec {
   /// {c_min, c_max} instead of the full interval — the adversarially
   /// extreme choice, which finds violations far faster.
   bool extreme_delays = true;
-  /// Maximum random stagger of each process's first entry.
-  double initial_stagger = 4.0;
 };
 
 /// Generates a random timed execution. Process i is assigned input wire
-/// i mod fan_in (the paper's fixed-wire assumption). Deterministic per
-/// RNG state.
+/// i mod fan_in (the paper's fixed-wire assumption) and first enters at
+/// a time drawn from [0, 4). Deterministic per RNG state.
 TimedExecution generate_workload(const Network& net, const WorkloadSpec& spec,
                                  Xoshiro256& rng);
 

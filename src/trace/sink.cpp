@@ -12,31 +12,13 @@ bool issue_order_less(const TokenRecord& a, const TokenRecord& b) noexcept {
          std::tie(b.first_seq, b.last_seq, b.token);
 }
 
-bool completion_order_less(const TokenRecord& a,
-                           const TokenRecord& b) noexcept {
-  return std::tie(a.last_seq, a.token) < std::tie(b.last_seq, b.token);
-}
-
-namespace {
-
-template <typename Less>
-void feed_sorted(const Trace& trace, TraceSink& sink, Less less) {
-  // Both orders are total (token ids break every tie), so the sorted copy
+void feed_issue_order(const Trace& trace, TraceSink& sink) {
+  // The order is total (token ids break every tie), so the sorted copy
   // is deterministic; delivering it as one batch lets span-aware sinks
   // skip the per-record virtual dispatch.
   Trace sorted(trace);
-  std::sort(sorted.begin(), sorted.end(), less);
+  std::sort(sorted.begin(), sorted.end(), issue_order_less);
   sink.on_records(sorted);
-}
-
-}  // namespace
-
-void feed_issue_order(const Trace& trace, TraceSink& sink) {
-  feed_sorted(trace, sink, issue_order_less);
-}
-
-void feed_completion_order(const Trace& trace, TraceSink& sink) {
-  feed_sorted(trace, sink, completion_order_less);
 }
 
 void merge_issue_ordered(std::vector<RecordLane>& lanes, TraceSink& sink) {

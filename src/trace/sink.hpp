@@ -101,15 +101,10 @@ class TeeSink final : public TraceSink {
 /// themselves (e.g. duplicated-message faults).
 bool issue_order_less(const TokenRecord& a, const TokenRecord& b) noexcept;
 
-/// Completion order: (last_seq, token) — the order live producers emit.
-bool completion_order_less(const TokenRecord& a, const TokenRecord& b) noexcept;
-
-/// Replays a materialized trace into a sink, sorted by issue_order_less /
-/// completion_order_less respectively (each delivers the whole trace as
-/// one on_records batch). Neither calls sink.finish(); the caller decides
-/// when the stream ends.
+/// Replays a materialized trace into a sink, sorted by issue_order_less
+/// (the whole trace as one on_records batch). Does not call
+/// sink.finish(); the caller decides when the stream ends.
 void feed_issue_order(const Trace& trace, TraceSink& sink);
-void feed_completion_order(const Trace& trace, TraceSink& sink);
 
 /// A lane of records kept in fixed-size blocks of kBlock records, each
 /// block reserved whole when the lane first reaches it: an append never

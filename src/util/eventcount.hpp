@@ -19,7 +19,7 @@
 //     re-check condition
 //   }
 //
-// Why there is no missed wakeup: notify_*() ALWAYS bumps the epoch with
+// Why there is no missed wakeup: notify_all() ALWAYS bumps the epoch with
 // one RMW on the same word prepare_wait() RMWs, so the two sides are
 // totally ordered by the word's modification order. If the waiter's
 // increment came first, the notifier sees the waiter bit and issues the
@@ -27,7 +27,7 @@
 // stale and commit_wait() returns without sleeping. Either way the
 // waiter re-checks the condition after an acquire read of the word that
 // observed the notifier's acq_rel RMW, so the condition write that
-// preceded notify_*() is visible. The condition itself needs no
+// preceded notify_all() is visible. The condition itself needs no
 // stronger ordering than its natural release/acquire pair.
 //
 // notify_if_waiters() is the cheap variant for hot producers (e.g. one
@@ -119,17 +119,20 @@ class EventCount {
     return notified;
   }
 
-  /// Wakes one / every committed waiter. Always one RMW (the epoch
-  /// bump); the futex syscall is skipped when nobody is parked.
-  void notify_one() noexcept { notify(false); }
-  void notify_all() noexcept { notify(true); }
+  /// Wakes every committed waiter. Always one RMW (the epoch bump); the
+  /// futex syscall is skipped when nobody is registered.
+  void notify_all() noexcept {
+    const std::uint64_t prev =
+        state_.fetch_add(1, std::memory_order_seq_cst);  // epoch bump
+    if ((prev & kWaiterMask) != 0) wake();
+  }
 
   /// Hot-path notify: a fence (F_p in the header comment) and a load,
   /// and no RMW when no waiter is registered.
   void notify_if_waiters() noexcept {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if ((state_.load(std::memory_order_relaxed) & kWaiterMask) != 0) {
-      notify(true);
+      notify_all();
     }
   }
 
@@ -157,12 +160,6 @@ class EventCount {
 #endif
   }
 
-  void notify(bool all) noexcept {
-    const std::uint64_t prev =
-        state_.fetch_add(1, std::memory_order_seq_cst);  // epoch bump
-    if ((prev & kWaiterMask) != 0) wake(all);
-  }
-
 #if defined(__linux__)
   /// The futex word is the low half of state_ — on every Linux target we
   /// support, the first 4 bytes of the little-endian 64-bit word.
@@ -186,9 +183,9 @@ class EventCount {
     return !(rc == -1 && errno == ETIMEDOUT);
   }
 
-  void wake(bool all) noexcept {
+  void wake() noexcept {
     syscall(SYS_futex, epoch_word(), FUTEX_WAKE | FUTEX_PRIVATE_FLAG,
-            all ? INT32_MAX : 1, nullptr, nullptr, 0);
+            INT32_MAX, nullptr, nullptr, 0);
   }
 #else
   bool park(std::uint32_t key, std::uint64_t timeout_ns) noexcept {
@@ -205,13 +202,9 @@ class EventCount {
     return true;
   }
 
-  void wake(bool all) noexcept {
+  void wake() noexcept {
     { std::lock_guard<std::mutex> lock(mu_); }  // Order against park's check.
-    if (all) {
-      cv_.notify_all();
-    } else {
-      cv_.notify_one();
-    }
+    cv_.notify_all();
   }
 #endif
 

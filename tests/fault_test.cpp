@@ -713,9 +713,10 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
 
   // The simulated backends check their schedule once, collecting or
   // streaming: an empty schedule, a negative or inverted wire-delay
-  // envelope, a heterogeneous schedule whose operations cannot advance
-  // time (it would never end) and an inapplicable wave construction are
-  // spec-invalid.
+  // envelope, a negative local delay, a heterogeneous schedule whose
+  // operations cannot advance time (it would never end) and an
+  // inapplicable wave construction are spec-invalid. So is msg's
+  // negative local delay.
   struct BadSchedule {
     const char* backend;
     const char* want;
@@ -753,6 +754,17 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
        [](engine::RunSpec& s) { s.opt_iterations = 0; }},
       {"optimizer", "no operations",
        [](engine::RunSpec& s) { s.opt_restarts = 0; }},
+      {"simulator", "negative local delay",
+       [](engine::RunSpec& s) { s.local_delay_min = -5.0; }},
+      {"optimizer", "negative local delay",
+       [](engine::RunSpec& s) { s.local_delay_min = -3.0; }},
+      {"msg", "negative local delay",
+       [](engine::RunSpec& s) { s.local_delay_min = -1.0; }},
+      // A set local_delay_max (>= 0) is a bound too.
+      {"simulator", "non-finite local delay",
+       [](engine::RunSpec& s) {
+         s.local_delay_max = std::numeric_limits<double>::infinity();
+       }},
       {"simulator", "c_min > c_max",
        [](engine::RunSpec& s) {
          s.c_min = 3.0;
@@ -787,28 +799,34 @@ TEST(FaultTaxonomy, InvalidSpecsAreClassifiedNotRun) {
     }
   }
 
-  // A non-finite wire-delay bound is spec-invalid wherever one is taken.
-  // NaN compares false against every bound, so the inverted-envelope and
-  // negative-latency checks alone would let it run.
-  for (const char* backend : {"simulator", "sim_burst", "sim_heterogeneous",
-                              "wave", "optimizer", "msg"}) {
+  // A non-finite wire-delay bound is spec-invalid wherever one is taken,
+  // and so is a non-finite local_delay_min. NaN compares false against
+  // every bound, so the inverted-envelope and negative checks alone would
+  // let it run.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const std::string backend : {"simulator", "sim_burst",
+                                    "sim_heterogeneous", "wave", "optimizer",
+                                    "msg"}) {
     for (const bool keep_trace : {true, false}) {
-      for (const bool nan_c_max : {true, false}) {
+      for (const std::string bad : {"NaN c_max", "inf c_min", "NaN C_L"}) {
         engine::RunSpec spec;
         spec.backend = backend;
         spec.network = "bitonic";
         spec.width = 8;
         spec.opt_iterations = 20;
         spec.keep_trace = keep_trace;
-        if (nan_c_max) {
+        if (bad == "NaN c_max") {
           // The wave backend's c_max is wave_c_max.
-          (spec.backend == "wave" ? spec.wave_c_max : spec.c_max) =
-              std::numeric_limits<double>::quiet_NaN();
-        } else {
+          (backend == "wave" ? spec.wave_c_max : spec.c_max) = kNaN;
+        } else if (bad == "inf c_min") {
           spec.c_min = std::numeric_limits<double>::infinity();
+        } else if (backend == "simulator" || backend == "optimizer" ||
+                   backend == "msg") {
+          spec.local_delay_min = kNaN;
+        } else {
+          continue;  // The other three take no local_delay_min.
         }
-        const std::string what = std::string(backend) +
-                                 (nan_c_max ? " NaN c_max" : " inf c_min") +
+        const std::string what = backend + " " + bad +
                                  " keep_trace=" + std::to_string(keep_trace);
         const engine::RunResult res = engine::run_backend(spec);
         EXPECT_EQ(res.error_kind, engine::ErrorKind::kSpecInvalid)

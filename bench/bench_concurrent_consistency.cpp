@@ -12,8 +12,9 @@
 #include "bench_common.hpp"
 #include "sim/timing.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cn;
+  const CliArgs args(argc, argv, {});  // It reads no flag, so refuses any.
   std::cout << "E9: consistency of recorded concurrent runs "
                "(Theorem 4.1 in practice)\n\n";
   const Network topo = make_bitonic(8);

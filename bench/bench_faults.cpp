@@ -85,7 +85,11 @@ double rate(const engine::SweepStats& st, const std::string& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(
+      argc, argv,
+      {"c_max", "c_min", "fault_seed", "json", "mode", "network", "ops",
+       "ops_per_thread", "probs", "processes", "retries", "run_threads",
+       "seed", "threads", "timeout_ms", "trials", "wave", "width"});
   const std::string mode_arg = args.get("mode", "all");
   const std::vector<double> probs =
       parse_probs(args.get("probs", "0,0.01,0.02,0.05,0.1,0.2"));

@@ -1057,4 +1057,8 @@ int run(const CliArgs& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(cn::CliArgs(argc, argv)); }
+int main(int argc, char** argv) {
+  return run(cn::CliArgs(
+      argc, argv,
+      {"baseline", "check", "check_tolerance", "min-seconds", "out"}));
+}

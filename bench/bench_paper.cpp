@@ -845,7 +845,7 @@ void p4_optimizer(Ledger& ledger, std::uint32_t /*threads*/) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"threads"});
   const std::uint32_t threads = cn::bench::sweep_threads(args);
   Ledger ledger;
   for (const auto experiment :

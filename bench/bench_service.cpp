@@ -777,7 +777,12 @@ bool rate_ok(const char* flag, double rate) {
 
 int main(int argc, char** argv) {
   using namespace cn;
-  CliArgs args(argc, argv);
+  const CliArgs args(
+      argc, argv,
+      {"batch", "client-batch", "clients", "elastic", "elastic-max-level",
+       "elastic-ms", "elastic-rate", "ingress", "ingress-shards", "json",
+       "no-controller", "no-faults", "ops", "seed", "shards", "smoke", "soak",
+       "soak-ms", "soak-rate", "soak-shards", "width"});
   const bool smoke = args.get_bool("smoke", false);
   const bool json = args.get_bool("json", false);
   const bool faults = !args.get_bool("no-faults", false);

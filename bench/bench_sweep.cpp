@@ -29,7 +29,12 @@
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(
+      argc, argv,
+      {"backend", "c_max", "c_min", "ell", "json", "list", "local_delay",
+       "network", "ops", "ops_per_thread", "processes", "record", "replay",
+       "retries", "run_threads", "seed", "stream", "threads", "timeout_ms",
+       "trials", "wave", "width"});
 
   if (args.get_bool("list", false)) {
     std::cout << "registered backends:\n";

@@ -16,8 +16,9 @@
 
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cn;
+  const CliArgs args(argc, argv, {});  // It reads no flag, so refuses any.
   std::cout << "E8: counter throughput comparison (ops/sec, higher is "
                "better)\n\n";
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());

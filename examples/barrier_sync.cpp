@@ -48,7 +48,7 @@ class NetworkBarrier {
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"rounds", "threads", "width"});
   const auto threads =
       args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);
   const auto rounds = args.get_uint<std::uint64_t>("rounds", 50);

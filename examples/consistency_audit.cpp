@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv,
+                     {"ell", "json", "network", "transform", "width"});
 
   engine::RunSpec spec;
   spec.backend = "wave";

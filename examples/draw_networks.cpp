@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"network", "width"});
   const auto width = args.get_uint<std::uint32_t>("width", 8);
   const std::string kind = args.get("network", "all");
 

@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv,
+                     {"local-delay-us", "ops", "threads", "width"});
   const auto width = args.get_uint<std::uint32_t>("width", 8);
   ConcurrentRunSpec spec;
   spec.threads = args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace cn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"ops", "threads", "width"});
   const auto width = args.get_uint<std::uint32_t>("width", 8);
   const auto threads =
       args.get_uint<std::uint32_t>("threads", 4, kMaxThreadsFlag);

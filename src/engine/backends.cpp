@@ -695,12 +695,8 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
       std::chrono::duration<double>(Clock::now() - t_start).count();
   const service::ServiceStats& st = svc.stats();
   if (cfg.record && sink == nullptr) out.trace = collect.take();
-  service::ClientStats agg;
-  for (const auto& c : client_objs) {
-    const service::ClientStats& cs = c->stats();
-    agg.rejected += cs.rejected;
-    agg.retries += cs.retries;
-  }
+  std::uint64_t retries = 0;
+  for (const auto& c : client_objs) retries += c->stats().retries;
   const service::ResidueAudit audit = svc.audit();
   out.metrics["total_ops"] = static_cast<double>(st.completed);
   out.metrics["elapsed_sec"] = elapsed;
@@ -718,12 +714,10 @@ RunResult produce_service(const RunSpec& spec, RunContext&, TraceSink* sink) {
       static_cast<double>(st.latency.p99()) / 1000.0;
   out.metrics["p999_us"] =
       static_cast<double>(st.latency.p999()) / 1000.0;
-  // Self-healing telemetry: client outcomes, recovery counters, and
+  // Self-healing telemetry: client retries, recovery counters, and
   // the quiescent residue audit ride into RunResult so sweeps can
   // gate on them like any other metric.
-  out.metrics["timed_out"] = static_cast<double>(st.timed_out);
-  out.metrics["client_rejected"] = static_cast<double>(agg.rejected);
-  out.metrics["retries"] = static_cast<double>(agg.retries);
+  out.metrics["retries"] = static_cast<double>(retries);
   out.metrics["shed"] = static_cast<double>(st.shed);
   out.metrics["crashes"] = static_cast<double>(st.crashes);
   out.metrics["respawns"] = static_cast<double>(st.respawns);

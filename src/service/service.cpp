@@ -37,7 +37,7 @@ ServiceCounts& ServiceCounts::operator+=(const ServiceCounts& other) noexcept {
   for (std::uint64_t C::*sum :
        {&C::submitted, &C::rejected, &C::shed, &C::completed, &C::dropped,
         &C::crash_lost, &C::abandoned, &C::crashes, &C::respawns,
-        &C::wedge_detections, &C::batches, &C::ingress_batches,
+        &C::wedge_detections, &C::batches, &C::parks, &C::ingress_batches,
         &C::ingress_cells, &C::stalls}) {
     this->*sum += other.*sum;
   }
@@ -111,8 +111,9 @@ std::string validate(const ServiceConfig& cfg) {
 
 std::string deterministic_fingerprint(const ServiceStats& stats) {
   // ONLY fields whose values are pure functions of (submission schedule,
-  // seed, chaos plan). Latency, batch formation, stall counts, wedge
-  // detections, and timed_out are wall-clock artifacts and excluded.
+  // seed, chaos plan). Latency, batch formation, idle parks, stall
+  // counts, wedge detections, and timed_out are wall-clock artifacts and
+  // excluded.
   std::ostringstream os;
   os << "submitted=" << stats.submitted << ";rejected=" << stats.rejected
      << ";shed=" << stats.shed << ";completed=" << stats.completed
@@ -378,15 +379,9 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
   std::vector<Request> batch(cfg_.max_batch);
   std::vector<Value> values(cfg_.max_batch);
   bool draining = false;
-  std::uint32_t idle_rounds = 0;
-  // The idle park is timed, but no known liveness property depends on
-  // the timeout: a push is seen by the re-check or wakes the park (the
-  // fences in EventCount; see util/eventcount.hpp), and the fence and
-  // stop() notify_all every parked worker after raising their flags.
-  // The backstop stays until an interleaving explorer has checked the
-  // protocol with untimed parks.
-  constexpr std::uint32_t kIdleYields = 16;
-  constexpr std::uint64_t kIdleParkNs = 200'000;
+  // The clock when the queue was first found empty since the last batch;
+  // 0 while the worker has work.
+  std::uint64_t idle_since = 0;
   // Every stall the worker takes — a chaos window or drawn thread
   // faults — sleeps here and is counted here.
   const auto stall = [&rt](std::uint64_t times, std::uint64_t ns) {
@@ -396,7 +391,8 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
 
   for (;;) {
     rt.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    rt.last_beat_ns.store(now_ns(), std::memory_order_relaxed);
+    const std::uint64_t now = now_ns();
+    rt.last_beat_ns.store(now, std::memory_order_relaxed);
 
     // --- chaos triggers, keyed on the processed-request count ---------
     const std::uint64_t processed =
@@ -491,7 +487,10 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         draining = true;
         continue;
       }
-      if (++idle_rounds <= kIdleYields) {
+      // Poll until the queue has been empty for kIdlePollNs, timed by the
+      // heartbeat's clock read: a park costs the next request a wake.
+      if (idle_since == 0) idle_since = now;
+      if (now - idle_since < kIdlePollNs) {
         std::this_thread::yield();
         continue;
       }
@@ -506,10 +505,11 @@ void CountingService::worker_loop(TopologyEpoch* epoch, std::uint32_t shard) {
         rt.idle.cancel_wait();
         continue;
       }
+      rt.parks.fetch_add(1, std::memory_order_relaxed);
       rt.idle.commit_wait(key, now_ns() + kIdleParkNs);
       continue;
     }
-    idle_rounds = 0;
+    idle_since = 0;
     rt.processed.fetch_add(n, std::memory_order_relaxed);
 
     // batch[0..k) are the elements that reach the traversal: all n of
@@ -725,6 +725,7 @@ EpochStats CountingService::tally(const TopologyEpoch& ep) const {
     es.crash_lost += rt->crash_lost.load(std::memory_order_relaxed);
     es.crashes += rt->crashes.load(std::memory_order_relaxed);
     es.batches += rt->batches.load(std::memory_order_relaxed);
+    es.parks += rt->parks.load(std::memory_order_relaxed);
     es.stalls += rt->stalls.load(std::memory_order_relaxed);
     es.max_batch_seen = std::max(
         es.max_batch_seen, rt->max_batch.load(std::memory_order_relaxed));
@@ -903,6 +904,7 @@ ServiceHealth CountingService::health() const {
       sh.heartbeat_age_ns = (beat > 0 && now > beat) ? now - beat : 0;
       sh.processed = rt.processed.load(std::memory_order_relaxed);
       sh.completed = rt.completed.load(std::memory_order_relaxed);
+      sh.parks = rt.parks.load(std::memory_order_relaxed);
       sh.shedding = rt.shedding.load(std::memory_order_relaxed);
       sh.crashed = rt.crashed.load(std::memory_order_relaxed);
     }

@@ -65,8 +65,8 @@
 // closed-loop submitter) and a chaos plan, every accounting field of
 // ServiceStats is replayable — deterministic_fingerprint() serializes
 // exactly those fields, and two same-seed runs compare byte-identical.
-// Wall-clock-derived fields (latency, batches formed) are excluded; they
-// depend on real scheduling by nature.
+// Wall-clock-derived fields (latency, batches formed, idle parks) are
+// excluded; they depend on real scheduling by nature.
 //
 // Each worker drains its shard's bounded MPSC queue up to max_batch
 // requests and shepherds them through the shard network with ONE fed
@@ -101,7 +101,10 @@
 // (util/eventcount.hpp) instead of sleep-polling. Workers notify a
 // service-wide completion eventcount once per drained batch; submitters
 // notify a per-shard eventcount only when its worker is actually parked
-// (a fence and a load on the hot path, no RMW).
+// (a fence and a load on the hot path, no RMW). A worker whose queue runs
+// dry yields until the queue has been empty for kIdlePollNs, then parks:
+// a request that arrives within that gap finds it polling, not halted,
+// and each committed park counts in the shard's `parks`.
 //
 // Tracing: when constructed with a TraceSink the service emits one
 // TokenRecord per completed request. The recording path is LOCK-FREE:
@@ -240,6 +243,9 @@ struct ServiceCounts {
   std::uint64_t respawns = 0;    ///< Supervisor worker relaunches.
   std::uint64_t wedge_detections = 0;  ///< Stale-heartbeat observations.
   std::uint64_t batches = 0;     ///< increment_batch calls issued.
+  /// Idle parks committed by the workers (NOT in the fingerprint: when a
+  /// worker parks follows the clock, not the schedule).
+  std::uint64_t parks = 0;
   std::uint64_t max_batch_seen = 0;  ///< Largest batch (a max, not a sum).
   /// Ingress shape (informational, NOT in the deterministic
   /// fingerprint — single vs batched submission must fingerprint
@@ -299,7 +305,8 @@ struct EpochStats : ServiceCounts {
 /// Canonical serialization of the replayable subset of ServiceStats:
 /// every accounting field whose value is a pure function of (workload
 /// schedule, seed, chaos plan) — i.e. everything except wall-clock
-/// artifacts (latency percentiles, batch formation, wedge detections).
+/// artifacts (latency percentiles, batch formation, idle parks, wedge
+/// detections).
 /// Two same-seed runs under a deterministic submission schedule must
 /// produce byte-identical fingerprints; the chaos tests enforce it.
 std::string deterministic_fingerprint(const ServiceStats& stats);
@@ -312,6 +319,7 @@ struct ShardHealth {
   std::uint64_t heartbeat_age_ns = 0;  ///< Now minus last beat.
   std::uint64_t processed = 0;      ///< Requests dequeued so far.
   std::uint64_t completed = 0;
+  std::uint64_t parks = 0;          ///< Idle parks its workers committed.
   bool shedding = false;            ///< Admission gate currently closed.
   bool crashed = false;             ///< Dead and not (yet) respawned.
 };
@@ -361,6 +369,21 @@ inline constexpr std::uint64_t kSupervisorIdleNs = kWedgeTimeoutNs / 2;
 inline constexpr std::uint64_t kSuspectAgeNs = 1'000'000;
 static_assert(kSuspectAgeNs + kSupervisorIdleNs + kSupervisorPollNs <
               kWedgeTimeoutNs);
+
+/// A worker whose queue has been empty this long parks; until then it
+/// polls by yielding, so any runnable thread on its CPU still gets it.
+/// Waking a thread parked on a halted CPU costs the request several µs,
+/// so the poll outlasts all but the rare gap of an open loop's arrivals
+/// (at a 10 µs mean gap, e^-5 of them).
+inline constexpr std::uint64_t kIdlePollNs = 50'000;
+/// A parked worker's timed backstop. No known liveness property depends
+/// on it: a push is seen by the park's re-check or wakes the park (the
+/// fences in EventCount; see util/eventcount.hpp), and the fence and
+/// stop() notify_all every parked worker after raising their flags. It
+/// stays until an interleaving explorer has checked the protocol with
+/// untimed parks. With no request to wake it, an idle worker parks once
+/// per kIdleParkNs and beats its heartbeat at least as often.
+inline constexpr std::uint64_t kIdleParkNs = 200'000;
 
 /// How long the supervisor sleeps after a sweep: the fast period while
 /// the elastic controller samples or the stalest heartbeat the sweep saw
@@ -506,6 +529,7 @@ class CountingService {
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> crash_lost{0};
     std::atomic<std::uint64_t> batches{0};
+    std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> max_batch{0};
     std::atomic<std::uint64_t> stalls{0};
     std::atomic<std::uint64_t> crashes{0};

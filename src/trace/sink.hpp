@@ -117,7 +117,7 @@ void feed_issue_order(const Trace& trace, TraceSink& sink);
 /// spike.
 class RecordLane {
  public:
-  static constexpr std::size_t kBlock = 1024;  ///< 64 KiB of records.
+  static constexpr std::size_t kBlock = 1024;  ///< 56 KiB of 56-byte records.
 
   void push_back(const TokenRecord& record) {
     if (blocks_.empty() || blocks_.back().size() == kBlock) {

@@ -17,7 +17,9 @@ namespace {
 
 }  // namespace
 
-CliArgs::CliArgs(int argc, char** argv) {
+CliArgs::CliArgs(int argc, char** argv,
+                 std::initializer_list<std::string_view> flags)
+    : flags_(flags.begin(), flags.end()) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) continue;
@@ -32,26 +34,44 @@ CliArgs::CliArgs(int argc, char** argv) {
       values_[std::string(arg)] = "true";
     }
   }
+  for (const auto& [name, value] : values_) {
+    if (flags_.contains(name)) continue;
+    std::string known;
+    for (const std::string& flag : flags_) {
+      known += (known.empty() ? "" : ", ") + ("--" + flag);
+    }
+    throw std::invalid_argument("--" + name + ": not a flag of this program" +
+                                (known.empty() ? ", which takes none"
+                                               : "; it reads " + known));
+  }
+}
+
+const std::string* CliArgs::find(const std::string& name) const {
+  if (!flags_.contains(name)) {
+    throw std::logic_error("--" + name + " is read but not declared");
+  }
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 bool CliArgs::has(const std::string& name) const {
-  return values_.contains(name);
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& name, const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : parse_double(name, it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : parse_double(name, *value);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   bad_value(name, v, "one of true/false/1/0/yes/no");

@@ -5,22 +5,29 @@
 
 #include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 
 namespace cn {
 
 /// Parses flags of the form --key=value / --key value / --switch.
 ///
-/// Anything not starting with "--" is ignored. Unknown flags are retained;
-/// callers query by name with a default. The typed accessors throw
+/// Anything not starting with "--" is ignored. A binary names every flag
+/// it reads when it constructs its CliArgs, and any other flag throws
+/// std::invalid_argument naming it, so "--trails 3" never runs the default
+/// trial count. Callers query by name with a default; reading a flag the
+/// binary did not name throws std::logic_error. The typed accessors throw
 /// std::invalid_argument, naming the flag and its value, unless the whole
 /// value parses: so "--trials abc" or "--c_max 2,5" never runs with a
 /// silently truncated number.
 class CliArgs {
  public:
-  CliArgs(int argc, char** argv);
+  CliArgs(int argc, char** argv,
+          std::initializer_list<std::string_view> flags);
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
@@ -36,6 +43,11 @@ class CliArgs {
   bool get_bool(const std::string& name, bool fallback) const;
 
  private:
+  /// The value given to --`name`, or null; throws std::logic_error when
+  /// `name` is not one of the binary's flags.
+  const std::string* find(const std::string& name) const;
+
+  std::set<std::string, std::less<>> flags_;
   std::map<std::string, std::string> values_;
 };
 
@@ -55,9 +67,9 @@ std::uint64_t parse_uint(const std::string& name, const std::string& value,
 
 template <std::unsigned_integral T>
 T CliArgs::get_uint(const std::string& name, T fallback, T max) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return static_cast<T>(parse_uint(name, it->second, max));
+  const std::string* value = find(name);
+  return value == nullptr ? fallback
+                          : static_cast<T>(parse_uint(name, *value, max));
 }
 
 }  // namespace cn

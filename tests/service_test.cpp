@@ -633,6 +633,43 @@ TEST(Supervisor, IdleServiceSweepsAtTheSlowPeriod) {
   svc.stop();
 }
 
+TEST(CountingService, IdleWorkersParkAtMostOncePerBackstop) {
+  // A worker parks once its queue has been empty for kIdlePollNs, and with
+  // no request to wake it each park lasts its kIdleParkNs backstop. So over
+  // a window each idle worker parks at least once, and at most once per
+  // backstop plus the parks in progress at its two ends.
+  const Network net = make_bitonic(8);
+  CountingService svc(small_config(net, 2));
+  svc.start();
+  const auto parks = [&svc] {
+    std::vector<std::uint64_t> per_shard;
+    for (const service::ShardHealth& sh : svc.health().shards) {
+      per_shard.push_back(sh.parks);
+    }
+    return per_shard;
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<std::uint64_t> before = parks();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::vector<std::uint64_t> after = parks();
+  const auto elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  ASSERT_EQ(before.size(), 2u);
+  ASSERT_EQ(after.size(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::uint64_t taken = after[s] - before[s];
+    EXPECT_GE(taken, 1u) << "shard " << s;
+    EXPECT_LE(taken, elapsed_ns / service::kIdleParkNs + 2)
+        << "shard " << s << " over " << elapsed_ns << " ns";
+  }
+  svc.stop();
+  // The ledger sums the shards' parks.
+  const std::vector<std::uint64_t> final_parks = parks();
+  EXPECT_EQ(svc.stats().parks, final_parks[0] + final_parks[1]);
+}
+
 TEST(ChaosPlan, RandomScheduleIsSeedDeterministic) {
   fault::ChaosMix mix;
   mix.crashes = 2;
@@ -1541,8 +1578,8 @@ TEST(ElasticService, ResizeRefusalsAreReasoned) {
 std::vector<std::uint64_t> ledger_row(const service::ServiceCounts& c) {
   return {c.submitted, c.rejected,  c.shed,       c.completed,
           c.dropped,   c.crash_lost, c.abandoned, c.crashes,
-          c.respawns,  c.wedge_detections, c.batches, c.ingress_batches,
-          c.ingress_cells, c.stalls};
+          c.respawns,  c.wedge_detections, c.batches, c.parks,
+          c.ingress_batches, c.ingress_cells, c.stalls};
 }
 
 /// After stop(): stats() is the field-by-field sum of epoch_history()

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/cli.hpp"
@@ -149,7 +150,8 @@ TEST(Table, FormatHelpers) {
 TEST(Cli, ParsesAllForms) {
   const char* argv[] = {"prog",     "--alpha=3", "--beta", "7",
                         "--flag",   "--gamma",   "2.5",    "ignored"};
-  CliArgs args(8, const_cast<char**>(argv));
+  CliArgs args(8, const_cast<char**>(argv),
+               {"alpha", "beta", "flag", "gamma", "missing", "ignored"});
   EXPECT_EQ(args.get_uint<std::uint32_t>("alpha", 0), 3u);
   EXPECT_EQ(args.get_uint<std::uint32_t>("beta", 0), 7u);
   EXPECT_TRUE(args.get_bool("flag", false));
@@ -161,7 +163,7 @@ TEST(Cli, ParsesAllForms) {
 TEST(Cli, BooleanSpellings) {
   const char* argv[] = {"prog", "--a=false", "--b=0", "--c=no",
                         "--d=true", "--e=1",  "--f=yes"};
-  CliArgs args(7, const_cast<char**>(argv));
+  CliArgs args(7, const_cast<char**>(argv), {"a", "b", "c", "d", "e", "f"});
   EXPECT_FALSE(args.get_bool("a", true));
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_FALSE(args.get_bool("c", true));
@@ -189,7 +191,9 @@ TEST(Cli, MalformedValuesThrow) {
                         "--c_max",       "2,5",      "--width=8x",
                         "--seed=",       "--json",   "maybe",
                         "--big=99999999999999999999", "--flag=TRUE"};
-  CliArgs args(11, const_cast<char**>(argv));
+  CliArgs args(11, const_cast<char**>(argv),
+               {"trials", "c_max", "width", "seed", "json", "big", "flag",
+                "absent"});
   expect_rejected([&] { args.get_uint<std::uint64_t>("trials", 0); }, "trials",
                   "abc");
   expect_rejected([&] { args.get_double("c_max", 0.0); }, "c_max", "2,5");
@@ -220,7 +224,9 @@ TEST(Cli, UnsignedValuesAreBounded) {
                         "--wide=4294967295",
                         "--zero=0",
                         "--bad=7x"};
-  CliArgs args(10, const_cast<char**>(argv));
+  CliArgs args(10, const_cast<char**>(argv),
+               {"trials", "neg", "threads", "clients", "width", "wide", "zero",
+                "bad", "absent"});
   expect_rejected([&] { args.get_uint<std::uint64_t>("trials", 200); },
                   "trials", "-1");
   // strtoull alone would read this as 1.
@@ -254,7 +260,7 @@ TEST(Cli, UnsignedValuesAreBounded) {
 TEST(Cli, WholeValuesParse) {
   const char* argv[] = {"prog", "--n=18446744073709551615", "--x=1e-3",
                         "--nan=nan", "--inf=inf"};
-  CliArgs args(5, const_cast<char**>(argv));
+  CliArgs args(5, const_cast<char**>(argv), {"n", "x", "nan", "inf"});
   EXPECT_EQ(args.get_uint<std::uint64_t>("n", 0),
             std::numeric_limits<std::uint64_t>::max());
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 1e-3);
@@ -263,6 +269,39 @@ TEST(Cli, WholeValuesParse) {
   EXPECT_TRUE(std::isnan(args.get_double("nan", 0.0)));
   EXPECT_TRUE(std::isinf(args.get_double("inf", 0.0)));
   EXPECT_DOUBLE_EQ(parse_double("probs", "0.25"), 0.25);
+}
+
+// A binary names the flags it reads. Any other flag throws, naming it, in
+// either form and as a bare switch, so a misspelt flag never runs the
+// defaults; reading a flag the binary did not name is a programming error.
+TEST(Cli, UnknownFlagsThrow) {
+  const char* known[] = {"prog", "--trials=3", "--seed", "7", "--json"};
+  const CliArgs args(5, const_cast<char**>(known), {"trials", "seed", "json"});
+  EXPECT_EQ(args.get_uint<std::uint64_t>("trials", 200), 3u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 1), 7u);
+  EXPECT_TRUE(args.get_bool("json", false));
+  EXPECT_THROW(args.get("trails", ""), std::logic_error);
+
+  const auto expect_unknown = [](std::vector<const char*> argv,
+                                 const std::string& flag) {
+    try {
+      CliArgs(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+              {"trials", "seed"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(flag + ":", 0), 0u) << what;
+      EXPECT_NE(what.find("--trials"), std::string::npos) << what;
+    }
+  };
+  expect_unknown({"prog", "--trails", "3"}, "--trails");
+  expect_unknown({"prog", "--seed=1", "--trails=3"}, "--trails");
+  expect_unknown({"prog", "--trials", "3", "--jsno"}, "--jsno");
+  // A program that reads no flag refuses every one.
+  const char* none[] = {"prog", "--threads", "2"};
+  EXPECT_THROW(CliArgs(3, const_cast<char**>(none), {}), std::invalid_argument);
+  const char* bare[] = {"prog", "positional"};
+  EXPECT_NO_THROW(CliArgs(2, const_cast<char**>(bare), {}));
 }
 
 TEST(SpinBarrier, SynchronizesThreads) {
